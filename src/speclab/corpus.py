@@ -14,12 +14,15 @@ only. The ground truth for a spec is always built from
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
-from .lm import LanguageModel, NGramLogitLM, Vocab, apply_update, ce_gradient
+from .errors import DomainError, NumericError, TrainingError
+from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
 from .sampling import (
     STREAM_HELDOUT,
     derive_seed,
@@ -54,8 +57,8 @@ class CorpusSpec:
             raise DomainError("vocab_size must be >= 4 (bos, eos, content)")
         if self.order < 1:
             raise DomainError("order must be >= 1")
-        if self.concentration <= 0:
-            raise DomainError("concentration must be > 0")
+        if not (math.isfinite(self.concentration) and self.concentration > 0):
+            raise DomainError(f"concentration must be finite and > 0, got {self.concentration}")
         if self.prompt_len < 1:
             raise DomainError("prompt_len must be >= 1")
         if self.n_prompts < 0:
@@ -172,28 +175,84 @@ def pretrain_teacher(
     exact held-out cross entropy is within ``tolerance`` of the held-out
     entropy rate; exhausting the budget first raises
     :class:`TrainingError` with the final gap.
+
+    Schedule. Rollouts are tau=1 samples of length at most ``seq_len``,
+    each ending at the end marker. The convergence check runs after the
+    first rollout that brings the tokens since the last check to
+    ``check_every``, and once more when the budget is spent. Training
+    runs in chunks that end at those points. A chunk first rolls out its
+    sequences, buffering one ``(teacher row, token, lr)`` update per
+    token, and then applies the buffer as a wavefront: step k updates,
+    in one batched gather, log-softmax and scatter, every row that has
+    at least k + 1 buffered updates, with its k-th one.
+
+    Exactness. The result is bit-identical to applying
+    :func:`ce_gradient` and :func:`apply_update` token by token in
+    rollout order. Rollouts never read the teacher, and each token still
+    draws one uniform, by inverse CDF on the chain's precomputed tau=1
+    table as :func:`sample` does, so the draws are unchanged. A CE step
+    on an n-gram table reads and writes only its own context row, so
+    only the order of updates within one row matters, and the wavefront
+    keeps it; the row-wise arithmetic is the per-row arithmetic. A
+    non-finite gradient raises :class:`NumericError` naming the row of
+    the first one in token order.
     """
+    if seq_len < 1:
+        raise DomainError(f"seq_len must be >= 1, got {seq_len}")
     vocab = spec.vocab()
+    size = vocab.size
+    eos = vocab.eos_id
     teacher = NGramLogitLM.create(vocab, order if order is not None else ground_truth.order)
     heldout = collect_heldout_contexts(
         ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT))
     )
     _, entropy = heldout_scores(ground_truth, ground_truth, heldout)
     target_ce = (1.0 + tolerance) * entropy
+    probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
+    cdf = np.cumsum(probs, axis=1)
+    # CDF rows of visited contexts as compact arrays: bisect_right finds
+    # the index of sample()'s searchsorted without numpy's call overhead.
+    n_chain_rows = len(cdf)
+    chain_rows: list = [None] * n_chain_rows
+    chain_start = ground_truth.context_index(())
+    n_teacher_rows = len(teacher.table)
+    teacher_start = teacher.context_index(())
     used = 0
     since_check = 0
     while used < steps:
-        seq = sample_sequence(ground_truth, rng, seq_len)
-        prefix: list[int] = []
-        for tok in seq:
-            lr = lr_start * 0.5 ** int(lr_stages * used / steps)
-            _, grads = ce_gradient(teacher, prefix, tok)
-            apply_update(teacher, grads, lr)
-            prefix.append(tok)
-            used += 1
-            since_check += 1
-            if used >= steps:
+        first = used
+        rows: list[int] = []
+        tokens: list[int] = []
+        while True:
+            ctx = chain_start
+            row = teacher_start
+            for _ in range(seq_len):
+                cdf_row = chain_rows[ctx]
+                if cdf_row is None:
+                    if not abs(cdf[ctx, -1] - 1.0) <= 1e-9:
+                        raise NumericError(f"cannot sample: chain row {ctx} totals {cdf[ctx, -1]}")
+                    cdf_row = chain_rows[ctx] = array("d", cdf[ctx])
+                tok = bisect_right(cdf_row, rng.random())
+                # sample()'s clamp and zero-probability guard. An unclamped
+                # index has cdf[tok] > cdf[tok - 1], so p[tok] > 0 there.
+                if tok >= size:
+                    tok = size - 1
+                    while tok > 0 and probs[ctx, tok] <= 0.0:
+                        tok -= 1
+                if used < steps:
+                    rows.append(row)
+                    tokens.append(tok)
+                    used += 1
+                    since_check += 1
+                if tok == eos:
+                    break
+                ctx = (ctx * size + tok) % n_chain_rows
+                row = (row * size + tok) % n_teacher_rows
+            if used >= steps or since_check >= check_every:
                 break
+        lrs = lr_start * 0.5 ** (lr_stages * np.arange(first, used) / steps).astype(np.int64)
+        _apply_wavefront(teacher, np.array(rows, dtype=np.int64),
+                         np.array(tokens, dtype=np.int64), lrs)
         if since_check >= check_every:
             since_check = 0
             ce, _ = heldout_scores(ground_truth, teacher, heldout)
@@ -206,6 +265,32 @@ def pretrain_teacher(
         f"teacher not converged in {steps} tokens: held-out CE {ce:.4f} vs "
         f"entropy rate {entropy:.4f} (target {target_ce:.4f})"
     )
+
+
+def _apply_wavefront(teacher: NGramLogitLM, rows, tokens, lrs) -> None:
+    """Apply buffered CE updates, the k-th of every row in batch step k.
+
+    Update i is a CE step on ``teacher`` row ``rows[i]`` toward
+    ``tokens[i]`` at rate ``lrs[i]``; the result equals applying them in
+    index order. Raises :class:`NumericError` for the first update, by
+    index, whose gradient is not finite.
+    """
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+    rank = np.arange(len(rows)) - np.repeat(starts, np.diff(np.r_[starts, len(rows)]))
+    order = by_row[np.argsort(rank, kind="stable")]
+    bounds = np.cumsum(np.bincount(rank))
+    step_rows, step_tokens, step_lrs = rows[order], tokens[order], lrs[order]
+    first_bad = len(rows)
+    lo = 0
+    for hi in bounds:
+        bad = _ce_step_rows(teacher, step_rows[lo:hi], step_tokens[lo:hi], step_lrs[lo:hi])
+        if bad.any():
+            first_bad = min(first_bad, int(order[lo:hi][bad].min()))
+        lo = hi
+    if first_bad < len(rows):
+        raise NumericError(f"non-finite gradient for context row {rows[first_bad]}")
 
 
 def make_prompt_sets(

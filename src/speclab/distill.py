@@ -20,6 +20,7 @@ walks through exactly the same pairs and updates as offline training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,12 @@ class KDConfig:
     def __post_init__(self):
         if self.mode not in ("offline", "online"):
             raise DomainError(f"unknown distillation mode '{self.mode}'")
-        if self.tau_gen < 0:
-            raise DomainError("tau_gen must be >= 0")
+        for name in ("tau_gen", "loss_ratio", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.on_policy_frac <= 1.0:
             raise DomainError("on_policy_frac must be in [0, 1]")
-        if self.loss_ratio < 0:
-            raise DomainError("loss_ratio must be >= 0")
         if self.steps < 0:
             raise DomainError("steps must be >= 0")
         if self.gen_max_len < 1:

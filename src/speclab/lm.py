@@ -256,6 +256,27 @@ def ce_gradient(model: LanguageModel, context, target: int):
     return float(loss), model._backprop(cache, g)
 
 
+def _ce_step_rows(model: NGramLogitLM, rows, targets, lrs) -> np.ndarray:
+    """One CE SGD step on each of several distinct n-gram table rows.
+
+    Row ``rows[i]`` moves toward ``targets[i]`` at rate ``lrs[i]``, bit
+    for bit as :func:`ce_gradient` plus :func:`apply_update` would move
+    it. Rows whose gradient is not finite are left unchanged; returns
+    their mask.
+    """
+    logits = model.table[rows]
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    g = np.exp(logits - lse)
+    g[np.arange(len(rows)), targets] -= 1.0
+    # lse >= every logit, so the gradient is finite exactly where lse is.
+    finite = np.isfinite(lse[:, 0])
+    if not finite.all():
+        rows, logits, g, lrs = rows[finite], logits[finite], g[finite], lrs[finite]
+    model.table[rows] = logits - lrs[:, None] * g
+    return ~finite
+
+
 def fkl_value(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     """Forward KL divergence sum p_t * log(p_t / p_s).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 # Stable 64-bit stream tags used when deriving child seeds. Small ints,
 # kept distinct so unrelated streams never collide.
@@ -77,9 +77,13 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
     """One categorical draw by inverse CDF; consumes exactly one uniform.
 
     The returned token always has positive probability under ``dist``.
+    Raises :class:`NumericError` unless the entries sum to 1 within
+    1e-9; NaN and infinity propagate into that total.
     """
-    u = rng.random()
     cdf = np.cumsum(dist)
+    if not abs(cdf[-1] - 1.0) <= 1e-9:
+        raise NumericError(f"cannot sample: distribution total is {cdf[-1]}, not 1")
+    u = rng.random()
     idx = int(np.searchsorted(cdf, u, side="right"))
     if idx >= len(dist):
         idx = len(dist) - 1

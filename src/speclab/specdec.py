@@ -19,6 +19,7 @@ reproduces the trace exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,8 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise DomainError(f"tau must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise DomainError(f"tau must be finite and >= 0, got {self.tau}")
         if self.block_size < 1:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
         if self.max_new_tokens < 1:

@@ -20,9 +20,9 @@ from speclab.corpus import (
     sample_sequence,
     save_prompts,
 )
-from speclab.errors import DomainError, TrainingError
-from speclab.lm import NGramLogitLM
-from speclab.sampling import make_rng, softmax_with_temperature
+from speclab.errors import DomainError, NumericError, TrainingError
+from speclab.lm import NGramLogitLM, apply_update, ce_gradient
+from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
 
 # A small spec keeps the pretraining tests fast; the full-size corpus is
 # exercised by the acceptance suite.
@@ -39,6 +39,10 @@ def test_spec_validation():
         CorpusSpec(concentration=0.0)
     with pytest.raises(DomainError):
         CorpusSpec(concentration=-1.0)
+    with pytest.raises(DomainError, match="concentration"):
+        CorpusSpec(concentration=float("nan"))
+    with pytest.raises(DomainError, match="concentration"):
+        CorpusSpec(concentration=float("inf"))
     with pytest.raises(DomainError):
         CorpusSpec(prompt_len=0)
     with pytest.raises(DomainError):
@@ -260,3 +264,123 @@ def test_entropy_rate_tracks_concentration():
     _, ent_flat = heldout_scores(flat, flat, ctx_flat)
     _, ent_peaky = heldout_scores(peaky, peaky, ctx_peaky)
     assert ent_peaky < ent_flat < math.log(16)
+
+
+def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=0.05,
+                       seq_len=40, check_every=8192, lr_start=0.8, lr_stages=6):
+    """The token-by-token pretraining loop: one rollout, then one SGD step per token."""
+    teacher = NGramLogitLM.create(spec.vocab(), order if order is not None else ground_truth.order)
+    heldout = collect_heldout_contexts(
+        ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT)))
+    _, entropy = heldout_scores(ground_truth, ground_truth, heldout)
+    target_ce = (1.0 + tolerance) * entropy
+    used = 0
+    since_check = 0
+    while used < steps:
+        seq = sample_sequence(ground_truth, rng, seq_len)
+        prefix = []
+        for tok in seq:
+            lr = lr_start * 0.5 ** int(lr_stages * used / steps)
+            _, grads = ce_gradient(teacher, prefix, tok)
+            apply_update(teacher, grads, lr)
+            prefix.append(tok)
+            used += 1
+            since_check += 1
+            if used >= steps:
+                break
+        if since_check >= check_every:
+            since_check = 0
+            ce, _ = heldout_scores(ground_truth, teacher, heldout)
+            if ce <= target_ce:
+                return teacher
+    ce, _ = heldout_scores(ground_truth, teacher, heldout)
+    if ce <= target_ce:
+        return teacher
+    raise TrainingError(
+        f"teacher not converged in {steps} tokens: held-out CE {ce:.4f} vs "
+        f"entropy rate {entropy:.4f} (target {target_ce:.4f})")
+
+
+def _outcome(fn, gt, spec, steps, seed, **kwargs):
+    rng = make_rng(seed)
+    try:
+        model = fn(gt, spec, steps, rng, **kwargs)
+    except TrainingError as exc:
+        return None, str(exc), rng.random()
+    return model.table, None, rng.random()
+
+
+ORDER2 = CorpusSpec(vocab_size=12, order=2, concentration=0.5, seed=4)
+
+
+@pytest.mark.parametrize("spec, steps, kwargs", [
+    (SMALL, 50_000, {}),
+    (ORDER2, 50_000, {}),
+    (SMALL, 50_000, {"order": 3}),
+    (SMALL, 4_001, {"check_every": 1000, "tolerance": 0.002}),
+    (ORDER2, 1_500, {"check_every": 1}),
+    (SMALL, 0, {}),
+    (SMALL, 50, {}),
+], ids=["small", "order2", "order1-teacher3", "mid-sequence", "check-every-1",
+        "budget0", "budget50"])
+def test_pretrain_matches_token_by_token_reference(spec, steps, kwargs):
+    # Same teacher table bit for bit, same error text, and the same
+    # generator state afterwards, as the per-token loop.
+    gt = build_ground_truth(spec, make_rng(spec.seed))
+    table, err, after = _outcome(pretrain_teacher, gt, spec, steps, 2, **kwargs)
+    ref_table, ref_err, ref_after = _outcome(reference_pretrain, gt, spec, steps, 2, **kwargs)
+    assert err == ref_err
+    if ref_err is None:
+        assert np.array_equal(table, ref_table)
+    assert after == ref_after
+
+
+def test_pretrain_matches_reference_on_chain_with_zero_probability_tokens():
+    # exp(-1000) underflows to 0, so these tokens have probability exactly 0.
+    gt = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
+    gt.table[:, [2, 5]] = -1000.0
+    gt.table[::3, 7] = -1000.0
+    table, err, after = _outcome(pretrain_teacher, gt, ORDER2, 50_000, 2)
+    ref_table, ref_err, ref_after = _outcome(reference_pretrain, gt, ORDER2, 50_000, 2)
+    assert err is None and ref_err is None
+    assert np.array_equal(table, ref_table)
+    assert after == ref_after
+
+
+def test_pretrain_reference_cases_cover_both_outcomes():
+    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
+    _, err, _ = _outcome(reference_pretrain, gt, SMALL, 50_000, 2)
+    assert err is None
+    _, err, _ = _outcome(reference_pretrain, gt, SMALL, 4_001, 2, check_every=1000,
+                         tolerance=0.002)
+    assert err is not None and "not converged in 4001 tokens" in err
+    # The 4001-token budget runs out part-way through a rollout.
+    rng = make_rng(2)
+    lengths = []
+    while sum(lengths) < 4_001:
+        lengths.append(len(sample_sequence(gt, rng, 40)))
+    assert sum(lengths) - lengths[-1] < 4_001 < sum(lengths)
+
+
+def test_pretrain_non_finite_update_raises_numeric_error():
+    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericError, match=r"non-finite gradient for context row \d+"):
+            pretrain_teacher(gt, SMALL, 5_000, make_rng(2), lr_start=float("inf"))
+
+
+def test_pretrain_non_finite_update_names_the_reference_row():
+    gt = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
+    messages = []
+    for fn in (pretrain_teacher, reference_pretrain):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericError) as info:
+                fn(gt, ORDER2, 5_000, make_rng(2), lr_start=float("inf"))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_pretrain_rejects_empty_rollouts():
+    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
+    with pytest.raises(DomainError, match="seq_len"):
+        pretrain_teacher(gt, SMALL, 100, make_rng(2), seq_len=0)

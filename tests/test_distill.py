@@ -51,6 +51,22 @@ def test_pair_validation():
         Pair([2], [3], "oracle", 1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau_gen", float("nan")), ("tau_gen", float("inf")),
+    ("loss_ratio", float("nan")), ("loss_ratio", float("inf")),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("learning_rate", -1.0),
+])
+def test_kdconfig_rejects_non_finite_or_negative(field, value):
+    with pytest.raises(DomainError, match=field):
+        KDConfig(**{field: value})
+
+
+def test_kdconfig_zero_rates_stay_legal():
+    cfg = KDConfig(tau_gen=0.0, loss_ratio=0.0, learning_rate=0.0)
+    assert cfg.learning_rate == 0.0
+
+
 def test_kdconfig_validation():
     with pytest.raises(DomainError):
         KDConfig(mode="offline2")

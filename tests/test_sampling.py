@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab.errors import DomainError
+from speclab.errors import DomainError, NumericError
 from speclab.sampling import (
     derive_seed,
     make_rng,
@@ -132,6 +132,27 @@ def test_sample_is_deterministic_given_seed():
     draws2 = [sample(d, rng) for _ in range(20)]
     assert draws1 == draws2
     assert a[0] == draws1[0]
+
+
+def test_sample_rejects_nan_distribution_from_tiny_tau():
+    # A positive tau this small overflows logits / tau, so every entry is NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        dist = softmax_with_temperature(np.array([0.5, 1.0, 2.0]), 1e-310)
+    assert np.all(np.isnan(dist))
+    with pytest.raises(NumericError, match="nan"):
+        sample(dist, make_rng(0))
+
+
+@pytest.mark.parametrize("dist", [
+    [0.2, np.inf, 0.3], [0.5, 0.4], [0.5, 0.6], [0.0, 0.0], [-0.5, 1.0, 0.6],
+])
+def test_sample_rejects_non_finite_or_unnormalized(dist):
+    with pytest.raises(NumericError, match="total"):
+        sample(np.array(dist), make_rng(0))
+
+
+def test_sample_accepts_rounding_error_in_the_total():
+    assert sample(np.array([0.3, 0.7 + 5e-10]), make_rng(0)) in (0, 1)
 
 
 def test_sample_consumes_exactly_one_uniform():

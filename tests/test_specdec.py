@@ -112,6 +112,11 @@ def test_verify_block_empirical_acceptance_matches_overlap():
 def test_generation_config_validation():
     with pytest.raises(DomainError):
         GenerationConfig(tau=-1.0)
+    with pytest.raises(DomainError, match="tau"):
+        GenerationConfig(tau=float("nan"))
+    with pytest.raises(DomainError, match="tau"):
+        GenerationConfig(tau=float("inf"))
+    assert GenerationConfig(tau=0.0).tau == 0.0
     with pytest.raises(DomainError):
         GenerationConfig(block_size=0)
     with pytest.raises(DomainError):
