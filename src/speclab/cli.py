@@ -158,6 +158,7 @@ class RunConfig:
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Flat `section.key = value` lines into a fully defaulted dict."""
     values = {key: default for key, (_, default) in _SCHEMA.items()}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -169,6 +170,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
+        if key in set_on:
+            raise ConfigError(
+                f"{source}:{lineno}: duplicate key '{key}', first set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         parser_fn, _ = _SCHEMA[key]
         try:
             values[key] = parser_fn(value)

@@ -146,11 +146,15 @@ def heldout_scores(
     Gibbs bound cross_entropy >= entropy holds exactly.
     """
     p = softmax_rows_with_temperature(reference.forward_batch(contexts), 1.0)
-    log_q = _log_softmax_rows(model.forward_batch(contexts))
-    ce = float(np.mean(-(p * log_q).sum(axis=1)))
-    safe = np.maximum(p, _ROW_FLOOR)
-    ent = float(np.mean(-(p * np.log(safe)).sum(axis=1)))
-    return ce, ent
+    return _cross_entropy(p, model.forward_batch(contexts)), _entropy(p)
+
+
+def _cross_entropy(p: np.ndarray, logits: np.ndarray) -> float:
+    return float(np.mean(-(p * _log_softmax_rows(logits)).sum(axis=1)))
+
+
+def _entropy(p: np.ndarray) -> float:
+    return float(np.mean(-(p * np.log(np.maximum(p, _ROW_FLOOR))).sum(axis=1)))
 
 
 def pretrain_teacher(
@@ -206,7 +210,11 @@ def pretrain_teacher(
     heldout = collect_heldout_contexts(
         ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT))
     )
-    _, entropy = heldout_scores(ground_truth, ground_truth, heldout)
+    # heldout_scores(ground_truth, teacher, heldout), with everything but
+    # the teacher's log-softmax computed once.
+    heldout_p = softmax_rows_with_temperature(ground_truth.forward_batch(heldout), 1.0)
+    heldout_rows = np.array([teacher.context_index(c) for c in heldout], dtype=np.int64)
+    entropy = _entropy(heldout_p)
     target_ce = (1.0 + tolerance) * entropy
     probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
     cdf = np.cumsum(probs, axis=1)
@@ -255,10 +263,10 @@ def pretrain_teacher(
                          np.array(tokens, dtype=np.int64), lrs)
         if since_check >= check_every:
             since_check = 0
-            ce, _ = heldout_scores(ground_truth, teacher, heldout)
+            ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
             if ce <= target_ce:
                 return teacher
-    ce, _ = heldout_scores(ground_truth, teacher, heldout)
+    ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
     if ce <= target_ce:
         return teacher
     raise TrainingError(

@@ -16,6 +16,19 @@ Every step draws its randomness from a fresh stream derived from
 ``(config.seed, step)``, with the pair index drawn first. Because of
 that, online training with ``on_policy_frac=0`` and ``loss_ratio=0``
 walks through exactly the same pairs and updates as offline training.
+
+Exactness. A step's gradients are the mean over its response positions,
+all read from the parameters as they were before the step. For an
+n-gram student the positions are batched: one gather of the student's
+rows, one row-wise log-softmax shared by the CE and FKL terms, and one
+``np.add.at`` that adds the parts into each row in the order the
+per-position loop (:func:`ce_gradient`, :func:`fkl_gradient`,
+:func:`accumulate_gradients`) would, CE before FKL at each position.
+Losses and divergences are summed left to right from 0.0, as that loop
+does, and the row arithmetic is its per-row arithmetic, so checkpoints,
+training logs and error texts are bit-identical to it. A tiny-neural
+student keeps that loop: its batched forward is not bit-equal to the
+per-context one.
 """
 
 from __future__ import annotations
@@ -27,7 +40,11 @@ import numpy as np
 
 from .errors import DomainError, TrainingError
 from .lm import (
+    FKL_PROB_FLOOR,
     LanguageModel,
+    NGramLogitLM,
+    _check_token,
+    _stable_log_softmax_rows,
     accumulate_gradients,
     apply_update,
     ce_gradient,
@@ -98,7 +115,6 @@ class TrainStep:
     step: int
     lm_loss: float
     fkl: float | None = None
-    eval_alpha: float | None = None
 
 
 TrainingLog = list[TrainStep]
@@ -181,20 +197,24 @@ def compose_dataset(
 
 def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
     """Mean gradients over one response; returns (lm_loss, fkl, grads)."""
+    with_fkl = teacher is not None and loss_ratio > 0.0
+    tokens = list(pair_prompt) + list(response)
+    start = len(pair_prompt)
+    teacher_probs = None
+    if with_fkl:
+        # One batched teacher sweep over all response positions.
+        if isinstance(teacher, NGramLogitLM):
+            logits = teacher.table[teacher.context_rows(tokens, start)]
+        else:
+            logits = teacher.forward_batch([tokens[:i] for i in range(start, len(tokens))])
+        teacher_probs = softmax_rows_with_temperature(logits, 1.0)
+    if isinstance(student, NGramLogitLM):
+        return _ngram_pair_step(student, tokens, start, teacher_probs, loss_ratio)
     grads: dict = {}
     n = len(response)
     lm_loss = 0.0
     fkl_sum = 0.0
-    with_fkl = teacher is not None and loss_ratio > 0.0
     ctx = list(pair_prompt)
-    if with_fkl:
-        # One batched teacher sweep over all response positions.
-        contexts = []
-        tail = list(pair_prompt)
-        for tok in response:
-            contexts.append(list(tail))
-            tail.append(tok)
-        teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
     for i, tok in enumerate(response):
         loss, g = ce_gradient(student, ctx, tok)
         lm_loss += loss
@@ -205,6 +225,55 @@ def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
             accumulate_gradients(grads, gf, loss_ratio / n)
         ctx.append(tok)
     return lm_loss / n, (fkl_sum / n if with_fkl else None), grads
+
+
+def _position_sum(values: np.ndarray) -> float:
+    # Left to right from 0.0, as `total += value` per position adds them.
+    return float(np.cumsum(values)[-1]) + 0.0
+
+
+def _ngram_pair_step(student, tokens, start, teacher_probs, loss_ratio):
+    """:func:`_pair_step` for an n-gram student, over all positions at once."""
+    size = student.vocab.size
+    n = len(tokens) - start
+    targets = np.array(tokens[start:], dtype=np.int64)
+    # The per-position loop checks the first target before any context
+    # token, so a bad first target is the one it names.
+    _check_token(targets[0], size)
+    rows = student.context_rows(tokens, start)
+    _check_token(targets[-1], size)
+    log_p, _ = _stable_log_softmax_rows(student.table[rows])
+    p_s = np.exp(log_p)
+    positions = np.arange(n)
+    lm_loss = _position_sum(-log_p[positions, targets]) / n
+    g = p_s.copy()
+    g[positions, targets] -= 1.0
+    parts = (1.0 / n) * g
+    part_rows = rows
+    fkl = None
+    if teacher_probs is not None:
+        fkl = _position_sum(_fkl_rows(teacher_probs, p_s)) / n
+        unfloored = (p_s > FKL_PROB_FLOOR).astype(float)
+        weight = (teacher_probs * unfloored).sum(axis=1, keepdims=True)
+        # CE and FKL parts interleave, in the order the per-position loop adds them.
+        parts = np.stack((parts, (loss_ratio / n) * (p_s * weight - teacher_probs * unfloored)),
+                         axis=1).reshape(2 * n, size)
+        part_rows = np.repeat(rows, 2)
+    slots: dict = {}
+    part_slots = [slots.setdefault(r, len(slots)) for r in part_rows.tolist()]
+    total = np.zeros((len(slots), size))
+    np.add.at(total, part_slots, parts)
+    return lm_loss, fkl, dict(zip(slots, total))
+
+
+def _fkl_rows(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
+    """:func:`fkl_value` of each row pair, bit for bit."""
+    full = (teacher_probs > 0).all(axis=1)
+    if not full.all():
+        # fkl_value sums only the active terms, which regroups its pairwise sum.
+        return np.array([fkl_value(t, s) for t, s in zip(teacher_probs, student_probs)])
+    clamped = np.maximum(student_probs, FKL_PROB_FLOOR)
+    return (teacher_probs * (np.log(teacher_probs) - np.log(clamped))).sum(axis=1)
 
 
 def _check_finite(lm_loss: float, fkl: float | None, step: int, config: KDConfig) -> None:
@@ -219,8 +288,6 @@ def train_offline(
     student: LanguageModel,
     dataset: Dataset,
     config: KDConfig,
-    eval_fn=None,
-    eval_every: int = 0,
 ) -> TrainingLog:
     """Cross-entropy SGD on a fixed dataset; one pair per step."""
     if not dataset:
@@ -232,10 +299,7 @@ def train_offline(
         lm_loss, _, grads = _pair_step(student, None, pair.prompt, pair.response, 0.0)
         _check_finite(lm_loss, None, step, config)
         apply_update(student, grads, config.learning_rate)
-        entry = TrainStep(step=step, lm_loss=lm_loss)
-        if eval_fn is not None and eval_every > 0 and step % eval_every == 0:
-            entry.eval_alpha = float(eval_fn(student))
-        log.append(entry)
+        log.append(TrainStep(step=step, lm_loss=lm_loss))
     return log
 
 
@@ -244,8 +308,6 @@ def train_online(
     teacher: LanguageModel,
     fixed_dataset: Dataset,
     config: KDConfig,
-    eval_fn=None,
-    eval_every: int = 0,
 ) -> TrainingLog:
     """Mixed fixed/on-policy distillation with a forward KL term."""
     if not fixed_dataset:
@@ -265,10 +327,7 @@ def train_online(
         )
         _check_finite(lm_loss, fkl, step, config)
         apply_update(student, grads, config.learning_rate)
-        entry = TrainStep(step=step, lm_loss=lm_loss, fkl=fkl)
-        if eval_fn is not None and eval_every > 0 and step % eval_every == 0:
-            entry.eval_alpha = float(eval_fn(student))
-        log.append(entry)
+        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
     return log
 
 

@@ -127,6 +127,29 @@ class NGramLogitLM:
         )
         return self.table[idx]
 
+    def context_rows(self, tokens, start: int) -> np.ndarray:
+        """Row indices of the contexts ``tokens[:i]``, ``start <= i < len(tokens)``.
+
+        Each equals :meth:`context_index` of its prefix. The rows come
+        from one sliding window over the bos-padded tokens, and the
+        tokens those windows read are validated once, in sequence order.
+        """
+        n = self.order
+        size = self.vocab.size
+        lo = max(0, start - n)
+        padded = np.array(
+            [self.vocab.bos_id] * (n - start + lo) + list(tokens[lo : len(tokens) - 1]),
+            dtype=np.int64,
+        )
+        bad = (padded < 0) | (padded >= size)
+        if bad.any():
+            _check_token(padded[bad.argmax()], size)
+        count = len(tokens) - start
+        rows = padded[:count]
+        for k in range(1, n):
+            rows = rows * size + padded[k : k + count]
+        return rows
+
 
 @dataclass
 class TinyNeuralLM:
@@ -233,6 +256,13 @@ def _stable_log_softmax(logits: np.ndarray):
     return logits - lse, lse
 
 
+def _stable_log_softmax_rows(logits: np.ndarray):
+    """Row-wise :func:`_stable_log_softmax` of a 2-D batch, bit for bit."""
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    return logits - lse, lse
+
+
 def ce_gradient(model: LanguageModel, context, target: int):
     """Cross-entropy loss -log p(target | context) and its gradients.
 
@@ -265,9 +295,8 @@ def _ce_step_rows(model: NGramLogitLM, rows, targets, lrs) -> np.ndarray:
     their mask.
     """
     logits = model.table[rows]
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    g = np.exp(logits - lse)
+    log_p, lse = _stable_log_softmax_rows(logits)
+    g = np.exp(log_p)
     g[np.arange(len(rows)), targets] -= 1.0
     # lse >= every logit, so the gradient is finite exactly where lse is.
     finite = np.isfinite(lse[:, 0])
@@ -317,12 +346,20 @@ def fkl_gradient(model: LanguageModel, context, teacher_probs: np.ndarray):
 
 
 def apply_update(model: LanguageModel, grads: GradientBundle, lr: float) -> LanguageModel:
-    """In-place SGD step: parameter <- parameter - lr * gradient."""
+    """In-place SGD step: parameter <- parameter - lr * gradient.
+
+    A non-finite n-gram gradient raises :class:`NumericError` naming the
+    first such row in ``grads`` order, before any row moves.
+    """
     if isinstance(model, NGramLogitLM):
-        for idx, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for context row {idx}")
-            model.table[idx] -= lr * g
+        if not grads:
+            return model
+        g = np.array(list(grads.values()))
+        finite = np.isfinite(g).all(axis=1)
+        if not finite.all():
+            bad_row = list(grads)[finite.argmin()]
+            raise NumericError(f"non-finite gradient for context row {bad_row}")
+        model.table[np.fromiter(grads, dtype=np.int64, count=len(grads))] -= lr * g
         return model
     for name, g in grads.items():
         param = getattr(model, name)

@@ -78,11 +78,16 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
 
     The returned token always has positive probability under ``dist``.
     Raises :class:`NumericError` unless the entries sum to 1 within
-    1e-9; NaN and infinity propagate into that total.
+    1e-9; NaN and infinity propagate into that total. An empty
+    distribution raises it too.
     """
     cdf = np.cumsum(dist)
-    if not abs(cdf[-1] - 1.0) <= 1e-9:
-        raise NumericError(f"cannot sample: distribution total is {cdf[-1]}, not 1")
+    try:
+        total = cdf[-1]
+    except IndexError:
+        raise NumericError("cannot sample: empty distribution") from None
+    if not abs(total - 1.0) <= 1e-9:
+        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
     u = rng.random()
     idx = int(np.searchsorted(cdf, u, side="right"))
     if idx >= len(dist):

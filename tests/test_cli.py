@@ -66,6 +66,13 @@ def test_parse_config_unknown_key_names_source_and_line():
         parse_config_text("# c\nkd.steps = 2\ncorpus.flavor = mild\n", source="lab.cfg")
 
 
+def test_parse_config_duplicate_key_names_both_lines():
+    text = "kd.steps = 2\n# c\nkd.mode = online\nkd.steps = 3\n"
+    with pytest.raises(ConfigError,
+                       match=r"lab\.cfg:4: duplicate key 'kd\.steps', first set on line 1"):
+        parse_config_text(text, source="lab.cfg")
+
+
 def test_parse_config_bad_value_names_key():
     with pytest.raises(ConfigError, match=r"bad value for 'corpus\.vocab_size'"):
         parse_config_text("corpus.vocab_size = soup\n")

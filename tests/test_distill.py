@@ -18,9 +18,19 @@ from speclab.distill import (
     train_offline,
     train_online,
 )
-from speclab.errors import DomainError, TrainingError
-from speclab.lm import NGramLogitLM, Vocab
-from speclab.sampling import make_rng, softmax_with_temperature
+from speclab import distill
+from speclab.errors import DomainError, NumericError, TrainingError
+from speclab.lm import (
+    NGramLogitLM,
+    TinyNeuralLM,
+    Vocab,
+    accumulate_gradients,
+    apply_update,
+    ce_gradient,
+    checkpoint_bytes,
+    fkl_gradient,
+)
+from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -412,3 +422,206 @@ def test_train_log_rows_format():
     assert rows[0] == "step,lm_loss,fkl"
     assert rows[1] == "1,2.500000,"
     assert rows[2] == "2,1.250000,0.500000"
+
+
+# --- Batched pair steps against the per-position loop ----------------------
+
+
+def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
+    """The per-position loop that distill._pair_step batches for n-gram students."""
+    grads: dict = {}
+    n = len(response)
+    lm_loss = 0.0
+    fkl_sum = 0.0
+    with_fkl = teacher is not None and loss_ratio > 0.0
+    ctx = list(pair_prompt)
+    if with_fkl:
+        contexts = []
+        tail = list(pair_prompt)
+        for tok in response:
+            contexts.append(list(tail))
+            tail.append(tok)
+        teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
+    for i, tok in enumerate(response):
+        loss, g = ce_gradient(student, ctx, tok)
+        lm_loss += loss
+        accumulate_gradients(grads, g, 1.0 / n)
+        if with_fkl:
+            div, gf = fkl_gradient(student, ctx, teacher_probs[i])
+            fkl_sum += div
+            accumulate_gradients(grads, gf, loss_ratio / n)
+        ctx.append(tok)
+    return lm_loss / n, (fkl_sum / n if with_fkl else None), grads
+
+
+def reference_apply_update(model, grads, lr):
+    """One row at a time, as apply_update's n-gram branch did."""
+    for idx, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for context row {idx}")
+        model.table[idx] -= lr * g
+    return model
+
+
+def bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+def assert_same_step(got, want):
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1]) == bits(want[1])
+    assert list(got[2]) == list(want[2])
+    for key, g in want[2].items():
+        assert got[2][key].tobytes() == g.tobytes()
+
+
+V16 = Vocab(size=16, bos_id=0, eos_id=1)
+
+
+def step_case(seed, student_order, *, teacher_order=2, student_scale=1.5,
+              prompt_len=5, response_len=30, zero_teacher_tokens=()):
+    rng = make_rng(seed)
+    student = NGramLogitLM.create(V16, student_order, init_scale=student_scale,
+                                  init_seed=seed + 1)
+    teacher = NGramLogitLM.create(V16, teacher_order, init_scale=2.0, init_seed=seed + 2)
+    teacher.table[:, list(zero_teacher_tokens)] = -np.inf
+    prompt = rng.integers(2, 16, size=prompt_len).tolist()
+    # Few distinct tokens, so contexts repeat and rows collect several parts.
+    response = rng.integers(1, 6, size=response_len).tolist()
+    return student, teacher, prompt, response
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("with_teacher, loss_ratio", [(False, 0.0), (True, 1.0), (True, 0.0),
+                                                      (True, 0.37)])
+def test_pair_step_bit_equals_per_position_loop(order, with_teacher, loss_ratio):
+    for seed in range(4):
+        student, teacher, prompt, response = step_case(seed, order, teacher_order=4 - order,
+                                                       prompt_len=seed)
+        teacher = teacher if with_teacher else None
+        assert_same_step(distill._pair_step(student, teacher, prompt, response, loss_ratio),
+                         reference_pair_step(student, teacher, prompt, response, loss_ratio))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_pair_step_bit_equal_with_zero_teacher_probabilities(order):
+    student, teacher, prompt, response = step_case(5, order, zero_teacher_tokens=(0, 7, 8))
+    got = distill._pair_step(student, teacher, prompt, response, 1.0)
+    assert_same_step(got, reference_pair_step(student, teacher, prompt, response, 1.0))
+    assert np.isfinite(got[1])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_pair_step_bit_equal_with_floored_student(order):
+    # Logits this spread starve most tokens below FKL_PROB_FLOOR.
+    student, teacher, prompt, response = step_case(6, order, student_scale=40.0)
+    probs = softmax_rows_with_temperature(student.table, 1.0)
+    assert (probs < distill.FKL_PROB_FLOOR).mean() > 0.5
+    assert_same_step(distill._pair_step(student, teacher, prompt, response, 1.0),
+                     reference_pair_step(student, teacher, prompt, response, 1.0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("prompt_len", [0, 1, 4])
+def test_pair_step_bit_equal_on_one_token_responses(order, prompt_len):
+    for seed in range(3):
+        student, teacher, prompt, response = step_case(seed, order, prompt_len=prompt_len,
+                                                       response_len=1)
+        for t, ratio in ((None, 0.0), (teacher, 1.0)):
+            assert_same_step(distill._pair_step(student, t, prompt, response, ratio),
+                             reference_pair_step(student, t, prompt, response, ratio))
+
+
+def test_pair_step_certain_student_loss_is_positive_zero():
+    # p(target) rounds to exactly 1, so the position's loss is -0.0; the
+    # loop's 0.0 + -0.0 makes the step's loss +0.0, and so must the batch.
+    student = NGramLogitLM.create(V16, 1)
+    student.table[3] = -100.0
+    student.table[3, 4] = 0.0
+    got = distill._pair_step(student, None, [3], [4], 0.0)
+    assert_same_step(got, reference_pair_step(student, None, [3], [4], 0.0))
+    assert train_log_rows([distill.TrainStep(step=1, lm_loss=got[0])])[1] == "1,0.000000,"
+
+
+@pytest.mark.parametrize("prompt, response", [
+    ([2, 3], [99, 4, 5]),       # first target
+    ([2, 3], [4, 99, 5]),       # a target that later contexts read
+    ([2, 3], [4, 5, 99]),       # last target, read by no context
+    ([2, 77], [99, 4]),         # first target before a context token
+    ([2, 77], [4, 99]),         # a context token before a later target
+    ([77, 2, 3], [4, 99]),      # only the student's order-3 window reads 77
+    ([-1, 2, 3, 4], [5, 6]),    # read by no window: both accept it
+])
+@pytest.mark.parametrize("student_order", [1, 3])
+def test_pair_step_token_errors_match_the_loop(prompt, response, student_order):
+    student = NGramLogitLM.create(V16, student_order, init_scale=1.0, init_seed=3)
+    teacher = NGramLogitLM.create(V16, 2, init_scale=1.0, init_seed=4)
+    for t, ratio in ((None, 0.0), (teacher, 1.0)):
+        outcomes = []
+        for fn in (distill._pair_step, reference_pair_step):
+            try:
+                outcomes.append(fn(student, t, prompt, response, ratio))
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[1], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert_same_step(*outcomes)
+
+
+def test_pair_step_nan_table_error_texts_match_the_loop():
+    student, teacher, prompt, response = step_case(7, 1, prompt_len=2)
+    # Poison the row of the second distinct context, so the first row is fine.
+    student.table[response[0]] = np.nan
+    messages = []
+    for step_fn, update_fn in ((distill._pair_step, apply_update),
+                               (reference_pair_step, reference_apply_update)):
+        for t, ratio in ((None, 0.0), (teacher, 1.0)):
+            model = NGramLogitLM(V16, 1, student.table.copy())
+            with np.errstate(invalid="ignore"):
+                loss, fkl, grads = step_fn(model, t, prompt, response, ratio)
+                with pytest.raises(NumericError) as info:
+                    update_fn(model, grads, 0.3)
+            assert np.isnan(loss)
+            messages.append(str(info.value))
+    assert messages[:2] == messages[2:]
+    assert messages[0] == f"non-finite gradient for context row {response[0]}"
+
+
+def test_neural_pair_step_keeps_the_per_position_loop():
+    student = TinyNeuralLM.create(V16, context_size=2, d_emb=4, d_hid=8, seed=1)
+    _, teacher, prompt, response = step_case(8, 1)
+    assert_same_step(distill._pair_step(student, teacher, prompt, response, 0.5),
+                     reference_pair_step(student, teacher, prompt, response, 0.5))
+
+
+def _train(monkeypatch, oracle, mode, student, teacher, data, cfg):
+    if oracle:
+        monkeypatch.setattr(distill, "_pair_step", reference_pair_step)
+        monkeypatch.setattr(distill, "apply_update", reference_apply_update)
+    try:
+        if mode == "offline":
+            return distill.train_offline(student, data, cfg)
+        return distill.train_online(student, teacher, data, cfg)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mode, on_policy_frac, loss_ratio", [
+    ("offline", 0.5, 1.0), ("online", 0.5, 1.0), ("online", 0.0, 0.0), ("online", 1.0, 2.5),
+])
+def test_training_bit_equals_oracle_driven_loop(monkeypatch, order, mode, on_policy_frac,
+                                                loss_ratio):
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=9)
+    data = make_kd_dataset(teacher, [[k] for k in range(2, 10)], 1.0, make_rng(3),
+                           repeats=2, max_len=20)
+    cfg = KDConfig(mode=mode, on_policy_frac=on_policy_frac, loss_ratio=loss_ratio,
+                   learning_rate=0.4, steps=120, seed=order, gen_max_len=20)
+    results = []
+    for oracle in (False, True):
+        student = NGramLogitLM.create(V16, order, init_scale=1.5, init_seed=10)
+        log = _train(monkeypatch, oracle, mode, student, teacher, data, cfg)
+        results.append((checkpoint_bytes(student), [(bits(e.lm_loss), bits(e.fkl)) for e in log],
+                        train_log_rows(log)))
+    assert results[0] == results[1]

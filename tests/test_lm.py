@@ -101,6 +101,21 @@ def test_ngram_forward_batch_matches_forward():
         assert np.array_equal(row, model.forward(ctx))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ngram_context_rows_match_context_index(order):
+    model = NGramLogitLM.create(VOCAB8, order)
+    tokens = [2, 3, 4, 5, 6, 7, 2, 1]
+    for start in range(len(tokens)):
+        rows = model.context_rows(tokens, start)
+        assert rows.tolist() == [model.context_index(tokens[:i])
+                                 for i in range(start, len(tokens))]
+    # Tokens outside every window are not read; the first bad one read is named.
+    assert model.context_rows([99] + tokens, 1 + order).tolist() == \
+        model.context_rows(tokens, order).tolist()
+    with pytest.raises(DomainError, match="token id 9 outside vocab of size 8"):
+        model.context_rows([2, 9, 3, 12, 4], 2)
+
+
 def test_neural_zero_weights_output_equals_bias():
     model = TinyNeuralLM.create(VOCAB8, context_size=2, d_emb=3, d_hid=4, seed=0)
     for name in ("embedding", "w1", "w2"):
@@ -220,6 +235,11 @@ def test_apply_update_rejects_non_finite_gradient():
     model = NGramLogitLM.create(VOCAB8, 1)
     with pytest.raises(NumericError, match="row 2"):
         apply_update(model, {2: np.array([np.nan] * 8)}, lr=0.1)
+    # The first bad row in dict order is named, and no row moves.
+    grads = {4: np.ones(8), 6: np.array([np.inf] * 8), 2: np.array([np.nan] * 8)}
+    with pytest.raises(NumericError, match="row 6$"):
+        apply_update(model, grads, lr=0.1)
+    assert not model.table.any()
     neural = TinyNeuralLM.create(VOCAB8, seed=0)
     bad = {"w2": np.full_like(neural.w2, np.inf)}
     with pytest.raises(NumericError, match="w2"):

@@ -151,6 +151,11 @@ def test_sample_rejects_non_finite_or_unnormalized(dist):
         sample(np.array(dist), make_rng(0))
 
 
+def test_sample_rejects_empty_distribution():
+    with pytest.raises(NumericError, match="empty"):
+        sample(np.array([]), make_rng(0))
+
+
 def test_sample_accepts_rounding_error_in_the_total():
     assert sample(np.array([0.3, 0.7 + 5e-10]), make_rng(0)) in (0, 1)
 
