@@ -22,7 +22,7 @@ from .corpus import CorpusBundle
 from .distill import KDConfig, make_kd_dataset, train_offline, train_online
 from .errors import DomainError, TrainingError
 from .lm import NGramLogitLM, load_checkpoint, save_checkpoint
-from .sampling import STREAM_EVAL, derive_seed, make_rng
+from .sampling import STREAM_EVAL, RowSampler, derive_seed, make_rng
 from .specdec import (
     GenerationConfig,
     dump_trace,
@@ -33,7 +33,6 @@ from .specdec import (
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_DECODE_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-EXTENDED_DECODE_TAUS = DEFAULT_DECODE_TAUS + (1.5, 2.0)
 
 SWEEP_CSV_HEADER = "kd_tau,decode_tau,seed,alpha,speedup,tokens_out,wall_spec_s,wall_base_s"
 
@@ -107,12 +106,19 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     ``config.seed``, so results are independent of evaluation order.
     ``on_trace(run, prompt_index, trace)``, when given, observes every
     speculative trace outside the timed regions.
+
+    Both models are read-only here, so one :class:`RowSampler` per model
+    serves every decode: the speculative and the baseline decoders read
+    the same cached target rows, and each visited context's softmax and
+    CDF are computed once, inside whichever timed region first visits it.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")
     prompts = list(prompts)
     if not prompts:
         raise DomainError("prompt list is empty")
+    target_rows = RowSampler(target, config.tau)
+    draft_rows = RowSampler(draft, config.tau)
     proposed = accepted = tokens = 0
     wall_spec = wall_base = 0.0
     for run in range(runs):
@@ -120,11 +126,13 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
             seed = derive_seed(config.seed, STREAM_EVAL, run, j)
             rng = make_rng(seed)
             start = perf_counter()
-            out, trace = speculative_generate(target, draft, prompt, config, rng)
+            out, trace = speculative_generate(target, draft, prompt, config, rng,
+                                              target_sampler=target_rows,
+                                              draft_sampler=draft_rows)
             wall_spec += perf_counter() - start
             rng = make_rng(derive_seed(seed, 1))
             start = perf_counter()
-            generate_autoregressive(target, prompt, config, rng)
+            generate_autoregressive(target, prompt, config, rng, sampler=target_rows)
             wall_base += perf_counter() - start
             proposed += trace.draft_proposed
             accepted += trace.draft_accepted

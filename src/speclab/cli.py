@@ -47,6 +47,7 @@ from .distill import (
     train_online,
 )
 from .errors import ConfigError, DomainError, NumericError, TrainingError, VerificationError
+from .files import write_atomic
 from .lm import (
     FAMILY_NEURAL,
     FAMILY_NGRAM,
@@ -325,7 +326,7 @@ def cmd_corpus(config: RunConfig) -> int:
         f"teacher_heldout_ce = {bundle.teacher_ce:.12f}\n"
         f"heldout_entropy_rate = {bundle.entropy_rate:.12f}\n"
     )
-    (out / "corpus_meta.txt").write_text(meta)
+    write_atomic(out / "corpus_meta.txt", meta)
     for name in ("ground_truth.ckpt", "teacher.ckpt"):
         load_checkpoint(out / name)
     if load_prompts(out / "prompts_in.txt") != bundle.prompts:
@@ -357,7 +358,7 @@ def cmd_distill(config: RunConfig) -> int:
     else:
         log = train_online(student, bundle.teacher, dataset, config.kd)
     save_checkpoint(student, out / "draft.ckpt")
-    (out / "train_log.csv").write_text("".join(row + "\n" for row in train_log_rows(log)))
+    write_atomic(out / "train_log.csv", "".join(row + "\n" for row in train_log_rows(log)))
     load_checkpoint(out / "draft.ckpt")
     if len(log) != config.kd.steps:
         raise VerificationError("training log row count does not match steps")
@@ -383,7 +384,7 @@ def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
     trace_text = "\n".join(blocks)
-    (traces_dir / "decode_traces.txt").write_text(trace_text)
+    write_atomic(traces_dir / "decode_traces.txt", trace_text)
     if recount_alpha(trace_text) != stats.alpha:
         raise VerificationError("trace-recomputed alpha does not match measured alpha")
     speedup = 0.0 if no_timing else stats.speedup
@@ -399,7 +400,7 @@ def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
         f"draft_proposed = {stats.draft_proposed}\n"
         f"draft_accepted = {stats.draft_accepted}\n"
     )
-    (out / "decode_stats.txt").write_text(stats_text)
+    write_atomic(out / "decode_stats.txt", stats_text)
     print(f"decode stats written to {out / 'decode_stats.txt'} (alpha {stats.alpha:.6f})")
     return 0
 
@@ -416,7 +417,7 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
 
         def trace_sink(kd_tau, decode_tau, seed, text):
             name = f"sweep_kd{kd_tau:.2f}_dec{decode_tau:.2f}_seed{seed}.txt"
-            (traces_dir / name).write_text(text)
+            write_atomic(traces_dir / name, text)
 
     result = run_sweep(
         sweep["kd_taus"],
@@ -433,7 +434,7 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
         trace_sink=trace_sink,
     )
     csv_text = sweep_csv_text(result, no_timing=no_timing)
-    (out / "sweep.csv").write_text(csv_text)
+    write_atomic(out / "sweep.csv", csv_text)
     rows = parse_sweep_csv(csv_text)
     expected = len(result.kd_taus) * len(result.decode_taus) * len(sweep["seeds"])
     if len(rows) != expected:
@@ -513,7 +514,7 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
         lines.append(
             f"{row.decode_tau:.6f},{row.seed},{row.delta_alpha:.6f},{delta_speedup:.6f}"
         )
-    (out / "comparison.csv").write_text("".join(line + "\n" for line in lines))
+    write_atomic(out / "comparison.csv", "".join(line + "\n" for line in lines))
     wins = sum(row.delta_alpha >= 0 for row in rows)
     print(
         f"comparison written to {out / 'comparison.csv'} "
@@ -589,7 +590,7 @@ def cmd_report(paths, out_path=None) -> int:
     sections = [_report_section(Path(p)) for p in paths]
     text = "\n".join(sections)
     if out_path is not None:
-        Path(out_path).write_text(text)
+        write_atomic(out_path, text)
         print(f"report written to {out_path}")
     else:
         sys.stdout.write(text)

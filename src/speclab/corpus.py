@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, TrainingError
+from .files import write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
 from .sampling import (
     STREAM_HELDOUT,
+    RowSampler,
     derive_seed,
     make_rng,
     sample,
@@ -83,10 +85,11 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
     return model
 
 
-def sample_sequence(model: LanguageModel, rng, max_len: int, prompt=()) -> list[int]:
+def sample_sequence(model: LanguageModel, rng, max_len: int, prompt=(), *,
+                    sampler: RowSampler | None = None) -> list[int]:
     """One tau=1 rollout from the model, starting at the bos context."""
     cfg = GenerationConfig(tau=1.0, max_new_tokens=max_len)
-    return generate_autoregressive(model, list(prompt), cfg, rng)
+    return generate_autoregressive(model, list(prompt), cfg, rng, sampler=sampler)
 
 
 def sample_prompt(model: LanguageModel, prompt_len: int, rng) -> list[int]:
@@ -120,8 +123,9 @@ def collect_heldout_contexts(
     prefix included, since generation starts there too).
     """
     contexts: list[tuple[int, ...]] = []
+    sampler = RowSampler(model, 1.0)
     for _ in range(n_sequences):
-        seq = sample_sequence(model, rng, seq_len)
+        seq = sample_sequence(model, rng, seq_len, sampler=sampler)
         prefix: list[int] = []
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:
@@ -320,9 +324,7 @@ def make_prompt_sets(
 
 def save_prompts(prompts: list[list[int]], path) -> None:
     """One prompt per line, token ids comma-separated."""
-    with open(path, "w") as fh:
-        for prompt in prompts:
-            fh.write(",".join(str(t) for t in prompt) + "\n")
+    write_atomic(path, "".join(",".join(str(t) for t in prompt) + "\n" for prompt in prompts))
 
 
 def load_prompts(path) -> list[list[int]]:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TrainingError
+from .files import write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
@@ -51,7 +52,7 @@ from .lm import (
     fkl_gradient,
     fkl_value,
 )
-from .sampling import derive_seed, make_rng, softmax_rows_with_temperature
+from .sampling import RowSampler, derive_seed, make_rng, softmax_rows_with_temperature
 from .specdec import GenerationConfig, generate_autoregressive
 
 SOURCE_TEACHER = "teacher"
@@ -120,17 +121,22 @@ class TrainStep:
 TrainingLog = list[TrainStep]
 
 
-def seqkd_generate(teacher: LanguageModel, prompts, tau_gen: float, rng, max_len: int = 64) -> Dataset:
+def seqkd_generate(teacher: LanguageModel, prompts, tau_gen: float, rng, max_len: int = 64,
+                   *, sampler: RowSampler | None = None) -> Dataset:
     """One sampled teacher response per prompt at ``tau_gen``.
 
     Prompts fan out over per-prompt child streams drawn up front from
-    ``rng``, so the result does not depend on evaluation order.
+    ``rng``, so the result does not depend on evaluation order. Rows
+    come from ``sampler`` (a :class:`RowSampler` of ``teacher`` at
+    ``tau_gen``) or from one built for this call.
     """
     seeds = [int(rng.integers(1 << 62)) for _ in prompts]
     cfg = GenerationConfig(tau=tau_gen, max_new_tokens=max_len)
+    if sampler is None:
+        sampler = RowSampler(teacher, tau_gen)
     data: Dataset = []
     for prompt, seed in zip(prompts, seeds):
-        response = generate_autoregressive(teacher, prompt, cfg, make_rng(seed))
+        response = generate_autoregressive(teacher, prompt, cfg, make_rng(seed), sampler=sampler)
         data.append(Pair(list(prompt), response, SOURCE_TEACHER, tau_gen))
     return data
 
@@ -145,9 +151,10 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen: float, rng, *,
     """
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
+    sampler = RowSampler(teacher, tau_gen)
     data: Dataset = []
     for _ in range(repeats):
-        data.extend(seqkd_generate(teacher, prompts, tau_gen, rng, max_len))
+        data.extend(seqkd_generate(teacher, prompts, tau_gen, rng, max_len, sampler=sampler))
     return data
 
 
@@ -155,10 +162,11 @@ def make_fixed_dataset(ground_truth: LanguageModel, prompts, rng, max_len: int =
     """Original-corpus pairs: responses sampled from the ground truth."""
     seeds = [int(rng.integers(1 << 62)) for _ in prompts]
     cfg = GenerationConfig(tau=1.0, max_new_tokens=max_len)
+    sampler = RowSampler(ground_truth, 1.0)
     return [
         Pair(
             list(prompt),
-            generate_autoregressive(ground_truth, prompt, cfg, make_rng(seed)),
+            generate_autoregressive(ground_truth, prompt, cfg, make_rng(seed), sampler=sampler),
             SOURCE_FIXED,
             1.0,
         )
@@ -186,11 +194,13 @@ def compose_dataset(
         if tau < 0:
             raise DomainError("temperatures must be >= 0")
     seeds = [int(rng.integers(1 << 62)) for _ in prompts]
+    samplers = {tau: RowSampler(model, tau) for tau in taus}
     data: Dataset = []
     for i, (prompt, seed) in enumerate(zip(prompts, seeds)):
         tau = taus[i % len(taus)]
         cfg = GenerationConfig(tau=tau, max_new_tokens=max_len)
-        response = generate_autoregressive(model, prompt, cfg, make_rng(seed))
+        response = generate_autoregressive(model, prompt, cfg, make_rng(seed),
+                                           sampler=samplers[tau])
         data.append(Pair(list(prompt), response, source, tau))
     return data
 
@@ -340,14 +350,13 @@ def heldout_fkl(teacher: LanguageModel, student: LanguageModel, contexts) -> flo
 
 def save_dataset(dataset: Dataset, path) -> None:
     """One pair per line: tau=<t> src=<source> prompt=<ids> response=<ids>."""
-    with open(path, "w") as fh:
-        for pair in dataset:
-            fh.write(
-                f"tau={pair.tau_gen!r}"
-                f" src={pair.source}"
-                f" prompt={','.join(str(t) for t in pair.prompt)}"
-                f" response={','.join(str(t) for t in pair.response)}\n"
-            )
+    write_atomic(path, "".join(
+        f"tau={pair.tau_gen!r}"
+        f" src={pair.source}"
+        f" prompt={','.join(str(t) for t in pair.prompt)}"
+        f" response={','.join(str(t) for t in pair.response)}\n"
+        for pair in dataset
+    ))
 
 
 def load_dataset(path) -> Dataset:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
+from .files import write_atomic
 from .sampling import make_rng
 
 FAMILY_NGRAM = "ngram-logit"
@@ -115,6 +116,9 @@ class NGramLogitLM:
         for t in window:
             idx = idx * size + _check_token(t, size)
         return idx
+
+    # Key of the contexts that share this context's logits.
+    context_key = context_index
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a copy."""
@@ -211,6 +215,10 @@ class TinyNeuralLM:
         else:
             window = [self.vocab.bos_id] * (n - k) + list(context)
         return [_check_token(t, size) for t in window]
+
+    def context_key(self, context) -> tuple:
+        """Key of the contexts that share this context's logits."""
+        return tuple(self._window(context))
 
     def _forward_cached(self, context):
         window = self._window(context)
@@ -465,11 +473,15 @@ def checkpoint_bytes(model: LanguageModel) -> bytes:
 
 
 def save_checkpoint(model: LanguageModel, path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model))
+    write_atomic(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> LanguageModel:
-    """Load a model saved by :func:`save_checkpoint`; bit-exact round trip."""
+    """Load a model saved by :func:`save_checkpoint`; bit-exact round trip.
+
+    Raises :class:`ConfigError` when a parameter's shape does not match
+    the hyperparameters and vocabulary, or a parameter is not finite.
+    """
     try:
         doc = json.loads(Path(path).read_bytes())
     except (OSError, json.JSONDecodeError) as exc:
@@ -481,19 +493,24 @@ def load_checkpoint(path) -> LanguageModel:
     vocab = Vocab(**doc["vocab"])
     family = doc["family"]
     hyper = doc["hyper"]
-    params = doc["params"]
+    size = vocab.size
     if family == FAMILY_NGRAM:
-        model = NGramLogitLM(vocab=vocab, order=int(hyper["order"]), table=_decode_array(params["table"]))
-        expect = (vocab.size ** model.order, vocab.size)
-        if model.table.shape != expect:
-            raise ConfigError(f"checkpoint table shape {model.table.shape} != {expect}")
-        return model
-    if family == FAMILY_NEURAL:
-        return TinyNeuralLM(
-            vocab=vocab,
-            context_size=int(hyper["context_size"]),
-            d_emb=int(hyper["d_emb"]),
-            d_hid=int(hyper["d_hid"]),
-            **{n: _decode_array(params[n]) for n in TinyNeuralLM.PARAM_NAMES},
-        )
-    raise ConfigError(f"unknown model family '{family}'")
+        order = int(hyper["order"])
+        shapes = {"table": (size**order, size)}
+    elif family == FAMILY_NEURAL:
+        context_size, d_emb, d_hid = (int(hyper[k]) for k in ("context_size", "d_emb", "d_hid"))
+        shapes = {"embedding": (size, d_emb), "w1": (context_size * d_emb, d_hid),
+                  "b1": (d_hid,), "w2": (d_hid, size), "b2": (size,)}
+    else:
+        raise ConfigError(f"unknown model family '{family}'")
+    params = {}
+    for name, shape in shapes.items():
+        arr = params[name] = _decode_array(doc["params"][name])
+        if arr.shape != shape:
+            raise ConfigError(f"checkpoint {name} shape {arr.shape} != {shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint {name} has non-finite values")
+    if family == FAMILY_NGRAM:
+        return NGramLogitLM(vocab=vocab, order=order, **params)
+    return TinyNeuralLM(vocab=vocab, context_size=context_size, d_emb=d_emb, d_hid=d_hid,
+                        **params)

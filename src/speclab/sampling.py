@@ -1,12 +1,23 @@
 """Temperature-scaled softmax and seeded categorical sampling.
 
-Every piece of code in the package that turns logits into probabilities
-goes through :func:`softmax_with_temperature`; every categorical draw
-goes through :func:`sample`. Keeping a single implementation of each is
-what makes the determinism and losslessness guarantees checkable.
+Logits become probabilities through :func:`softmax_with_temperature`,
+or :func:`softmax_rows_with_temperature` for a 2-D batch, whose rows
+are bit-equal to the 1-D calls.
+
+A categorical draw has two entry points: :func:`sample` takes any
+distribution and computes its CDF, and :func:`draw` takes a row whose
+CDF is already computed, such as those a :class:`RowSampler` caches for
+each context it is asked for. ``sample`` calls ``draw``, so for the same
+distribution both give the same token, consume exactly one uniform, and
+raise the same :class:`NumericError` before drawing. Decoding and
+dataset generation read their rows from samplers; teacher pretraining
+does the same search inline on the chain's own CDF table.
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -15,8 +26,6 @@ from .errors import DomainError, NumericError
 # Stable 64-bit stream tags used when deriving child seeds. Small ints,
 # kept distinct so unrelated streams never collide.
 STREAM_BASELINE = 1
-STREAM_FIXED_DATA = 2
-STREAM_KD = 3
 STREAM_EVAL = 4
 STREAM_HELDOUT = 5
 
@@ -81,19 +90,55 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
     1e-9; NaN and infinity propagate into that total. An empty
     distribution raises it too.
     """
-    cdf = np.cumsum(dist)
-    try:
-        total = cdf[-1]
-    except IndexError:
-        raise NumericError("cannot sample: empty distribution") from None
+    cdf = np.cumsum(dist, dtype=float)
+    if not cdf.size:
+        raise NumericError("cannot sample: empty distribution")
+    return draw((dist, array("d", cdf.tobytes())), rng)
+
+
+class RowSampler:
+    """Tau-scaled next-token rows of one model, one per visited context.
+
+    :meth:`row` returns ``(probs, cdf)`` for a context. The first visit
+    of a context key (``model.context_key``) computes
+    ``probs = softmax_with_temperature(model.forward(context), tau)`` and
+    ``cdf``, its ``np.cumsum`` as an ``array('d')``; later visits return
+    the same pair. The model must not change while a sampler is in use,
+    so build one per (read-only model, tau) and keep it only as long as
+    that holds.
+    """
+
+    def __init__(self, model, tau: float):
+        self.model = model
+        self.tau = tau
+        self._rows: dict = {}
+
+    def row(self, context):
+        key = self.model.context_key(context)
+        row = self._rows.get(key)
+        if row is None:
+            probs = softmax_with_temperature(self.model.forward(context), self.tau)
+            row = self._rows[key] = (probs, array("d", np.cumsum(probs).tobytes()))
+        return row
+
+
+def draw(row, rng: np.random.Generator) -> int:
+    """:func:`sample` on a ``(probs, cdf)`` pair whose CDF is computed.
+
+    ``cdf`` is the ``np.cumsum`` of ``probs`` as an ``array('d')``, as
+    :meth:`RowSampler.row` caches it. The total is checked here, not when
+    a row is cached, so a bad row raises before any uniform is used.
+    """
+    probs, cdf = row
+    total = cdf[-1]
     if not abs(total - 1.0) <= 1e-9:
         raise NumericError(f"cannot sample: distribution total is {total}, not 1")
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    if idx >= len(dist):
-        idx = len(dist) - 1
-    # Guard against landing past the last positive entry when the CDF
-    # sums to slightly less than 1 in floating point.
-    while idx > 0 and dist[idx] <= 0.0:
-        idx -= 1
+    idx = bisect_right(cdf, rng.random())
+    # The CDF may end just below 1 in floating point: clamp, then step
+    # back over zero-probability tokens. An unclamped index has
+    # cdf[idx] > cdf[idx - 1], so probs[idx] > 0 there.
+    if idx >= len(cdf):
+        idx = len(cdf) - 1
+        while idx > 0 and probs[idx] <= 0.0:
+            idx -= 1
     return idx

@@ -1,14 +1,16 @@
 """Exact draft-verify decoding.
 
 A cheap draft model proposes a block of tokens; the target model scores
-the whole block in one batched forward sweep and accepts each proposed
-token x with probability min(1, p(x) / q(x)), where p and q are the
+every position of the block and accepts each proposed token x with
+probability min(1, p(x) / q(x)), where p and q are the
 temperature-scaled target and draft distributions at that position. On
 the first rejection the token is resampled from the normalized residual
 max(0, p - q); if the whole block survives, one bonus token is drawn
 from the target's distribution after the block. This acceptance rule is
 lossless: the emitted sequence is distributed exactly as if the target
-had been sampled token by token.
+had been sampled token by token (Leviathan et al. 2023, arXiv
+2211.17192). Both models' distributions are read from
+:class:`~speclab.sampling.RowSampler` rows, computed once per context.
 
 Randomness contract: a single generator drives one generation. Each
 round consumes, in order, one draw per proposed token (draft sampling),
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, VerificationError
-from .sampling import sample, softmax_rows_with_temperature, softmax_with_temperature
+from .sampling import RowSampler, draw, sample
 
 _KIND_NAMES = {"resample": "resample", "bonus": "bonus", None: "eos"}
 
@@ -121,7 +123,8 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
 
     Returns ``(accepted_count, correction_token, correction_kind)``.
     Consumes one uniform per verified position, then one draw for the
-    correction sample if any.
+    correction sample if any. A rejection at a position where the
+    residual has no mass draws the correction from the target row.
     """
     m = len(proposed)
     if len(draft_dists) != m or len(target_dists) not in (m, m + 1):
@@ -137,25 +140,41 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
         ratio = p_x / q_x
         if rng.random() < (1.0 if ratio >= 1.0 else ratio):
             continue
-        correction = sample(residual_distribution(target_dists[i], draft_dists[i]), rng)
-        return i, correction, "resample"
+        try:
+            residual = residual_distribution(target_dists[i], draft_dists[i])
+        except DomainError:
+            # p <= q everywhere, yet an ulp-level ratio below 1 was
+            # rejected: the residual has no mass, so draw from p itself.
+            residual = target_dists[i]
+        return i, sample(residual, rng), "resample"
     if len(target_dists) == m + 1:
         return m, sample(target_dists[m], rng), "bonus"
     return m, None, None
 
 
-def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> list[int]:
+def _sampler(model, tau: float, sampler: RowSampler | None) -> RowSampler:
+    if sampler is None:
+        return RowSampler(model, tau)
+    if sampler.model is not model or sampler.tau != tau:
+        raise DomainError("sampler holds rows of another model or temperature")
+    return sampler
+
+
+def generate_autoregressive(model, prompt, config: GenerationConfig, rng,
+                            *, sampler: RowSampler | None = None) -> list[int]:
     """Plain temperature sampling from one model; the timing baseline.
 
     Returns the continuation only. The end-of-sequence token, when
-    drawn, is included as the final element.
+    drawn, is included as the final element. Rows come from ``sampler``,
+    a :class:`RowSampler` of ``model`` at ``config.tau``, or from a new
+    one for this call; each token is one :func:`draw`.
     """
+    row = _sampler(model, config.tau, sampler).row
     eos = model.vocab.eos_id
     seq = list(prompt)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        dist = softmax_with_temperature(model.forward(seq), config.tau)
-        tok = sample(dist, rng)
+        tok = draw(row(seq), rng)
         out.append(tok)
         seq.append(tok)
         if tok == eos:
@@ -163,17 +182,29 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> lis
     return out
 
 
-def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
+def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *,
+                         target_sampler: RowSampler | None = None,
+                         draft_sampler: RowSampler | None = None):
     """Draft-verify decoding of one continuation.
 
     Returns ``(tokens, trace)``. The token stream is distributed exactly
     as :func:`generate_autoregressive` run on the target alone; the
     trace records every verification round.
+
+    Both models' rows come from :class:`RowSampler` s at ``config.tau``,
+    the given ones or new ones for this call, so a caller decoding many
+    prompts from read-only models computes each context's row once. The
+    target's row at a position is its per-context softmax. For an n-gram
+    target that is bit-equal to the row of a batched forward over the
+    block; a tiny-neural target's batched forward differs from its
+    per-context one by ~2e-17, but no configuration decodes with a
+    neural target (``models.teacher_family`` accepts only n-gram).
     """
     if target.vocab != draft.vocab:
         raise ConfigError("target and draft must share a vocabulary")
+    p_row = _sampler(target, config.tau, target_sampler).row
+    q_row = _sampler(draft, config.tau, draft_sampler).row
     eos = target.vocab.eos_id
-    tau = config.tau
     cap = config.max_new_tokens
     out: list[int] = []
     trace = SpeculationTrace()
@@ -185,22 +216,19 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
         proposed: list[int] = []
         draft_dists: list[np.ndarray] = []
         for _ in range(min(config.block_size, cap - len(out))):
-            q = softmax_with_temperature(draft.forward(seq), tau)
-            tok = sample(q, rng)
+            q = q_row(seq)
+            tok = draw(q, rng)
             proposed.append(tok)
-            draft_dists.append(q)
+            draft_dists.append(q[0])
             seq.append(tok)
             if tok == eos:
                 break
         m = len(proposed)
-        # One batched target sweep over the block prefixes, including the
-        # position after the block (the bonus position).
-        contexts = [seq[: base + i] for i in range(m + 1)]
-        target_dists = softmax_rows_with_temperature(target.forward_batch(contexts), tau)
-        if proposed[-1] == eos:
-            # An accepted final eos ends the generation, so no bonus
-            # distribution is offered for this block.
-            target_dists = target_dists[:m]
+        # Target rows at the block prefixes, plus the position after the
+        # block (the bonus position) unless the block ends at eos: an
+        # accepted final eos ends the generation.
+        n_rows = m if proposed[-1] == eos else m + 1
+        target_dists = [p_row(seq[: base + i])[0] for i in range(n_rows)]
         accepted, correction, kind = verify_block(target_dists, draft_dists, proposed, rng)
         trace.record(RoundRecord(proposed, accepted, correction, kind))
         committed = proposed[:accepted]

@@ -320,3 +320,37 @@ def test_checkpoint_preserves_training_behaviour():
         _, grads2 = ce_gradient(clone, [2, step % 8], (step + 3) % 8)
         apply_update(clone, grads2, lr=0.2)
     assert checkpoint_bytes(model) == checkpoint_bytes(clone)
+
+
+def neural_checkpoint(tmp_path, **params):
+    model = TinyNeuralLM.create(VOCAB8, context_size=2, d_emb=3, d_hid=4, seed=5)
+    for name, value in params.items():
+        setattr(model, name, value)
+    path = tmp_path / "neural.ckpt"
+    save_checkpoint(model, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("embedding", (9, 3)), ("w1", (4, 4)), ("b1", (5,)), ("w2", (4, 7)), ("b2", (8, 1))],
+)
+def test_checkpoint_rejects_neural_shapes_that_disagree_with_hyper(tmp_path, name, shape):
+    path = neural_checkpoint(tmp_path, **{name: np.zeros(shape)})
+    with pytest.raises(ConfigError, match=f"checkpoint {name} shape"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
+    ngram = NGramLogitLM.create(VOCAB8, 2)
+    ngram.table[17, 3] = value
+    save_checkpoint(ngram, tmp_path / "ngram.ckpt")
+    with pytest.raises(ConfigError, match="checkpoint table has non-finite values"):
+        load_checkpoint(tmp_path / "ngram.ckpt")
+    for name in TinyNeuralLM.PARAM_NAMES:
+        model = TinyNeuralLM.create(VOCAB8, context_size=2, d_emb=3, d_hid=4, seed=5)
+        getattr(model, name).flat[-1] = value
+        path = neural_checkpoint(tmp_path, **{name: getattr(model, name)})
+        with pytest.raises(ConfigError, match=f"checkpoint {name} has non-finite values"):
+            load_checkpoint(path)

@@ -1,11 +1,15 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
 
 from speclab.errors import DomainError, NumericError
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import (
+    RowSampler,
     derive_seed,
+    draw,
     make_rng,
     sample,
     softmax_rows_with_temperature,
@@ -175,3 +179,132 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(0) != derive_seed(1)
     seeds = {derive_seed(42, i, j) for i in range(11) for j in range(6)}
     assert len(seeds) == 66
+
+
+class StubRng:
+    """Generator stand-in whose every uniform is one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def reference_sample(dist, rng):
+    """The numpy inverse-CDF draw that sample() and draw() must equal."""
+    cdf = np.cumsum(dist)
+    total = cdf[-1]
+    if not abs(total - 1.0) <= 1e-9:
+        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
+    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    if idx >= len(dist):
+        idx = len(dist) - 1
+    while idx > 0 and dist[idx] <= 0.0:
+        idx -= 1
+    return idx
+
+
+def cached(dist):
+    """A row as RowSampler caches it: the probabilities and their CDF."""
+    dist = np.asarray(dist, dtype=float)
+    return dist, array("d", np.cumsum(dist).tobytes())
+
+
+@pytest.mark.parametrize("dist", [
+    [0.1, 0.2, 0.3, 0.4],
+    [0.0, 0.5, 0.0, 0.5, 0.0],
+    [1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.3, 0.7 - 4e-10, 0.0, 0.0],  # the CDF ends below 1: the clamp walks back
+])
+def test_draw_and_sample_equal_the_reference_at_every_boundary(dist):
+    cdf = np.cumsum(dist)
+    uniforms = [0.0, 1 - 2**-53, 0.5]
+    uniforms += [float(c) for c in cdf] + [float(np.nextafter(c, 0)) for c in cdf]
+    for u in uniforms:
+        if 0.0 <= u < 1.0:
+            want = reference_sample(np.array(dist), StubRng(u))
+            assert draw(cached(dist), StubRng(u)) == want
+            assert sample(np.array(dist), StubRng(u)) == want
+
+
+def test_draw_and_sample_equal_the_reference_on_seeded_streams():
+    rng = make_rng(106)
+    for _ in range(50):
+        dist = softmax_with_temperature(rng.normal(0, 3, size=12), float(rng.uniform(0.1, 3)))
+        dist[rng.integers(12, size=3)] = 0.0
+        dist /= dist.sum()
+        a, b, c = make_rng(107), make_rng(107), make_rng(107)
+        want = [reference_sample(dist, c) for _ in range(30)]
+        assert [draw(cached(dist), a) for _ in range(30)] == want
+        assert [sample(dist, b) for _ in range(30)] == want
+
+
+@pytest.mark.parametrize("dist", [[np.nan, np.nan], [0.5, 0.4], [0.2, np.inf, 0.3]])
+def test_draw_and_sample_raise_the_reference_error_before_using_a_uniform(dist):
+    with pytest.raises(NumericError) as want:
+        reference_sample(np.array(dist), make_rng(0))
+    for got_fn in (lambda rng: draw(cached(dist), rng), lambda rng: sample(np.array(dist), rng)):
+        rng = make_rng(0)
+        with pytest.raises(NumericError) as got:
+            got_fn(rng)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+
+
+class CountingLM:
+    """Wraps a model and counts its forward calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def context_key(self, context):
+        return self.model.context_key(context)
+
+    def forward(self, context):
+        self.calls += 1
+        return self.model.forward(context)
+
+
+V8 = Vocab(size=8, bos_id=0, eos_id=1)
+
+
+def test_row_sampler_computes_each_context_row_once():
+    model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=3))
+    rows = RowSampler(model, 0.7)
+    first = rows.row([5, 2, 3])
+    assert rows.row([4, 2, 3]) is first  # same last two tokens, same row
+    assert rows.row([2, 3]) is first
+    assert rows.row([3]) is not first  # padded with bos: another row
+    assert model.calls == 2
+    assert np.array_equal(first[0], softmax_with_temperature(model.model.forward([2, 3]), 0.7))
+    assert list(first[1]) == np.cumsum(first[0]).tolist()
+
+
+def test_row_sampler_keys_neural_rows_by_window():
+    model = CountingLM(TinyNeuralLM.create(V8, context_size=2, d_emb=3, d_hid=4, seed=1))
+    rows = RowSampler(model, 1.0)
+    assert rows.row([6, 2, 3]) is rows.row([2, 3])
+    assert rows.row([3]) is not rows.row([2, 3])
+    assert model.calls == 2
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0, 2.5])
+def test_row_sampler_rows_bit_equal_batched_rows(tau):
+    model = NGramLogitLM.create(V8, 2, init_scale=2.0, init_seed=4)
+    model.table[:, 5] = -np.inf  # a zero-probability token in every row
+    contexts = [[], [2], [3, 4], [7, 7, 6], [1, 0]]
+    batched = softmax_rows_with_temperature(model.forward_batch(contexts), tau)
+    rows = RowSampler(model, tau)
+    for i, context in enumerate(contexts):
+        probs, cdf = rows.row(context)
+        assert np.array_equal(probs, batched[i])
+        assert np.array_equal(np.array(cdf), np.cumsum(batched, axis=1)[i])
+
+
+def test_row_sampler_propagates_token_errors():
+    rows = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
+    with pytest.raises(DomainError, match="token id 9"):
+        rows.row([2, 9])

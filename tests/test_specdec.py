@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from speclab.errors import ConfigError, DomainError, VerificationError
-from speclab.lm import NGramLogitLM, Vocab
-from speclab.sampling import derive_seed, make_rng, softmax_with_temperature
+from speclab import distill
+from speclab.distill import KDConfig, Pair, TrainStep, train_online
+from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
+from speclab.sampling import (
+    RowSampler,
+    derive_seed,
+    make_rng,
+    sample,
+    softmax_rows_with_temperature,
+    softmax_with_temperature,
+)
 from speclab.specdec import (
     GenerationConfig,
     RoundRecord,
@@ -308,3 +317,234 @@ def test_parse_trace_rejects_malformed_lines():
 def test_alpha_undefined_without_proposals():
     with pytest.raises(DomainError):
         SpeculationTrace().alpha()
+
+
+class StubRng:
+    """Generator stand-in whose every uniform is one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_verify_block_rejection_without_residual_mass_draws_from_target():
+    # q sits one ulp above p everywhere, so p <= q, the ratio at the
+    # proposed token is 1 - 2**-52 and a uniform of 1 - 2**-53 rejects it;
+    # the residual max(0, p - q) then has no mass.
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    q = np.nextafter(p, 1)
+    u = 1 - 2**-53
+    accepted, correction, kind = verify_block([p, p], [q], [2], StubRng(u))
+    assert (accepted, kind) == (0, "resample")
+    assert correction == sample(p, StubRng(u))
+
+
+# Per-token decoders as they were before rows were cached: one softmax and
+# one sample() per drafted or baseline token, and one batched target
+# softmax per round. They are the oracles for the cached-row decoders.
+
+
+def reference_generate_autoregressive(model, prompt, config, rng):
+    eos = model.vocab.eos_id
+    seq = list(prompt)
+    out = []
+    for _ in range(config.max_new_tokens):
+        dist = softmax_with_temperature(model.forward(seq), config.tau)
+        tok = sample(dist, rng)
+        out.append(tok)
+        seq.append(tok)
+        if tok == eos:
+            break
+    return out
+
+
+def reference_speculative_generate(target, draft, prompt, config, rng):
+    if target.vocab != draft.vocab:
+        raise ConfigError("target and draft must share a vocabulary")
+    eos = target.vocab.eos_id
+    tau = config.tau
+    cap = config.max_new_tokens
+    out = []
+    trace = SpeculationTrace()
+    prompt = list(prompt)
+    while len(out) < cap:
+        seq = prompt + out
+        base = len(seq)
+        proposed = []
+        draft_dists = []
+        for _ in range(min(config.block_size, cap - len(out))):
+            q = softmax_with_temperature(draft.forward(seq), tau)
+            tok = sample(q, rng)
+            proposed.append(tok)
+            draft_dists.append(q)
+            seq.append(tok)
+            if tok == eos:
+                break
+        m = len(proposed)
+        contexts = [seq[: base + i] for i in range(m + 1)]
+        target_dists = softmax_rows_with_temperature(target.forward_batch(contexts), tau)
+        if proposed[-1] == eos:
+            target_dists = target_dists[:m]
+        accepted, correction, kind = verify_block(target_dists, draft_dists, proposed, rng)
+        trace.record(RoundRecord(proposed, accepted, correction, kind))
+        committed = proposed[:accepted]
+        if correction is not None:
+            committed.append(correction)
+        stop = False
+        for tok in committed:
+            if len(out) == cap:
+                break
+            out.append(tok)
+            if tok == eos:
+                stop = True
+                break
+        if stop:
+            break
+    return out, trace
+
+
+def oracle_draft(family, seed):
+    if family == "ngram":
+        return random_ngram(1, seed, scale=1.5)
+    draft = TinyNeuralLM.create(VOCAB8, context_size=2, d_emb=4, d_hid=8, seed=seed)
+    for name in TinyNeuralLM.PARAM_NAMES:
+        getattr(draft, name)[...] *= 30.0  # peaked rows, not near-uniform ones
+    return draft
+
+
+def oracle_target(order, seed, zero_tokens=False):
+    target = random_ngram(order, seed, scale=1.5)
+    target.table[:, VOCAB8.eos_id] += 1.0  # eos often lands inside a block
+    if zero_tokens:
+        # Every row gives tokens 3 and 6 zero probability at any tau > 0.
+        target.table[:, [3, 6]] = -np.inf
+    return target
+
+
+def assert_decoders_match_oracle(target, draft, config, prompts, seed):
+    target_rows = RowSampler(target, config.tau)
+    draft_rows = RowSampler(draft, config.tau)
+    for j, prompt in enumerate(prompts):
+        s = derive_seed(seed, j)
+        for shared in (False, True):
+            rows = {"target_sampler": target_rows, "draft_sampler": draft_rows} if shared else {}
+            want_rng, got_rng = make_rng(s), make_rng(s)
+            want = reference_speculative_generate(target, draft, prompt, config, want_rng)
+            got = speculative_generate(target, draft, prompt, config, got_rng, **rows)
+            assert got[0] == want[0]
+            assert dump_trace(got[1]) == dump_trace(want[1])
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+            rows = {"sampler": target_rows} if shared else {}
+            want_rng, got_rng = make_rng(s), make_rng(s)
+            want = reference_generate_autoregressive(target, prompt, config, want_rng)
+            assert generate_autoregressive(target, prompt, config, got_rng, **rows) == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0, 2.5])
+def test_cached_row_decoders_equal_per_token_oracle(order, family, tau):
+    target = oracle_target(order, 100 + order)
+    draft = oracle_draft(family, 200 + order)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
+    for block_size, cap in ((1, 9), (4, 7), (4, 16)):
+        cfg = GenerationConfig(tau=tau, block_size=block_size, max_new_tokens=cap)
+        assert_decoders_match_oracle(target, draft, cfg, prompts, seed=300 + block_size)
+
+
+def test_oracle_cases_cut_blocks_at_eos_and_at_the_cap():
+    # A short block ends at eos, or where the cap allows no more tokens;
+    # the oracle comparison above meets both.
+    target = oracle_target(2, 102)
+    draft = oracle_draft("ngram", 202)
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=7)
+    short = [
+        rnd.proposed
+        for i in range(40)
+        for rnd in speculative_generate(target, draft, [2], cfg, make_rng(i))[1].rounds
+        if len(rnd.proposed) < 4
+    ]
+    assert any(p[-1] == VOCAB8.eos_id for p in short)
+    assert any(p[-1] != VOCAB8.eos_id for p in short)
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+def test_cached_row_decoders_equal_oracle_with_zero_probability_tokens(family, tau):
+    target = oracle_target(2, 110, zero_tokens=True)
+    draft = oracle_draft(family, 210)
+    if family == "ngram":
+        draft.table[:, [3, 5]] = -np.inf
+    cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=20)
+    assert_decoders_match_oracle(target, draft, cfg, [[2], [4, 7]], seed=310)
+
+
+def test_cached_row_decoders_raise_oracle_error_at_tiny_tau():
+    # tau=1e-310 turns every row with a non-zero logit into NaNs.
+    target = oracle_target(2, 120)
+    draft = oracle_draft("ngram", 220)
+    cfg = GenerationConfig(tau=1e-310, block_size=4, max_new_tokens=10)
+    runs = (
+        (reference_speculative_generate, speculative_generate, (target, draft)),
+        (reference_generate_autoregressive, generate_autoregressive, (target,)),
+    )
+    for reference, decoder, models in runs:
+        want_rng, got_rng = make_rng(5), make_rng(5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as want:
+                reference(*models, [2, 3], cfg, want_rng)
+            with pytest.raises(NumericError) as got:
+                decoder(*models, [2, 3], cfg, got_rng)
+        assert str(got.value) == str(want.value)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_decoders_reject_a_sampler_of_another_model_or_tau():
+    target = random_ngram(2, 130)
+    draft = random_ngram(1, 131)
+    cfg = GenerationConfig(tau=0.5)
+    with pytest.raises(DomainError, match="sampler"):
+        generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(draft, 0.5))
+    with pytest.raises(DomainError, match="sampler"):
+        generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(target, 1.0))
+    with pytest.raises(DomainError, match="sampler"):
+        speculative_generate(target, draft, [2], cfg, make_rng(0),
+                             draft_sampler=RowSampler(target, 0.5))
+
+
+def reference_train_online(student, teacher, fixed_dataset, config):
+    log = []
+    gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
+    for step in range(1, config.steps + 1):
+        step_rng = make_rng(derive_seed(config.seed, step))
+        pair = fixed_dataset[int(step_rng.integers(len(fixed_dataset)))]
+        if step_rng.random() <= config.on_policy_frac:
+            response = reference_generate_autoregressive(student, pair.prompt, gen_cfg, step_rng)
+        else:
+            response = pair.response
+        lm_loss, fkl, grads = distill._pair_step(
+            student, teacher, pair.prompt, response, config.loss_ratio
+        )
+        apply_update(student, grads, config.learning_rate)
+        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
+    return log
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_on_policy_training_never_reads_a_stale_student(family):
+    # Every step regenerates its response from the student that the
+    # previous step just updated.
+    teacher = random_ngram(2, 140)
+    data = [Pair([2, 3], [4, 5, 1], "teacher", 1.0), Pair([6], [7, 2, 3, 1], "teacher", 1.0)]
+    cfg = KDConfig(mode="online", on_policy_frac=1.0, steps=40, learning_rate=0.5,
+                   seed=7, gen_max_len=12)
+    want_student = oracle_draft(family, 240)
+    got_student = oracle_draft(family, 240)
+    want = reference_train_online(want_student, teacher, data, cfg)
+    got = train_online(got_student, teacher, data, cfg)
+    assert got == want
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
