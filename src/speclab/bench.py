@@ -111,6 +111,9 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     serves every decode: the speculative and the baseline decoders read
     the same cached target rows, and each visited context's softmax and
     CDF are computed once, inside whichever timed region first visits it.
+    That is almost always the speculative one, which runs first on each
+    prompt, so ``wall_time_spec`` carries the first visits and
+    ``speedup`` is biased against speculation.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")

@@ -85,11 +85,10 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
     return model
 
 
-def sample_sequence(model: LanguageModel, rng, max_len: int, prompt=(), *,
-                    sampler: RowSampler | None = None) -> list[int]:
+def sample_sequence(model: LanguageModel, rng, max_len: int, prompt=()) -> list[int]:
     """One tau=1 rollout from the model, starting at the bos context."""
     cfg = GenerationConfig(tau=1.0, max_new_tokens=max_len)
-    return generate_autoregressive(model, list(prompt), cfg, rng, sampler=sampler)
+    return generate_autoregressive(model, list(prompt), cfg, rng)
 
 
 def sample_prompt(model: LanguageModel, prompt_len: int, rng) -> list[int]:
@@ -123,9 +122,10 @@ def collect_heldout_contexts(
     prefix included, since generation starts there too).
     """
     contexts: list[tuple[int, ...]] = []
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
     sampler = RowSampler(model, 1.0)
     for _ in range(n_sequences):
-        seq = sample_sequence(model, rng, seq_len, sampler=sampler)
+        seq = generate_autoregressive(model, [], cfg, rng, sampler=sampler)
         prefix: list[int] = []
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:
@@ -245,8 +245,7 @@ def pretrain_teacher(
                         raise NumericError(f"cannot sample: chain row {ctx} totals {cdf[ctx, -1]}")
                     cdf_row = chain_rows[ctx] = array("d", cdf[ctx])
                 tok = bisect_right(cdf_row, rng.random())
-                # sample()'s clamp and zero-probability guard. An unclamped
-                # index has cdf[tok] > cdf[tok - 1], so p[tok] > 0 there.
+                # draw()'s search, clamp and zero-probability guard, inline.
                 if tok >= size:
                     tok = size - 1
                     while tok > 0 and probs[ctx, tok] <= 0.0:

@@ -121,19 +121,16 @@ class TrainStep:
 TrainingLog = list[TrainStep]
 
 
-def seqkd_generate(teacher: LanguageModel, prompts, tau_gen: float, rng, max_len: int = 64,
-                   *, sampler: RowSampler | None = None) -> Dataset:
+def seqkd_generate(teacher: LanguageModel, prompts, tau_gen: float, rng, max_len: int = 64) -> Dataset:
     """One sampled teacher response per prompt at ``tau_gen``.
 
     Prompts fan out over per-prompt child streams drawn up front from
-    ``rng``, so the result does not depend on evaluation order. Rows
-    come from ``sampler`` (a :class:`RowSampler` of ``teacher`` at
-    ``tau_gen``) or from one built for this call.
+    ``rng``, so the result does not depend on evaluation order. All
+    responses read one :class:`RowSampler` of ``teacher`` at ``tau_gen``.
     """
     seeds = [int(rng.integers(1 << 62)) for _ in prompts]
     cfg = GenerationConfig(tau=tau_gen, max_new_tokens=max_len)
-    if sampler is None:
-        sampler = RowSampler(teacher, tau_gen)
+    sampler = RowSampler(teacher, tau_gen)
     data: Dataset = []
     for prompt, seed in zip(prompts, seeds):
         response = generate_autoregressive(teacher, prompt, cfg, make_rng(seed), sampler=sampler)
@@ -147,15 +144,14 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen: float, rng, *,
 
     Repeats reduce the sampling noise in the conditionals the student
     can extract from the data; each pass continues the same seed
-    stream, so the whole dataset is reproducible from one rng.
+    stream, so the whole dataset is reproducible from one rng. The
+    passes are one :func:`seqkd_generate` call over the repeated prompt
+    list, which draws the same seeds as one call per pass and shares its
+    cached rows across passes.
     """
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
-    sampler = RowSampler(teacher, tau_gen)
-    data: Dataset = []
-    for _ in range(repeats):
-        data.extend(seqkd_generate(teacher, prompts, tau_gen, rng, max_len, sampler=sampler))
-    return data
+    return seqkd_generate(teacher, list(prompts) * repeats, tau_gen, rng, max_len)
 
 
 def make_fixed_dataset(ground_truth: LanguageModel, prompts, rng, max_len: int = 64) -> Dataset:

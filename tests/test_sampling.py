@@ -4,6 +4,7 @@ from array import array
 import numpy as np
 import pytest
 
+from speclab import sampling
 from speclab.errors import DomainError, NumericError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import (
@@ -308,3 +309,17 @@ def test_row_sampler_propagates_token_errors():
     rows = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
     with pytest.raises(DomainError, match="token id 9"):
         rows.row([2, 9])
+
+
+def test_row_sampler_stops_storing_rows_at_its_cap(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 2)
+    model = CountingLM(NGramLogitLM.create(V8, 1, init_scale=1.0, init_seed=5))
+    rows = RowSampler(model, 0.7)
+    kept = [rows.row([t]) for t in (2, 3)]
+    late = rows.row([4])
+    assert all(rows.row([t]) is row for t, row in zip((2, 3), kept))
+    again = rows.row([4])
+    assert again is not late  # past the cap: computed anew, not stored
+    assert np.array_equal(again[0], late[0]) and again[1] == late[1]
+    assert np.array_equal(late[0], softmax_with_temperature(model.model.forward([4]), 0.7))
+    assert model.calls == 4
