@@ -113,7 +113,10 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     CDF are computed once, inside whichever timed region first visits it.
     That is almost always the speculative one, which runs first on each
     prompt, so ``wall_time_spec`` carries the first visits and
-    ``speedup`` is biased against speculation.
+    ``speedup`` is biased against speculation. The draft's sampler also
+    caches the residual row of each (target context, draft context) pair
+    that a rejection meets, and the first visit to each of those is
+    charged to ``wall_time_spec`` (``wall_spec_s`` in the CSV) too.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")

@@ -161,20 +161,13 @@ def _entropy(p: np.ndarray) -> float:
     return float(np.mean(-(p * np.log(np.maximum(p, _ROW_FLOOR))).sum(axis=1)))
 
 
-def pretrain_teacher(
-    ground_truth: NGramLogitLM,
-    spec: CorpusSpec,
-    steps: int,
-    rng,
-    *,
-    order: int | None = None,
-    tolerance: float = 0.05,
-    seq_len: int = 40,
-    check_every: int = 8192,
-    lr_start: float = 0.8,
-    lr_stages: int = 6,
-) -> NGramLogitLM:
+def pretrain_teacher(ground_truth: NGramLogitLM, spec: CorpusSpec, steps: int, rng,
+                     **options) -> NGramLogitLM:
     """Fit a teacher to the ground truth by cross entropy on its samples.
+
+    ``options`` are the keyword arguments of :func:`_pretrain_teacher`
+    (``order``, ``tolerance``, ``seq_len``, ``check_every``, ``lr_start``
+    and ``lr_stages``), with its defaults.
 
     ``steps`` is a token budget. Each sampled token applies one SGD
     update; the learning rate starts at ``lr_start`` and halves at each
@@ -204,6 +197,29 @@ def pretrain_teacher(
     keeps it; the row-wise arithmetic is the per-row arithmetic. A
     non-finite gradient raises :class:`NumericError` naming the row of
     the first one in token order.
+    """
+    return _pretrain_teacher(ground_truth, spec, steps, rng, **options)[0]
+
+
+def _pretrain_teacher(
+    ground_truth: NGramLogitLM,
+    spec: CorpusSpec,
+    steps: int,
+    rng,
+    *,
+    order: int | None = None,
+    tolerance: float = 0.05,
+    seq_len: int = 40,
+    check_every: int = 8192,
+    lr_start: float = 0.8,
+    lr_stages: int = 6,
+):
+    """:func:`pretrain_teacher`, also returning its held-out evaluation.
+
+    Returns ``(teacher, heldout, ce, entropy)``: the held-out contexts
+    and the teacher's final :func:`heldout_scores` on them, bit-equal to
+    a fresh evaluation, which :func:`build_corpus` reports without
+    rolling the contexts out again.
     """
     if seq_len < 1:
         raise DomainError(f"seq_len must be >= 1, got {seq_len}")
@@ -268,10 +284,10 @@ def pretrain_teacher(
             since_check = 0
             ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
             if ce <= target_ce:
-                return teacher
+                return teacher, heldout, ce, entropy
     ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
     if ce <= target_ce:
-        return teacher
+        return teacher, heldout, ce, entropy
     raise TrainingError(
         f"teacher not converged in {steps} tokens: held-out CE {ce:.4f} vs "
         f"entropy rate {entropy:.4f} (target {target_ce:.4f})"
@@ -370,7 +386,7 @@ def build_corpus(
 ) -> CorpusBundle:
     """Build the chain, pretrain its teacher, and sample prompts."""
     ground_truth = build_ground_truth(spec, make_rng(spec.seed))
-    teacher = pretrain_teacher(
+    teacher, heldout, ce, entropy = _pretrain_teacher(
         ground_truth,
         spec,
         pretrain_budget,
@@ -379,10 +395,6 @@ def build_corpus(
         tolerance=tolerance,
     )
     prompts = canonical_prompts(ground_truth, spec)
-    heldout = collect_heldout_contexts(
-        ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT))
-    )
-    ce, entropy = heldout_scores(ground_truth, teacher, heldout)
     return CorpusBundle(
         spec=spec,
         vocab=spec.vocab(),

@@ -65,6 +65,18 @@ def _check_token(tid: int, size: int) -> int:
     return t
 
 
+def _padded_window(context, end, n: int, bos: int) -> tuple:
+    """The last ``n`` tokens of ``context[:end]``, left-padded with bos.
+
+    ``end=None`` means the whole context. The tokens are not validated.
+    """
+    if end is None:
+        end = len(context)
+    if end >= n:
+        return tuple(context[end - n : end])
+    return (bos,) * (n - end) + tuple(context[:end])
+
+
 @dataclass
 class NGramLogitLM:
     """Logit-table model conditioning on the last ``order`` tokens.
@@ -106,19 +118,18 @@ class NGramLogitLM:
     def context_index(self, context) -> int:
         """Row index for a context, validating every token id."""
         size = self.vocab.size
-        n = self.order
-        k = len(context)
-        if k >= n:
-            window = context[k - n :]
-        else:
-            window = [self.vocab.bos_id] * (n - k) + list(context)
         idx = 0
-        for t in window:
+        for t in _padded_window(context, None, self.order, self.vocab.bos_id):
             idx = idx * size + _check_token(t, size)
         return idx
 
-    # Key of the contexts that share this context's logits.
-    context_key = context_index
+    def context_key(self, context, end=None) -> tuple:
+        """Key of the contexts that share the logits after ``context[:end]``.
+
+        The bos-padded window of the last ``order`` tokens, not validated:
+        :meth:`forward` validates them.
+        """
+        return _padded_window(context, end, self.order, self.vocab.bos_id)
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a copy."""
@@ -208,17 +219,16 @@ class TinyNeuralLM:
 
     def _window(self, context) -> list[int]:
         size = self.vocab.size
-        n = self.context_size
-        k = len(context)
-        if k >= n:
-            window = context[k - n :]
-        else:
-            window = [self.vocab.bos_id] * (n - k) + list(context)
-        return [_check_token(t, size) for t in window]
+        return [_check_token(t, size)
+                for t in _padded_window(context, None, self.context_size, self.vocab.bos_id)]
 
-    def context_key(self, context) -> tuple:
-        """Key of the contexts that share this context's logits."""
-        return tuple(self._window(context))
+    def context_key(self, context, end=None) -> tuple:
+        """Key of the contexts that share the logits after ``context[:end]``.
+
+        The bos-padded window of the last ``context_size`` tokens, not
+        validated: :meth:`forward` validates them.
+        """
+        return _padded_window(context, end, self.context_size, self.vocab.bos_id)
 
     def _forward_cached(self, context):
         window = self._window(context)

@@ -6,12 +6,20 @@ are bit-equal to the 1-D calls.
 
 A categorical draw has two entry points: :func:`sample` takes any
 distribution and computes its CDF, and :func:`draw` takes a row whose
-CDF is already computed, such as those a :class:`RowSampler` caches for
-each context it is asked for. ``sample`` calls ``draw``, so for the same
-distribution both give the same token, consume exactly one uniform, and
-raise the same :class:`NumericError` before drawing. Decoding and
-dataset generation read their rows from samplers; teacher pretraining
-does the same search inline on the chain's own CDF table.
+CDF is already computed (:func:`cdf_row`), such as those a
+:class:`RowSampler` caches for each context it is asked for. ``sample``
+calls ``draw``, so for the same distribution both give the same token,
+consume exactly one uniform, and raise the same :class:`NumericError`
+before drawing. Decoding and dataset generation read their rows from
+samplers; teacher pretraining does the same search inline on the
+chain's own CDF table.
+
+A sampler keys its rows by the model's ``context_key``: the window of
+tokens the model reads, as a plain tuple that is not validated. The
+tokens are validated on a miss, by the ``model.forward`` that computes
+the row, so a row is stored only under a key that has passed that check
+and a context with a bad token misses every time and raises the model's
+:class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -66,10 +74,13 @@ def softmax_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
         out = np.zeros(len(logits))
         out[int(np.argmax(logits))] = 1.0
         return out
+    # In place, through the ufunc reductions that .max() and .sum() wrap:
+    # bit-equal to the out-of-place form, and about a third faster.
     z = logits / tau
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z)
+    return z
 
 
 def softmax_rows_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -94,27 +105,53 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
     1e-9; NaN and infinity propagate into that total. An empty
     distribution raises it too.
     """
-    cdf = np.cumsum(dist, dtype=float)
-    if not cdf.size:
+    row = cdf_row(np.asarray(dist, dtype=float))
+    if not row[1]:
         raise NumericError("cannot sample: empty distribution")
-    return draw((dist, array("d", cdf.tobytes())), rng)
+    return draw(row, rng)
+
+
+def cdf_row(probs: np.ndarray) -> tuple:
+    """The ``(probs, cdf)`` pair :func:`draw` reads, for a float array.
+
+    ``cdf`` is ``np.cumsum(probs)`` as an ``array('d')``, which
+    ``bisect_right`` searches without numpy's per-call overhead.
+    """
+    return probs, array("d", probs.cumsum().tobytes())
+
+
+class RowCache(dict):
+    """Rows by key, storing at most :data:`MAX_CACHED_ROWS` of them."""
+
+    def keep(self, key, row):
+        """Store ``row`` under ``key`` unless the cache is full; return it."""
+        if len(self) < MAX_CACHED_ROWS:
+            self[key] = row
+        return row
 
 
 class RowSampler:
     """Tau-scaled next-token rows of one model, one per visited context.
 
-    :meth:`row` returns ``(probs, cdf)`` for a context: ``probs =
-    softmax_with_temperature(model.forward(context), tau)`` and ``cdf``,
-    its ``np.cumsum`` as an ``array('d')``. The first
-    :data:`MAX_CACHED_ROWS` context keys (``model.context_key``) to be
-    visited keep their pair, and later visits return it; a context met
-    after that computes its pair on every visit. The cache pays when many
-    draws share few contexts, as in the canonical order-2 target (1,024
-    rows) and order-1 draft (32), where the cap never binds. A model with
-    many more reachable contexts (an order-3 teacher or a tiny-neural
-    draft with three context tokens, 32,768 each) visits most of them
-    once or twice, and the cap keeps its memory bounded instead of
-    growing with every new context.
+    :meth:`row` returns the :func:`cdf_row` of ``softmax_with_temperature(
+    model.forward(context), tau)``. Rows are keyed by ``model.context_key``,
+    the unvalidated window of the tokens the model reads, so a hit costs
+    one window and one dict lookup. Only a miss calls ``model.forward``,
+    which validates the tokens: a row is stored only under a key that
+    passed, and a key holding a bad token misses and raises every time.
+
+    The first :data:`MAX_CACHED_ROWS` keys to be visited keep their row,
+    and later visits return it; a context met after that computes its row
+    on every visit. The cache pays when many draws share few contexts, as
+    in the canonical order-2 target (1,024 rows) and order-1 draft (32),
+    where the cap never binds. A model with many more reachable contexts
+    (an order-3 teacher or a tiny-neural draft with three context tokens,
+    32,768 each) visits most of them once or twice, and the cap keeps its
+    memory bounded instead of growing with every new context.
+
+    A draft's sampler also holds the correction rows that speculative
+    decoding draws after a rejection, one :class:`RowCache` per target
+    sampler (:meth:`residual_rows`).
 
     The model must not change while a sampler is in use, so build one per
     (read-only model, tau) and keep it only as long as that holds.
@@ -123,24 +160,33 @@ class RowSampler:
     def __init__(self, model, tau: float):
         self.model = model
         self.tau = tau
-        self._rows: dict = {}
+        self._rows = RowCache()
+        self._residuals: dict = {}
 
-    def row(self, context):
-        key = self.model.context_key(context)
+    def row(self, context, end=None):
+        """Row after ``context[:end]``; ``end=None`` reads all of it."""
+        key = self.model.context_key(context, end)
         row = self._rows.get(key)
         if row is None:
-            probs = softmax_with_temperature(self.model.forward(context), self.tau)
-            row = (probs, array("d", np.cumsum(probs).tobytes()))
-            if len(self._rows) < MAX_CACHED_ROWS:
-                self._rows[key] = row
+            probs = softmax_with_temperature(self.model.forward(context[:end]), self.tau)
+            row = self._rows.keep(key, cdf_row(probs))
         return row
+
+    def residual_rows(self, target: "RowSampler") -> RowCache:
+        """Correction rows of this draft sampler against ``target``'s rows.
+
+        Keyed by ``(target key, draft key)``. Each target sampler gets its
+        own cache, so a target sampler shared with another draft never
+        reads a residual of this one.
+        """
+        return self._residuals.setdefault(target, RowCache())
 
 
 def draw(row, rng: np.random.Generator) -> int:
     """:func:`sample` on a ``(probs, cdf)`` pair whose CDF is computed.
 
     ``cdf`` is the ``np.cumsum`` of ``probs`` as an ``array('d')``, as
-    :meth:`RowSampler.row` caches it. The total is checked here, not when
+    :func:`cdf_row` builds it. The total is checked here, not when
     a row is cached, so a bad row raises before any uniform is used.
 
     Teacher pretraining repeats this search inline on chain rows whose

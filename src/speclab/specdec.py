@@ -11,6 +11,11 @@ lossless: the emitted sequence is distributed exactly as if the target
 had been sampled token by token (Leviathan et al. 2023, arXiv
 2211.17192). Both models' distributions are read from
 :class:`~speclab.sampling.RowSampler` rows, computed once per context.
+So are the corrections: a residual and its CDF depend only on the
+(target context, draft context) pair at the rejected position, so the
+draft's sampler caches them per target sampler under that pair of keys,
+and the bonus token is drawn from the target's cached row. One round
+then costs a dict lookup per row, plus the draws.
 
 Randomness contract: a single generator drives one generation. Each
 round consumes, in order, one draw per proposed token (draft sampling),
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, VerificationError
-from .sampling import RowSampler, draw, sample
+from .sampling import RowSampler, cdf_row, draw
 
 _KIND_NAMES = {"resample": "resample", "bonus": "bonus", None: "eos"}
 
@@ -92,6 +97,17 @@ def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise DomainError("residual undefined: target places no mass above the draft")
     return r / mass
 
+
+def _residual_row(p: np.ndarray, q: np.ndarray) -> tuple:
+    """The :func:`~speclab.sampling.cdf_row` a rejection's correction is drawn from."""
+    try:
+        return cdf_row(residual_distribution(p, q))
+    except DomainError:
+        # p <= q everywhere, yet an ulp-level ratio below 1 was
+        # rejected: the residual has no mass, so draw from p itself.
+        return cdf_row(p)
+
+
 def acceptance_probability(p: np.ndarray, q: np.ndarray) -> float:
     """Analytic per-position acceptance rate sum_x min(p(x), q(x))."""
     return float(np.minimum(p, q).sum())
@@ -112,7 +128,8 @@ def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return overlap + (1.0 - overlap.sum()) * (r / rmass)
 
 
-def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | None, str | None]:
+def verify_block(target_dists, draft_dists, proposed, rng, *,
+                 correction_row=None) -> tuple[int, int | None, str | None]:
     """Scan one proposed block left to right with the acceptance rule.
 
     ``draft_dists`` and ``proposed`` have one entry per proposed token;
@@ -125,6 +142,12 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
     Consumes one uniform per verified position, then one draw for the
     correction sample if any. A rejection at a position where the
     residual has no mass draws the correction from the target row.
+
+    ``correction_row(i)``, when given, returns the ``(probs, cdf)`` row
+    the correction at position ``i`` is drawn from, in place of one built
+    from the arrays: the residual row after a rejection at ``i < m``, the
+    target row after the block for the bonus (``i == m``). The decoders
+    pass cached rows, bit-equal to the built ones.
     """
     m = len(proposed)
     if len(draft_dists) != m or len(target_dists) not in (m, m + 1):
@@ -138,18 +161,19 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
                 f"proposed token {x} has zero draft probability at position {i}"
             )
         ratio = p_x / q_x
-        if rng.random() < (1.0 if ratio >= 1.0 else ratio):
-            continue
-        try:
-            residual = residual_distribution(target_dists[i], draft_dists[i])
-        except DomainError:
-            # p <= q everywhere, yet an ulp-level ratio below 1 was
-            # rejected: the residual has no mass, so draw from p itself.
-            residual = target_dists[i]
-        return i, sample(residual, rng), "resample"
-    if len(target_dists) == m + 1:
-        return m, sample(target_dists[m], rng), "bonus"
-    return m, None, None
+        if not rng.random() < (1.0 if ratio >= 1.0 else ratio):
+            break
+    else:
+        if len(target_dists) == m:
+            return m, None, None
+        i = m
+    if correction_row is not None:
+        row = correction_row(i)
+    elif i < m:
+        row = _residual_row(target_dists[i], draft_dists[i])
+    else:
+        row = cdf_row(target_dists[m])
+    return i, draw(row, rng), "resample" if i < m else "bonus"
 
 
 def _sampler(model, tau: float, sampler: RowSampler | None) -> RowSampler:
@@ -202,15 +226,29 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
     """
     if target.vocab != draft.vocab:
         raise ConfigError("target and draft must share a vocabulary")
-    p_row = _sampler(target, config.tau, target_sampler).row
-    q_row = _sampler(draft, config.tau, draft_sampler).row
+    target_rows = _sampler(target, config.tau, target_sampler)
+    draft_rows = _sampler(draft, config.tau, draft_sampler)
+    p_row, q_row = target_rows.row, draft_rows.row
+    residuals = draft_rows.residual_rows(target_rows)
     eos = target.vocab.eos_id
     cap = config.max_new_tokens
     out: list[int] = []
     trace = SpeculationTrace()
-    prompt = list(prompt)
+
+    def correction_row(i):
+        # The row a correction at position i of the current round (its
+        # seq, base, m, p_rows and draft_dists) is drawn from.
+        if i == m:
+            return p_rows[m]
+        end = base + i
+        key = (target.context_key(seq, end), draft.context_key(seq, end))
+        row = residuals.get(key)
+        if row is None:
+            row = residuals.keep(key, _residual_row(p_rows[i][0], draft_dists[i]))
+        return row
+
+    seq = list(prompt)
     while len(out) < cap:
-        seq = prompt + out
         base = len(seq)
         # Draft proposes up to block_size tokens, stopping if it emits eos.
         proposed: list[int] = []
@@ -228,17 +266,20 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
         # block (the bonus position) unless the block ends at eos: an
         # accepted final eos ends the generation.
         n_rows = m if proposed[-1] == eos else m + 1
-        target_dists = [p_row(seq[: base + i])[0] for i in range(n_rows)]
-        accepted, correction, kind = verify_block(target_dists, draft_dists, proposed, rng)
+        p_rows = [p_row(seq, end) for end in range(base, base + n_rows)]
+        accepted, correction, kind = verify_block([r[0] for r in p_rows], draft_dists,
+                                                  proposed, rng, correction_row=correction_row)
         trace.record(RoundRecord(proposed, accepted, correction, kind))
         committed = proposed[:accepted]
         if correction is not None:
             committed.append(correction)
+        del seq[base:]
         stop = False
         for tok in committed:
             if len(out) == cap:
                 break
             out.append(tok)
+            seq.append(tok)
             if tok == eos:
                 stop = True
                 break

@@ -248,6 +248,19 @@ def test_build_corpus_is_deterministic():
     assert a.teacher_ce == b.teacher_ce
 
 
+@pytest.mark.parametrize("teacher_order", [None, 2])
+def test_build_corpus_reports_a_fresh_heldout_evaluation(teacher_order):
+    # The bundle reuses pretraining's held-out rollout and final scores;
+    # they equal a second rollout from the same stream and a fresh score.
+    bundle = build_corpus(SMALL, teacher_order=teacher_order, pretrain_budget=400_000)
+    heldout = collect_heldout_contexts(
+        bundle.ground_truth, make_rng(derive_seed(SMALL.seed, STREAM_HELDOUT))
+    )
+    assert bundle.heldout_contexts == heldout
+    ce, entropy = heldout_scores(bundle.ground_truth, bundle.teacher, heldout)
+    assert (bundle.teacher_ce, bundle.entropy_rate) == (ce, entropy)
+
+
 def test_build_corpus_teacher_order_can_exceed_ground_truth():
     bundle = build_corpus(SMALL, teacher_order=2, pretrain_budget=400_000)
     assert bundle.teacher.order == 2

@@ -1,0 +1,158 @@
+"""Property tests of the sampling and verification numerics (hypothesis).
+
+The examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speclab.errors import DomainError
+from speclab.sampling import RowCache, cdf_row, draw, sample, softmax_with_temperature
+from speclab.specdec import (
+    _residual_row,
+    induced_distribution,
+    residual_distribution,
+    verify_block,
+)
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def normalized(w):
+    w = np.asarray(w, dtype=float)
+    return w / w.sum()
+
+
+def positive_weights(n):
+    return st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+
+
+@st.composite
+def adversarial_pairs(draw_from):
+    """A target row p and a draft row q of one size, chosen to be awkward."""
+    kind = draw_from(st.sampled_from(
+        ["random", "near_equal", "one_hot", "disjoint", "tiny_tau", "huge_tau"]))
+    n = draw_from(st.integers(2, 12))
+    if kind in ("tiny_tau", "huge_tau"):
+        logits = st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)
+        tau = draw_from(st.floats(1e-4, 1e-2) if kind == "tiny_tau" else st.floats(1e2, 1e8))
+        p = softmax_with_temperature(np.array(draw_from(logits)), tau)
+        q = softmax_with_temperature(np.array(draw_from(logits)), tau)
+    elif kind == "disjoint":  # the draft never proposes a token the target can emit
+        split = draw_from(st.integers(1, n - 1))
+        p, q = np.zeros(n), np.zeros(n)
+        p[:split] = normalized(draw_from(positive_weights(split)))
+        q[split:] = normalized(draw_from(positive_weights(n - split)))
+    else:
+        p = normalized(draw_from(positive_weights(n)))
+        if kind == "random":
+            q = normalized(draw_from(positive_weights(n)))
+        elif kind == "near_equal":
+            eps = draw_from(st.lists(st.floats(-1e-9, 1e-9), min_size=n, max_size=n))
+            q = normalized(p * (1.0 + np.array(eps)))
+        else:
+            q = np.eye(n)[draw_from(st.integers(0, n - 1))]
+            if draw_from(st.booleans()):
+                p, q = q, p
+    return p, q
+
+
+@SETTINGS
+@given(adversarial_pairs())
+def test_verification_is_lossless_on_adversarial_pairs(pair):
+    p, q = pair
+    out = induced_distribution(p, q)
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out - p)) < 1e-12
+
+
+def boundary_uniforms(cdf):
+    """Uniforms at and just below every CDF step, plus both ends."""
+    us = [0.0, 1 - 2**-53, 0.5]
+    for c in cdf:
+        us += [float(c), float(np.nextafter(c, 0.0))]
+    return [u for u in us if 0.0 <= u < 1.0]
+
+
+class StubRng:
+    """Generator stand-in whose every uniform is one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@SETTINGS
+@given(st.integers(2, 12).flatmap(positive_weights), st.floats(0.0, 1.0, exclude_max=True))
+def test_sample_and_draw_never_return_a_zero_probability_token(w, u):
+    dist = normalized(w)
+    row = cdf_row(dist)
+    for v in [u] + boundary_uniforms(row[1]):
+        tok = sample(dist, StubRng(v))
+        assert dist[tok] > 0.0
+        assert draw(row, StubRng(v)) == tok
+
+
+class ListRng:
+    """Generator stand-in that returns a fixed list of uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+        self.used = 0
+
+    def random(self):
+        u = self.uniforms[self.used]
+        self.used += 1
+        return u
+
+
+def reference_verify_block(target, drafts, proposed, rng):
+    """verify_block as it read before rows were cached: sample() per correction."""
+    m = len(proposed)
+    for i in range(m):
+        x = proposed[i]
+        ratio = target[i][x] / drafts[i][x]
+        if rng.random() < (1.0 if ratio >= 1.0 else ratio):
+            continue
+        try:
+            residual = residual_distribution(target[i], drafts[i])
+        except DomainError:
+            residual = target[i]
+        return i, sample(residual, rng), "resample"
+    if len(target) == m + 1:
+        return m, sample(target[m], rng), "bonus"
+    return m, None, None
+
+
+@SETTINGS
+@given(st.lists(adversarial_pairs(), min_size=1, max_size=4), st.booleans(), st.data())
+def test_cached_residual_verify_block_equals_the_uncached_one(pairs, bonus, data):
+    m = len(pairs)
+    n = max(len(p) for p, _ in pairs)  # one vocabulary: pad to the widest row
+    target = [np.r_[p, np.zeros(n - len(p))] for p, _ in pairs]
+    drafts = [np.r_[q, np.zeros(n - len(q))] for _, q in pairs]
+    proposed = [data.draw(st.sampled_from(np.flatnonzero(q > 0).tolist())) for q in drafts]
+    if bonus:
+        target.append(normalized(data.draw(positive_weights(n))))
+    uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=m + 1, max_size=m + 1))
+    cache = RowCache()
+
+    def correction_row(i):
+        if i == m:
+            return cdf_row(target[m])
+        row = cache.get(i)
+        return row if row is not None else cache.keep(i, _residual_row(target[i], drafts[i]))
+
+    want_rng = ListRng(uniforms)
+    with np.errstate(over="ignore"):
+        want = reference_verify_block(target, drafts, proposed, want_rng)
+    for rows in (None, correction_row, correction_row):  # uncached, cold, warm
+        got_rng = ListRng(uniforms)
+        with np.errstate(over="ignore"):  # p(x) / q(x) may overflow to inf: accept
+            got = verify_block(target, drafts, proposed, got_rng, correction_row=rows)
+        assert got == want
+        assert got_rng.used == want_rng.used

@@ -261,8 +261,8 @@ class CountingLM:
         self.model = model
         self.calls = 0
 
-    def context_key(self, context):
-        return self.model.context_key(context)
+    def context_key(self, context, end=None):
+        return self.model.context_key(context, end)
 
     def forward(self, context):
         self.calls += 1
@@ -323,3 +323,86 @@ def test_row_sampler_stops_storing_rows_at_its_cap(monkeypatch):
     assert np.array_equal(again[0], late[0]) and again[1] == late[1]
     assert np.array_equal(late[0], softmax_with_temperature(model.model.forward([4]), 0.7))
     assert model.calls == 4
+
+
+def reference_softmax(logits, tau):
+    """softmax_with_temperature as one out-of-place expression per step."""
+    z = logits / tau
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def test_softmax_equals_the_out_of_place_reference_bit_for_bit():
+    rng = make_rng(108)
+    for i in range(300):
+        logits = rng.normal(0, 4, size=int(rng.integers(1, 40)))
+        if i % 3 == 0:  # -inf logits; a row of them alone gives NaNs
+            logits[rng.integers(len(logits), size=2)] = -np.inf
+        tau = float(rng.choice([1e-310, 1e-3, 0.3, 1.0, 2.5, 1e4]))
+        with np.errstate(all="ignore"):
+            got = softmax_with_temperature(logits, tau)
+            want = reference_softmax(logits, tau)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_context_keys_are_unvalidated_bos_padded_windows():
+    ngram = NGramLogitLM.create(V8, 2)
+    neural = TinyNeuralLM.create(V8, context_size=3, d_emb=2, d_hid=2)
+    seq = [5, 2, 3, 9, -1]
+    assert ngram.context_key(seq) == (9, -1)  # no DomainError: not validated
+    assert ngram.context_key([3]) == (0, 3)
+    assert ngram.context_key([]) == (0, 0)
+    assert neural.context_key(seq) == (3, 9, -1)
+    assert neural.context_key([4]) == (0, 0, 4)
+    for model in (ngram, neural):
+        for end in range(len(seq) + 1):
+            assert model.context_key(seq, end) == model.context_key(seq[:end])
+            assert type(model.context_key(seq, end)) is tuple
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("bad", [9, 8, -1])
+def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
+    if family == "ngram":
+        model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=6))
+    else:
+        model = CountingLM(TinyNeuralLM.create(V8, context_size=2, d_emb=3, d_hid=4, seed=6))
+    rows = RowSampler(model, 0.8)
+    for a in range(V8.size):
+        for b in range(V8.size):
+            rows.row([a, b])  # every valid key is cached
+    calls = model.calls
+    for _ in range(2):  # the bad key is never stored, so it raises again
+        with pytest.raises(DomainError) as err:
+            rows.row([4, 3, bad])
+        assert str(err.value) == f"token id {bad} outside vocab of size {V8.size}"
+    assert model.calls == calls + 2
+
+
+def test_row_sampler_reads_the_context_up_to_end():
+    model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=7))
+    rows = RowSampler(model, 0.6)
+    seq = [2, 5, 3, 9]  # the bad last token lies beyond every end read here
+    for end in range(len(seq)):
+        assert rows.row(seq, end) is rows.row(seq[:end])
+    assert model.calls == len(seq)
+
+
+def test_row_cache_keeps_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 2)
+    cache = sampling.RowCache()
+    rows = [object() for _ in range(3)]
+    assert [cache.keep(k, row) for k, row in enumerate(rows)] == rows
+    assert cache == {0: rows[0], 1: rows[1]}
+
+
+def test_residual_rows_are_bound_to_one_target_sampler():
+    draft = RowSampler(NGramLogitLM.create(V8, 1), 1.0)
+    target_a = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
+    target_b = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
+    other_draft = RowSampler(NGramLogitLM.create(V8, 1), 1.0)
+    rows = draft.residual_rows(target_a)
+    assert draft.residual_rows(target_a) is rows
+    assert draft.residual_rows(target_b) is not rows
+    assert other_draft.residual_rows(target_a) is not rows

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import distill
+from speclab import distill, sampling
 from speclab.distill import KDConfig, Pair, TrainStep, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
@@ -514,6 +514,135 @@ def test_decoders_reject_a_sampler_of_another_model_or_tau():
     with pytest.raises(DomainError, match="sampler"):
         speculative_generate(target, draft, [2], cfg, make_rng(0),
                              draft_sampler=RowSampler(target, 0.5))
+
+
+def assert_cached_residuals_bit_equal(target_rows, draft_rows):
+    """Every cached residual row equals one built from fresh model rows."""
+    rows = draft_rows.residual_rows(target_rows)
+    assert rows
+    for (target_key, draft_key), (probs, cdf) in rows.items():
+        p = softmax_with_temperature(target_rows.model.forward(target_key), target_rows.tau)
+        q = softmax_with_temperature(draft_rows.model.forward(draft_key), draft_rows.tau)
+        try:
+            want = residual_distribution(p, q)
+        except DomainError:
+            want = p  # no residual mass: the correction is drawn from p
+        assert np.array_equal(probs, want)
+        assert np.array_equal(np.array(cdf), np.cumsum(want))
+
+
+def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order():
+    # Both drafts are order-1 n-grams over one vocabulary, so their residual
+    # keys coincide; a residual cache shared between them would go stale.
+    target = oracle_target(2, 150)
+    drafts = [random_ngram(1, 151, scale=1.5), random_ngram(1, 152, scale=1.5)]
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
+    for order in ((0, 1), (1, 0)):
+        target_rows = RowSampler(target, cfg.tau)
+        draft_rows = [RowSampler(draft, cfg.tau) for draft in drafts]
+        for rep in range(2):  # the second pass reads warm residual rows
+            for k in order:
+                for j, prompt in enumerate(prompts):
+                    s = derive_seed(160 + k, rep, j)
+                    want_rng, got_rng = make_rng(s), make_rng(s)
+                    want = reference_speculative_generate(target, drafts[k], prompt, cfg,
+                                                          want_rng)
+                    got = speculative_generate(target, drafts[k], prompt, cfg, got_rng,
+                                               target_sampler=target_rows,
+                                               draft_sampler=draft_rows[k])
+                    assert got[0] == want[0]
+                    assert dump_trace(got[1]) == dump_trace(want[1])
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        shared = set(draft_rows[0].residual_rows(target_rows))
+        assert shared & set(draft_rows[1].residual_rows(target_rows))
+        for rows in draft_rows:
+            assert_cached_residuals_bit_equal(target_rows, rows)
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_cached_residual_rows_bit_equal_fresh_residuals(family):
+    target = oracle_target(2, 170)
+    draft = oracle_draft(family, 270)
+    for tau in (0.3, 1.0, 2.5):
+        cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=24)
+        target_rows, draft_rows = RowSampler(target, tau), RowSampler(draft, tau)
+        for j, prompt in enumerate([[], [2], [5, 3, 7]]):
+            speculative_generate(target, draft, prompt, cfg, make_rng(j),
+                                 target_sampler=target_rows, draft_sampler=draft_rows)
+        assert_cached_residuals_bit_equal(target_rows, draft_rows)
+
+
+def test_cached_residual_rows_fall_back_to_the_target_row_without_mass():
+    # Every row of the draft is the target's shifted logits, which round to
+    # q >= p everywhere with q > p at token 6, the last one with mass. A
+    # uniform of 1 - 2**-53 drafts token 6 and rejects it, and the residual
+    # has no mass, so each correction is drawn from the target row.
+    logits = make_rng(3).normal(0, 1, size=8)
+    logits[7] = -np.inf
+    target = NGramLogitLM.create(VOCAB8, 2)
+    target.table[...] = logits
+    draft = NGramLogitLM.create(VOCAB8, 1)
+    draft.table[...] = logits + 0.09
+    p, q = softmax_with_temperature(logits, 1.0), softmax_with_temperature(logits + 0.09, 1.0)
+    assert (p <= q).all() and p[6] < q[6]
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=6)
+    u = 1 - 2**-53
+    want = reference_speculative_generate(target, draft, [2, 3], cfg, StubRng(u))
+    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
+    got = speculative_generate(target, draft, [2, 3], cfg, StubRng(u),
+                               target_sampler=target_rows, draft_sampler=draft_rows)
+    assert got[0] == want[0] == [6] * 6
+    assert dump_trace(got[1]) == dump_trace(want[1])
+    assert {(r.accepted_count, r.correction_kind) for r in got[1].rounds} == {(0, "resample")}
+    rows = draft_rows.residual_rows(target_rows)
+    assert list(rows) == [((2, 3), (3,)), ((3, 6), (6,)), ((6, 6), (6,))]
+    assert_cached_residuals_bit_equal(target_rows, draft_rows)
+
+
+def test_residual_rows_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 3)
+    target = oracle_target(2, 180)
+    draft = oracle_draft("ngram", 280)
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
+    assert_decoders_match_oracle(target, draft, cfg, prompts, seed=380)
+    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
+    for j, prompt in enumerate(prompts * 3):
+        s = derive_seed(381, j)
+        want_rng, got_rng = make_rng(s), make_rng(s)
+        want = reference_speculative_generate(target, draft, prompt, cfg, want_rng)
+        got = speculative_generate(target, draft, prompt, cfg, got_rng,
+                                   target_sampler=target_rows, draft_sampler=draft_rows)
+        assert (got[0], dump_trace(got[1])) == (want[0], dump_trace(want[1]))
+    assert len(draft_rows.residual_rows(target_rows)) == 3
+    assert_cached_residuals_bit_equal(target_rows, draft_rows)
+
+
+@pytest.mark.parametrize("prompt", [[3, 9], [9, 3], [-1], [4, -2, 5]])
+def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
+    target = oracle_target(2, 190)
+    draft = oracle_draft("ngram", 290)
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=12)
+    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
+    for j in range(20):  # warm both samplers and their residual rows
+        speculative_generate(target, draft, [2 + j % 6], cfg, make_rng(j),
+                             target_sampler=target_rows, draft_sampler=draft_rows)
+    runs = (
+        (reference_speculative_generate, speculative_generate, (target, draft),
+         {"target_sampler": target_rows, "draft_sampler": draft_rows}),
+        (reference_generate_autoregressive, generate_autoregressive, (target,),
+         {"sampler": target_rows}),
+    )
+    for reference, decoder, models, rows in runs:
+        want_rng, got_rng = make_rng(7), make_rng(7)
+        with pytest.raises(DomainError) as want:
+            reference(*models, prompt, cfg, want_rng)
+        with pytest.raises(DomainError) as got:
+            decoder(*models, prompt, cfg, got_rng, **rows)
+        assert str(got.value) == str(want.value)
+        assert "outside vocab of size 8" in str(got.value)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def reference_train_online(student, teacher, fixed_dataset, config):
