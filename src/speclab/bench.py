@@ -491,36 +491,6 @@ def compare_composition(single_tau_stats: ArmStats, composed_stats: ArmStats) ->
     return rows
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
-    """Continuation-length histogram with fixed-width integer buckets."""
-
-    edges: tuple
-    frequencies: tuple
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.frequencies) + 1:
-            raise DomainError("edges must outnumber frequencies by one")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise DomainError("edges must be strictly increasing")
-        if any(f < 0 for f in self.frequencies):
-            raise DomainError("frequencies must be >= 0")
-
-
-def token_length_stats(generations, bucket_width: int = 8) -> LengthHistogram:
-    """Histogram of continuation lengths (token counts to eos or cap)."""
-    if bucket_width < 1:
-        raise DomainError("bucket_width must be >= 1")
-    lengths = [len(g) for g in generations]
-    top = max(lengths, default=0)
-    n_buckets = top // bucket_width + 1
-    frequencies = [0] * n_buckets
-    for length in lengths:
-        frequencies[length // bucket_width] += 1
-    edges = tuple(bucket_width * i for i in range(n_buckets + 1))
-    return LengthHistogram(edges, tuple(frequencies))
-
-
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values))

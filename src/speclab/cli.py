@@ -12,6 +12,7 @@ compare byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,7 +40,6 @@ from .corpus import (
 )
 from .distill import (
     KDConfig,
-    compose_dataset,
     make_kd_dataset,
     save_dataset,
     train_log_rows,
@@ -63,18 +63,6 @@ _TAG_DRAFT_INIT = 31
 _TAG_DATA = 32
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("true", "yes", "1"):
@@ -94,49 +82,52 @@ def _parse_int_list(text: str) -> tuple:
 
 # Flat `section.key = value` schema: parser and default per key.
 _SCHEMA = {
-    "corpus.vocab_size": (_parse_int, 32),
-    "corpus.order": (_parse_int, 2),
-    "corpus.concentration": (_parse_float, 0.5),
-    "corpus.out_concentration": (_parse_float, 0.05),
-    "corpus.n_prompts": (_parse_int, 200),
-    "corpus.prompt_len": (_parse_int, 8),
-    "corpus.seed": (_parse_int, 0),
-    "corpus.pretrain_budget": (_parse_int, 800_000),
-    "corpus.tolerance": (_parse_float, 0.05),
-    "models.teacher_family": (_parse_str, FAMILY_NGRAM),
-    "models.teacher_order": (_parse_int, 2),
-    "models.draft_family": (_parse_str, FAMILY_NGRAM),
-    "models.draft_order": (_parse_int, 1),
-    "models.draft_init_scale": (_parse_float, 2.0),
-    "models.draft_context_size": (_parse_int, 3),
-    "models.draft_d_emb": (_parse_int, 16),
-    "models.draft_d_hid": (_parse_int, 64),
-    "kd.mode": (_parse_str, "offline"),
-    "kd.tau_gen": (_parse_float, 1.0),
-    "kd.on_policy_frac": (_parse_float, 0.5),
-    "kd.loss_ratio": (_parse_float, 1.0),
-    "kd.learning_rate": (_parse_float, 0.3),
-    "kd.steps": (_parse_int, 3000),
-    "kd.seed": (_parse_int, 0),
-    "kd.gen_max_len": (_parse_int, 64),
-    "kd.data_repeats": (_parse_int, 5),
-    "decode.tau": (_parse_float, 1.0),
-    "decode.block_size": (_parse_int, 4),
-    "decode.max_new_tokens": (_parse_int, 64),
-    "decode.seed": (_parse_int, 0),
-    "decode.runs": (_parse_int, 5),
+    "corpus.vocab_size": (int, 32),
+    "corpus.order": (int, 2),
+    "corpus.concentration": (float, 0.5),
+    "corpus.out_concentration": (float, 0.05),
+    "corpus.n_prompts": (int, 200),
+    "corpus.prompt_len": (int, 8),
+    "corpus.seed": (int, 0),
+    "corpus.pretrain_budget": (int, 800_000),
+    "corpus.tolerance": (float, 0.05),
+    "models.teacher_order": (int, 2),
+    "models.draft_family": (str, FAMILY_NGRAM),
+    "models.draft_order": (int, 1),
+    "models.draft_init_scale": (float, 2.0),
+    "models.draft_context_size": (int, 3),
+    "models.draft_d_emb": (int, 16),
+    "models.draft_d_hid": (int, 64),
+    "kd.mode": (str, "offline"),
+    "kd.tau_gen": (float, 1.0),
+    "kd.on_policy_frac": (float, 0.5),
+    "kd.loss_ratio": (float, 1.0),
+    "kd.learning_rate": (float, 0.3),
+    "kd.steps": (int, 3000),
+    "kd.seed": (int, 0),
+    "kd.gen_max_len": (int, 64),
+    "kd.data_repeats": (int, 5),
+    "decode.tau": (float, 1.0),
+    "decode.block_size": (int, 4),
+    "decode.max_new_tokens": (int, 64),
+    "decode.seed": (int, 0),
+    "decode.runs": (int, 5),
     "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS),
     "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS),
     "sweep.seeds": (_parse_int_list, (1, 2, 3, 4, 5)),
-    "sweep.runs_per_seed": (_parse_int, 1),
+    "sweep.runs_per_seed": (int, 1),
     "sweep.traces": (_parse_bool, False),
     "compose.tau_set": (_parse_float_list, (1.0, 0.9, 0.8)),
-    "compose.single_tau": (_parse_float, 1.0),
+    "compose.single_tau": (float, 1.0),
     "compose.decode_taus": (_parse_float_list, (1.0,)),
     "compose.seeds": (_parse_int_list, (1, 2, 3, 4, 5)),
-    "compose.data_repeats": (_parse_int, 1),
-    "io.output_dir": (_parse_str, "runs/default"),
+    "compose.data_repeats": (int, 1),
+    "io.output_dir": (str, "runs/default"),
 }
+
+# Checked on load, so a bad temperature fails before any draft trains.
+_TAU_KEYS = ("sweep.kd_taus", "sweep.decode_taus", "compose.tau_set", "compose.decode_taus",
+             "compose.single_tau")
 
 
 @dataclass
@@ -190,6 +181,12 @@ def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
         values["corpus.seed"] = seed_override
         values["kd.seed"] = seed_override
         values["decode.seed"] = seed_override
+    for key in _TAU_KEYS:
+        taus = values[key] if isinstance(values[key], tuple) else (values[key],)
+        if not taus or not all(math.isfinite(tau) and tau >= 0 for tau in taus):
+            raise ConfigError(
+                f"{key} needs one or more finite temperatures >= 0, got {values[key]!r}"
+            )
     corpus = CorpusSpec(
         vocab_size=values["corpus.vocab_size"],
         order=values["corpus.order"],
@@ -201,11 +198,6 @@ def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
     models = {
         key.split(".", 1)[1]: values[key] for key in _SCHEMA if key.startswith("models.")
     }
-    if models["teacher_family"] != FAMILY_NGRAM:
-        raise ConfigError(
-            f"models.teacher_family must be '{FAMILY_NGRAM}' (teacher pretraining "
-            "fits a logit table)"
-        )
     if models["draft_family"] not in (FAMILY_NGRAM, FAMILY_NEURAL):
         raise ConfigError(f"unknown models.draft_family '{models['draft_family']}'")
     kd = KDConfig(
@@ -451,42 +443,25 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
     factory = _draft_factory(config)
 
     def train_pair(seed: int):
-        ds_seed = derive_seed(config.kd.seed, _TAG_DATA, seed)
-        kd_cfg = replace(
-            config.kd,
-            mode="offline",
-            seed=derive_seed(config.kd.seed, seed),
-        )
-        single = factory()
-        single_data = make_kd_dataset(
-            bundle.teacher,
-            bundle.prompts,
-            comp["single_tau"],
-            make_rng(ds_seed),
-            repeats=comp["data_repeats"],
-            max_len=config.kd.gen_max_len,
-        )
-        train_offline(single, single_data, replace(kd_cfg, tau_gen=comp["single_tau"]))
-        composed = factory()
-        # Mirror make_kd_dataset so a singleton tau_set reproduces the
-        # single arm's dataset byte for byte. Both arms see the same data
-        # volume; the default single pass keeps per-transition estimates
-        # noisy enough that the mixture's cleaner low-temperature samples
-        # can show up in the comparison.
-        composed_rng = make_rng(ds_seed)
-        composed_data = []
-        for _ in range(comp["data_repeats"]):
-            composed_data.extend(
-                compose_dataset(
-                    bundle.teacher,
-                    comp["tau_set"],
-                    bundle.prompts,
-                    composed_rng,
-                    max_len=config.kd.gen_max_len,
-                )
+        data_seed = derive_seed(config.kd.seed, _TAG_DATA, seed)
+        kd_cfg = replace(config.kd, mode="offline", seed=derive_seed(config.kd.seed, seed))
+        # Both arms see the same data volume; the default single pass keeps
+        # per-transition estimates noisy enough that the mixture's cleaner
+        # low-temperature samples can show up in the comparison.
+        pair = []
+        for taus in (comp["single_tau"], comp["tau_set"]):
+            draft = factory()
+            dataset = make_kd_dataset(
+                bundle.teacher,
+                bundle.prompts,
+                taus,
+                make_rng(data_seed),
+                repeats=comp["data_repeats"],
+                max_len=config.kd.gen_max_len,
             )
-        train_offline(composed, composed_data, kd_cfg)
-        return single, composed
+            train_offline(draft, dataset, kd_cfg)
+            pair.append(draft)
+        return pair
 
     drafts = {seed: train_pair(seed) for seed in comp["seeds"]}
     arm_single = evaluate_arm(

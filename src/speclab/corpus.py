@@ -85,12 +85,6 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
     return model
 
 
-def sample_sequence(model: LanguageModel, rng, max_len: int, prompt=()) -> list[int]:
-    """One tau=1 rollout from the model, starting at the bos context."""
-    cfg = GenerationConfig(tau=1.0, max_new_tokens=max_len)
-    return generate_autoregressive(model, list(prompt), cfg, rng)
-
-
 def sample_prompt(model: LanguageModel, prompt_len: int, rng) -> list[int]:
     """Prompt of content tokens from the model's own process.
 
@@ -318,23 +312,6 @@ def _apply_wavefront(teacher: NGramLogitLM, rows, tokens, lrs) -> None:
         lo = hi
     if first_bad < len(rows):
         raise NumericError(f"non-finite gradient for context row {rows[first_bad]}")
-
-
-def make_prompt_sets(
-    spec_in: CorpusSpec, spec_out: CorpusSpec, rng
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Prompt lists drawn from two ground truths over a shared vocabulary."""
-    if spec_in.vocab_size != spec_out.vocab_size:
-        raise DomainError("prompt sets must share one vocabulary")
-    gt_in = build_ground_truth(spec_in, make_rng(spec_in.seed))
-    gt_out = build_ground_truth(spec_out, make_rng(spec_out.seed))
-    seed_in = int(rng.integers(1 << 62))
-    seed_out = int(rng.integers(1 << 62))
-    rng_in = make_rng(seed_in)
-    rng_out = make_rng(seed_out)
-    prompts_in = [sample_prompt(gt_in, spec_in.prompt_len, rng_in) for _ in range(spec_in.n_prompts)]
-    prompts_out = [sample_prompt(gt_out, spec_out.prompt_len, rng_out) for _ in range(spec_out.n_prompts)]
-    return prompts_in, prompts_out
 
 
 def save_prompts(prompts: list[list[int]], path) -> None:

@@ -121,83 +121,38 @@ class TrainStep:
 TrainingLog = list[TrainStep]
 
 
-def seqkd_generate(teacher: LanguageModel, prompts, tau_gen: float, rng, max_len: int = 64) -> Dataset:
-    """One sampled teacher response per prompt at ``tau_gen``.
-
-    Prompts fan out over per-prompt child streams drawn up front from
-    ``rng``, so the result does not depend on evaluation order. All
-    responses read one :class:`RowSampler` of ``teacher`` at ``tau_gen``.
-    """
-    seeds = [int(rng.integers(1 << 62)) for _ in prompts]
-    cfg = GenerationConfig(tau=tau_gen, max_new_tokens=max_len)
-    sampler = RowSampler(teacher, tau_gen)
-    data: Dataset = []
-    for prompt, seed in zip(prompts, seeds):
-        response = generate_autoregressive(teacher, prompt, cfg, make_rng(seed), sampler=sampler)
-        data.append(Pair(list(prompt), response, SOURCE_TEACHER, tau_gen))
-    return data
-
-
-def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen: float, rng, *,
+def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
                     repeats: int = 1, max_len: int = 64) -> Dataset:
-    """``repeats`` sampled responses per prompt, concatenated.
+    """``repeats`` passes of sampled teacher responses, one per prompt.
 
-    Repeats reduce the sampling noise in the conditionals the student
-    can extract from the data; each pass continues the same seed
-    stream, so the whole dataset is reproducible from one rng. The
-    passes are one :func:`seqkd_generate` call over the repeated prompt
-    list, which draws the same seeds as one call per pass and shares its
-    cached rows across passes.
+    ``tau_gen`` is one temperature or a non-empty sequence of them. In
+    every pass prompt j is answered at ``taus[j % len(taus)]``, and its
+    pair is tagged with that temperature. Per-pair seeds are drawn from
+    ``rng`` up front, one per pair in pass-major order, so the dataset
+    does not depend on evaluation order and each pass continues the same
+    seed stream. All passes share one :class:`RowSampler` per distinct
+    temperature. An empty, negative or non-finite temperature list and
+    ``repeats < 1`` raise :class:`DomainError` before ``rng`` is used.
     """
+    taus = [tau_gen] if np.ndim(tau_gen) == 0 else list(tau_gen)
+    if not taus:
+        raise DomainError("tau_gen must hold at least one temperature")
+    for tau in taus:
+        if not (math.isfinite(tau) and tau >= 0):
+            raise DomainError(f"temperatures must be finite and >= 0, got {tau}")
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
-    return seqkd_generate(teacher, list(prompts) * repeats, tau_gen, rng, max_len)
-
-
-def make_fixed_dataset(ground_truth: LanguageModel, prompts, rng, max_len: int = 64) -> Dataset:
-    """Original-corpus pairs: responses sampled from the ground truth."""
-    seeds = [int(rng.integers(1 << 62)) for _ in prompts]
-    cfg = GenerationConfig(tau=1.0, max_new_tokens=max_len)
-    sampler = RowSampler(ground_truth, 1.0)
-    return [
-        Pair(
-            list(prompt),
-            generate_autoregressive(ground_truth, prompt, cfg, make_rng(seed), sampler=sampler),
-            SOURCE_FIXED,
-            1.0,
-        )
-        for prompt, seed in zip(prompts, seeds)
-    ]
-
-
-def compose_dataset(
-    model: LanguageModel,
-    tau_set,
-    prompts,
-    rng,
-    max_len: int = 64,
-    source: str = SOURCE_TEACHER,
-) -> Dataset:
-    """Round-robin mixture: prompt i is answered at tau_set[i mod k].
-
-    Returns one pair per prompt, in prompt order, each tagged with the
-    temperature that generated it.
-    """
-    taus = list(tau_set)
-    if not taus:
-        raise DomainError("tau_set must be non-empty")
-    for tau in taus:
-        if tau < 0:
-            raise DomainError("temperatures must be >= 0")
-    seeds = [int(rng.integers(1 << 62)) for _ in prompts]
-    samplers = {tau: RowSampler(model, tau) for tau in taus}
+    prompts = list(prompts)
+    seeds = [int(rng.integers(1 << 62)) for _ in range(repeats * len(prompts))]
+    configs = {tau: GenerationConfig(tau=tau, max_new_tokens=max_len) for tau in taus}
+    samplers = {tau: RowSampler(teacher, tau) for tau in taus}
     data: Dataset = []
-    for i, (prompt, seed) in enumerate(zip(prompts, seeds)):
-        tau = taus[i % len(taus)]
-        cfg = GenerationConfig(tau=tau, max_new_tokens=max_len)
-        response = generate_autoregressive(model, prompt, cfg, make_rng(seed),
+    for i, seed in enumerate(seeds):
+        j = i % len(prompts)
+        tau = taus[j % len(taus)]
+        response = generate_autoregressive(teacher, prompts[j], configs[tau], make_rng(seed),
                                            sampler=samplers[tau])
-        data.append(Pair(list(prompt), response, source, tau))
+        data.append(Pair(list(prompts[j]), response, SOURCE_TEACHER, tau))
     return data
 
 
@@ -335,13 +290,6 @@ def train_online(
         apply_update(student, grads, config.learning_rate)
         log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
     return log
-
-
-def heldout_fkl(teacher: LanguageModel, student: LanguageModel, contexts) -> float:
-    """Mean forward KL teacher -> student over a fixed context set."""
-    p_t = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
-    p_s = softmax_rows_with_temperature(student.forward_batch(contexts), 1.0)
-    return float(np.mean([fkl_value(p_t[i], p_s[i]) for i in range(len(contexts))]))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -75,7 +75,7 @@ def softmax_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
         out[int(np.argmax(logits))] = 1.0
         return out
     # In place, through the ufunc reductions that .max() and .sum() wrap:
-    # bit-equal to the out-of-place form, and about a third faster.
+    # bit-equal to the out-of-place form.
     z = logits / tau
     z -= np.maximum.reduce(z)
     np.exp(z, out=z)
@@ -190,8 +190,7 @@ def draw(row, rng: np.random.Generator) -> int:
     a row is cached, so a bad row raises before any uniform is used.
 
     Teacher pretraining repeats this search inline on chain rows whose
-    totals it checks once per row: calling ``draw`` per token made
-    canonical ``build_corpus`` about 10% slower (2-vCPU Xeon, Python 3.11).
+    totals it checks once per row.
     """
     probs, cdf = row
     total = cdf[-1]

@@ -222,7 +222,7 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
     target that is bit-equal to the row of a batched forward over the
     block; a tiny-neural target's batched forward differs from its
     per-context one by ~2e-17, but no configuration decodes with a
-    neural target (``models.teacher_family`` accepts only n-gram).
+    neural target: teachers are pretrained n-gram tables.
     """
     if target.vocab != draft.vocab:
         raise ConfigError("target and draft must share a vocabulary")

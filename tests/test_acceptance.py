@@ -32,7 +32,6 @@ from speclab.cli import main
 from speclab.corpus import CorpusSpec, build_corpus, build_ground_truth, canonical_prompts
 from speclab.distill import (
     KDConfig,
-    compose_dataset,
     make_kd_dataset,
     train_offline,
     train_online,
@@ -339,8 +338,8 @@ def test_mixed_temperature_data_matches_single_at_hot_decode(canon, verdict):
         )
         train_offline(single, single_data, replace(kd_cfg, tau_gen=1.0))
         composed = fresh_draft(canon.vocab, init_seed)
-        composed_data = compose_dataset(
-            canon.teacher, tau_set, canon.prompts, make_rng(ds_seed), max_len=64
+        composed_data = make_kd_dataset(
+            canon.teacher, canon.prompts, tau_set, make_rng(ds_seed), repeats=1, max_len=64
         )
         train_offline(composed, composed_data, kd_cfg)
         pairs[s] = (single, composed)

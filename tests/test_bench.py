@@ -7,7 +7,6 @@ from speclab.bench import (
     SWEEP_CSV_HEADER,
     ArmStats,
     DecodeStats,
-    LengthHistogram,
     SweepResult,
     best_kd_per_decode,
     compare_composition,
@@ -20,7 +19,6 @@ from speclab.bench import (
     run_sweep,
     spearman,
     sweep_csv_text,
-    token_length_stats,
 )
 from speclab.corpus import CorpusBundle, CorpusSpec, build_ground_truth
 from speclab.distill import KDConfig
@@ -367,22 +365,6 @@ def test_compare_composition_rejects_mismatched_arms():
 def test_prompt_digest_is_order_sensitive():
     assert prompt_digest([[1, 2], [3]]) != prompt_digest([[3], [1, 2]])
     assert prompt_digest([[1, 2]]) == prompt_digest([[1, 2]])
-
-
-def test_token_length_stats_buckets():
-    hist = token_length_stats([[0] * 3, [0] * 8, [0] * 17], bucket_width=8)
-    assert hist.edges == (0, 8, 16, 24)
-    assert hist.frequencies == (1, 1, 1)
-
-
-def test_token_length_stats_empty_and_validation():
-    hist = token_length_stats([], bucket_width=8)
-    assert hist.edges == (0, 8)
-    assert hist.frequencies == (0,)
-    with pytest.raises(DomainError):
-        token_length_stats([[0]], bucket_width=0)
-    with pytest.raises(DomainError):
-        LengthHistogram(edges=(0, 8), frequencies=(1, 2))
 
 
 def test_spearman_known_values():

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import pytest
@@ -215,6 +216,32 @@ def test_compose_writes_comparison_rows(ws, capsys):
         assert int(seed) in (1, 2)
         assert -1.0 <= float(d_alpha) <= 1.0
         assert float(d_speedup) == 0.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sweep.kd_taus", "1.0,-0.5"),
+    ("sweep.kd_taus", ""),
+    ("sweep.decode_taus", "1.0,-0.5"),
+    ("compose.tau_set", "1.0,-0.5"),
+    ("compose.tau_set", "1.0,nan"),
+    ("compose.decode_taus", "inf"),
+    ("compose.single_tau", "-0.5"),
+])
+def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys, key, value):
+    _, run, _ = ws
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("teacher.ckpt", "prompts_in.txt"):
+        shutil.copy(run / name, out / name)
+    base = "".join(line + "\n" for line in BASE.splitlines() if not line.startswith(key + " "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(base + f"{key} = {value}\nio.output_dir = {out}\n")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(cfg)
+    assert main([key.split(".")[0], "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "drafts").exists()
+    assert sorted(path.name for path in out.iterdir()) == ["prompts_in.txt", "teacher.ckpt"]
 
 
 def test_online_with_both_weights_zero_matches_offline(ws, tmp_path):

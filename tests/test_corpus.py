@@ -14,15 +14,14 @@ from speclab.corpus import (
     collect_heldout_contexts,
     heldout_scores,
     load_prompts,
-    make_prompt_sets,
     pretrain_teacher,
     sample_prompt,
-    sample_sequence,
     save_prompts,
 )
 from speclab.errors import DomainError, NumericError, TrainingError
 from speclab.lm import NGramLogitLM, apply_update, ce_gradient
 from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
+from speclab.specdec import GenerationConfig, generate_autoregressive
 
 # A small spec keeps the pretraining tests fast; the full-size corpus is
 # exercised by the acceptance suite.
@@ -90,8 +89,9 @@ def test_ground_truth_same_seed_identical():
 def test_sample_sequence_tokens_in_vocab_and_stops_at_eos():
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
     rng = make_rng(4)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=30)
     for _ in range(20):
-        seq = sample_sequence(gt, rng, 30)
+        seq = generate_autoregressive(gt, [], cfg, rng)
         assert 1 <= len(seq) <= 30
         assert all(0 <= t < SMALL.vocab_size for t in seq)
         assert EOS_ID not in seq[:-1]
@@ -161,27 +161,6 @@ def test_pretrain_insufficient_budget_reports_gap_numbers():
         pretrain_teacher(gt, SMALL, 50, make_rng(2))
 
 
-def test_make_prompt_sets_zero_prompts_empty():
-    spec_in = CorpusSpec(vocab_size=8, order=1, n_prompts=0, seed=1)
-    spec_out = CorpusSpec(vocab_size=8, order=1, concentration=0.05, n_prompts=0, seed=2)
-    prompts_in, prompts_out = make_prompt_sets(spec_in, spec_out, make_rng(0))
-    assert prompts_in == [] and prompts_out == []
-
-
-def test_make_prompt_sets_same_seed_identical():
-    spec_in = CorpusSpec(vocab_size=8, order=1, n_prompts=5, prompt_len=4, seed=1)
-    spec_out = CorpusSpec(vocab_size=8, order=1, concentration=0.05, n_prompts=5,
-                          prompt_len=4, seed=2)
-    a = make_prompt_sets(spec_in, spec_out, make_rng(42))
-    b = make_prompt_sets(spec_in, spec_out, make_rng(42))
-    assert a == b
-
-
-def test_make_prompt_sets_rejects_mismatched_vocab():
-    with pytest.raises(DomainError):
-        make_prompt_sets(CorpusSpec(vocab_size=8), CorpusSpec(vocab_size=16), make_rng(0))
-
-
 def test_out_of_domain_continuations_have_lower_entropy():
     # The difficulty knob: peaky rows (c=0.05) mean the ground truth is far
     # more predictable per token than the flat-row c=1.0 chain.
@@ -189,14 +168,16 @@ def test_out_of_domain_continuations_have_lower_entropy():
                          prompt_len=4, seed=1)
     spec_out = CorpusSpec(vocab_size=16, order=1, concentration=0.05, n_prompts=12,
                           prompt_len=4, seed=2)
-    prompts_in, prompts_out = make_prompt_sets(spec_in, spec_out, make_rng(9))
     gt_in = build_ground_truth(spec_in, make_rng(spec_in.seed))
     gt_out = build_ground_truth(spec_out, make_rng(spec_out.seed))
+    prompts_in = canonical_prompts(gt_in, spec_in)
+    prompts_out = canonical_prompts(gt_out, spec_out)
 
     def continuation_entropy(gt, prompts, rng):
         contexts = []
+        cfg = GenerationConfig(tau=1.0, max_new_tokens=24)
         for prompt in prompts:
-            seq = list(prompt) + sample_sequence(gt, rng, 24, prompt=prompt)
+            seq = list(prompt) + generate_autoregressive(gt, list(prompt), cfg, rng)
             for i in range(len(prompt), len(seq)):
                 contexts.append(tuple(seq[max(0, i - 8):i]))
         _, ent = heldout_scores(gt, gt, contexts)
@@ -289,8 +270,9 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
     target_ce = (1.0 + tolerance) * entropy
     used = 0
     since_check = 0
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
     while used < steps:
-        seq = sample_sequence(ground_truth, rng, seq_len)
+        seq = generate_autoregressive(ground_truth, [], cfg, rng)
         prefix = []
         for tok in seq:
             lr = lr_start * 0.5 ** int(lr_stages * used / steps)
@@ -370,8 +352,9 @@ def test_pretrain_reference_cases_cover_both_outcomes():
     # The 4001-token budget runs out part-way through a rollout.
     rng = make_rng(2)
     lengths = []
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     while sum(lengths) < 4_001:
-        lengths.append(len(sample_sequence(gt, rng, 40)))
+        lengths.append(len(generate_autoregressive(gt, [], cfg, rng)))
     assert sum(lengths) - lengths[-1] < 4_001 < sum(lengths)
 
 

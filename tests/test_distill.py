@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from speclab.corpus import collect_heldout_contexts, heldout_scores
+from speclab.corpus import heldout_scores
 from speclab.distill import (
     KDConfig,
     Pair,
-    compose_dataset,
-    heldout_fkl,
     load_dataset,
-    make_fixed_dataset,
     make_kd_dataset,
     save_dataset,
-    seqkd_generate,
     train_log_rows,
     train_offline,
     train_online,
@@ -31,6 +27,7 @@ from speclab.lm import (
     fkl_gradient,
 )
 from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
+from speclab.specdec import GenerationConfig, generate_autoregressive
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -97,27 +94,27 @@ def test_kdconfig_validation():
 def test_seqkd_greedy_is_identical_across_invocations():
     teacher = random_lm(V8, seed=3, scale=2.0)
     prompts = [[2, 3], [4], [5, 6, 7]]
-    a = seqkd_generate(teacher, prompts, 0.0, make_rng(1), max_len=20)
-    b = seqkd_generate(teacher, prompts, 0.0, make_rng(999), max_len=20)
+    a = make_kd_dataset(teacher, prompts, 0.0, make_rng(1), max_len=20)
+    b = make_kd_dataset(teacher, prompts, 0.0, make_rng(999), max_len=20)
     assert [p.response for p in a] == [p.response for p in b]
 
 
 def test_seqkd_same_rng_seed_reproduces():
     teacher = random_lm(V8, seed=3)
     prompts = [[2], [3], [4]]
-    a = seqkd_generate(teacher, prompts, 1.0, make_rng(5), max_len=15)
-    b = seqkd_generate(teacher, prompts, 1.0, make_rng(5), max_len=15)
+    a = make_kd_dataset(teacher, prompts, 1.0, make_rng(5), max_len=15)
+    b = make_kd_dataset(teacher, prompts, 1.0, make_rng(5), max_len=15)
     assert [(p.prompt, p.response) for p in a] == [(p.prompt, p.response) for p in b]
 
 
 def test_seqkd_empty_prompts_empty_dataset():
     teacher = random_lm(V8, seed=3)
-    assert seqkd_generate(teacher, [], 1.0, make_rng(0)) == []
+    assert make_kd_dataset(teacher, [], 1.0, make_rng(0)) == []
 
 
 def test_seqkd_provenance_tags():
     teacher = random_lm(V8, seed=3)
-    data = seqkd_generate(teacher, [[2], [3]], 0.7, make_rng(1), max_len=5)
+    data = make_kd_dataset(teacher, [[2], [3]], 0.7, make_rng(1), max_len=5)
     assert all(p.source == "teacher" and p.tau_gen == 0.7 for p in data)
     assert [p.prompt for p in data] == [[2], [3]]
 
@@ -130,7 +127,7 @@ def test_seqkd_unigram_frequencies_match_teacher_softmax():
     probs = no_eos_probs(V8, rng)
     teacher = constant_row_lm(V8, probs)
     prompts = [[int(rng.integers(2, 8))] for _ in range(40)]
-    data = seqkd_generate(teacher, prompts, 1.0, make_rng(23), max_len=50)
+    data = make_kd_dataset(teacher, prompts, 1.0, make_rng(23), max_len=50)
     tokens = [t for pair in data for t in pair.response]
     n = len(tokens)
     assert n == 40 * 50
@@ -141,37 +138,40 @@ def test_seqkd_unigram_frequencies_match_teacher_softmax():
 
 
 def test_make_kd_dataset_repeats_extend_the_seed_stream():
+    # Five prompts, which three temperatures do not divide: each pass
+    # restarts the temperature cycle at prompt 0.
     teacher = random_lm(V8, seed=3)
-    prompts = [[2], [3]]
-    triple = make_kd_dataset(teacher, prompts, 1.0, make_rng(9), repeats=3, max_len=10)
-    assert len(triple) == 6
-    single_stream = make_rng(9)
-    expected = []
-    for _ in range(3):
-        expected.extend(seqkd_generate(teacher, prompts, 1.0, single_stream, max_len=10))
-    assert [(p.prompt, p.response) for p in triple] == [
-        (p.prompt, p.response) for p in expected
-    ]
+    prompts = [[2], [3], [4], [5], [6]]
+    for taus in ([1.0], [1.0, 0.9, 0.8]):
+        tau_gen = taus[0] if len(taus) == 1 else tuple(taus)
+        triple = make_kd_dataset(teacher, prompts, tau_gen, make_rng(9), repeats=3, max_len=10)
+        single_stream = make_rng(9)
+        seeds = [int(single_stream.integers(1 << 62)) for _ in range(15)]
+        expected = []
+        for i, seed in enumerate(seeds):
+            prompt = prompts[i % 5]
+            tau = taus[(i % 5) % len(taus)]
+            cfg = GenerationConfig(tau=tau, max_new_tokens=10)
+            response = generate_autoregressive(teacher, prompt, cfg, make_rng(seed))
+            expected.append((prompt, response, tau))
+        assert [(p.prompt, p.response, p.tau_gen) for p in triple] == expected
 
 
 def test_make_kd_dataset_single_repeat_matches_seqkd():
+    # One pass is the first half of a pass over the prompt list doubled.
     teacher = random_lm(V8, seed=3)
     prompts = [[2], [3]]
     a = make_kd_dataset(teacher, prompts, 0.8, make_rng(4), repeats=1, max_len=10)
-    b = seqkd_generate(teacher, prompts, 0.8, make_rng(4), max_len=10)
-    assert [(p.prompt, p.response) for p in a] == [(p.prompt, p.response) for p in b]
+    b = make_kd_dataset(teacher, prompts * 2, 0.8, make_rng(4), max_len=10)
+    assert [(p.prompt, p.response) for p in a] == [(p.prompt, p.response) for p in b[:2]]
 
 
 def test_make_kd_dataset_rejects_zero_repeats():
+    rng = make_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(DomainError):
-        make_kd_dataset(random_lm(V8, 1), [[2]], 1.0, make_rng(0), repeats=0)
-
-
-def test_make_fixed_dataset_tags_source_fixed():
-    gt = random_lm(V8, seed=6)
-    data = make_fixed_dataset(gt, [[2], [3]], make_rng(1), max_len=8)
-    assert all(p.source == "fixed" for p in data)
-    assert len(data) == 2
+        make_kd_dataset(random_lm(V8, 1), [[2]], 1.0, rng, repeats=0)
+    assert rng.bit_generator.state == before
 
 
 def test_offline_single_pair_memorization():
@@ -230,19 +230,21 @@ def test_offline_converges_toward_teacher_fkl_drops():
     contexts = [(k,) for k in range(2, 8)]
     for seed in range(5):
         student = random_lm(V8, seed=seed + 100, scale=2.0)
-        initial = heldout_fkl(teacher, student, contexts)
+        ce, ent = heldout_scores(teacher, student, contexts)
+        initial = ce - ent
         data = make_kd_dataset(teacher, prompts, 1.0, make_rng(seed), repeats=5,
                                max_len=40)
         train_offline(student, data, KDConfig(mode="offline", learning_rate=0.3,
                                               steps=3000, seed=seed))
-        final = heldout_fkl(teacher, student, contexts)
+        ce, ent = heldout_scores(teacher, student, contexts)
+        final = ce - ent
         assert final < initial
         assert final < 0.1
 
 
 def test_offline_training_is_seed_deterministic():
     teacher = random_lm(V8, seed=3)
-    data = seqkd_generate(teacher, [[2], [3]], 1.0, make_rng(7), max_len=10)
+    data = make_kd_dataset(teacher, [[2], [3]], 1.0, make_rng(7), max_len=10)
     cfg = KDConfig(mode="offline", learning_rate=0.3, steps=200, seed=11)
     a = random_lm(V8, seed=50)
     b = random_lm(V8, seed=50)
@@ -279,7 +281,7 @@ def test_online_divergence_raises_training_error():
 
 def test_online_lambda_zero_gamma_zero_is_bitwise_offline():
     teacher = random_lm(V8, seed=3, scale=2.0)
-    data = seqkd_generate(teacher, [[2], [3], [4]], 1.0, make_rng(8), max_len=12)
+    data = make_kd_dataset(teacher, [[2], [3], [4]], 1.0, make_rng(8), max_len=12)
     off_cfg = KDConfig(mode="offline", learning_rate=0.3, steps=300, seed=21)
     on_cfg = KDConfig(mode="online", on_policy_frac=0.0, loss_ratio=0.0,
                       learning_rate=0.3, steps=300, seed=21)
@@ -308,7 +310,7 @@ def test_online_fkl_descends_at_least_two_fold():
     rng = make_rng(41)
     probs = no_eos_probs(V8, rng)
     teacher = constant_row_lm(V8, probs)
-    fixed = seqkd_generate(teacher, [[k] for k in range(2, 8)], 1.0, make_rng(2),
+    fixed = make_kd_dataset(teacher, [[k] for k in range(2, 8)], 1.0, make_rng(2),
                            max_len=30)
     student = random_lm(V8, seed=62, scale=2.0)
     cfg = KDConfig(mode="online", tau_gen=1.0, on_policy_frac=0.5, loss_ratio=1.0,
@@ -325,7 +327,7 @@ def test_online_empty_dataset_rejected():
 
 def test_online_training_is_seed_deterministic():
     teacher = random_lm(V8, seed=3)
-    data = seqkd_generate(teacher, [[2], [3]], 1.0, make_rng(7), max_len=10)
+    data = make_kd_dataset(teacher, [[2], [3]], 1.0, make_rng(7), max_len=10)
     cfg = KDConfig(mode="online", learning_rate=0.3, steps=150, seed=13,
                    on_policy_frac=0.5, loss_ratio=1.0, gen_max_len=10)
     a = random_lm(V8, seed=70)
@@ -338,8 +340,8 @@ def test_online_training_is_seed_deterministic():
 def test_compose_singleton_matches_seqkd_bitwise():
     teacher = random_lm(V8, seed=3)
     prompts = [[2], [3], [4]]
-    a = compose_dataset(teacher, (0.9,), prompts, make_rng(12), max_len=10)
-    b = seqkd_generate(teacher, prompts, 0.9, make_rng(12), max_len=10)
+    a = make_kd_dataset(teacher, prompts, (0.9,), make_rng(12), repeats=2, max_len=10)
+    b = make_kd_dataset(teacher, prompts, 0.9, make_rng(12), repeats=2, max_len=10)
     assert [(p.prompt, p.response, p.tau_gen) for p in a] == [
         (p.prompt, p.response, p.tau_gen) for p in b
     ]
@@ -348,7 +350,7 @@ def test_compose_singleton_matches_seqkd_bitwise():
 def test_compose_round_robin_counts():
     teacher = random_lm(V8, seed=3)
     prompts = [[k % 6 + 2] for k in range(9)]
-    data = compose_dataset(teacher, (1.0, 0.9, 0.8), prompts, make_rng(1), max_len=6)
+    data = make_kd_dataset(teacher, prompts, (1.0, 0.9, 0.8), make_rng(1), max_len=6)
     assert len(data) == 9
     for tau in (1.0, 0.9, 0.8):
         assert sum(1 for p in data if p.tau_gen == tau) == 3
@@ -358,8 +360,8 @@ def test_compose_round_robin_counts():
 def test_compose_greedy_half_is_deterministic_sampled_half_is_not():
     teacher = random_lm(V8, seed=3, scale=2.0)
     prompts = [[k % 6 + 2] for k in range(12)]
-    a = compose_dataset(teacher, (0.0, 1.0), prompts, make_rng(100), max_len=25)
-    b = compose_dataset(teacher, (0.0, 1.0), prompts, make_rng(200), max_len=25)
+    a = make_kd_dataset(teacher, prompts, (0.0, 1.0), make_rng(100), max_len=25)
+    b = make_kd_dataset(teacher, prompts, (0.0, 1.0), make_rng(200), max_len=25)
     greedy_a = [p.response for p in a if p.tau_gen == 0.0]
     greedy_b = [p.response for p in b if p.tau_gen == 0.0]
     sampled_a = [p.response for p in a if p.tau_gen == 1.0]
@@ -369,26 +371,12 @@ def test_compose_greedy_half_is_deterministic_sampled_half_is_not():
 
 
 def test_compose_validation():
-    with pytest.raises(DomainError):
-        compose_dataset(random_lm(V8, 1), (), [[2]], make_rng(0))
-    with pytest.raises(DomainError):
-        compose_dataset(random_lm(V8, 1), (1.0, -0.5), [[2]], make_rng(0))
-
-
-def test_heldout_fkl_matches_ce_minus_entropy():
-    # Cross-module oracle: forward KL equals cross entropy minus entropy,
-    # each computed independently.
-    teacher = random_lm(V8, seed=3, scale=2.0)
-    student = random_lm(V8, seed=4, scale=2.0)
-    contexts = collect_heldout_contexts(teacher, make_rng(5), n_sequences=6)
-    ce, ent = heldout_scores(teacher, student, contexts)
-    assert abs(heldout_fkl(teacher, student, contexts) - (ce - ent)) < 1e-9
-
-
-def test_heldout_fkl_zero_for_identical_models():
-    model = random_lm(V8, seed=3)
-    contexts = [(k,) for k in range(8)]
-    assert heldout_fkl(model, model, contexts) < 1e-12
+    for tau_gen in ((), (1.0, -0.5), -0.5, float("nan"), (1.0, float("inf"))):
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            make_kd_dataset(random_lm(V8, 1), [[2]], tau_gen, rng)
+        assert rng.bit_generator.state == before
 
 
 def test_dataset_file_round_trip(tmp_path):
