@@ -2,15 +2,17 @@
 
 The sweep runner trains one draft per distillation temperature, then
 measures every (distillation temperature, decoding temperature) cell
-with per-seed decoding runs. Acceptance counts are pooled exactly, so
-an alpha recomputed from dumped traces matches the reported one bit for
-bit; wall times come from a monotonic clock and are the only
+with per-seed decoding runs. :func:`compare_drafts` measures several
+drafts of each seed, such as the single- and mixed-temperature drafts of
+the composition experiment, on every (decoding temperature, seed) cell,
+each draft with the same decoding seeds. Acceptance counts are pooled
+exactly, so an alpha recomputed from dumped traces matches the reported
+one bit for bit; wall times come from a monotonic clock and are the only
 non-deterministic output.
 """
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -407,55 +409,22 @@ def recount_alpha(trace_text: str) -> float:
     return accepted / proposed
 
 
-@dataclass(frozen=True)
-class ArmStats:
-    """Per-seed decode metrics for one draft across decode temperatures.
+def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: GenerationConfig,
+                   seeds, runs_per_seed: int = 1) -> list[tuple]:
+    """Measure several drafts per seed on shared decoding randomness.
 
-    ``cells`` holds ``(decode_tau, seed, stats)`` rows sorted by
-    (decode_tau, seed). The prompt digest pins down which prompt set
-    produced the numbers so two arms can refuse an apples-to-oranges
-    comparison.
-    """
-
-    label: str
-    prompt_digest: str
-    seeds: tuple
-    cells: tuple
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    decode_tau: float
-    seed: int
-    delta_alpha: float
-    delta_speedup: float
-
-
-def prompt_digest(prompts) -> str:
-    """Stable fingerprint of a prompt set (order-sensitive)."""
-    text = ";".join(",".join(str(t) for t in p) for p in prompts)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-
-
-def evaluate_arm(target, draft, prompts, decode_taus, base_config: GenerationConfig,
-                 seeds, label: str, runs_per_seed: int = 1) -> ArmStats:
-    """Measure one draft over decode temperatures with per-seed runs.
-
-    ``draft`` is either a model or a callable mapping a seed to a model
-    (for arms whose draft was trained per seed). Cell seeds depend only
-    on (base seed, decode tau index, seed), not on the draft, so two
-    arms built from the same ``base_config`` see identical decoding
-    randomness and compare pairwise.
+    ``drafts_for(seed)`` returns that seed's drafts. Returns one
+    ``(decode_tau, seed, stats_per_draft...)`` row per cell, sorted by
+    (decode_tau, seed). Every draft of a cell decodes with the child seed
+    ``derive_seed(base_config.seed, tag, decode_index, seed)``, which
+    does not depend on the draft, so the drafts compare pairwise.
     """
     prompts = list(prompts)
-    if not prompts:
-        raise DomainError("prompt list is empty")
-    decode_taus = tuple(sorted(float(t) for t in decode_taus))
-    seeds = tuple(sorted(int(s) for s in seeds))
+    decode_taus = sorted(float(t) for t in decode_taus)
+    seeds = sorted(int(s) for s in seeds)
     if not decode_taus or not seeds:
         raise DomainError("decode temperatures and seeds must be non-empty")
-    draft_for = draft if callable(draft) else (lambda seed: draft)
-    cells = []
+    rows = []
     for di, decode_tau in enumerate(decode_taus):
         for seed in seeds:
             cfg = replace(
@@ -463,31 +432,9 @@ def evaluate_arm(target, draft, prompts, decode_taus, base_config: GenerationCon
                 tau=decode_tau,
                 seed=derive_seed(base_config.seed, _TAG_ARM_CELL, di, seed),
             )
-            stats = measure_decode(target, draft_for(seed), prompts, cfg, runs_per_seed)
-            cells.append((decode_tau, seed, stats))
-    return ArmStats(label, prompt_digest(prompts), seeds, tuple(cells))
-
-
-def compare_composition(single_tau_stats: ArmStats, composed_stats: ArmStats) -> list[ComparisonRow]:
-    """Delta rows (composed minus single) per decode temperature and seed."""
-    if single_tau_stats.prompt_digest != composed_stats.prompt_digest:
-        raise DomainError("comparison requires identical prompt sets")
-    if single_tau_stats.seeds != composed_stats.seeds:
-        raise DomainError("comparison requires identical seed lists")
-    left = {(tau, seed): stats for tau, seed, stats in single_tau_stats.cells}
-    right = {(tau, seed): stats for tau, seed, stats in composed_stats.cells}
-    if left.keys() != right.keys():
-        raise DomainError("comparison requires identical decode temperature grids")
-    rows = []
-    for (tau, seed) in sorted(left):
-        rows.append(
-            ComparisonRow(
-                decode_tau=tau,
-                seed=seed,
-                delta_alpha=right[(tau, seed)].alpha - left[(tau, seed)].alpha,
-                delta_speedup=right[(tau, seed)].speedup - left[(tau, seed)].speedup,
-            )
-        )
+            stats = [measure_decode(target, draft, prompts, cfg, runs_per_seed)
+                     for draft in drafts_for(seed)]
+            rows.append((decode_tau, seed, *stats))
     return rows
 
 

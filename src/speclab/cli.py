@@ -20,8 +20,7 @@ from pathlib import Path
 from .bench import (
     DEFAULT_DECODE_TAUS,
     DEFAULT_KD_TAUS,
-    evaluate_arm,
-    compare_composition,
+    compare_drafts,
     measure_decode,
     parse_sweep_csv,
     recount_alpha,
@@ -187,6 +186,9 @@ def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
             raise ConfigError(
                 f"{key} needs one or more finite temperatures >= 0, got {values[key]!r}"
             )
+    for key in ("decode.runs", "sweep.runs_per_seed"):
+        if values[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {values[key]}")
     corpus = CorpusSpec(
         vocab_size=values["corpus.vocab_size"],
         order=values["corpus.order"],
@@ -464,33 +466,22 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
         return pair
 
     drafts = {seed: train_pair(seed) for seed in comp["seeds"]}
-    arm_single = evaluate_arm(
+    rows = compare_drafts(
         bundle.teacher,
-        lambda seed: drafts[seed][0],
+        lambda seed: drafts[seed],
         bundle.prompts,
         comp["decode_taus"],
         config.decode,
         comp["seeds"],
-        label=f"single_tau={comp['single_tau']:g}",
     )
-    arm_composed = evaluate_arm(
-        bundle.teacher,
-        lambda seed: drafts[seed][1],
-        bundle.prompts,
-        comp["decode_taus"],
-        config.decode,
-        comp["seeds"],
-        label="composed_{" + ",".join(f"{t:g}" for t in comp["tau_set"]) + "}",
-    )
-    rows = compare_composition(arm_single, arm_composed)
     lines = ["decode_tau,seed,delta_alpha,delta_speedup"]
-    for row in rows:
-        delta_speedup = 0.0 if no_timing else row.delta_speedup
-        lines.append(
-            f"{row.decode_tau:.6f},{row.seed},{row.delta_alpha:.6f},{delta_speedup:.6f}"
-        )
+    wins = 0
+    for decode_tau, seed, single, composed in rows:
+        delta_alpha = composed.alpha - single.alpha
+        delta_speedup = 0.0 if no_timing else composed.speedup - single.speedup
+        wins += delta_alpha >= 0
+        lines.append(f"{decode_tau:.6f},{seed},{delta_alpha:.6f},{delta_speedup:.6f}")
     write_atomic(out / "comparison.csv", "".join(line + "\n" for line in lines))
-    wins = sum(row.delta_alpha >= 0 for row in rows)
     print(
         f"comparison written to {out / 'comparison.csv'} "
         f"({wins}/{len(rows)} rows with delta_alpha >= 0)"

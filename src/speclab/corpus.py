@@ -129,6 +129,7 @@ def collect_heldout_contexts(
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    # Not lm._stable_log_softmax_rows: that rounds differently and moves teacher_ce.
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -155,13 +156,26 @@ def _entropy(p: np.ndarray) -> float:
     return float(np.mean(-(p * np.log(np.maximum(p, _ROW_FLOOR))).sum(axis=1)))
 
 
-def pretrain_teacher(ground_truth: NGramLogitLM, spec: CorpusSpec, steps: int, rng,
-                     **options) -> NGramLogitLM:
+def pretrain_teacher(
+    ground_truth: NGramLogitLM,
+    spec: CorpusSpec,
+    steps: int,
+    rng,
+    *,
+    order: int | None = None,
+    tolerance: float = 0.05,
+    seq_len: int = 40,
+    check_every: int = 8192,
+    lr_start: float = 0.8,
+    lr_stages: int = 6,
+):
     """Fit a teacher to the ground truth by cross entropy on its samples.
 
-    ``options`` are the keyword arguments of :func:`_pretrain_teacher`
-    (``order``, ``tolerance``, ``seq_len``, ``check_every``, ``lr_start``
-    and ``lr_stages``), with its defaults.
+    Returns ``(teacher, heldout, ce, entropy)``: the teacher, the
+    held-out contexts, and the teacher's final :func:`heldout_scores`
+    on them, bit-equal to a fresh evaluation, which
+    :func:`build_corpus` reports without rolling the contexts out again.
+    ``order`` defaults to the ground truth's order.
 
     ``steps`` is a token budget. Each sampled token applies one SGD
     update; the learning rate starts at ``lr_start`` and halves at each
@@ -191,29 +205,6 @@ def pretrain_teacher(ground_truth: NGramLogitLM, spec: CorpusSpec, steps: int, r
     keeps it; the row-wise arithmetic is the per-row arithmetic. A
     non-finite gradient raises :class:`NumericError` naming the row of
     the first one in token order.
-    """
-    return _pretrain_teacher(ground_truth, spec, steps, rng, **options)[0]
-
-
-def _pretrain_teacher(
-    ground_truth: NGramLogitLM,
-    spec: CorpusSpec,
-    steps: int,
-    rng,
-    *,
-    order: int | None = None,
-    tolerance: float = 0.05,
-    seq_len: int = 40,
-    check_every: int = 8192,
-    lr_start: float = 0.8,
-    lr_stages: int = 6,
-):
-    """:func:`pretrain_teacher`, also returning its held-out evaluation.
-
-    Returns ``(teacher, heldout, ce, entropy)``: the held-out contexts
-    and the teacher's final :func:`heldout_scores` on them, bit-equal to
-    a fresh evaluation, which :func:`build_corpus` reports without
-    rolling the contexts out again.
     """
     if seq_len < 1:
         raise DomainError(f"seq_len must be >= 1, got {seq_len}")
@@ -363,7 +354,7 @@ def build_corpus(
 ) -> CorpusBundle:
     """Build the chain, pretrain its teacher, and sample prompts."""
     ground_truth = build_ground_truth(spec, make_rng(spec.seed))
-    teacher, heldout, ce, entropy = _pretrain_teacher(
+    teacher, heldout, ce, entropy = pretrain_teacher(
         ground_truth,
         spec,
         pretrain_budget,

@@ -267,17 +267,13 @@ class TinyNeuralLM:
 LanguageModel = NGramLogitLM | TinyNeuralLM
 
 
-def _stable_log_softmax(logits: np.ndarray):
-    m = logits.max()
-    shifted = logits - m
-    lse = m + np.log(np.exp(shifted).sum())
-    return logits - lse, lse
-
-
 def _stable_log_softmax_rows(logits: np.ndarray):
-    """Row-wise :func:`_stable_log_softmax` of a 2-D batch, bit for bit."""
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis, and the log-sum-exp it subtracted.
+
+    Each row of a batch gets the same bits as that row alone.
+    """
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     return logits - lse, lse
 
 
@@ -291,13 +287,13 @@ def ce_gradient(model: LanguageModel, context, target: int):
     if isinstance(model, NGramLogitLM):
         idx = model.context_index(context)
         logits = model.table[idx]
-        log_p, _ = _stable_log_softmax(logits)
+        log_p, _ = _stable_log_softmax_rows(logits)
         loss = -log_p[target]
         g = np.exp(log_p)
         g[target] -= 1.0
         return float(loss), {idx: g}
     logits, cache = model._forward_cached(context)
-    log_p, _ = _stable_log_softmax(logits)
+    log_p, _ = _stable_log_softmax_rows(logits)
     loss = -log_p[target]
     g = np.exp(log_p)
     g[target] -= 1.0
@@ -353,11 +349,11 @@ def fkl_gradient(model: LanguageModel, context, teacher_probs: np.ndarray):
     if isinstance(model, NGramLogitLM):
         idx = model.context_index(context)
         logits = model.table[idx]
-        log_p, _ = _stable_log_softmax(logits)
+        log_p, _ = _stable_log_softmax_rows(logits)
         p_s = np.exp(log_p)
         return fkl_value(teacher_probs, p_s), {idx: _fkl_logit_grad(teacher_probs, p_s)}
     logits, cache = model._forward_cached(context)
-    log_p, _ = _stable_log_softmax(logits)
+    log_p, _ = _stable_log_softmax_rows(logits)
     p_s = np.exp(log_p)
     div = fkl_value(teacher_probs, p_s)
     return div, model._backprop(cache, _fkl_logit_grad(teacher_probs, p_s))

@@ -21,8 +21,7 @@ from speclab.bench import (
     DEFAULT_DECODE_TAUS,
     DEFAULT_KD_TAUS,
     best_kd_per_decode,
-    compare_composition,
-    evaluate_arm,
+    compare_drafts,
     measure_decode,
     parse_sweep_csv,
     recount_alpha,
@@ -343,17 +342,10 @@ def test_mixed_temperature_data_matches_single_at_hot_decode(canon, verdict):
         )
         train_offline(composed, composed_data, kd_cfg)
         pairs[s] = (single, composed)
-    arm_single = evaluate_arm(
-        canon.teacher, lambda s: pairs[s][0], canon.prompts, (1.0,), gen, SEEDS,
-        label="single-temperature",
-    )
-    arm_composed = evaluate_arm(
-        canon.teacher, lambda s: pairs[s][1], canon.prompts, (1.0,), gen, SEEDS,
-        label="composed",
-    )
-    rows = compare_composition(arm_single, arm_composed)
-    wins = sum(1 for r in rows if r.delta_alpha >= 0)
-    deltas = " ".join(f"{r.delta_alpha:+.4f}" for r in rows)
+    rows = compare_drafts(canon.teacher, lambda s: pairs[s], canon.prompts, (1.0,), gen, SEEDS)
+    delta_alphas = [composed.alpha - single.alpha for _, _, single, composed in rows]
+    wins = sum(1 for d in delta_alphas if d >= 0)
+    deltas = " ".join(f"{d:+.4f}" for d in delta_alphas)
     verdict(
         "temperature composition",
         wins >= 3,

@@ -5,16 +5,13 @@ from speclab.bench import (
     DEFAULT_DECODE_TAUS,
     DEFAULT_KD_TAUS,
     SWEEP_CSV_HEADER,
-    ArmStats,
     DecodeStats,
     SweepResult,
     best_kd_per_decode,
-    compare_composition,
-    evaluate_arm,
+    compare_drafts,
     measure_decode,
     merge_decode_stats,
     parse_sweep_csv,
-    prompt_digest,
     recount_alpha,
     run_sweep,
     spearman,
@@ -317,54 +314,18 @@ def test_run_sweep_training_failure_names_the_cell():
                       draft_factory=poisoned)
 
 
-def test_evaluate_arm_model_and_callable_agree():
+def test_compare_drafts_same_draft_all_deltas_zero():
     bundle = tiny_bundle()
     draft = random_lm(seed=12)
-    direct = evaluate_arm(bundle.teacher, draft, bundle.prompts, (0.5, 1.0),
-                          small_config(seed=4), (1, 2), label="direct")
-    via_callable = evaluate_arm(bundle.teacher, lambda seed: draft, bundle.prompts,
-                                (0.5, 1.0), small_config(seed=4), (1, 2),
-                                label="callable")
-    for (ta, sa, stats_a), (tb, sb, stats_b) in zip(direct.cells, via_callable.cells):
-        assert (ta, sa) == (tb, sb)
-        assert stats_a.alpha == stats_b.alpha
-
-
-def test_compare_composition_same_draft_all_deltas_zero():
-    bundle = tiny_bundle()
-    draft = random_lm(seed=12)
-    a = evaluate_arm(bundle.teacher, draft, bundle.prompts, (1.0,),
-                     small_config(seed=4), (1, 2, 3), label="a")
-    b = evaluate_arm(bundle.teacher, draft, bundle.prompts, (1.0,),
-                     small_config(seed=4), (1, 2, 3), label="b")
-    rows = compare_composition(a, b)
-    assert len(rows) == 3
-    assert all(r.delta_alpha == 0.0 for r in rows)
-    assert [(r.decode_tau, r.seed) for r in rows] == [(1.0, 1), (1.0, 2), (1.0, 3)]
-
-
-def test_compare_composition_rejects_mismatched_arms():
-    bundle = tiny_bundle()
-    draft = random_lm(seed=12)
-    base = evaluate_arm(bundle.teacher, draft, bundle.prompts, (1.0,),
-                        small_config(seed=4), (1, 2), label="base")
-    other_prompts = evaluate_arm(bundle.teacher, draft, [[2, 2, 2]], (1.0,),
-                                 small_config(seed=4), (1, 2), label="p")
-    with pytest.raises(DomainError, match="prompt"):
-        compare_composition(base, other_prompts)
-    other_seeds = evaluate_arm(bundle.teacher, draft, bundle.prompts, (1.0,),
-                               small_config(seed=4), (1, 3), label="s")
-    with pytest.raises(DomainError, match="seed"):
-        compare_composition(base, other_seeds)
-    other_grid = evaluate_arm(bundle.teacher, draft, bundle.prompts, (0.5,),
-                              small_config(seed=4), (1, 2), label="g")
-    with pytest.raises(DomainError, match="temperature"):
-        compare_composition(base, other_grid)
-
-
-def test_prompt_digest_is_order_sensitive():
-    assert prompt_digest([[1, 2], [3]]) != prompt_digest([[3], [1, 2]])
-    assert prompt_digest([[1, 2]]) == prompt_digest([[1, 2]])
+    rows = compare_drafts(bundle.teacher, lambda seed: (draft, draft), bundle.prompts,
+                          (1.0, 0.5), small_config(seed=4), (3, 1, 2))
+    assert [(tau, seed) for tau, seed, _, _ in rows] == [
+        (0.5, 1), (0.5, 2), (0.5, 3), (1.0, 1), (1.0, 2), (1.0, 3)
+    ]
+    assert all(a.alpha == b.alpha and a.tokens_out == b.tokens_out for _, _, a, b in rows)
+    with pytest.raises(DomainError, match="seeds"):
+        compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0,),
+                       small_config(seed=4), ())
 
 
 def test_spearman_known_values():

@@ -226,6 +226,8 @@ def test_compose_writes_comparison_rows(ws, capsys):
     ("compose.tau_set", "1.0,nan"),
     ("compose.decode_taus", "inf"),
     ("compose.single_tau", "-0.5"),
+    ("sweep.runs_per_seed", "0"),
+    ("decode.runs", "0"),
 ])
 def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys, key, value):
     _, run, _ = ws

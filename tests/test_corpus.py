@@ -133,7 +133,7 @@ def test_pretrain_reaches_small_fkl_to_ground_truth():
     # Forward KL is held-out CE minus entropy; a tight tolerance on the CE
     # ratio pins it below 0.05 nats per token.
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    teacher = pretrain_teacher(gt, SMALL, 400_000, make_rng(2), tolerance=0.015)
+    teacher, *_ = pretrain_teacher(gt, SMALL, 400_000, make_rng(2), tolerance=0.015)
     contexts = collect_heldout_contexts(gt, make_rng(13), n_sequences=16)
     ce, ent = heldout_scores(gt, teacher, contexts)
     assert ce - ent < 0.05
@@ -151,7 +151,7 @@ def test_pretrain_zero_budget_near_uniform_chain_returns_untrained_model():
     # is already within tolerance, so a zero budget returns it unchanged.
     spec = CorpusSpec(vocab_size=8, order=1, concentration=1e6, seed=1)
     gt = build_ground_truth(spec, make_rng(spec.seed))
-    teacher = pretrain_teacher(gt, spec, 0, make_rng(2))
+    teacher, *_ = pretrain_teacher(gt, spec, 0, make_rng(2))
     assert np.array_equal(teacher.table, np.zeros_like(teacher.table))
 
 
@@ -262,7 +262,10 @@ def test_entropy_rate_tracks_concentration():
 
 def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=0.05,
                        seq_len=40, check_every=8192, lr_start=0.8, lr_stages=6):
-    """The token-by-token pretraining loop: one rollout, then one SGD step per token."""
+    """The token-by-token pretraining loop: one rollout, then one SGD step per token.
+
+    Returns ``(teacher, heldout, ce, entropy)``, as :func:`pretrain_teacher` does.
+    """
     teacher = NGramLogitLM.create(spec.vocab(), order if order is not None else ground_truth.order)
     heldout = collect_heldout_contexts(
         ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT)))
@@ -287,10 +290,10 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
             since_check = 0
             ce, _ = heldout_scores(ground_truth, teacher, heldout)
             if ce <= target_ce:
-                return teacher
+                return teacher, heldout, ce, entropy
     ce, _ = heldout_scores(ground_truth, teacher, heldout)
     if ce <= target_ce:
-        return teacher
+        return teacher, heldout, ce, entropy
     raise TrainingError(
         f"teacher not converged in {steps} tokens: held-out CE {ce:.4f} vs "
         f"entropy rate {entropy:.4f} (target {target_ce:.4f})")
@@ -299,7 +302,7 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
 def _outcome(fn, gt, spec, steps, seed, **kwargs):
     rng = make_rng(seed)
     try:
-        model = fn(gt, spec, steps, rng, **kwargs)
+        model, *_ = fn(gt, spec, steps, rng, **kwargs)
     except TrainingError as exc:
         return None, str(exc), rng.random()
     return model.table, None, rng.random()

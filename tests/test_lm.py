@@ -9,6 +9,7 @@ from speclab.lm import (
     NGramLogitLM,
     TinyNeuralLM,
     Vocab,
+    _stable_log_softmax_rows,
     accumulate_gradients,
     apply_update,
     ce_gradient,
@@ -177,6 +178,26 @@ def test_fkl_stays_finite_when_student_starves_a_token():
     div, grads = fkl_gradient(model, [0], np.array([0.5, 0.5]))
     assert np.isfinite(div)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_log_softmax_rows_match_scalar_max_reference_bit_for_bit():
+    # ce_gradient and fkl_gradient take one row, _ce_step_rows and the
+    # distill pair steps a batch; all must agree with this 1-D formula.
+    def one_row(logits):
+        m = logits.max()
+        lse = m + np.log(np.exp(logits - m).sum())
+        return logits - lse, lse
+
+    rng = make_rng(8)
+    for width in (2, 5, 32, 100):
+        batch = rng.normal(0, 4, size=(5000, width))
+        log_p, lse = _stable_log_softmax_rows(batch)
+        ref = [one_row(row) for row in batch]
+        alone = [_stable_log_softmax_rows(row) for row in batch]
+        assert np.array_equal(log_p, np.array([r[0] for r in ref]))
+        assert np.array_equal(lse[:, 0], np.array([r[1] for r in ref]))
+        assert np.array_equal(log_p, np.array([a[0] for a in alone]))
+        assert np.array_equal(lse, np.array([a[1] for a in alone]))
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])
