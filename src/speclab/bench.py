@@ -13,6 +13,7 @@ non-deterministic output.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,14 +25,8 @@ from .corpus import CorpusBundle
 from .distill import KDConfig, make_kd_dataset, train_offline, train_online
 from .errors import DomainError, TrainingError
 from .lm import NGramLogitLM, load_checkpoint, save_checkpoint
-from .sampling import STREAM_EVAL, RowSampler, derive_seed, make_rng
-from .specdec import (
-    GenerationConfig,
-    dump_trace,
-    generate_autoregressive,
-    parse_trace,
-    speculative_generate,
-)
+from .sampling import STREAM_EVAL, derive_seed, make_rng
+from .specdec import GenerationConfig, RowTable, decode_lockstep, dump_trace, parse_trace
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_DECODE_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -107,52 +102,48 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     Each (run, prompt) pair gets its own child seed derived from
     ``config.seed``, so results are independent of evaluation order.
     ``on_trace(run, prompt_index, trace)``, when given, observes every
-    speculative trace outside the timed regions.
+    speculative trace in (run, prompt) order, outside the timed regions.
 
-    Both models are read-only here, so one :class:`RowSampler` per model
-    serves every decode: the speculative and the baseline decoders read
-    the same cached target rows, and each visited context's softmax and
-    CDF are computed once, inside whichever timed region first visits it.
-    That is almost always the speculative one, which runs first on each
-    prompt, so ``wall_time_spec`` carries the first visits and
-    ``speedup`` is biased against speculation. The draft's sampler also
-    caches the residual row of each (target context, draft context) pair
-    that a rejection meets, and the first visit to each of those is
-    charged to ``wall_time_spec`` (``wall_spec_s`` in the CSV) too.
+    All (run, prompt) pairs decode together as the streams of one
+    :func:`~speclab.specdec.decode_lockstep` call, speculatively and then
+    as the autoregressive baseline, with the tokens and traces the
+    one-prompt decoders give. ``wall_time_spec`` (``wall_spec_s`` in the
+    CSV) times the batched speculative decode of all prompts of all runs,
+    and ``wall_time_base`` the batched baseline, so ``speedup`` compares
+    two lockstep decoders. Both models are read-only here, so one
+    :class:`~speclab.specdec.RowTable` per model serves the call: the
+    target table, built inside the speculative timing, is read warm by
+    the baseline, which biases ``speedup`` against speculation. Seeding
+    each stream's generators stays outside the timing.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")
     prompts = list(prompts)
     if not prompts:
         raise DomainError("prompt list is empty")
-    target_rows = RowSampler(target, config.tau)
-    draft_rows = RowSampler(draft, config.tau)
-    proposed = accepted = tokens = 0
-    wall_spec = wall_base = 0.0
-    for run in range(runs):
-        for j, prompt in enumerate(prompts):
-            seed = derive_seed(config.seed, STREAM_EVAL, run, j)
-            rng = make_rng(seed)
-            start = perf_counter()
-            out, trace = speculative_generate(target, draft, prompt, config, rng,
-                                              target_sampler=target_rows,
-                                              draft_sampler=draft_rows)
-            wall_spec += perf_counter() - start
-            rng = make_rng(derive_seed(seed, 1))
-            start = perf_counter()
-            generate_autoregressive(target, prompt, config, rng, sampler=target_rows)
-            wall_base += perf_counter() - start
-            proposed += trace.draft_proposed
-            accepted += trace.draft_accepted
-            tokens += len(out)
-            if on_trace is not None:
-                on_trace(run, j, trace)
+    seeds = [derive_seed(config.seed, STREAM_EVAL, run, j)
+             for run in range(runs) for j in range(len(prompts))]
+    rngs = [make_rng(seed) for seed in seeds]
+    start = perf_counter()
+    target_rows = RowTable(target, config.tau)
+    outs, proposed, accepted, traces = decode_lockstep(
+        target_rows, RowTable(draft, config.tau), prompts * runs, config, rngs,
+        traces=on_trace is not None)
+    wall_spec = perf_counter() - start
+    rngs = [make_rng(derive_seed(seed, 1)) for seed in seeds]
+    start = perf_counter()
+    decode_lockstep(target_rows, None, prompts * runs, config, rngs)
+    wall_base = perf_counter() - start
+    if on_trace is not None:
+        for s, trace in enumerate(traces):
+            on_trace(*divmod(s, len(prompts)), trace)
+    proposed, accepted = int(proposed.sum()), int(accepted.sum())
     if proposed == 0:
         raise DomainError("no draft proposals recorded")
     return DecodeStats(
         alpha=accepted / proposed,
         speedup=wall_base / wall_spec,
-        tokens_out=tokens,
+        tokens_out=sum(len(out) for out in outs),
         wall_time_spec=wall_spec,
         wall_time_base=wall_base,
         runs=runs,
@@ -374,20 +365,16 @@ def parse_sweep_csv(text: str) -> list[dict]:
         if len(parts) != len(names):
             raise DomainError(f"line {lineno}: expected {len(names)} fields")
         try:
-            rows.append(
-                {
-                    "kd_tau": float(parts[0]),
-                    "decode_tau": float(parts[1]),
-                    "seed": int(parts[2]),
-                    "alpha": float(parts[3]),
-                    "speedup": float(parts[4]),
-                    "tokens_out": int(parts[5]),
-                    "wall_spec_s": float(parts[6]),
-                    "wall_base_s": float(parts[7]),
-                }
-            )
+            row = {name: (int if name in ("seed", "tokens_out") else float)(part)
+                   for name, part in zip(names, parts)}
         except ValueError as exc:
             raise DomainError(f"line {lineno}: {exc}") from exc
+        for name, value in row.items():
+            if name == "alpha" and not 0.0 <= value <= 1.0:
+                raise DomainError(f"line {lineno}: alpha must lie in [0, 1], got {value}")
+            if name != "seed" and not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"line {lineno}: {name} must be finite and >= 0, got {value}")
+        rows.append(row)
     return rows
 
 

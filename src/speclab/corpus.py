@@ -311,12 +311,20 @@ def save_prompts(prompts: list[list[int]], path) -> None:
 
 
 def load_prompts(path) -> list[list[int]]:
+    """Prompts saved by :func:`save_prompts`; blank lines are skipped.
+
+    A token that is not an integer raises :class:`DomainError` naming the
+    path and line.
+    """
     prompts = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                prompts.append([int(t) for t in line.split(",")])
+                try:
+                    prompts.append([int(t) for t in line.split(",")])
+                except ValueError as exc:
+                    raise DomainError(f"{path} line {lineno}: {exc}") from exc
     return prompts
 
 

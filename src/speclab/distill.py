@@ -304,18 +304,29 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Pairs saved by :func:`save_dataset`; blank lines are skipped.
+
+    A malformed line raises :class:`DomainError` naming the path and line.
+    """
     data: Dataset = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            fields = dict(part.split("=", 1) for part in line.split())
+            where = f"{path} line {lineno}"
+            parts = [part.split("=", 1) for part in line.split()]
+            if any(len(part) != 2 for part in parts):
+                raise DomainError(f"{where}: a field without '='")
+            fields = dict(parts)
             if set(fields) != {"tau", "src", "prompt", "response"}:
-                raise DomainError(f"dataset line {lineno}: unexpected fields")
-            prompt = [int(t) for t in fields["prompt"].split(",") if t != ""]
-            response = [int(t) for t in fields["response"].split(",") if t != ""]
-            data.append(Pair(prompt, response, fields["src"], float(fields["tau"])))
+                raise DomainError(f"{where}: unexpected fields")
+            try:
+                prompt, response = ([int(t) for t in fields[k].split(",")] if fields[k] else []
+                                    for k in ("prompt", "response"))
+                data.append(Pair(prompt, response, fields["src"], float(fields["tau"])))
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from exc
     return data
 
 

@@ -451,6 +451,15 @@ def _decode_array(obj: dict) -> np.ndarray:
     return arr.reshape(obj["shape"]).copy()
 
 
+def _field(doc, path, *keys):
+    """``doc[keys[0]][keys[1]]...``; a missing key raises :class:`ConfigError` naming it."""
+    for i, key in enumerate(keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"checkpoint {path} has no {'.'.join(keys[: i + 1])}")
+        doc = doc[key]
+    return doc
+
+
 def checkpoint_bytes(model: LanguageModel) -> bytes:
     """Serialize a model to a deterministic, bit-exact byte string."""
     if isinstance(model, NGramLogitLM):
@@ -485,33 +494,45 @@ def save_checkpoint(model: LanguageModel, path) -> None:
 def load_checkpoint(path) -> LanguageModel:
     """Load a model saved by :func:`save_checkpoint`; bit-exact round trip.
 
-    Raises :class:`ConfigError` when a parameter's shape does not match
-    the hyperparameters and vocabulary, or a parameter is not finite.
+    Raises :class:`ConfigError` when the file is not a checkpoint object,
+    lacks a key (named in the message), holds a value of the wrong type,
+    or a parameter's shape does not match the hyperparameters and
+    vocabulary, or a parameter is not finite.
     """
     try:
         doc = json.loads(Path(path).read_bytes())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable checkpoint {path}: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}")
-    vocab = Vocab(**doc["vocab"])
-    family = doc["family"]
-    hyper = doc["hyper"]
+    try:
+        return _model_from_doc(doc, path)
+    except (ConfigError, DomainError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
+
+
+def _model_from_doc(doc: dict, path) -> LanguageModel:
+    vocab = Vocab(**{k: _field(doc, path, "vocab", k) for k in ("size", "bos_id", "eos_id")})
+    family = _field(doc, path, "family")
     size = vocab.size
     if family == FAMILY_NGRAM:
-        order = int(hyper["order"])
+        order = int(_field(doc, path, "hyper", "order"))
         shapes = {"table": (size**order, size)}
     elif family == FAMILY_NEURAL:
-        context_size, d_emb, d_hid = (int(hyper[k]) for k in ("context_size", "d_emb", "d_hid"))
+        context_size, d_emb, d_hid = (int(_field(doc, path, "hyper", k))
+                                      for k in ("context_size", "d_emb", "d_hid"))
         shapes = {"embedding": (size, d_emb), "w1": (context_size * d_emb, d_hid),
                   "b1": (d_hid,), "w2": (d_hid, size), "b2": (size,)}
     else:
         raise ConfigError(f"unknown model family '{family}'")
     params = {}
     for name, shape in shapes.items():
-        arr = params[name] = _decode_array(doc["params"][name])
+        arr = params[name] = _decode_array(
+            {k: _field(doc, path, "params", name, k) for k in ("data", "dtype", "shape")})
         if arr.shape != shape:
             raise ConfigError(f"checkpoint {name} shape {arr.shape} != {shape}")
         if not np.isfinite(arr).all():

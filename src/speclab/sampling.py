@@ -39,8 +39,9 @@ STREAM_HELDOUT = 5
 
 _MASK64 = (1 << 64) - 1
 
-# Rows one RowSampler keeps: above the canonical target's 1,024 contexts,
-# and at about 0.6 KB a row (vocabulary 32) some 2.5 MB per sampler.
+# Rows one RowSampler, or one table or residual store of the lockstep
+# decoder, keeps: above the canonical target's 1,024 contexts, and at
+# about 0.6 KB a row (vocabulary 32) some 2.5 MB each.
 MAX_CACHED_ROWS = 4096
 
 
@@ -92,9 +93,10 @@ def softmax_rows_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
         out[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
         return out
     z = logits / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -149,10 +151,6 @@ class RowSampler:
     32,768 each) visits most of them once or twice, and the cap keeps its
     memory bounded instead of growing with every new context.
 
-    A draft's sampler also holds the correction rows that speculative
-    decoding draws after a rejection, one :class:`RowCache` per target
-    sampler (:meth:`residual_rows`).
-
     The model must not change while a sampler is in use, so build one per
     (read-only model, tau) and keep it only as long as that holds.
     """
@@ -161,7 +159,6 @@ class RowSampler:
         self.model = model
         self.tau = tau
         self._rows = RowCache()
-        self._residuals: dict = {}
 
     def row(self, context, end=None):
         """Row after ``context[:end]``; ``end=None`` reads all of it."""
@@ -171,15 +168,6 @@ class RowSampler:
             probs = softmax_with_temperature(self.model.forward(context[:end]), self.tau)
             row = self._rows.keep(key, cdf_row(probs))
         return row
-
-    def residual_rows(self, target: "RowSampler") -> RowCache:
-        """Correction rows of this draft sampler against ``target``'s rows.
-
-        Keyed by ``(target key, draft key)``. Each target sampler gets its
-        own cache, so a target sampler shared with another draft never
-        reads a residual of this one.
-        """
-        return self._residuals.setdefault(target, RowCache())
 
 
 def draw(row, rng: np.random.Generator) -> int:

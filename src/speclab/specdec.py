@@ -9,19 +9,27 @@ max(0, p - q); if the whole block survives, one bonus token is drawn
 from the target's distribution after the block. This acceptance rule is
 lossless: the emitted sequence is distributed exactly as if the target
 had been sampled token by token (Leviathan et al. 2023, arXiv
-2211.17192). Both models' distributions are read from
-:class:`~speclab.sampling.RowSampler` rows, computed once per context.
-So are the corrections: a residual and its CDF depend only on the
-(target context, draft context) pair at the rejected position, so the
-draft's sampler caches them per target sampler under that pair of keys,
-and the bonus token is drawn from the target's cached row. One round
-then costs a dict lookup per row, plus the draws.
+2211.17192).
+
+Two decoders apply the rule. :func:`speculative_generate` decodes one
+prompt, reading both models' distributions from
+:class:`~speclab.sampling.RowSampler` rows, computed once per context,
+and building a correction's residual when a rejection needs one; with
+:func:`generate_autoregressive` it is the single-sequence API and the
+oracle of the tests. :func:`decode_lockstep` decodes many prompts at
+once, with the tokens and trace the one-prompt decoders give each of
+them: every prompt is a stream with its own generator, each stream
+carries the window index of its rows in each model's :class:`RowTable`,
+and every draw, acceptance test and commit is one array operation over
+the streams still decoding. Its residual rows are kept per (target row,
+draft row) pair for one call. With no draft it is the autoregressive
+baseline, in the same loop.
 
 Randomness contract: a single generator drives one generation. Each
 round consumes, in order, one draw per proposed token (draft sampling),
 one uniform per verified position, and one draw for the correction
 sample when a correction is drawn. Replaying with the same seed
-reproduces the trace exactly.
+reproduces the trace exactly, in either decoder.
 """
 
 from __future__ import annotations
@@ -31,8 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, VerificationError
-from .sampling import RowSampler, cdf_row, draw
+from . import sampling
+from .errors import ConfigError, DomainError, NumericError, VerificationError
+from .lm import NGramLogitLM, _check_token
+from .sampling import RowSampler, cdf_row, draw, softmax_rows_with_temperature
 
 _KIND_NAMES = {"resample": "resample", "bonus": "bonus", None: "eos"}
 
@@ -128,8 +138,7 @@ def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return overlap + (1.0 - overlap.sum()) * (r / rmass)
 
 
-def verify_block(target_dists, draft_dists, proposed, rng, *,
-                 correction_row=None) -> tuple[int, int | None, str | None]:
+def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | None, str | None]:
     """Scan one proposed block left to right with the acceptance rule.
 
     ``draft_dists`` and ``proposed`` have one entry per proposed token;
@@ -142,12 +151,6 @@ def verify_block(target_dists, draft_dists, proposed, rng, *,
     Consumes one uniform per verified position, then one draw for the
     correction sample if any. A rejection at a position where the
     residual has no mass draws the correction from the target row.
-
-    ``correction_row(i)``, when given, returns the ``(probs, cdf)`` row
-    the correction at position ``i`` is drawn from, in place of one built
-    from the arrays: the residual row after a rejection at ``i < m``, the
-    target row after the block for the bonus (``i == m``). The decoders
-    pass cached rows, bit-equal to the built ones.
     """
     m = len(proposed)
     if len(draft_dists) != m or len(target_dists) not in (m, m + 1):
@@ -162,18 +165,10 @@ def verify_block(target_dists, draft_dists, proposed, rng, *,
             )
         ratio = p_x / q_x
         if not rng.random() < (1.0 if ratio >= 1.0 else ratio):
-            break
-    else:
-        if len(target_dists) == m:
-            return m, None, None
-        i = m
-    if correction_row is not None:
-        row = correction_row(i)
-    elif i < m:
-        row = _residual_row(target_dists[i], draft_dists[i])
-    else:
-        row = cdf_row(target_dists[m])
-    return i, draw(row, rng), "resample" if i < m else "bonus"
+            return i, draw(_residual_row(target_dists[i], draft_dists[i]), rng), "resample"
+    if len(target_dists) == m:
+        return m, None, None
+    return m, draw(cdf_row(target_dists[m]), rng), "bonus"
 
 
 def _sampler(model, tau: float, sampler: RowSampler | None) -> RowSampler:
@@ -229,24 +224,10 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
     target_rows = _sampler(target, config.tau, target_sampler)
     draft_rows = _sampler(draft, config.tau, draft_sampler)
     p_row, q_row = target_rows.row, draft_rows.row
-    residuals = draft_rows.residual_rows(target_rows)
     eos = target.vocab.eos_id
     cap = config.max_new_tokens
     out: list[int] = []
     trace = SpeculationTrace()
-
-    def correction_row(i):
-        # The row a correction at position i of the current round (its
-        # seq, base, m, p_rows and draft_dists) is drawn from.
-        if i == m:
-            return p_rows[m]
-        end = base + i
-        key = (target.context_key(seq, end), draft.context_key(seq, end))
-        row = residuals.get(key)
-        if row is None:
-            row = residuals.keep(key, _residual_row(p_rows[i][0], draft_dists[i]))
-        return row
-
     seq = list(prompt)
     while len(out) < cap:
         base = len(seq)
@@ -268,7 +249,7 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
         n_rows = m if proposed[-1] == eos else m + 1
         p_rows = [p_row(seq, end) for end in range(base, base + n_rows)]
         accepted, correction, kind = verify_block([r[0] for r in p_rows], draft_dists,
-                                                  proposed, rng, correction_row=correction_row)
+                                                  proposed, rng)
         trace.record(RoundRecord(proposed, accepted, correction, kind))
         committed = proposed[:accepted]
         if correction is not None:
@@ -286,6 +267,302 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *
         if stop:
             break
     return out, trace
+
+
+class RowStore:
+    """Probability rows, their CDFs and :func:`draw`'s total check, by integer key.
+
+    ``probs``, ``cdf`` and ``ok`` hold one row per slot, and :meth:`lookup`
+    maps keys to slots. The first :data:`~speclab.sampling.MAX_CACHED_ROWS`
+    keys looked up keep their rows. The row of a later key is built again
+    on every lookup, into a slot past the kept ones that stays valid only
+    until the next lookup.
+    """
+
+    def __init__(self, width: int):
+        # Kept keys in sorted order, ending at a sentinel no key reaches.
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._where = np.array([-1])
+        self.kept = 0
+        self.probs = np.empty((0, width))
+        self.cdf = np.empty((0, width))
+        self.ok = np.empty(0, dtype=bool)
+
+    def lookup(self, keys: np.ndarray, build) -> np.ndarray:
+        """Slots of ``keys``; ``build(picks)`` gives the rows of ``keys[picks]``."""
+        pos = np.searchsorted(self._keys, keys)
+        slots = self._where[pos]
+        miss = self._keys[pos] != keys
+        if not miss.any():
+            return slots
+        picks = np.flatnonzero(miss)
+        new, first, inverse = np.unique(keys[picks], return_index=True, return_inverse=True)
+        start, end = self.kept, self.kept + len(new)
+        if end > len(self.ok):
+            self._grow(max(end, 2 * len(self.ok)))
+        probs = self.probs[start:end]
+        probs[...] = build(picks[first])
+        np.cumsum(probs, axis=1, out=self.cdf[start:end])
+        self.ok[start:end] = np.abs(self.cdf[start:end, -1] - 1.0) <= 1e-9
+        slots[picks] = start + inverse
+        keep = min(len(new), sampling.MAX_CACHED_ROWS - self.kept)
+        if keep > 0:
+            at = np.searchsorted(self._keys, new[:keep])
+            self._keys = np.insert(self._keys, at, new[:keep])
+            self._where = np.insert(self._where, at, np.arange(start, start + keep))
+            self.kept += keep
+        return slots
+
+    def _grow(self, size: int) -> None:
+        for name in ("probs", "cdf", "ok"):
+            old = getattr(self, name)
+            new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+            new[: self.kept] = old[: self.kept]
+            setattr(self, name, new)
+
+
+class RowTable(RowStore):
+    """Tau-scaled next-token rows of one read-only model, by window index.
+
+    The index of a context encodes the bos-padded window of the last
+    ``width`` tokens the model reads, most recent token last, as
+    :meth:`~speclab.lm.NGramLogitLM.context_index` does; appending token
+    ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row equals the
+    :class:`~speclab.sampling.RowSampler` row of any context with that
+    window.
+
+    An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
+    table at once from :func:`softmax_rows_with_temperature`, and a row's
+    slot is its index. Any other model (a tiny-neural draft, an order-3
+    n-gram) gets the row of each index from ``model.forward`` on its first
+    lookup, kept up to the cap as in :class:`RowStore`.
+    """
+
+    def __init__(self, model, tau: float):
+        super().__init__(model.vocab.size)
+        self.model = model
+        self.tau = tau
+        self.size = model.vocab.size
+        self.width = len(model.context_key(()))
+        self.rows = self.size ** self.width
+        if self.rows * self.size > np.iinfo(np.int64).max:
+            raise DomainError(f"a window of {self.width} tokens over {self.size} "
+                              "has too many rows to index")
+        self.whole = isinstance(model, NGramLogitLM) and self.rows <= sampling.MAX_CACHED_ROWS
+        if self.whole:
+            self.probs = softmax_rows_with_temperature(model.table, tau)
+            self.cdf = np.cumsum(self.probs, axis=1)
+            self.ok = np.abs(self.cdf[:, -1] - 1.0) <= 1e-9
+
+    def index(self, context) -> int:
+        """Window index after ``context``, validating the tokens the model reads."""
+        idx = 0
+        for t in self.model.context_key(context):
+            idx = idx * self.size + _check_token(t, self.size)
+        return idx
+
+    def slots(self, idx: np.ndarray) -> np.ndarray:
+        """Slots of the rows at window indices ``idx``."""
+        if self.whole:
+            return idx
+        return self.lookup(idx, lambda picks: self._forward(idx[picks]))
+
+    def _forward(self, idx: np.ndarray) -> np.ndarray:
+        powers = self.size ** np.arange(self.width - 1, -1, -1)
+        windows = (idx[:, None] // powers) % self.size
+        logits = np.array([self.model.forward(w.tolist()) for w in windows])
+        return softmax_rows_with_temperature(logits, self.tau)
+
+
+# Uniforms drawn per stream and refill: 0.5 KB a stream.
+_UNIFORM_CHUNK = 64
+
+
+class _Uniforms:
+    """Each stream's uniforms in its generator's order, drawn a chunk at a time.
+
+    ``Generator.random(out=row)`` fills a row with the values that as many
+    ``random()`` calls return, so a stream reads exactly the uniforms the
+    scalar decoders would.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+        self.buf = np.empty((len(rngs), _UNIFORM_CHUNK))
+        self.used = np.full(len(rngs), _UNIFORM_CHUNK)
+
+    def take(self, streams: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the distinct ``streams``."""
+        used = self.used[streams]
+        empty = used == _UNIFORM_CHUNK
+        for s in streams[empty]:
+            self.rngs[s].random(out=self.buf[s])
+        used[empty] = 0
+        self.used[streams] = used + 1
+        return self.buf[streams, used]
+
+
+def _draw_slots(rows: RowStore, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`draw` from row ``slots[i]`` of ``rows`` with uniform ``u[i]``, for every i."""
+    ok = rows.ok[slots]
+    if not ok.all():
+        total = float(rows.cdf[slots[ok.argmin()], -1])
+        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
+    tok = (rows.cdf[slots] <= u[:, None]).sum(axis=1)
+    for i in np.flatnonzero(tok == rows.cdf.shape[1]):
+        # Past a CDF that ends below 1: the last token with mass, as draw.
+        probs = rows.probs[slots[i]]
+        t = len(probs) - 1
+        while t > 0 and probs[t] <= 0.0:
+            t -= 1
+        tok[i] = t
+    return tok
+
+
+def _residual_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`_residual_row` probabilities for each row pair, bit for bit."""
+    r = np.maximum(p - q, 0.0)
+    mass = r.sum(axis=1, keepdims=True)
+    out = p.copy()
+    np.divide(r, mass, out=out, where=~(mass <= 0.0))
+    return out
+
+
+def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
+                    config: GenerationConfig, rngs, *, traces: bool = False):
+    """Decode every prompt as one stream, all streams a round at a time.
+
+    Stream ``i`` decodes ``prompts[i]`` with generator ``rngs[i]`` and
+    emits the tokens and trace that :func:`speculative_generate` would
+    with that generator, or with ``draft=None`` what
+    :func:`generate_autoregressive` would. It draws the same uniforms in
+    the same order: a round is a block of zero proposals and a bonus
+    token. Rows come from the tables, which must hold ``config.tau``;
+    correction rows are residuals built once per (target row, draft row)
+    pair that a rejection meets, kept as in :class:`RowStore` for this
+    call. Each stream carries its window indices into both tables, and
+    every draw, acceptance test and commit is one array operation over
+    the streams still decoding.
+
+    Prompt tokens are validated up front, stream by stream, draft window
+    first; the first error raised is that of the first failing stream.
+
+    Returns ``(tokens, proposed, accepted, traces)``: one token list and
+    one count of proposed and of accepted draft tokens per stream, and
+    one :class:`SpeculationTrace` per stream if ``traces`` is set (and
+    there is a draft), else None.
+    """
+    tables = [target] if draft is None else [draft, target]
+    if any(t.tau != config.tau for t in tables):
+        raise DomainError("row table holds rows of another temperature")
+    if draft is not None and draft.model.vocab != target.model.vocab:
+        raise ConfigError("target and draft must share a vocabulary")
+    if draft is not None and target.rows * draft.rows > np.iinfo(np.int64).max:
+        raise DomainError("too many (target row, draft row) pairs to index")
+    n = len(prompts)
+    starts = np.array([[t.index(p) for t in tables] for p in prompts],
+                      dtype=np.int64).reshape(n, len(tables))
+    ti = starts[:, -1].copy()
+    di = starts[:, 0].copy()
+    size = target.size
+    eos = target.model.vocab.eos_id
+    cap = config.max_new_tokens
+    block = 0 if draft is None else config.block_size
+    uniforms = _Uniforms(rngs)
+    residuals = RowStore(size)
+    out = np.empty((n, cap), dtype=np.int64)
+    n_out = np.zeros(n, dtype=np.int64)
+    proposed = np.zeros(n, dtype=np.int64)
+    accepted = np.zeros(n, dtype=np.int64)
+    records = [[] for _ in range(n)] if traces and draft is not None else None
+    cols = np.arange(block + 1)
+    live = np.arange(n)
+    while live.size:
+        loc = np.arange(len(live))
+        room = cap - n_out[live]
+        # Window indices at block positions 0..m; a last token column takes the correction.
+        t_at = np.empty((len(live), block + 1), dtype=np.int64)
+        d_at = np.empty_like(t_at)
+        t_at[:, 0] = ti[live]
+        d_at[:, 0] = di[live]
+        tokens = np.zeros((len(live), block + 1), dtype=np.int64)
+        q_x = np.empty((len(live), block))
+        m = np.zeros(len(live), dtype=np.int64)
+        go = loc
+        for j in range(block):
+            go = go[room[go] > j]
+            if not go.size:
+                break
+            slots = draft.slots(d_at[go, j])
+            tok = _draw_slots(draft, slots, uniforms.take(live[go]))
+            tokens[go, j] = tok
+            q_x[go, j] = draft.probs[slots, tok]
+            m[go] = j + 1
+            d_at[go, j + 1] = (d_at[go, j] * size + tok) % draft.rows
+            t_at[go, j + 1] = (t_at[go, j] * size + tok) % target.rows
+            go = go[tok != eos]
+        # Target rows at the block prefixes, plus the bonus position unless
+        # the block ends at eos.
+        ends_eos = (m > 0) & (tokens[loc, np.maximum(m - 1, 0)] == eos)
+        at = cols < (m + ~ends_eos)[:, None]
+        t_slot = np.zeros_like(t_at)
+        t_slot[at] = target.slots(t_at[at])
+        acc = np.zeros(len(live), dtype=np.int64)
+        go = loc
+        for i in range(block):
+            go = go[m[go] > i]
+            if not go.size:
+                break
+            ratio = target.probs[t_slot[go, i], tokens[go, i]] / q_x[go, i]
+            go = go[uniforms.take(live[go]) < np.minimum(ratio, 1.0)]
+            acc[go] += 1
+        corr = np.full(len(live), -1, dtype=np.int64)
+        bonus = loc[(acc == m) & ~ends_eos]
+        if bonus.size:
+            corr[bonus] = _draw_slots(target, t_slot[bonus, m[bonus]],
+                                      uniforms.take(live[bonus]))
+        rej = loc[acc < m]
+        if rej.size:
+            p_slot = t_slot[rej, acc[rej]]
+            d_rej = d_at[rej, acc[rej]]
+
+            def residual(picks):
+                p = target.probs[p_slot[picks]]
+                q = draft.slots(d_rej[picks])  # may move draft.probs: read it after
+                return _residual_rows(p, draft.probs[q])
+
+            slots = residuals.lookup(t_at[rej, acc[rej]] * draft.rows + d_rej, residual)
+            corr[rej] = _draw_slots(residuals, slots, uniforms.take(live[rej]))
+        if records is not None:
+            for s, toks, mm, a, c in zip(live.tolist(), tokens.tolist(), m.tolist(),
+                                         acc.tolist(), corr.tolist()):
+                kind = "resample" if a < mm else "bonus" if c >= 0 else None
+                records[s].append(RoundRecord(toks[:mm], a, c if c >= 0 else None, kind))
+        proposed[live] += m
+        accepted[live] += acc
+        has = corr >= 0
+        tokens[loc[has], acc[has]] = corr[has]
+        commit = np.minimum(acc + has, room)
+        r, c = np.nonzero(cols < commit[:, None])
+        out[live[r], n_out[live[r]] + c] = tokens[r, c]
+        n_out[live] += commit
+        go = loc[has & (corr != eos) & (commit < room)]
+        a, c = acc[go], corr[go]
+        ti[live[go]] = (t_at[go, a] * size + c) % target.rows
+        if draft is not None:
+            di[live[go]] = (d_at[go, a] * size + c) % draft.rows
+        live = live[go]
+    outs = [out[s, : n_out[s]].tolist() for s in range(n)]
+    if records is None:
+        return outs, proposed, accepted, None
+    return outs, proposed, accepted, [_trace_of(rounds) for rounds in records]
+
+
+def _trace_of(rounds) -> SpeculationTrace:
+    trace = SpeculationTrace()
+    for rnd in rounds:
+        trace.record(rnd)
+    return trace
 
 
 def dump_trace(trace: SpeculationTrace) -> str:

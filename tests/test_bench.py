@@ -21,8 +21,8 @@ from speclab.corpus import CorpusBundle, CorpusSpec, build_ground_truth
 from speclab.distill import KDConfig
 from speclab.errors import DomainError, TrainingError
 from speclab.lm import NGramLogitLM, Vocab
-from speclab.sampling import make_rng
-from speclab.specdec import GenerationConfig, dump_trace
+from speclab.sampling import STREAM_EVAL, derive_seed, make_rng
+from speclab.specdec import GenerationConfig, dump_trace, speculative_generate
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -139,6 +139,33 @@ def test_measure_decode_trace_recount_matches_alpha():
     assert recount_alpha("\n".join(blocks)) == stats.alpha
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.6])
+def test_measure_decode_equals_the_one_prompt_decoders(tau):
+    # Three runs of four prompts decode as twelve lockstep streams; each
+    # gives what the one-prompt decoders give with its (run, prompt) seed.
+    target = random_lm(seed=11, order=2)
+    draft = random_lm(seed=12)
+    prompts = [[2], [3, 4], [5, 6, 7], []]
+    cfg = small_config(tau=tau, seed=4)
+    seen = []
+    stats = measure_decode(target, draft, prompts, cfg, runs=3,
+                           on_trace=lambda run, j, tr: seen.append((run, j, dump_trace(tr))))
+    want = []
+    proposed = accepted = tokens = 0
+    for run in range(3):
+        for j, prompt in enumerate(prompts):
+            seed = derive_seed(cfg.seed, STREAM_EVAL, run, j)
+            out, trace = speculative_generate(target, draft, prompt, cfg, make_rng(seed))
+            want.append((run, j, dump_trace(trace)))
+            proposed += trace.draft_proposed
+            accepted += trace.draft_accepted
+            tokens += len(out)
+    assert seen == want
+    assert (stats.draft_proposed, stats.draft_accepted, stats.tokens_out) == (
+        proposed, accepted, tokens)
+    assert stats.alpha == accepted / proposed
+
+
 def test_recount_alpha_rejects_empty_text():
     with pytest.raises(DomainError):
         recount_alpha("\n\n")
@@ -200,6 +227,20 @@ def test_parse_sweep_csv_rejects_bad_input():
         parse_sweep_csv(good + "0.1,0.2,1\n")
     with pytest.raises(DomainError, match="line 2"):
         parse_sweep_csv(good + "0.1,0.2,x,0.5,1.0,10,1.0,1.0\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    (3, "nan"), (3, "1.5"), (3, "-0.1"), (4, "-1.0"), (4, "inf"), (5, "-3"),
+    (6, "-0.5"), (6, "inf"), (7, "nan"), (0, "-0.2"), (1, "inf"),
+])
+def test_parse_sweep_csv_rejects_out_of_range_values(field, value):
+    good = "0.100000,0.200000,1,0.500000,1.000000,10,1.000000,1.000000"
+    parts = good.split(",")
+    parts[field] = value
+    name = SWEEP_CSV_HEADER.split(",")[field]
+    text = SWEEP_CSV_HEADER + "\n" + good + "\n" + ",".join(parts) + "\n"
+    with pytest.raises(DomainError, match=f"line 3: {name} "):
+        parse_sweep_csv(text)
 
 
 def test_run_sweep_validation():

@@ -323,6 +323,38 @@ def test_report_rejects_empty_csv(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+def test_report_rejects_out_of_range_csv_values(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    lines = REPORT_CSV.splitlines()
+    parts = lines[3].split(",")
+    parts[3] = "nan"
+    lines[3] = ",".join(parts)
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 4: alpha" in err
+
+
+@pytest.mark.parametrize("artifact, text, named", [
+    ("prompts_in.txt", "2,3\n3,4,\n", "prompts_in.txt line 2"),
+    ("draft.ckpt", "[1, 2]\n", "not a model checkpoint"),
+    ("teacher.ckpt", '{"format": "speclab-model", "version": 1}\n', "has no vocab"),
+])
+def test_decode_reports_a_malformed_artifact_on_stderr(distilled, tmp_path, capsys,
+                                                       artifact, text, named):
+    _, run, _ = distilled
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / artifact).write_text(text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASE + f"io.output_dir = {copy}\n")
+    assert main(["decode", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
 def test_main_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ def test_load_prompts_skips_blank_lines(tmp_path):
     path = tmp_path / "prompts.txt"
     path.write_text("2,3\n\n4,5\n")
     assert load_prompts(path) == [[2, 3], [4, 5]]
+
+
+@pytest.mark.parametrize("text, lineno", [("3,4,\n", 1), ("2,3\n2,x\n", 2), ("2,3\n\n4,,5\n", 3)])
+def test_load_prompts_rejects_bad_tokens_naming_path_and_line(tmp_path, text, lineno):
+    path = tmp_path / "prompts.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"{path} line {lineno}: ")):
+        load_prompts(path)
 
 
 def test_build_corpus_small_end_to_end():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,6 +398,19 @@ def test_dataset_load_rejects_unknown_fields(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("tau=1.0 src=teacher prompt=2 response=3 extra=1\n")
     with pytest.raises(DomainError, match="unexpected fields"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("line", [
+    "tau=1.0 src=teacher prompt=3,4, response=3",
+    "tau=1.0 src=teacher prompt=2,x response=3",
+    "tau=1.0 src=teacher prompt response=3",
+    "tau=hot src=teacher prompt=2 response=3",
+])
+def test_dataset_load_rejects_malformed_lines_naming_path_and_line(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text("tau=1.0 src=teacher prompt= response=3\n" + line + "\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 2: ")):
         load_dataset(path)
 
 

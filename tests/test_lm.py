@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +332,35 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         load_checkpoint(trash)
     with pytest.raises(ConfigError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+@pytest.mark.parametrize("family, keys", [
+    ("ngram", ("vocab",)), ("ngram", ("vocab", "eos_id")), ("ngram", ("family",)),
+    ("ngram", ("hyper",)), ("ngram", ("hyper", "order")), ("ngram", ("params",)),
+    ("ngram", ("params", "table")), ("ngram", ("params", "table", "dtype")),
+    ("neural", ("hyper", "d_hid")), ("neural", ("params", "w2")),
+    ("neural", ("params", "b1", "data")),
+])
+def test_checkpoint_missing_key_raises_config_error_naming_it(tmp_path, family, keys):
+    model = NGramLogitLM.create(VOCAB8, 2) if family == "ngram" else TinyNeuralLM.create(VOCAB8)
+    doc = json.loads(checkpoint_bytes(model))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    path = tmp_path / "model.ckpt"
+    path.write_text(json.dumps(doc))
+    named = re.escape(f"checkpoint {path} has no {'.'.join(keys)}")
+    with pytest.raises(ConfigError, match=named + "$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"speclab-model"', "null"])
+def test_checkpoint_that_is_not_a_json_object_raises_config_error(tmp_path, text):
+    path = tmp_path / "model.ckpt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"not a model checkpoint: {path}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_preserves_training_behaviour():

@@ -8,11 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.errors import DomainError
-from speclab.sampling import RowCache, cdf_row, draw, sample, softmax_with_temperature
+from speclab.lm import NGramLogitLM, Vocab
+from speclab.sampling import cdf_row, draw, make_rng, sample, softmax_with_temperature
 from speclab.specdec import (
+    GenerationConfig,
+    RowTable,
     _residual_row,
+    _residual_rows,
+    decode_lockstep,
+    dump_trace,
+    generate_autoregressive,
     induced_distribution,
     residual_distribution,
+    speculative_generate,
     verify_block,
 )
 
@@ -129,7 +137,7 @@ def reference_verify_block(target, drafts, proposed, rng):
 
 @SETTINGS
 @given(st.lists(adversarial_pairs(), min_size=1, max_size=4), st.booleans(), st.data())
-def test_cached_residual_verify_block_equals_the_uncached_one(pairs, bonus, data):
+def test_verify_block_equals_the_sample_per_correction_reference(pairs, bonus, data):
     m = len(pairs)
     n = max(len(p) for p, _ in pairs)  # one vocabulary: pad to the widest row
     target = [np.r_[p, np.zeros(n - len(p))] for p, _ in pairs]
@@ -139,20 +147,58 @@ def test_cached_residual_verify_block_equals_the_uncached_one(pairs, bonus, data
         target.append(normalized(data.draw(positive_weights(n))))
     uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                   min_size=m + 1, max_size=m + 1))
-    cache = RowCache()
-
-    def correction_row(i):
-        if i == m:
-            return cdf_row(target[m])
-        row = cache.get(i)
-        return row if row is not None else cache.keep(i, _residual_row(target[i], drafts[i]))
-
-    want_rng = ListRng(uniforms)
-    with np.errstate(over="ignore"):
+    want_rng, got_rng = ListRng(uniforms), ListRng(uniforms)
+    with np.errstate(over="ignore"):  # p(x) / q(x) may overflow to inf: accept
         want = reference_verify_block(target, drafts, proposed, want_rng)
-    for rows in (None, correction_row, correction_row):  # uncached, cold, warm
-        got_rng = ListRng(uniforms)
-        with np.errstate(over="ignore"):  # p(x) / q(x) may overflow to inf: accept
-            got = verify_block(target, drafts, proposed, got_rng, correction_row=rows)
-        assert got == want
-        assert got_rng.used == want_rng.used
+        got = verify_block(target, drafts, proposed, got_rng)
+    assert got == want
+    assert got_rng.used == want_rng.used
+
+
+@SETTINGS
+@given(st.lists(adversarial_pairs(), min_size=1, max_size=6))
+def test_batched_residual_rows_bit_equal_one_row_residuals(pairs):
+    n = max(len(p) for p, _ in pairs)
+    target = np.array([np.r_[p, np.zeros(n - len(p))] for p, _ in pairs])
+    drafts = np.array([np.r_[q, np.zeros(n - len(q))] for _, q in pairs])
+    rows = _residual_rows(target, drafts)
+    for i in range(len(pairs)):
+        probs, cdf = _residual_row(target[i], drafts[i])
+        assert np.array_equal(rows[i], probs)
+        assert np.array_equal(np.cumsum(rows[i]), np.array(cdf))
+
+
+@SETTINGS
+@given(st.data())
+def test_lockstep_decoders_equal_the_scalar_decoders_on_random_tables(data):
+    size = data.draw(st.integers(3, 6))
+    vocab = Vocab(size=size, bos_id=0, eos_id=data.draw(st.integers(1, size - 1)))
+    models = []
+    for order in (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))):
+        model = NGramLogitLM.create(vocab, order)
+        rng = make_rng(data.draw(st.integers(0, 2**32)))
+        model.table[...] = rng.normal(0, data.draw(st.sampled_from([0.5, 2.0, 8.0])),
+                                      size=model.table.shape)
+        # Zero-probability tokens, with at least one token left in every row.
+        masked = rng.random(model.table.shape) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+        masked[np.arange(len(masked)), rng.integers(0, size, len(masked))] = False
+        model.table[masked] = -np.inf
+        models.append(model)
+    target, draft = models
+    config = GenerationConfig(tau=data.draw(st.sampled_from([0.0, 0.3, 1.0, 3.0])),
+                              block_size=data.draw(st.integers(1, 5)),
+                              max_new_tokens=data.draw(st.integers(1, 12)))
+    prompts = data.draw(st.lists(st.lists(st.integers(0, size - 1), max_size=4),
+                                 min_size=1, max_size=5))
+    seeds = list(range(len(prompts)))
+    target_rows = RowTable(target, config.tau)
+    outs, proposed, accepted, traces = decode_lockstep(
+        target_rows, RowTable(draft, config.tau), prompts, config,
+        [make_rng(s) for s in seeds], traces=True)
+    base = decode_lockstep(target_rows, None, prompts, config, [make_rng(s) for s in seeds])[0]
+    for j, prompt in enumerate(prompts):
+        out, trace = speculative_generate(target, draft, prompt, config, make_rng(seeds[j]))
+        assert outs[j] == out
+        assert dump_trace(traces[j]) == dump_trace(trace)
+        assert (proposed[j], accepted[j]) == (trace.draft_proposed, trace.draft_accepted)
+        assert base[j] == generate_autoregressive(target, prompt, config, make_rng(seeds[j]))

@@ -395,14 +395,3 @@ def test_row_cache_keeps_at_most_its_cap(monkeypatch):
     rows = [object() for _ in range(3)]
     assert [cache.keep(k, row) for k, row in enumerate(rows)] == rows
     assert cache == {0: rows[0], 1: rows[1]}
-
-
-def test_residual_rows_are_bound_to_one_target_sampler():
-    draft = RowSampler(NGramLogitLM.create(V8, 1), 1.0)
-    target_a = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
-    target_b = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
-    other_draft = RowSampler(NGramLogitLM.create(V8, 1), 1.0)
-    rows = draft.residual_rows(target_a)
-    assert draft.residual_rows(target_a) is rows
-    assert draft.residual_rows(target_b) is not rows
-    assert other_draft.residual_rows(target_a) is not rows

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from speclab import distill, sampling
+from speclab import distill, sampling, specdec
 from speclab.distill import KDConfig, Pair, TrainStep, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
@@ -18,8 +19,10 @@ from speclab.sampling import (
 from speclab.specdec import (
     GenerationConfig,
     RoundRecord,
+    RowTable,
     SpeculationTrace,
     acceptance_probability,
+    decode_lockstep,
     dump_trace,
     generate_autoregressive,
     induced_distribution,
@@ -325,8 +328,11 @@ class StubRng:
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, out=None):
+        if out is None:
+            return self.u
+        out[...] = self.u
+        return out
 
 
 def test_verify_block_rejection_without_residual_mass_draws_from_target():
@@ -516,64 +522,196 @@ def test_decoders_reject_a_sampler_of_another_model_or_tau():
                              draft_sampler=RowSampler(target, 0.5))
 
 
-def assert_cached_residuals_bit_equal(target_rows, draft_rows):
-    """Every cached residual row equals one built from fresh model rows."""
-    rows = draft_rows.residual_rows(target_rows)
-    assert rows
-    for (target_key, draft_key), (probs, cdf) in rows.items():
-        p = softmax_with_temperature(target_rows.model.forward(target_key), target_rows.tau)
-        q = softmax_with_temperature(draft_rows.model.forward(draft_key), draft_rows.tau)
+def window_of(index, width, size=8):
+    """The tokens of a :class:`RowTable` window index, oldest first."""
+    return [(index // size**k) % size for k in range(width - 1, -1, -1)]
+
+
+@pytest.fixture
+def residual_stores(monkeypatch):
+    """Every residual store that decode_lockstep makes, in order."""
+    stores = []
+
+    class Recording(specdec.RowStore):
+        def __init__(self, width):
+            super().__init__(width)
+            stores.append(self)
+
+    monkeypatch.setattr(specdec, "RowStore", Recording)
+    return stores
+
+
+def kept_pairs(store, draft_rows):
+    """(target index, draft index) and slot of every kept residual row, in key order."""
+    return [(divmod(int(key), draft_rows.rows), int(slot))
+            for key, slot in zip(store._keys[:-1], store._where[:-1])]
+
+
+def assert_cached_residuals_bit_equal(store, target_rows, draft_rows):
+    """Every kept residual row equals one built from fresh model rows."""
+    pairs = kept_pairs(store, draft_rows)
+    assert pairs
+    tau = target_rows.tau
+    for (t, d), slot in pairs:
+        p = softmax_with_temperature(
+            target_rows.model.forward(window_of(t, target_rows.width)), tau)
+        q = softmax_with_temperature(draft_rows.model.forward(window_of(d, draft_rows.width)), tau)
         try:
             want = residual_distribution(p, q)
         except DomainError:
             want = p  # no residual mass: the correction is drawn from p
-        assert np.array_equal(probs, want)
-        assert np.array_equal(np.array(cdf), np.cumsum(want))
+        assert np.array_equal(store.probs[slot], want)
+        assert np.array_equal(store.cdf[slot], np.cumsum(want))
 
 
-def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order():
+def assert_lockstep_matches_scalar(target, draft, config, prompts, seed, target_rows=None):
+    """decode_lockstep gives each stream the scalar decoders' tokens and trace."""
+    seeds = [derive_seed(seed, j) for j in range(len(prompts))]
+    if target_rows is None:
+        target_rows = RowTable(target, config.tau)
+    draft_rows = RowTable(draft, config.tau)
+    outs, proposed, accepted, traces = decode_lockstep(
+        target_rows, draft_rows, prompts, config, [make_rng(s) for s in seeds], traces=True)
+    base, base_proposed, base_accepted, base_traces = decode_lockstep(
+        target_rows, None, prompts, config, [make_rng(s) for s in seeds], traces=True)
+    assert base_traces is None
+    assert not base_proposed.any() and not base_accepted.any()
+    for j, prompt in enumerate(prompts):
+        want_out, want_trace = speculative_generate(target, draft, prompt, config,
+                                                    make_rng(seeds[j]))
+        assert outs[j] == want_out
+        assert dump_trace(traces[j]) == dump_trace(want_trace)
+        assert (proposed[j], accepted[j]) == (want_trace.draft_proposed,
+                                              want_trace.draft_accepted)
+        assert base[j] == generate_autoregressive(target, prompt, config, make_rng(seeds[j]))
+    return traces
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("tau", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("block_size", [1, 4])
+def test_lockstep_decoders_equal_the_scalar_decoders(family, tau, block_size):
+    target = oracle_target(2, 400)
+    draft = oracle_draft(family, 410)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [1], [3, 3]] * 3
+    rounds = []
+    for cap in (7, 10, 24):
+        cfg = GenerationConfig(tau=tau, block_size=block_size, max_new_tokens=cap)
+        traces = assert_lockstep_matches_scalar(target, draft, cfg, prompts, seed=420 + cap)
+        rounds += [trace.rounds for trace in traces]
+    if block_size == 4 and tau > 0:
+        # Blocks cut short by an eos proposal, and by a cap that ends mid-block.
+        assert any(len(r.proposed) < 4 and r.proposed[-1] == VOCAB8.eos_id
+                   for stream in rounds for r in stream)
+        assert any(len(stream[-1].proposed) < 4 and stream[-1].proposed[-1] != VOCAB8.eos_id
+                   for stream in rounds)
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_lockstep_decoders_raise_the_scalar_errors(family):
+    # tau=1e-310 turns every row with a non-zero logit into NaNs.
+    target = oracle_target(2, 120)
+    draft = oracle_draft(family, 220)
+    cases = [(1e-310, [[2, 3], [4]]), (1.0, [[2], [3, 9]]), (1.0, [[9, 3]]),
+             (1.0, [[-1]]), (1.0, [[4, -2, 5]])]
+    for tau, prompts in cases:
+        cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=10)
+        for spec in (True, False):
+            with np.errstate(all="ignore"):
+                with pytest.raises((NumericError, DomainError)) as want:
+                    for prompt in prompts:
+                        if spec:
+                            speculative_generate(target, draft, prompt, cfg, make_rng(5))
+                        else:
+                            generate_autoregressive(target, prompt, cfg, make_rng(5))
+                with pytest.raises(type(want.value)) as got:
+                    decode_lockstep(RowTable(target, tau), RowTable(draft, tau) if spec else None,
+                                    prompts, cfg, [make_rng(5) for _ in prompts])
+            assert str(got.value) == str(want.value)
+
+
+def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():
+    target = random_ngram(2, 130)
+    cfg = GenerationConfig(tau=0.5)
+    with pytest.raises(DomainError, match="temperature"):
+        decode_lockstep(RowTable(target, 1.0), None, [[2]], cfg, [make_rng(0)])
+    with pytest.raises(DomainError, match="temperature"):
+        decode_lockstep(RowTable(target, 0.5), RowTable(random_ngram(1, 131), 1.0), [[2]], cfg,
+                        [make_rng(0)])
+    other = random_ngram(1, 132, vocab=Vocab(size=9, bos_id=0, eos_id=1))
+    with pytest.raises(ConfigError, match="vocabulary"):
+        decode_lockstep(RowTable(target, 0.5), RowTable(other, 0.5), [[2]], cfg, [make_rng(0)])
+
+
+def test_row_table_rows_equal_row_sampler_rows(monkeypatch):
+    # Whole n-gram tables, and rows filled lazily from model.forward.
+    models = [random_ngram(2, 140), oracle_draft("neural", 141)]
+    for cap in (4096, 5):
+        monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", cap)
+        for model in models:
+            for tau in (0.0, 0.7):
+                table, sampler = RowTable(model, tau), RowSampler(model, tau)
+                assert table.whole == (cap == 4096 and model is models[0])
+                contexts = [[], [3], [2, 5], [7, 1, 4], [6, 6, 6, 2]]
+                idx = np.array([table.index(c) for c in contexts])
+                slots = table.slots(idx)
+                for context, slot in zip(contexts, slots):
+                    probs, cdf = sampler.row(context)
+                    assert np.array_equal(table.probs[slot], probs)
+                    assert np.array_equal(table.cdf[slot], np.array(cdf))
+                    assert table.ok[slot]
+                assert table.whole or table.kept == min(cap, len(set(idx.tolist())))
+
+
+def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order(residual_stores):
     # Both drafts are order-1 n-grams over one vocabulary, so their residual
-    # keys coincide; a residual cache shared between them would go stale.
+    # keys coincide; each lockstep call keeps its own residual rows, so a
+    # target table shared by both never serves one draft's residuals to the
+    # other. The scalar decoders share a target sampler the same way.
     target = oracle_target(2, 150)
     drafts = [random_ngram(1, 151, scale=1.5), random_ngram(1, 152, scale=1.5)]
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
     prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
     for order in ((0, 1), (1, 0)):
-        target_rows = RowSampler(target, cfg.tau)
-        draft_rows = [RowSampler(draft, cfg.tau) for draft in drafts]
-        for rep in range(2):  # the second pass reads warm residual rows
+        residual_stores.clear()
+        target_rows = RowTable(target, cfg.tau)
+        target_sampler = RowSampler(target, cfg.tau)
+        for rep in range(2):
             for k in order:
+                assert_lockstep_matches_scalar(target, drafts[k], cfg, prompts, 160 + k + 2 * rep,
+                                               target_rows=target_rows)
                 for j, prompt in enumerate(prompts):
                     s = derive_seed(160 + k, rep, j)
                     want_rng, got_rng = make_rng(s), make_rng(s)
                     want = reference_speculative_generate(target, drafts[k], prompt, cfg,
                                                           want_rng)
                     got = speculative_generate(target, drafts[k], prompt, cfg, got_rng,
-                                               target_sampler=target_rows,
-                                               draft_sampler=draft_rows[k])
-                    assert got[0] == want[0]
-                    assert dump_trace(got[1]) == dump_trace(want[1])
+                                               target_sampler=target_sampler)
+                    assert (got[0], dump_trace(got[1])) == (want[0], dump_trace(want[1]))
                     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        shared = set(draft_rows[0].residual_rows(target_rows))
-        assert shared & set(draft_rows[1].residual_rows(target_rows))
-        for rows in draft_rows:
-            assert_cached_residuals_bit_equal(target_rows, rows)
+        spec_stores = residual_stores[::2]  # each baseline call makes an unused store
+        assert len(spec_stores) == 4 and not any(s.kept for s in residual_stores[1::2])
+        firsts = [kept_pairs(store, RowTable(drafts[k], 1.0))
+                  for store, k in zip(spec_stores[:2], order)]
+        assert {pair for pair, _ in firsts[0]} & {pair for pair, _ in firsts[1]}
+        for store, k in zip(spec_stores, order * 2):
+            assert_cached_residuals_bit_equal(store, target_rows, RowTable(drafts[k], 1.0))
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])
-def test_cached_residual_rows_bit_equal_fresh_residuals(family):
+def test_cached_residual_rows_bit_equal_fresh_residuals(family, residual_stores):
     target = oracle_target(2, 170)
     draft = oracle_draft(family, 270)
     for tau in (0.3, 1.0, 2.5):
+        residual_stores.clear()
         cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=24)
-        target_rows, draft_rows = RowSampler(target, tau), RowSampler(draft, tau)
-        for j, prompt in enumerate([[], [2], [5, 3, 7]]):
-            speculative_generate(target, draft, prompt, cfg, make_rng(j),
-                                 target_sampler=target_rows, draft_sampler=draft_rows)
-        assert_cached_residuals_bit_equal(target_rows, draft_rows)
+        target_rows, draft_rows = RowTable(target, tau), RowTable(draft, tau)
+        decode_lockstep(target_rows, draft_rows, [[], [2], [5, 3, 7]] * 3, cfg,
+                        [make_rng(j) for j in range(9)])
+        assert_cached_residuals_bit_equal(residual_stores[0], target_rows, draft_rows)
 
 
-def test_cached_residual_rows_fall_back_to_the_target_row_without_mass():
+def test_cached_residual_rows_fall_back_to_the_target_row_without_mass(residual_stores):
     # Every row of the draft is the target's shifted logits, which round to
     # q >= p everywhere with q > p at token 6, the last one with mass. A
     # uniform of 1 - 2**-53 drafts token 6 and rejects it, and the residual
@@ -589,34 +727,67 @@ def test_cached_residual_rows_fall_back_to_the_target_row_without_mass():
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=6)
     u = 1 - 2**-53
     want = reference_speculative_generate(target, draft, [2, 3], cfg, StubRng(u))
-    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
-    got = speculative_generate(target, draft, [2, 3], cfg, StubRng(u),
-                               target_sampler=target_rows, draft_sampler=draft_rows)
-    assert got[0] == want[0] == [6] * 6
-    assert dump_trace(got[1]) == dump_trace(want[1])
-    assert {(r.accepted_count, r.correction_kind) for r in got[1].rounds} == {(0, "resample")}
-    rows = draft_rows.residual_rows(target_rows)
-    assert list(rows) == [((2, 3), (3,)), ((3, 6), (6,)), ((6, 6), (6,))]
-    assert_cached_residuals_bit_equal(target_rows, draft_rows)
+    assert speculative_generate(target, draft, [2, 3], cfg, StubRng(u))[0] == want[0]
+    target_rows, draft_rows = RowTable(target, 1.0), RowTable(draft, 1.0)
+    outs, _, _, traces = decode_lockstep(target_rows, draft_rows, [[2, 3]], cfg, [StubRng(u)],
+                                         traces=True)
+    assert outs[0] == want[0] == [6] * 6
+    assert dump_trace(traces[0]) == dump_trace(want[1])
+    assert {(r.accepted_count, r.correction_kind) for r in traces[0].rounds} == {(0, "resample")}
+    store = residual_stores[0]
+    assert [pair for pair, _ in kept_pairs(store, draft_rows)] == [(2 * 8 + 3, 3), (3 * 8 + 6, 6),
+                                                                   (6 * 8 + 6, 6)]
+    assert_cached_residuals_bit_equal(store, target_rows, draft_rows)
 
 
-def test_residual_rows_stop_at_the_cap(monkeypatch):
+class ScriptRng:
+    """Generator stand-in that repeats a list of uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = itertools.cycle(uniforms)
+
+    def random(self, out=None):
+        if out is None:
+            return next(self.uniforms)
+        out[...] = [next(self.uniforms) for _ in range(out.size)]
+        return out
+
+
+def test_lockstep_rejects_a_uniform_equal_to_the_ratio():
+    # p = 1/8 and q = 1/4 at every drafted token, so each ratio is exactly
+    # 0.5, and the verifying uniform 0.5 must reject: the test is u < ratio.
+    target = NGramLogitLM.create(VOCAB8, 2)
+    draft = NGramLogitLM.create(VOCAB8, 1)
+    draft.table[:, [0, 1, 6, 7]] = -np.inf
+    cfg = GenerationConfig(tau=1.0, block_size=1, max_new_tokens=6)
+    uniforms = [0.1, 0.5, 0.1]  # draft token 2, reject it, correct to token 0
+    want = reference_speculative_generate(target, draft, [2], cfg, ScriptRng(uniforms))
+    outs, _, _, traces = decode_lockstep(RowTable(target, 1.0), RowTable(draft, 1.0), [[2]], cfg,
+                                         [ScriptRng(uniforms)], traces=True)
+    assert traces[0].rounds[0].accepted_count == 0
+    assert outs[0] == want[0]
+    assert dump_trace(traces[0]) == dump_trace(want[1])
+
+
+def test_residual_rows_stop_at_the_cap(monkeypatch, residual_stores):
+    # A cap of 3 also makes every table fill lazily from model.forward, and
+    # rows past the cap are built again on each lookup.
     monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 3)
     target = oracle_target(2, 180)
-    draft = oracle_draft("ngram", 280)
-    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
-    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
-    assert_decoders_match_oracle(target, draft, cfg, prompts, seed=380)
-    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
-    for j, prompt in enumerate(prompts * 3):
-        s = derive_seed(381, j)
-        want_rng, got_rng = make_rng(s), make_rng(s)
-        want = reference_speculative_generate(target, draft, prompt, cfg, want_rng)
-        got = speculative_generate(target, draft, prompt, cfg, got_rng,
-                                   target_sampler=target_rows, draft_sampler=draft_rows)
-        assert (got[0], dump_trace(got[1])) == (want[0], dump_trace(want[1]))
-    assert len(draft_rows.residual_rows(target_rows)) == 3
-    assert_cached_residuals_bit_equal(target_rows, draft_rows)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]] * 3
+    for family in ("ngram", "neural"):
+        residual_stores.clear()
+        draft = oracle_draft(family, 280)
+        cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
+        assert_decoders_match_oracle(target, draft, cfg, prompts[:4], seed=380)
+        target_rows = RowTable(target, 1.0)
+        assert not target_rows.whole
+        assert_lockstep_matches_scalar(target, draft, cfg, prompts, seed=381,
+                                       target_rows=target_rows)
+        assert target_rows.kept == 3
+        store = residual_stores[0]
+        assert store.kept == 3
+        assert_cached_residuals_bit_equal(store, target_rows, RowTable(draft, 1.0))
 
 
 @pytest.mark.parametrize("prompt", [[3, 9], [9, 3], [-1], [4, -2, 5]])

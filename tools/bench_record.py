@@ -1,0 +1,75 @@
+"""Summarise perfbench result files into one ``BENCH_<label>.json``.
+
+Usage::
+
+    python tools/bench_record.py LABEL [RESULT_DIR]
+
+Reads every ``result-*.json`` that ``perfbench/run.py`` wrote into
+RESULT_DIR (default: ``.perfbench`` at the repository root). The files
+must all come from one git revision. Writes ``BENCH_<LABEL>.json`` at the
+repository root with, per workload:
+
+* ``end_to_end``: the median of each end-to-end metric over the untraced
+  runs, one run per seed;
+* ``per_layer``: the median of each per-layer metric over the traced runs,
+  when there are any;
+* the seeds of the untraced and traced runs and the number of failed
+  checks;
+
+plus the revision, the versions and the machine that the runs shared.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHARED = ("git_rev", "python", "numpy", "speclab", "cpu_model", "nproc")
+
+
+def summarise(label: str, records: list[dict]) -> dict:
+    if not records:
+        raise SystemExit("bench_record: no result-*.json files")
+    shared = {}
+    for key in SHARED:
+        values = {json.dumps(r["meta"][key]) for r in records}
+        if len(values) != 1:
+            raise SystemExit(f"bench_record: results differ in {key}: {sorted(values)}")
+        shared[key] = records[0]["meta"][key]
+    workloads = {}
+    for name in sorted({r["meta"]["workload"] for r in records}):
+        runs = [r for r in records if r["meta"]["workload"] == name]
+        plain = [r for r in runs if not r["meta"]["trace"]]
+        traced = [r for r in runs if r["meta"]["trace"]]
+        entry = {
+            "seeds": sorted(r["meta"]["seed"] for r in plain),
+            "traced_seeds": sorted(r["meta"]["seed"] for r in traced),
+            "failed": sum(len(r["checks"]["failures"]) for r in runs),
+            "end_to_end": {k: statistics.median(r["end_to_end"][k] for r in plain)
+                           for k in (plain[0]["end_to_end"] if plain else ())},
+        }
+        if traced:
+            entry["per_layer"] = {k: statistics.median(r["per_layer"][k] for r in traced)
+                                  for k in traced[0]["per_layer"]}
+        workloads[name] = entry
+    return {"label": label, **shared, "workloads": workloads}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    label = argv[0]
+    result_dir = Path(argv[1]) if len(argv) == 2 else ROOT / ".perfbench"
+    records = [json.loads(p.read_text()) for p in sorted(result_dir.glob("result-*.json"))]
+    out = ROOT / f"BENCH_{label}.json"
+    out.write_text(json.dumps(summarise(label, records), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
