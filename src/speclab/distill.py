@@ -75,6 +75,8 @@ class Pair:
             raise DomainError(f"unknown pair source '{self.source}'")
         if not self.response:
             raise DomainError("pair response must be non-empty")
+        if not (math.isfinite(self.tau_gen) and self.tau_gen >= 0):
+            raise DomainError(f"pair tau must be finite and >= 0, got {self.tau_gen}")
 
 
 Dataset = list[Pair]

@@ -10,9 +10,12 @@ CDF is already computed (:func:`cdf_row`), such as those a
 :class:`RowSampler` caches for each context it is asked for. ``sample``
 calls ``draw``, so for the same distribution both give the same token,
 consume exactly one uniform, and raise the same :class:`NumericError`
-before drawing. Decoding and dataset generation read their rows from
-samplers; teacher pretraining does the same search inline on the
-chain's own CDF table.
+before drawing. Samplers serve only
+:func:`~speclab.specdec.generate_autoregressive`, the one-prompt decoder
+of dataset generation, held-out rollouts and on-policy training. The
+lockstep decoder reads :class:`~speclab.specdec.RowTable` rows, and
+teacher pretraining does the same search inline on the chain's own CDF
+table.
 
 A sampler keys its rows by the model's ``context_key``: the window of
 tokens the model reads, as a plain tuple that is not validated. The
@@ -39,9 +42,9 @@ STREAM_HELDOUT = 5
 
 _MASK64 = (1 << 64) - 1
 
-# Rows one RowSampler, or one table or residual store of the lockstep
-# decoder, keeps: above the canonical target's 1,024 contexts, and at
-# about 0.6 KB a row (vocabulary 32) some 2.5 MB each.
+# Rows one RowSampler, or one RowTable of the lockstep decoder, keeps:
+# above the canonical target's 1,024 contexts, and at about 0.6 KB a row
+# (vocabulary 32) some 2.5 MB each.
 MAX_CACHED_ROWS = 4096
 
 

@@ -11,25 +11,24 @@ lossless: the emitted sequence is distributed exactly as if the target
 had been sampled token by token (Leviathan et al. 2023, arXiv
 2211.17192).
 
-Two decoders apply the rule. :func:`speculative_generate` decodes one
-prompt, reading both models' distributions from
-:class:`~speclab.sampling.RowSampler` rows, computed once per context,
-and building a correction's residual when a rejection needs one; with
-:func:`generate_autoregressive` it is the single-sequence API and the
-oracle of the tests. :func:`decode_lockstep` decodes many prompts at
-once, with the tokens and trace the one-prompt decoders give each of
-them: every prompt is a stream with its own generator, each stream
+One loop applies the rule. :func:`decode_lockstep` decodes many prompts
+at once: every prompt is a stream with its own generator, each stream
 carries the window index of its rows in each model's :class:`RowTable`,
 and every draw, acceptance test and commit is one array operation over
-the streams still decoding. Its residual rows are kept per (target row,
-draft row) pair for one call. With no draft it is the autoregressive
-baseline, in the same loop.
+the streams still decoding. A rejection's correction is drawn from the
+residual of the two rows it met. With no draft the loop is the
+autoregressive baseline. :func:`speculative_generate` is its one-stream
+form. :func:`generate_autoregressive` samples one prompt token by token
+from :class:`~speclab.sampling.RowSampler` rows, for training code that
+draws one response at a time. :func:`verify_block` applies the rule to
+one block of explicit distributions.
 
 Randomness contract: a single generator drives one generation. Each
 round consumes, in order, one draw per proposed token (draft sampling),
 one uniform per verified position, and one draw for the correction
 sample when a correction is drawn. Replaying with the same seed
-reproduces the trace exactly, in either decoder.
+reproduces the trace exactly, and a decode leaves the generator where
+those draws leave it.
 """
 
 from __future__ import annotations
@@ -171,24 +170,20 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
     return m, draw(cdf_row(target_dists[m]), rng), "bonus"
 
 
-def _sampler(model, tau: float, sampler: RowSampler | None) -> RowSampler:
-    if sampler is None:
-        return RowSampler(model, tau)
-    if sampler.model is not model or sampler.tau != tau:
-        raise DomainError("sampler holds rows of another model or temperature")
-    return sampler
-
-
 def generate_autoregressive(model, prompt, config: GenerationConfig, rng,
                             *, sampler: RowSampler | None = None) -> list[int]:
-    """Plain temperature sampling from one model; the timing baseline.
+    """Plain temperature sampling from one model, one token at a time.
 
     Returns the continuation only. The end-of-sequence token, when
     drawn, is included as the final element. Rows come from ``sampler``,
     a :class:`RowSampler` of ``model`` at ``config.tau``, or from a new
     one for this call; each token is one :func:`draw`.
     """
-    row = _sampler(model, config.tau, sampler).row
+    if sampler is None:
+        sampler = RowSampler(model, config.tau)
+    elif sampler.model is not model or sampler.tau != config.tau:
+        raise DomainError("sampler holds rows of another model or temperature")
+    row = sampler.row
     eos = model.vocab.eos_id
     seq = list(prompt)
     out: list[int] = []
@@ -201,110 +196,88 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng,
     return out
 
 
-def speculative_generate(target, draft, prompt, config: GenerationConfig, rng, *,
-                         target_sampler: RowSampler | None = None,
-                         draft_sampler: RowSampler | None = None):
-    """Draft-verify decoding of one continuation.
+def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
+    """Draft-verify decoding of one continuation: :func:`decode_lockstep` on one stream.
 
     Returns ``(tokens, trace)``. The token stream is distributed exactly
     as :func:`generate_autoregressive` run on the target alone; the
-    trace records every verification round.
-
-    Both models' rows come from :class:`RowSampler` s at ``config.tau``,
-    the given ones or new ones for this call, so a caller decoding many
-    prompts from read-only models computes each context's row once. The
-    target's row at a position is its per-context softmax. For an n-gram
-    target that is bit-equal to the row of a batched forward over the
-    block; a tiny-neural target's batched forward differs from its
-    per-context one by ~2e-17, but no configuration decodes with a
-    neural target: teachers are pretrained n-gram tables.
+    trace records every verification round. Both models' rows come from
+    new :class:`RowTable` s at ``config.tau``.
     """
-    if target.vocab != draft.vocab:
-        raise ConfigError("target and draft must share a vocabulary")
-    target_rows = _sampler(target, config.tau, target_sampler)
-    draft_rows = _sampler(draft, config.tau, draft_sampler)
-    p_row, q_row = target_rows.row, draft_rows.row
-    eos = target.vocab.eos_id
-    cap = config.max_new_tokens
-    out: list[int] = []
-    trace = SpeculationTrace()
-    seq = list(prompt)
-    while len(out) < cap:
-        base = len(seq)
-        # Draft proposes up to block_size tokens, stopping if it emits eos.
-        proposed: list[int] = []
-        draft_dists: list[np.ndarray] = []
-        for _ in range(min(config.block_size, cap - len(out))):
-            q = q_row(seq)
-            tok = draw(q, rng)
-            proposed.append(tok)
-            draft_dists.append(q[0])
-            seq.append(tok)
-            if tok == eos:
-                break
-        m = len(proposed)
-        # Target rows at the block prefixes, plus the position after the
-        # block (the bonus position) unless the block ends at eos: an
-        # accepted final eos ends the generation.
-        n_rows = m if proposed[-1] == eos else m + 1
-        p_rows = [p_row(seq, end) for end in range(base, base + n_rows)]
-        accepted, correction, kind = verify_block([r[0] for r in p_rows], draft_dists,
-                                                  proposed, rng)
-        trace.record(RoundRecord(proposed, accepted, correction, kind))
-        committed = proposed[:accepted]
-        if correction is not None:
-            committed.append(correction)
-        del seq[base:]
-        stop = False
-        for tok in committed:
-            if len(out) == cap:
-                break
-            out.append(tok)
-            seq.append(tok)
-            if tok == eos:
-                stop = True
-                break
-        if stop:
-            break
-    return out, trace
+    outs, _, _, traces = decode_lockstep(RowTable(target, config.tau),
+                                         RowTable(draft, config.tau), [prompt], config, [rng],
+                                         traces=True)
+    return outs[0], traces[0]
 
 
-class RowStore:
-    """Probability rows, their CDFs and :func:`draw`'s total check, by integer key.
+class RowTable:
+    """Tau-scaled next-token rows of one read-only model and their CDFs, by window index.
 
-    ``probs``, ``cdf`` and ``ok`` hold one row per slot, and :meth:`lookup`
-    maps keys to slots. The first :data:`~speclab.sampling.MAX_CACHED_ROWS`
-    keys looked up keep their rows. The row of a later key is built again
-    on every lookup, into a slot past the kept ones that stays valid only
-    until the next lookup.
+    The index of a context encodes the bos-padded window of the last
+    ``width`` tokens the model reads, most recent token last, as
+    :meth:`~speclab.lm.NGramLogitLM.context_index` does; appending token
+    ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row equals the
+    :class:`~speclab.sampling.RowSampler` row of any context with that
+    window. ``probs``, ``cdf`` and ``ok`` hold, per slot, a row, its CDF
+    and whether its total passes :func:`draw`'s check.
+
+    An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
+    table at once from :func:`softmax_rows_with_temperature`, and a row's
+    slot is its index. Any other model (a tiny-neural draft, an order-3
+    n-gram) gets the row of each index from ``model.forward`` on its first
+    lookup. The first ``MAX_CACHED_ROWS`` indices looked up keep their
+    rows; the row of a later index is built again on every lookup, into a
+    slot past the kept ones that stays valid only until the next lookup.
+    A tiny-neural row is its per-context forward, which differs from its
+    batched forward by ~2e-17; no configuration decodes with a neural
+    target, since teachers are pretrained n-gram tables.
     """
 
-    def __init__(self, width: int):
-        # Kept keys in sorted order, ending at a sentinel no key reaches.
-        self._keys = np.array([np.iinfo(np.int64).max])
-        self._where = np.array([-1])
-        self.kept = 0
-        self.probs = np.empty((0, width))
-        self.cdf = np.empty((0, width))
-        self.ok = np.empty(0, dtype=bool)
+    def __init__(self, model, tau: float):
+        self.model = model
+        self.tau = tau
+        self.size = model.vocab.size
+        self.width = len(model.context_key(()))
+        self.rows = self.size ** self.width
+        if self.rows * self.size > np.iinfo(np.int64).max:
+            raise DomainError(f"a window of {self.width} tokens over {self.size} "
+                              "has too many rows to index")
+        self.whole = isinstance(model, NGramLogitLM) and self.rows <= sampling.MAX_CACHED_ROWS
+        if self.whole:
+            self.probs = softmax_rows_with_temperature(model.table, tau)
+        else:
+            # Kept indices in sorted order, ending at a sentinel no index reaches.
+            self._keys = np.array([self.rows])
+            self._where = np.array([-1])
+            self.kept = 0
+            self.probs = np.empty((0, self.size))
+        self.cdf = np.cumsum(self.probs, axis=1)
+        self.ok = _sums_to_one(self.cdf)
 
-    def lookup(self, keys: np.ndarray, build) -> np.ndarray:
-        """Slots of ``keys``; ``build(picks)`` gives the rows of ``keys[picks]``."""
-        pos = np.searchsorted(self._keys, keys)
+    def index(self, context) -> int:
+        """Window index after ``context``, validating the tokens the model reads."""
+        idx = 0
+        for t in self.model.context_key(context):
+            idx = idx * self.size + _check_token(t, self.size)
+        return idx
+
+    def slots(self, idx: np.ndarray) -> np.ndarray:
+        """Slots of the rows at window indices ``idx``."""
+        if self.whole:
+            return idx
+        pos = np.searchsorted(self._keys, idx)
         slots = self._where[pos]
-        miss = self._keys[pos] != keys
+        miss = self._keys[pos] != idx
         if not miss.any():
             return slots
-        picks = np.flatnonzero(miss)
-        new, first, inverse = np.unique(keys[picks], return_index=True, return_inverse=True)
+        new, inverse = np.unique(idx[miss], return_inverse=True)
         start, end = self.kept, self.kept + len(new)
-        if end > len(self.ok):
-            self._grow(max(end, 2 * len(self.ok)))
-        probs = self.probs[start:end]
-        probs[...] = build(picks[first])
-        np.cumsum(probs, axis=1, out=self.cdf[start:end])
-        self.ok[start:end] = np.abs(self.cdf[start:end, -1] - 1.0) <= 1e-9
-        slots[picks] = start + inverse
+        if end > len(self.probs):
+            self._grow(max(end, 2 * len(self.probs)))
+        self.probs[start:end] = self._forward(new)
+        np.cumsum(self.probs[start:end], axis=1, out=self.cdf[start:end])
+        self.ok[start:end] = _sums_to_one(self.cdf[start:end])
+        slots[miss] = start + inverse
         keep = min(len(new), sampling.MAX_CACHED_ROWS - self.kept)
         if keep > 0:
             at = np.searchsorted(self._keys, new[:keep])
@@ -319,53 +292,6 @@ class RowStore:
             new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
             new[: self.kept] = old[: self.kept]
             setattr(self, name, new)
-
-
-class RowTable(RowStore):
-    """Tau-scaled next-token rows of one read-only model, by window index.
-
-    The index of a context encodes the bos-padded window of the last
-    ``width`` tokens the model reads, most recent token last, as
-    :meth:`~speclab.lm.NGramLogitLM.context_index` does; appending token
-    ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row equals the
-    :class:`~speclab.sampling.RowSampler` row of any context with that
-    window.
-
-    An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
-    table at once from :func:`softmax_rows_with_temperature`, and a row's
-    slot is its index. Any other model (a tiny-neural draft, an order-3
-    n-gram) gets the row of each index from ``model.forward`` on its first
-    lookup, kept up to the cap as in :class:`RowStore`.
-    """
-
-    def __init__(self, model, tau: float):
-        super().__init__(model.vocab.size)
-        self.model = model
-        self.tau = tau
-        self.size = model.vocab.size
-        self.width = len(model.context_key(()))
-        self.rows = self.size ** self.width
-        if self.rows * self.size > np.iinfo(np.int64).max:
-            raise DomainError(f"a window of {self.width} tokens over {self.size} "
-                              "has too many rows to index")
-        self.whole = isinstance(model, NGramLogitLM) and self.rows <= sampling.MAX_CACHED_ROWS
-        if self.whole:
-            self.probs = softmax_rows_with_temperature(model.table, tau)
-            self.cdf = np.cumsum(self.probs, axis=1)
-            self.ok = np.abs(self.cdf[:, -1] - 1.0) <= 1e-9
-
-    def index(self, context) -> int:
-        """Window index after ``context``, validating the tokens the model reads."""
-        idx = 0
-        for t in self.model.context_key(context):
-            idx = idx * self.size + _check_token(t, self.size)
-        return idx
-
-    def slots(self, idx: np.ndarray) -> np.ndarray:
-        """Slots of the rows at window indices ``idx``."""
-        if self.whole:
-            return idx
-        return self.lookup(idx, lambda picks: self._forward(idx[picks]))
 
     def _forward(self, idx: np.ndarray) -> np.ndarray:
         powers = self.size ** np.arange(self.width - 1, -1, -1)
@@ -382,8 +308,9 @@ class _Uniforms:
     """Each stream's uniforms in its generator's order, drawn a chunk at a time.
 
     ``Generator.random(out=row)`` fills a row with the values that as many
-    ``random()`` calls return, so a stream reads exactly the uniforms the
-    scalar decoders would.
+    ``random()`` calls return, so a stream reads exactly the uniforms that
+    token-by-token decoding would, and :meth:`rewind` leaves its generator
+    where those calls would.
     """
 
     def __init__(self, rngs):
@@ -401,19 +328,39 @@ class _Uniforms:
         self.used[streams] = used + 1
         return self.buf[streams, used]
 
+    def rewind(self) -> None:
+        """Hand each stream's drawn but unread uniforms back to its generator.
 
-def _draw_slots(rows: RowStore, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`draw` from row ``slots[i]`` of ``rows`` with uniform ``u[i]``, for every i."""
-    ok = rows.ok[slots]
+        A uniform is one 64-bit output of :func:`~speclab.sampling.make_rng`'s
+        PCG64, and ``advance`` moves it by outputs, backwards when negative.
+        """
+        for s in np.flatnonzero(self.used < _UNIFORM_CHUNK):
+            self.rngs[s].bit_generator.advance(int(self.used[s]) - _UNIFORM_CHUNK)
+
+
+def _sums_to_one(cdf: np.ndarray) -> np.ndarray:
+    """:func:`draw`'s total check on each CDF row."""
+    return np.abs(cdf[:, -1] - 1.0) <= 1e-9
+
+
+def _draw_slots(probs: np.ndarray, cdf: np.ndarray, ok: np.ndarray, slots: np.ndarray,
+                uniforms: _Uniforms, streams: np.ndarray) -> np.ndarray:
+    """:func:`draw` from row ``slots[i]`` of ``probs`` with the next uniform of ``streams[i]``.
+
+    ``cdf`` and ``ok`` hold the rows' CDFs and total checks. As in
+    :func:`draw`, the rows are checked before any uniform is taken.
+    """
+    ok = ok[slots]
     if not ok.all():
-        total = float(rows.cdf[slots[ok.argmin()], -1])
+        total = float(cdf[slots[ok.argmin()], -1])
         raise NumericError(f"cannot sample: distribution total is {total}, not 1")
-    tok = (rows.cdf[slots] <= u[:, None]).sum(axis=1)
-    for i in np.flatnonzero(tok == rows.cdf.shape[1]):
+    rows = cdf[slots]
+    tok = (rows <= uniforms.take(streams)[:, None]).sum(axis=1)
+    for i in (tok == rows.shape[1]).nonzero()[0]:
         # Past a CDF that ends below 1: the last token with mass, as draw.
-        probs = rows.probs[slots[i]]
-        t = len(probs) - 1
-        while t > 0 and probs[t] <= 0.0:
+        row = probs[slots[i]]
+        t = len(row) - 1
+        while t > 0 and row[t] <= 0.0:
             t -= 1
         tok[i] = t
     return tok
@@ -433,19 +380,21 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     """Decode every prompt as one stream, all streams a round at a time.
 
     Stream ``i`` decodes ``prompts[i]`` with generator ``rngs[i]`` and
-    emits the tokens and trace that :func:`speculative_generate` would
-    with that generator, or with ``draft=None`` what
-    :func:`generate_autoregressive` would. It draws the same uniforms in
-    the same order: a round is a block of zero proposals and a bonus
-    token. Rows come from the tables, which must hold ``config.tau``;
-    correction rows are residuals built once per (target row, draft row)
-    pair that a rejection meets, kept as in :class:`RowStore` for this
-    call. Each stream carries its window indices into both tables, and
-    every draw, acceptance test and commit is one array operation over
-    the streams still decoding.
+    emits the tokens and trace of draft-verify decoding with that
+    generator, or with ``draft=None`` what :func:`generate_autoregressive`
+    would. It reads the same uniforms in the same order: a round is a
+    block of zero proposals and a bonus token. Rows come from the tables,
+    which must hold ``config.tau``; a rejection's correction row is the
+    residual of its target and draft rows, built for that draw. Each
+    stream carries its window indices into both tables, and every draw,
+    acceptance test and commit is one array operation over the streams
+    still decoding.
 
     Prompt tokens are validated up front, stream by stream, draft window
     first; the first error raised is that of the first failing stream.
+    A draw checks its rows before it reads any stream's uniform. On
+    return, or on an error, each generator has advanced by exactly the
+    uniforms its stream read.
 
     Returns ``(tokens, proposed, accepted, traces)``: one token list and
     one count of proposed and of accepted draft tokens per stream, and
@@ -457,8 +406,6 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
         raise DomainError("row table holds rows of another temperature")
     if draft is not None and draft.model.vocab != target.model.vocab:
         raise ConfigError("target and draft must share a vocabulary")
-    if draft is not None and target.rows * draft.rows > np.iinfo(np.int64).max:
-        raise DomainError("too many (target row, draft row) pairs to index")
     n = len(prompts)
     starts = np.array([[t.index(p) for t in tables] for p in prompts],
                       dtype=np.int64).reshape(n, len(tables))
@@ -469,7 +416,6 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     cap = config.max_new_tokens
     block = 0 if draft is None else config.block_size
     uniforms = _Uniforms(rngs)
-    residuals = RowStore(size)
     out = np.empty((n, cap), dtype=np.int64)
     n_out = np.zeros(n, dtype=np.int64)
     proposed = np.zeros(n, dtype=np.int64)
@@ -477,81 +423,80 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     records = [[] for _ in range(n)] if traces and draft is not None else None
     cols = np.arange(block + 1)
     live = np.arange(n)
-    while live.size:
-        loc = np.arange(len(live))
-        room = cap - n_out[live]
-        # Window indices at block positions 0..m; a last token column takes the correction.
-        t_at = np.empty((len(live), block + 1), dtype=np.int64)
-        d_at = np.empty_like(t_at)
-        t_at[:, 0] = ti[live]
-        d_at[:, 0] = di[live]
-        tokens = np.zeros((len(live), block + 1), dtype=np.int64)
-        q_x = np.empty((len(live), block))
-        m = np.zeros(len(live), dtype=np.int64)
-        go = loc
-        for j in range(block):
-            go = go[room[go] > j]
-            if not go.size:
-                break
-            slots = draft.slots(d_at[go, j])
-            tok = _draw_slots(draft, slots, uniforms.take(live[go]))
-            tokens[go, j] = tok
-            q_x[go, j] = draft.probs[slots, tok]
-            m[go] = j + 1
-            d_at[go, j + 1] = (d_at[go, j] * size + tok) % draft.rows
-            t_at[go, j + 1] = (t_at[go, j] * size + tok) % target.rows
-            go = go[tok != eos]
-        # Target rows at the block prefixes, plus the bonus position unless
-        # the block ends at eos.
-        ends_eos = (m > 0) & (tokens[loc, np.maximum(m - 1, 0)] == eos)
-        at = cols < (m + ~ends_eos)[:, None]
-        t_slot = np.zeros_like(t_at)
-        t_slot[at] = target.slots(t_at[at])
-        acc = np.zeros(len(live), dtype=np.int64)
-        go = loc
-        for i in range(block):
-            go = go[m[go] > i]
-            if not go.size:
-                break
-            ratio = target.probs[t_slot[go, i], tokens[go, i]] / q_x[go, i]
-            go = go[uniforms.take(live[go]) < np.minimum(ratio, 1.0)]
-            acc[go] += 1
-        corr = np.full(len(live), -1, dtype=np.int64)
-        bonus = loc[(acc == m) & ~ends_eos]
-        if bonus.size:
-            corr[bonus] = _draw_slots(target, t_slot[bonus, m[bonus]],
-                                      uniforms.take(live[bonus]))
-        rej = loc[acc < m]
-        if rej.size:
-            p_slot = t_slot[rej, acc[rej]]
-            d_rej = d_at[rej, acc[rej]]
-
-            def residual(picks):
-                p = target.probs[p_slot[picks]]
-                q = draft.slots(d_rej[picks])  # may move draft.probs: read it after
-                return _residual_rows(p, draft.probs[q])
-
-            slots = residuals.lookup(t_at[rej, acc[rej]] * draft.rows + d_rej, residual)
-            corr[rej] = _draw_slots(residuals, slots, uniforms.take(live[rej]))
-        if records is not None:
-            for s, toks, mm, a, c in zip(live.tolist(), tokens.tolist(), m.tolist(),
-                                         acc.tolist(), corr.tolist()):
-                kind = "resample" if a < mm else "bonus" if c >= 0 else None
-                records[s].append(RoundRecord(toks[:mm], a, c if c >= 0 else None, kind))
-        proposed[live] += m
-        accepted[live] += acc
-        has = corr >= 0
-        tokens[loc[has], acc[has]] = corr[has]
-        commit = np.minimum(acc + has, room)
-        r, c = np.nonzero(cols < commit[:, None])
-        out[live[r], n_out[live[r]] + c] = tokens[r, c]
-        n_out[live] += commit
-        go = loc[has & (corr != eos) & (commit < room)]
-        a, c = acc[go], corr[go]
-        ti[live[go]] = (t_at[go, a] * size + c) % target.rows
-        if draft is not None:
-            di[live[go]] = (d_at[go, a] * size + c) % draft.rows
-        live = live[go]
+    try:
+        while live.size:
+            loc = np.arange(len(live))
+            room = cap - n_out[live]
+            # Window indices at block positions 0..m; a last token column takes the correction.
+            t_at = np.empty((len(live), block + 1), dtype=np.int64)
+            d_at = np.empty_like(t_at)
+            t_at[:, 0] = ti[live]
+            d_at[:, 0] = di[live]
+            tokens = np.zeros((len(live), block + 1), dtype=np.int64)
+            q_x = np.empty((len(live), block))
+            m = np.zeros(len(live), dtype=np.int64)
+            go = loc
+            for j in range(block):
+                go = go[room[go] > j]
+                if not go.size:
+                    break
+                slots = draft.slots(d_at[go, j])
+                tok = _draw_slots(draft.probs, draft.cdf, draft.ok, slots, uniforms, live[go])
+                tokens[go, j] = tok
+                q_x[go, j] = draft.probs[slots, tok]
+                m[go] = j + 1
+                d_at[go, j + 1] = (d_at[go, j] * size + tok) % draft.rows
+                t_at[go, j + 1] = (t_at[go, j] * size + tok) % target.rows
+                go = go[tok != eos]
+            # Target rows at the block prefixes, plus the bonus position unless
+            # the block ends at eos.
+            ends_eos = (m > 0) & (tokens[loc, np.maximum(m - 1, 0)] == eos)
+            at = cols < (m + ~ends_eos)[:, None]
+            t_slot = np.zeros_like(t_at)
+            t_slot[at] = target.slots(t_at[at])
+            acc = np.zeros(len(live), dtype=np.int64)
+            go = loc
+            for i in range(block):
+                go = go[m[go] > i]
+                if not go.size:
+                    break
+                ratio = target.probs[t_slot[go, i], tokens[go, i]] / q_x[go, i]
+                go = go[uniforms.take(live[go]) < np.minimum(ratio, 1.0)]
+                acc[go] += 1
+            corr = np.full(len(live), -1, dtype=np.int64)
+            bonus = loc[(acc == m) & ~ends_eos]
+            if bonus.size:
+                corr[bonus] = _draw_slots(target.probs, target.cdf, target.ok,
+                                          t_slot[bonus, m[bonus]], uniforms, live[bonus])
+            rej = loc[acc < m]
+            if rej.size:
+                p = target.probs[t_slot[rej, acc[rej]]]
+                q_slot = draft.slots(d_at[rej, acc[rej]])  # may move draft.probs: read it after
+                res = _residual_rows(p, draft.probs[q_slot])
+                cdf = np.cumsum(res, axis=1)
+                corr[rej] = _draw_slots(res, cdf, _sums_to_one(cdf), np.arange(rej.size),
+                                        uniforms, live[rej])
+            if records is not None:
+                for s, toks, mm, a, c in zip(live.tolist(), tokens.tolist(), m.tolist(),
+                                             acc.tolist(), corr.tolist()):
+                    kind = "resample" if a < mm else "bonus" if c >= 0 else None
+                    records[s].append(RoundRecord(toks[:mm], a, c if c >= 0 else None, kind))
+            proposed[live] += m
+            accepted[live] += acc
+            has = corr >= 0
+            tokens[loc[has], acc[has]] = corr[has]
+            commit = np.minimum(acc + has, room)
+            r, c = np.nonzero(cols < commit[:, None])
+            out[live[r], n_out[live[r]] + c] = tokens[r, c]
+            n_out[live] += commit
+            go = loc[has & (corr != eos) & (commit < room)]
+            a, c = acc[go], corr[go]
+            ti[live[go]] = (t_at[go, a] * size + c) % target.rows
+            if draft is not None:
+                di[live[go]] = (d_at[go, a] * size + c) % draft.rows
+            live = live[go]
+    finally:
+        uniforms.rewind()
     outs = [out[s, : n_out[s]].tolist() for s in range(n)]
     if records is None:
         return outs, proposed, accepted, None
@@ -581,24 +526,34 @@ def dump_trace(trace: SpeculationTrace) -> str:
 
 
 def parse_trace(text: str) -> SpeculationTrace:
-    """Inverse of :func:`dump_trace`; validates the line structure."""
+    """Inverse of :func:`dump_trace`; a malformed line raises :class:`DomainError` naming it."""
     trace = SpeculationTrace()
     for lineno, line in enumerate(text.splitlines()):
-        fields = dict(part.split("=", 1) for part in line.split())
+        where = f"trace line {lineno}"
+        parts = [part.split("=", 1) for part in line.split()]
+        if any(len(part) != 2 for part in parts):
+            raise DomainError(f"{where}: a field without '='")
+        fields = dict(parts)
         if set(fields) != {"round", "proposed", "accepted", "correction", "kind"}:
-            raise DomainError(f"trace line {lineno}: unexpected fields")
-        if int(fields["round"]) != lineno:
-            raise DomainError(f"trace line {lineno}: round index {fields['round']}")
-        proposed = [int(t) for t in fields["proposed"].split(",") if t != ""]
-        correction = None if fields["correction"] == "none" else int(fields["correction"])
+            raise DomainError(f"{where}: unexpected fields")
+        try:
+            index, accepted = int(fields["round"]), int(fields["accepted"])
+            proposed = [int(t) for t in fields["proposed"].split(",") if t != ""]
+            correction = None if fields["correction"] == "none" else int(fields["correction"])
+        except ValueError as exc:
+            raise DomainError(f"{where}: {exc}") from exc
+        if index != lineno:
+            raise DomainError(f"{where}: round index {fields['round']}")
+        if not 0 <= accepted <= len(proposed):
+            raise DomainError(f"{where}: accepted {accepted} of {len(proposed)} proposed")
         kind = fields["kind"]
         if kind == "eos":
             rec_kind = None
         elif kind in ("resample", "bonus"):
             rec_kind = kind
         else:
-            raise DomainError(f"trace line {lineno}: unknown kind '{kind}'")
+            raise DomainError(f"{where}: unknown kind '{kind}'")
         if rec_kind is None and correction is not None:
-            raise DomainError(f"trace line {lineno}: eos round carries a correction")
-        trace.record(RoundRecord(proposed, int(fields["accepted"]), correction, rec_kind))
+            raise DomainError(f"{where}: eos round carries a correction")
+        trace.record(RoundRecord(proposed, accepted, correction, rec_kind))
     return trace

@@ -414,6 +414,15 @@ def test_dataset_load_rejects_malformed_lines_naming_path_and_line(tmp_path, lin
         load_dataset(path)
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "-0.5"])
+def test_dataset_load_rejects_a_bad_tau_naming_path_and_line(tmp_path, tau):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"tau=1.0 src=teacher prompt= response=3\ntau={tau} src=teacher prompt=2 "
+                    "response=3\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 2: ") + ".*tau"):
+        load_dataset(path)
+
+
 def test_train_log_rows_format():
     from speclab.distill import TrainStep
 

@@ -17,12 +17,12 @@ from speclab.specdec import (
     _residual_rows,
     decode_lockstep,
     dump_trace,
-    generate_autoregressive,
     induced_distribution,
     residual_distribution,
-    speculative_generate,
     verify_block,
 )
+
+from test_specdec import reference_generate_autoregressive, reference_speculative_generate
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -192,13 +192,17 @@ def test_lockstep_decoders_equal_the_scalar_decoders_on_random_tables(data):
                                  min_size=1, max_size=5))
     seeds = list(range(len(prompts)))
     target_rows = RowTable(target, config.tau)
+    rngs, base_rngs = [make_rng(s) for s in seeds], [make_rng(s) for s in seeds]
     outs, proposed, accepted, traces = decode_lockstep(
-        target_rows, RowTable(draft, config.tau), prompts, config,
-        [make_rng(s) for s in seeds], traces=True)
-    base = decode_lockstep(target_rows, None, prompts, config, [make_rng(s) for s in seeds])[0]
+        target_rows, RowTable(draft, config.tau), prompts, config, rngs, traces=True)
+    base = decode_lockstep(target_rows, None, prompts, config, base_rngs)[0]
     for j, prompt in enumerate(prompts):
-        out, trace = speculative_generate(target, draft, prompt, config, make_rng(seeds[j]))
+        want_rng = make_rng(seeds[j])
+        out, trace = reference_speculative_generate(target, draft, prompt, config, want_rng)
         assert outs[j] == out
         assert dump_trace(traces[j]) == dump_trace(trace)
         assert (proposed[j], accepted[j]) == (trace.draft_proposed, trace.draft_accepted)
-        assert base[j] == generate_autoregressive(target, prompt, config, make_rng(seeds[j]))
+        assert rngs[j].bit_generator.state == want_rng.bit_generator.state
+        want_rng = make_rng(seeds[j])
+        assert base[j] == reference_generate_autoregressive(target, prompt, config, want_rng)
+        assert base_rngs[j].bit_generator.state == want_rng.bit_generator.state

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,10 +225,9 @@ def test_speculative_single_token_marginals_are_lossless():
     for tau in (0.5, 2.0):
         p = softmax_with_temperature(target.forward(prompt), tau)
         cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=1)
-        counts = np.zeros(8)
-        for i in range(n):
-            out, _ = speculative_generate(target, draft, prompt, cfg, make_rng(derive_seed(72, i)))
-            counts[out[0]] += 1
+        outs = decode_lockstep(RowTable(target, tau), RowTable(draft, tau), [prompt] * n, cfg,
+                               [make_rng(derive_seed(72, i)) for i in range(n)])[0]
+        counts = np.bincount([out[0] for out in outs], minlength=8)
         freq = counts / n
         sigma = np.sqrt(np.maximum(p * (1 - p) / n, 1e-12))
         assert np.all(np.abs(freq - p) < 3.5 * sigma)
@@ -244,15 +244,22 @@ def test_speculative_stream_marginals_match_target_softmax():
     tau = 1.0
     p = softmax_with_temperature(np.asarray(row), tau)
     cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=64)
+    tables = RowTable(target, tau), RowTable(draft, tau)
     counts = np.zeros(8)
     total = 0
     gen = 0
     while total < 200_000:
-        out, _ = speculative_generate(target, draft, [3], cfg, make_rng(derive_seed(75, gen)))
-        for t in out:
-            counts[t] += 1
-        total += len(out)
-        gen += 1
+        # Generations gen, gen + 1, ... in one call, counted in order until
+        # the total is reached.
+        batch = range(gen, gen + 4096)
+        outs = decode_lockstep(*tables, [[3]] * len(batch), cfg,
+                               [make_rng(derive_seed(75, g)) for g in batch])[0]
+        for out in outs:
+            if total >= 200_000:
+                break
+            counts += np.bincount(out, minlength=8)
+            total += len(out)
+            gen += 1
     freq = counts / total
     sigma = np.sqrt(p * (1 - p) / total)
     assert np.all(np.abs(freq - p) < 3 * sigma)
@@ -317,6 +324,21 @@ def test_parse_trace_rejects_malformed_lines():
         parse_trace("round=0 proposed=1 accepted=1 correction=none kind=mystery\n")
 
 
+@pytest.mark.parametrize("line", [
+    "round=1 proposed=2 accepted 1 correction=none kind=eos",
+    "round=x proposed=2 accepted=1 correction=none kind=eos",
+    "round=1 proposed=2 accepted=x correction=none kind=eos",
+    "round=1 proposed=2 accepted=0 correction=y kind=resample",
+    "round=1 proposed=2,z accepted=0 correction=4 kind=resample",
+    "round=1 proposed=2 accepted=2 correction=none kind=eos",
+    "round=1 proposed=2 accepted=-1 correction=4 kind=resample",
+])
+def test_parse_trace_rejects_a_bad_field_naming_the_line(line):
+    text = "round=0 proposed=3,7 accepted=1 correction=5 kind=resample\n" + line + "\n"
+    with pytest.raises(DomainError, match="trace line 1: "):
+        parse_trace(text)
+
+
 def test_alpha_undefined_without_proposals():
     with pytest.raises(DomainError):
         SpeculationTrace().alpha()
@@ -324,6 +346,8 @@ def test_alpha_undefined_without_proposals():
 
 class StubRng:
     """Generator stand-in whose every uniform is one fixed value."""
+
+    bit_generator = SimpleNamespace(advance=lambda delta: None)  # no uniforms to hand back
 
     def __init__(self, u):
         self.u = u
@@ -431,18 +455,15 @@ def oracle_target(order, seed, zero_tokens=False):
 
 def assert_decoders_match_oracle(target, draft, config, prompts, seed):
     target_rows = RowSampler(target, config.tau)
-    draft_rows = RowSampler(draft, config.tau)
     for j, prompt in enumerate(prompts):
         s = derive_seed(seed, j)
+        want_rng, got_rng = make_rng(s), make_rng(s)
+        want = reference_speculative_generate(target, draft, prompt, config, want_rng)
+        got = speculative_generate(target, draft, prompt, config, got_rng)
+        assert got[0] == want[0]
+        assert dump_trace(got[1]) == dump_trace(want[1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
         for shared in (False, True):
-            rows = {"target_sampler": target_rows, "draft_sampler": draft_rows} if shared else {}
-            want_rng, got_rng = make_rng(s), make_rng(s)
-            want = reference_speculative_generate(target, draft, prompt, config, want_rng)
-            got = speculative_generate(target, draft, prompt, config, got_rng, **rows)
-            assert got[0] == want[0]
-            assert dump_trace(got[1]) == dump_trace(want[1])
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
             rows = {"sampler": target_rows} if shared else {}
             want_rng, got_rng = make_rng(s), make_rng(s)
             want = reference_generate_autoregressive(target, prompt, config, want_rng)
@@ -517,9 +538,6 @@ def test_decoders_reject_a_sampler_of_another_model_or_tau():
         generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(draft, 0.5))
     with pytest.raises(DomainError, match="sampler"):
         generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(target, 1.0))
-    with pytest.raises(DomainError, match="sampler"):
-        speculative_generate(target, draft, [2], cfg, make_rng(0),
-                             draft_sampler=RowSampler(target, 0.5))
 
 
 def window_of(index, width, size=8):
@@ -527,63 +545,34 @@ def window_of(index, width, size=8):
     return [(index // size**k) % size for k in range(width - 1, -1, -1)]
 
 
-@pytest.fixture
-def residual_stores(monkeypatch):
-    """Every residual store that decode_lockstep makes, in order."""
-    stores = []
-
-    class Recording(specdec.RowStore):
-        def __init__(self, width):
-            super().__init__(width)
-            stores.append(self)
-
-    monkeypatch.setattr(specdec, "RowStore", Recording)
-    return stores
-
-
-def kept_pairs(store, draft_rows):
-    """(target index, draft index) and slot of every kept residual row, in key order."""
-    return [(divmod(int(key), draft_rows.rows), int(slot))
-            for key, slot in zip(store._keys[:-1], store._where[:-1])]
-
-
-def assert_cached_residuals_bit_equal(store, target_rows, draft_rows):
-    """Every kept residual row equals one built from fresh model rows."""
-    pairs = kept_pairs(store, draft_rows)
-    assert pairs
-    tau = target_rows.tau
-    for (t, d), slot in pairs:
-        p = softmax_with_temperature(
-            target_rows.model.forward(window_of(t, target_rows.width)), tau)
-        q = softmax_with_temperature(draft_rows.model.forward(window_of(d, draft_rows.width)), tau)
-        try:
-            want = residual_distribution(p, q)
-        except DomainError:
-            want = p  # no residual mass: the correction is drawn from p
-        assert np.array_equal(store.probs[slot], want)
-        assert np.array_equal(store.cdf[slot], np.cumsum(want))
-
-
-def assert_lockstep_matches_scalar(target, draft, config, prompts, seed, target_rows=None):
-    """decode_lockstep gives each stream the scalar decoders' tokens and trace."""
+def assert_lockstep_matches_reference(target, draft, config, prompts, seed, target_rows=None,
+                                      draft_rows=None):
+    """decode_lockstep gives each stream the per-token decoders' tokens, trace and generator."""
     seeds = [derive_seed(seed, j) for j in range(len(prompts))]
     if target_rows is None:
         target_rows = RowTable(target, config.tau)
-    draft_rows = RowTable(draft, config.tau)
+    if draft_rows is None:
+        draft_rows = RowTable(draft, config.tau)
+    rngs = [make_rng(s) for s in seeds]
     outs, proposed, accepted, traces = decode_lockstep(
-        target_rows, draft_rows, prompts, config, [make_rng(s) for s in seeds], traces=True)
+        target_rows, draft_rows, prompts, config, rngs, traces=True)
+    base_rngs = [make_rng(s) for s in seeds]
     base, base_proposed, base_accepted, base_traces = decode_lockstep(
-        target_rows, None, prompts, config, [make_rng(s) for s in seeds], traces=True)
+        target_rows, None, prompts, config, base_rngs, traces=True)
     assert base_traces is None
     assert not base_proposed.any() and not base_accepted.any()
     for j, prompt in enumerate(prompts):
-        want_out, want_trace = speculative_generate(target, draft, prompt, config,
-                                                    make_rng(seeds[j]))
+        want_rng = make_rng(seeds[j])
+        want_out, want_trace = reference_speculative_generate(target, draft, prompt, config,
+                                                              want_rng)
         assert outs[j] == want_out
         assert dump_trace(traces[j]) == dump_trace(want_trace)
         assert (proposed[j], accepted[j]) == (want_trace.draft_proposed,
                                               want_trace.draft_accepted)
-        assert base[j] == generate_autoregressive(target, prompt, config, make_rng(seeds[j]))
+        assert rngs[j].bit_generator.state == want_rng.bit_generator.state
+        want_rng = make_rng(seeds[j])
+        assert base[j] == reference_generate_autoregressive(target, prompt, config, want_rng)
+        assert base_rngs[j].bit_generator.state == want_rng.bit_generator.state
     return traces
 
 
@@ -597,7 +586,7 @@ def test_lockstep_decoders_equal_the_scalar_decoders(family, tau, block_size):
     rounds = []
     for cap in (7, 10, 24):
         cfg = GenerationConfig(tau=tau, block_size=block_size, max_new_tokens=cap)
-        traces = assert_lockstep_matches_scalar(target, draft, cfg, prompts, seed=420 + cap)
+        traces = assert_lockstep_matches_reference(target, draft, cfg, prompts, seed=420 + cap)
         rounds += [trace.rounds for trace in traces]
     if block_size == 4 and tau > 0:
         # Blocks cut short by an eos proposal, and by a cap that ends mid-block.
@@ -621,13 +610,51 @@ def test_lockstep_decoders_raise_the_scalar_errors(family):
                 with pytest.raises((NumericError, DomainError)) as want:
                     for prompt in prompts:
                         if spec:
-                            speculative_generate(target, draft, prompt, cfg, make_rng(5))
+                            reference_speculative_generate(target, draft, prompt, cfg, make_rng(5))
                         else:
-                            generate_autoregressive(target, prompt, cfg, make_rng(5))
+                            reference_generate_autoregressive(target, prompt, cfg, make_rng(5))
                 with pytest.raises(type(want.value)) as got:
                     decode_lockstep(RowTable(target, tau), RowTable(draft, tau) if spec else None,
                                     prompts, cfg, [make_rng(5) for _ in prompts])
             assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("spec", [True, False])
+def test_lockstep_leaves_every_generator_where_the_reference_does(family, spec):
+    # Each stream draws its uniforms a chunk ahead; the ones it has not read
+    # go back to its generator, on a normal end and when a draw raises.
+    target = oracle_target(2, 195)
+    draft = oracle_draft(family, 295)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [1], [3, 3]] * 4
+    seeds = [derive_seed(196, j) for j in range(len(prompts))]
+
+    def lockstep(cfg, rngs):
+        draft_rows = RowTable(draft, cfg.tau) if spec else None
+        return decode_lockstep(RowTable(target, cfg.tau), draft_rows, prompts, cfg, rngs)[0]
+
+    def reference(prompt, cfg, rng):
+        if spec:
+            return reference_speculative_generate(target, draft, prompt, cfg, rng)[0]
+        return reference_generate_autoregressive(target, prompt, cfg, rng)
+
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=6)
+    rngs, want_rngs = [make_rng(s) for s in seeds], [make_rng(s) for s in seeds]
+    outs = lockstep(cfg, rngs)
+    assert outs == [reference(prompt, cfg, rng) for prompt, rng in zip(prompts, want_rngs)]
+    assert {out[-1] == VOCAB8.eos_id for out in outs} == {True, False}  # eos and cap ends
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
+
+    # tau=1e-310 turns every row into NaNs: each stream raises at its first draw.
+    cfg = GenerationConfig(tau=1e-310, block_size=4, max_new_tokens=10)
+    rngs, want_rngs = [make_rng(s) for s in seeds], [make_rng(s) for s in seeds]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError):
+            lockstep(cfg, rngs)
+        for prompt, rng in zip(prompts, want_rngs):
+            with pytest.raises(NumericError):
+                reference(prompt, cfg, rng)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
 
 
 def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():
@@ -663,55 +690,26 @@ def test_row_table_rows_equal_row_sampler_rows(monkeypatch):
                 assert table.whole or table.kept == min(cap, len(set(idx.tolist())))
 
 
-def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order(residual_stores):
-    # Both drafts are order-1 n-grams over one vocabulary, so their residual
-    # keys coincide; each lockstep call keeps its own residual rows, so a
-    # target table shared by both never serves one draft's residuals to the
-    # other. The scalar decoders share a target sampler the same way.
+def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order():
+    # Both drafts are order-1 n-grams over one vocabulary, so they meet the
+    # same (target row, draft row) pairs; one target table serves both, in
+    # either order, and every correction comes from the residual of the
+    # draft that made the call.
     target = oracle_target(2, 150)
     drafts = [random_ngram(1, 151, scale=1.5), random_ngram(1, 152, scale=1.5)]
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
     prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]]
     for order in ((0, 1), (1, 0)):
-        residual_stores.clear()
         target_rows = RowTable(target, cfg.tau)
-        target_sampler = RowSampler(target, cfg.tau)
         for rep in range(2):
             for k in order:
-                assert_lockstep_matches_scalar(target, drafts[k], cfg, prompts, 160 + k + 2 * rep,
-                                               target_rows=target_rows)
-                for j, prompt in enumerate(prompts):
-                    s = derive_seed(160 + k, rep, j)
-                    want_rng, got_rng = make_rng(s), make_rng(s)
-                    want = reference_speculative_generate(target, drafts[k], prompt, cfg,
-                                                          want_rng)
-                    got = speculative_generate(target, drafts[k], prompt, cfg, got_rng,
-                                               target_sampler=target_sampler)
-                    assert (got[0], dump_trace(got[1])) == (want[0], dump_trace(want[1]))
-                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        spec_stores = residual_stores[::2]  # each baseline call makes an unused store
-        assert len(spec_stores) == 4 and not any(s.kept for s in residual_stores[1::2])
-        firsts = [kept_pairs(store, RowTable(drafts[k], 1.0))
-                  for store, k in zip(spec_stores[:2], order)]
-        assert {pair for pair, _ in firsts[0]} & {pair for pair, _ in firsts[1]}
-        for store, k in zip(spec_stores, order * 2):
-            assert_cached_residuals_bit_equal(store, target_rows, RowTable(drafts[k], 1.0))
+                traces = assert_lockstep_matches_reference(target, drafts[k], cfg, prompts,
+                                                           160 + k + 2 * rep,
+                                                           target_rows=target_rows)
+                assert any(r.correction_kind == "resample" for t in traces for r in t.rounds)
 
 
-@pytest.mark.parametrize("family", ["ngram", "neural"])
-def test_cached_residual_rows_bit_equal_fresh_residuals(family, residual_stores):
-    target = oracle_target(2, 170)
-    draft = oracle_draft(family, 270)
-    for tau in (0.3, 1.0, 2.5):
-        residual_stores.clear()
-        cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=24)
-        target_rows, draft_rows = RowTable(target, tau), RowTable(draft, tau)
-        decode_lockstep(target_rows, draft_rows, [[], [2], [5, 3, 7]] * 3, cfg,
-                        [make_rng(j) for j in range(9)])
-        assert_cached_residuals_bit_equal(residual_stores[0], target_rows, draft_rows)
-
-
-def test_cached_residual_rows_fall_back_to_the_target_row_without_mass(residual_stores):
+def test_cached_residual_rows_fall_back_to_the_target_row_without_mass():
     # Every row of the draft is the target's shifted logits, which round to
     # q >= p everywhere with q > p at token 6, the last one with mass. A
     # uniform of 1 - 2**-53 drafts token 6 and rejects it, and the residual
@@ -728,20 +726,17 @@ def test_cached_residual_rows_fall_back_to_the_target_row_without_mass(residual_
     u = 1 - 2**-53
     want = reference_speculative_generate(target, draft, [2, 3], cfg, StubRng(u))
     assert speculative_generate(target, draft, [2, 3], cfg, StubRng(u))[0] == want[0]
-    target_rows, draft_rows = RowTable(target, 1.0), RowTable(draft, 1.0)
-    outs, _, _, traces = decode_lockstep(target_rows, draft_rows, [[2, 3]], cfg, [StubRng(u)],
-                                         traces=True)
+    outs, _, _, traces = decode_lockstep(RowTable(target, 1.0), RowTable(draft, 1.0), [[2, 3]],
+                                         cfg, [StubRng(u)], traces=True)
     assert outs[0] == want[0] == [6] * 6
     assert dump_trace(traces[0]) == dump_trace(want[1])
     assert {(r.accepted_count, r.correction_kind) for r in traces[0].rounds} == {(0, "resample")}
-    store = residual_stores[0]
-    assert [pair for pair, _ in kept_pairs(store, draft_rows)] == [(2 * 8 + 3, 3), (3 * 8 + 6, 6),
-                                                                   (6 * 8 + 6, 6)]
-    assert_cached_residuals_bit_equal(store, target_rows, draft_rows)
 
 
 class ScriptRng:
     """Generator stand-in that repeats a list of uniforms in order."""
+
+    bit_generator = SimpleNamespace(advance=lambda delta: None)  # the script does not rewind
 
     def __init__(self, uniforms):
         self.uniforms = itertools.cycle(uniforms)
@@ -769,25 +764,28 @@ def test_lockstep_rejects_a_uniform_equal_to_the_ratio():
     assert dump_trace(traces[0]) == dump_trace(want[1])
 
 
-def test_residual_rows_stop_at_the_cap(monkeypatch, residual_stores):
-    # A cap of 3 also makes every table fill lazily from model.forward, and
-    # rows past the cap are built again on each lookup.
+def test_row_tables_stop_at_the_cap(monkeypatch):
+    # A cap of 3 makes every table fill lazily from model.forward. The first
+    # three indices looked up keep their rows; rows past the cap are built
+    # again on each lookup, in slots after the kept ones.
     monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 3)
     target = oracle_target(2, 180)
     prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]] * 3
     for family in ("ngram", "neural"):
-        residual_stores.clear()
         draft = oracle_draft(family, 280)
         cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=16)
         assert_decoders_match_oracle(target, draft, cfg, prompts[:4], seed=380)
-        target_rows = RowTable(target, 1.0)
-        assert not target_rows.whole
-        assert_lockstep_matches_scalar(target, draft, cfg, prompts, seed=381,
-                                       target_rows=target_rows)
-        assert target_rows.kept == 3
-        store = residual_stores[0]
-        assert store.kept == 3
-        assert_cached_residuals_bit_equal(store, target_rows, RowTable(draft, 1.0))
+        tables = RowTable(target, 1.0), RowTable(draft, 1.0)
+        assert not any(table.whole for table in tables)
+        assert_lockstep_matches_reference(target, draft, cfg, prompts, seed=381,
+                                          target_rows=tables[0], draft_rows=tables[1])
+        for table in tables:
+            assert table.kept == 3 and len(table.probs) > 3
+            sampler = RowSampler(table.model, 1.0)
+            for index, slot in zip(table._keys[:-1], table._where[:-1]):
+                probs, cdf = sampler.row(window_of(int(index), table.width))
+                assert np.array_equal(table.probs[slot], probs)
+                assert np.array_equal(table.cdf[slot], np.array(cdf))
 
 
 @pytest.mark.parametrize("prompt", [[3, 9], [9, 3], [-1], [4, -2, 5]])
@@ -795,25 +793,28 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
     target = oracle_target(2, 190)
     draft = oracle_draft("ngram", 290)
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=12)
-    target_rows, draft_rows = RowSampler(target, 1.0), RowSampler(draft, 1.0)
-    for j in range(20):  # warm both samplers and their residual rows
-        speculative_generate(target, draft, [2 + j % 6], cfg, make_rng(j),
-                             target_sampler=target_rows, draft_sampler=draft_rows)
-    runs = (
-        (reference_speculative_generate, speculative_generate, (target, draft),
-         {"target_sampler": target_rows, "draft_sampler": draft_rows}),
-        (reference_generate_autoregressive, generate_autoregressive, (target,),
-         {"sampler": target_rows}),
-    )
-    for reference, decoder, models, rows in runs:
-        want_rng, got_rng = make_rng(7), make_rng(7)
-        with pytest.raises(DomainError) as want:
-            reference(*models, prompt, cfg, want_rng)
-        with pytest.raises(DomainError) as got:
-            decoder(*models, prompt, cfg, got_rng, **rows)
-        assert str(got.value) == str(want.value)
-        assert "outside vocab of size 8" in str(got.value)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    target_rows = RowSampler(target, 1.0)
+    for j in range(20):  # warm the sampler
+        generate_autoregressive(target, [2 + j % 6], cfg, make_rng(j), sampler=target_rows)
+    want_rng, got_rng = make_rng(7), make_rng(7)
+    with pytest.raises(DomainError) as want:
+        reference_speculative_generate(target, draft, prompt, cfg, want_rng)
+    with pytest.raises(DomainError) as got:
+        speculative_generate(target, draft, prompt, cfg, got_rng)
+    assert str(got.value) == str(want.value)
+    assert "outside vocab of size 8" in str(got.value)
+    # The lockstep decoder validates every prompt before its first draw; the
+    # reference drafts tokens before its target meets [9, 3] or [4, -2, 5].
+    assert got_rng.bit_generator.state == make_rng(7).bit_generator.state
+
+    want_rng, got_rng = make_rng(7), make_rng(7)
+    with pytest.raises(DomainError) as want:
+        reference_generate_autoregressive(target, prompt, cfg, want_rng)
+    with pytest.raises(DomainError) as got:
+        generate_autoregressive(target, prompt, cfg, got_rng, sampler=target_rows)
+    assert str(got.value) == str(want.value)
+    assert "outside vocab of size 8" in str(got.value)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def reference_train_online(student, teacher, fixed_dataset, config):
