@@ -18,17 +18,18 @@ that, online training with ``on_policy_frac=0`` and ``loss_ratio=0``
 walks through exactly the same pairs and updates as offline training.
 
 Exactness. A step's gradients are the mean over its response positions,
-all read from the parameters as they were before the step. For an
-n-gram student the positions are batched: one gather of the student's
-rows, one row-wise log-softmax shared by the CE and FKL terms, and one
-``np.add.at`` that adds the parts into each row in the order the
-per-position loop (:func:`ce_gradient`, :func:`fkl_gradient`,
-:func:`accumulate_gradients`) would, CE before FKL at each position.
-Losses and divergences are summed left to right from 0.0, as that loop
-does, and the row arithmetic is its per-row arithmetic, so checkpoints,
-training logs and error texts are bit-identical to it. A tiny-neural
-student keeps that loop: its batched forward is not bit-equal to the
-per-context one.
+all read from the parameters as they were before the step. The
+positions are batched for both model families: one forward over all the
+student's context windows, one row-wise log-softmax shared by the CE and
+FKL terms, and one gradient part per (position, term), CE before FKL at
+each position, as the per-position loop (:func:`ce_gradient`,
+:func:`fkl_gradient`, :func:`accumulate_gradients`) would add them. An
+n-gram student adds the parts into its rows with one ``np.add.at``. A
+tiny-neural student backpropagates them with one matrix-vector product
+per part and adds the scaled parts left to right. Losses and divergences
+are summed left to right from 0.0, as that loop does, and the row
+arithmetic is its per-row arithmetic, so checkpoints, training logs and
+error texts are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ from .files import write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
-    NGramLogitLM,
     _check_token,
     _stable_log_softmax_rows,
-    accumulate_gradients,
     apply_update,
-    ce_gradient,
-    fkl_gradient,
     fkl_value,
 )
 from .sampling import RowSampler, derive_seed, make_rng, softmax_rows_with_temperature
@@ -159,74 +156,50 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
 
 
 def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
-    """Mean gradients over one response; returns (lm_loss, fkl, grads)."""
-    with_fkl = teacher is not None and loss_ratio > 0.0
+    """Mean gradients over one response; returns (lm_loss, fkl, grads).
+
+    All positions at once, bit for bit as the per-position loop of
+    :func:`ce_gradient`, :func:`fkl_gradient` and :func:`accumulate_gradients`
+    computes them (see the module docstring).
+    """
     tokens = list(pair_prompt) + list(response)
     start = len(pair_prompt)
     teacher_probs = None
-    if with_fkl:
+    if teacher is not None and loss_ratio > 0.0:
         # One batched teacher sweep over all response positions.
-        if isinstance(teacher, NGramLogitLM):
-            logits = teacher.table[teacher.context_rows(tokens, start)]
-        else:
-            logits = teacher.forward_batch([tokens[:i] for i in range(start, len(tokens))])
+        logits, _ = teacher._forward_positions(tokens, start)
         teacher_probs = softmax_rows_with_temperature(logits, 1.0)
-    if isinstance(student, NGramLogitLM):
-        return _ngram_pair_step(student, tokens, start, teacher_probs, loss_ratio)
-    grads: dict = {}
-    n = len(response)
-    lm_loss = 0.0
-    fkl_sum = 0.0
-    ctx = list(pair_prompt)
-    for i, tok in enumerate(response):
-        loss, g = ce_gradient(student, ctx, tok)
-        lm_loss += loss
-        accumulate_gradients(grads, g, 1.0 / n)
-        if with_fkl:
-            div, gf = fkl_gradient(student, ctx, teacher_probs[i])
-            fkl_sum += div
-            accumulate_gradients(grads, gf, loss_ratio / n)
-        ctx.append(tok)
-    return lm_loss / n, (fkl_sum / n if with_fkl else None), grads
-
-
-def _position_sum(values: np.ndarray) -> float:
-    # Left to right from 0.0, as `total += value` per position adds them.
-    return float(np.cumsum(values)[-1]) + 0.0
-
-
-def _ngram_pair_step(student, tokens, start, teacher_probs, loss_ratio):
-    """:func:`_pair_step` for an n-gram student, over all positions at once."""
     size = student.vocab.size
-    n = len(tokens) - start
+    n = len(response)
     targets = np.array(tokens[start:], dtype=np.int64)
     # The per-position loop checks the first target before any context
     # token, so a bad first target is the one it names.
     _check_token(targets[0], size)
-    rows = student.context_rows(tokens, start)
+    logits, cache = student._forward_positions(tokens, start)
     _check_token(targets[-1], size)
-    log_p, _ = _stable_log_softmax_rows(student.table[rows])
+    log_p, _ = _stable_log_softmax_rows(logits)
     p_s = np.exp(log_p)
     positions = np.arange(n)
     lm_loss = _position_sum(-log_p[positions, targets]) / n
-    g = p_s.copy()
-    g[positions, targets] -= 1.0
-    parts = (1.0 / n) * g
-    part_rows = rows
+    dlogits = p_s.copy()
+    dlogits[positions, targets] -= 1.0
+    scales = np.full(n, 1.0 / n)
     fkl = None
     if teacher_probs is not None:
         fkl = _position_sum(_fkl_rows(teacher_probs, p_s)) / n
         unfloored = (p_s > FKL_PROB_FLOOR).astype(float)
         weight = (teacher_probs * unfloored).sum(axis=1, keepdims=True)
         # CE and FKL parts interleave, in the order the per-position loop adds them.
-        parts = np.stack((parts, (loss_ratio / n) * (p_s * weight - teacher_probs * unfloored)),
-                         axis=1).reshape(2 * n, size)
-        part_rows = np.repeat(rows, 2)
-    slots: dict = {}
-    part_slots = [slots.setdefault(r, len(slots)) for r in part_rows.tolist()]
-    total = np.zeros((len(slots), size))
-    np.add.at(total, part_slots, parts)
-    return lm_loss, fkl, dict(zip(slots, total))
+        dlogits = np.stack((dlogits, p_s * weight - teacher_probs * unfloored),
+                           axis=1).reshape(2 * n, size)
+        scales = np.array([1.0 / n, loss_ratio / n] * n)
+        positions = np.repeat(positions, 2)
+    return lm_loss, fkl, student._backprop_parts(cache, positions, dlogits, scales)
+
+
+def _position_sum(values: np.ndarray) -> float:
+    # Left to right from 0.0, as `total += value` per position adds them.
+    return float(np.cumsum(values)[-1]) + 0.0
 
 
 def _fkl_rows(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:

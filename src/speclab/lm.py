@@ -65,16 +65,29 @@ def _check_token(tid: int, size: int) -> int:
     return t
 
 
-def _padded_window(context, end, n: int, bos: int) -> tuple:
-    """The last ``n`` tokens of ``context[:end]``, left-padded with bos.
-
-    ``end=None`` means the whole context. The tokens are not validated.
-    """
-    if end is None:
-        end = len(context)
+def _padded_window(context, n: int, bos: int) -> tuple:
+    """The last ``n`` tokens of ``context``, left-padded with bos; not validated."""
+    end = len(context)
     if end >= n:
         return tuple(context[end - n : end])
-    return (bos,) * (n - end) + tuple(context[:end])
+    return (bos,) * (n - end) + tuple(context)
+
+
+def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
+    """The tokens that the windows after ``tokens[:i]``, ``start <= i < len(tokens)``, read.
+
+    Bos-padded on the left, so that ``padded[i - start : i - start + n]`` is
+    the :func:`_padded_window` of ``tokens[:i]``. They are validated in
+    sequence order.
+    """
+    lo = max(0, start - n)
+    padded = np.array(
+        [vocab.bos_id] * (n - start + lo) + list(tokens[lo : len(tokens) - 1]), dtype=np.int64
+    )
+    bad = (padded < 0) | (padded >= vocab.size)
+    if bad.any():
+        _check_token(padded[bad.argmax()], vocab.size)
+    return padded
 
 
 @dataclass
@@ -119,17 +132,17 @@ class NGramLogitLM:
         """Row index for a context, validating every token id."""
         size = self.vocab.size
         idx = 0
-        for t in _padded_window(context, None, self.order, self.vocab.bos_id):
+        for t in _padded_window(context, self.order, self.vocab.bos_id):
             idx = idx * size + _check_token(t, size)
         return idx
 
-    def context_key(self, context, end=None) -> tuple:
-        """Key of the contexts that share the logits after ``context[:end]``.
+    def context_key(self, context) -> tuple:
+        """Key of the contexts that share the logits after ``context``.
 
         The bos-padded window of the last ``order`` tokens, not validated:
         :meth:`forward` validates them.
         """
-        return _padded_window(context, end, self.order, self.vocab.bos_id)
+        return _padded_window(context, self.order, self.vocab.bos_id)
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a copy."""
@@ -149,21 +162,29 @@ class NGramLogitLM:
         from one sliding window over the bos-padded tokens, and the
         tokens those windows read are validated once, in sequence order.
         """
-        n = self.order
-        size = self.vocab.size
-        lo = max(0, start - n)
-        padded = np.array(
-            [self.vocab.bos_id] * (n - start + lo) + list(tokens[lo : len(tokens) - 1]),
-            dtype=np.int64,
-        )
-        bad = (padded < 0) | (padded >= size)
-        if bad.any():
-            _check_token(padded[bad.argmax()], size)
+        padded = _padded_tokens(tokens, start, self.order, self.vocab)
         count = len(tokens) - start
         rows = padded[:count]
-        for k in range(1, n):
-            rows = rows * size + padded[k : k + count]
+        for k in range(1, self.order):
+            rows = rows * self.vocab.size + padded[k : k + count]
         return rows
+
+    def _forward_positions(self, tokens, start: int):
+        """Logits after each ``tokens[:i]``, ``start <= i < len(tokens)``, and their rows."""
+        rows = self.context_rows(tokens, start)
+        return self.table[rows], rows
+
+    def _backprop_parts(self, rows, positions, dlogits, scales) -> GradientBundle:
+        """``scales[k] * dlogits[k]`` added into row ``rows[positions[k]]``, k in order.
+
+        Bit for bit the bundle that :func:`accumulate_gradients` builds from
+        the parts in that order: rows keyed in order of first appearance.
+        """
+        slots: dict = {}
+        part_slots = [slots.setdefault(r, len(slots)) for r in rows[positions].tolist()]
+        total = np.zeros((len(slots), self.vocab.size))
+        np.add.at(total, part_slots, scales[:, None] * dlogits)
+        return dict(zip(slots, total))
 
 
 @dataclass
@@ -220,15 +241,15 @@ class TinyNeuralLM:
     def _window(self, context) -> list[int]:
         size = self.vocab.size
         return [_check_token(t, size)
-                for t in _padded_window(context, None, self.context_size, self.vocab.bos_id)]
+                for t in _padded_window(context, self.context_size, self.vocab.bos_id)]
 
-    def context_key(self, context, end=None) -> tuple:
-        """Key of the contexts that share the logits after ``context[:end]``.
+    def context_key(self, context) -> tuple:
+        """Key of the contexts that share the logits after ``context``.
 
         The bos-padded window of the last ``context_size`` tokens, not
         validated: :meth:`forward` validates them.
         """
-        return _padded_window(context, end, self.context_size, self.vocab.bos_id)
+        return _padded_window(context, self.context_size, self.vocab.bos_id)
 
     def _forward_cached(self, context):
         window = self._window(context)
@@ -243,10 +264,29 @@ class TinyNeuralLM:
         return logits
 
     def forward_batch(self, contexts) -> np.ndarray:
+        """Stacked logits for several contexts, each row bit-equal to :meth:`forward`."""
         windows = np.array([self._window(c) for c in contexts], dtype=np.int64)
-        x = self.embedding[windows].reshape(len(contexts), -1)
-        h = np.tanh(x @ self.w1 + self.b1)
-        return h @ self.w2 + self.b2
+        logits, _ = self._forward_windows(windows)
+        return logits
+
+    def _forward_windows(self, windows: np.ndarray):
+        """Logits of each window row, and the activations that backprop reads.
+
+        A 2-D ``x @ w1`` runs as one BLAS matrix product, whose sums may
+        round differently from the per-context vector product. Each row
+        here is its own vector product instead, so it is bit-equal to
+        :meth:`forward` of a context with that window.
+        """
+        x = self.embedding[windows].reshape(len(windows), self.context_size * self.d_emb)
+        h = np.tanh((x[:, None, :] @ self.w1)[:, 0] + self.b1)
+        logits = (h[:, None, :] @ self.w2)[:, 0] + self.b2
+        return logits, (windows, x, h)
+
+    def _forward_positions(self, tokens, start: int):
+        """Logits after each ``tokens[:i]``, ``start <= i < len(tokens)``, and their activations."""
+        padded = _padded_tokens(tokens, start, self.context_size, self.vocab)
+        return self._forward_windows(
+            padded[np.arange(len(tokens) - start)[:, None] + np.arange(self.context_size)])
 
     def _backprop(self, cache, dlogits: np.ndarray) -> GradientBundle:
         """Gradients of a scalar loss given its gradient w.r.t. the logits."""
@@ -262,6 +302,31 @@ class TinyNeuralLM:
         for i, t in enumerate(window):
             demb[t] += dx[i]
         return {"embedding": demb, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+    def _backprop_parts(self, cache, positions, dlogits, scales) -> GradientBundle:
+        """The sum over k of ``scales[k]`` times :meth:`_backprop` of ``dlogits[k]``
+        at window ``positions[k]`` of ``cache``.
+
+        Bit for bit the bundle that :func:`accumulate_gradients` builds from
+        those parts in order k: each part is scaled, then the parts are
+        added left to right, every matrix-vector product is a vector
+        product of its own, and the embedding rows sum each part's window
+        tokens from zero, in window order, before the part is scaled.
+        """
+        windows, x, h = cache
+        windows, x, h = windows[positions], x[positions], h[positions]
+        dpre = (self.w2 @ dlogits[:, :, None])[:, :, 0] * (1.0 - h * h)
+        dx = (self.w1 @ dpre[:, :, None])[:, :, 0].reshape(len(positions), self.context_size,
+                                                              self.d_emb)
+        tokens, slots = np.unique(windows, return_inverse=True)
+        demb_parts = np.zeros((len(positions), len(tokens), self.d_emb))
+        np.add.at(demb_parts, (np.arange(len(positions))[:, None], slots.reshape(windows.shape)),
+                  dx)
+        demb = np.zeros_like(self.embedding)
+        demb[tokens] = _scaled_sum(demb_parts, scales)
+        return {"embedding": demb, "w1": _scaled_outer_sum(x, dpre, scales),
+                "b1": _scaled_sum(dpre, scales), "w2": _scaled_outer_sum(h, dlogits, scales),
+                "b2": _scaled_sum(dlogits, scales)}
 
 
 LanguageModel = NGramLogitLM | TinyNeuralLM
@@ -390,6 +455,47 @@ def accumulate_gradients(total: GradientBundle, part: GradientBundle, scale: flo
             total[key] = total[key] + scale * g
         else:
             total[key] = scale * g
+    return total
+
+
+# Parts whose outer products one buffer of _scaled_outer_sum holds.
+_OUTER_CHUNK = 16
+
+
+def _sum_parts(parts: np.ndarray) -> np.ndarray:
+    """``parts[0] + parts[1] + ...``, added left to right as
+    :func:`accumulate_gradients` adds them."""
+    if parts[0].size == 1:
+        # Over parts of one value np.add.reduce may sum pairwise; cumsum never does.
+        return np.cumsum(parts, axis=0)[-1]
+    return np.add.reduce(parts, axis=0)
+
+
+def _scaled_sum(parts: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`_sum_parts` of ``scales[k] * parts[k]``."""
+    return _sum_parts(scales.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts)
+
+
+def _scaled_outer_sum(a: np.ndarray, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`_scaled_sum` of the parts ``np.outer(a[k], b[k])``.
+
+    The outer products are built :data:`_OUTER_CHUNK` at a time in one
+    buffer whose first row carries the running sum, so memory does not
+    grow with the number of parts.
+    """
+    count = len(scales)
+    buf = np.empty((min(count, _OUTER_CHUNK) + 1, a.shape[1], b.shape[1]))
+    total = None
+    for lo in range(0, count, _OUTER_CHUNK):
+        hi = min(lo + _OUTER_CHUNK, count)
+        parts = buf[1 : 1 + hi - lo]
+        np.multiply(a[lo:hi, :, None], b[lo:hi, None, :], out=parts)
+        parts *= scales[lo:hi, None, None]
+        if total is None:
+            total = _sum_parts(parts)
+        else:
+            buf[0] = total
+            total = _sum_parts(buf[: 1 + hi - lo])
     return total
 
 

@@ -163,12 +163,12 @@ class RowSampler:
         self.tau = tau
         self._rows = RowCache()
 
-    def row(self, context, end=None):
-        """Row after ``context[:end]``; ``end=None`` reads all of it."""
-        key = self.model.context_key(context, end)
+    def row(self, context):
+        """Row after ``context``."""
+        key = self.model.context_key(context)
         row = self._rows.get(key)
         if row is None:
-            probs = softmax_with_temperature(self.model.forward(context[:end]), self.tau)
+            probs = softmax_with_temperature(self.model.forward(context), self.tau)
             row = self._rows.keep(key, cdf_row(probs))
         return row
 

@@ -228,9 +228,6 @@ class RowTable:
     lookup. The first ``MAX_CACHED_ROWS`` indices looked up keep their
     rows; the row of a later index is built again on every lookup, into a
     slot past the kept ones that stays valid only until the next lookup.
-    A tiny-neural row is its per-context forward, which differs from its
-    batched forward by ~2e-17; no configuration decodes with a neural
-    target, since teachers are pretrained n-gram tables.
     """
 
     def __init__(self, model, tau: float):

@@ -439,7 +439,7 @@ def test_train_log_rows_format():
 
 
 def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
-    """The per-position loop that distill._pair_step batches for n-gram students."""
+    """The per-position loop that distill._pair_step batches, for either model family."""
     grads: dict = {}
     n = len(response)
     lm_loss = 0.0
@@ -466,7 +466,12 @@ def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
 
 
 def reference_apply_update(model, grads, lr):
-    """One row at a time, as apply_update's n-gram branch did."""
+    """One row at a time, as apply_update's n-gram branch did.
+
+    A tiny-neural model takes apply_update's own per-parameter branch.
+    """
+    if isinstance(model, TinyNeuralLM):
+        return apply_update(model, grads, lr)
     for idx, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for context row {idx}")
@@ -500,6 +505,14 @@ def step_case(seed, student_order, *, teacher_order=2, student_scale=1.5,
     # Few distinct tokens, so contexts repeat and rows collect several parts.
     response = rng.integers(1, 6, size=response_len).tolist()
     return student, teacher, prompt, response
+
+
+def neural_student(seed, context_size, *, floored=False):
+    student = TinyNeuralLM.create(V16, context_size=context_size, d_emb=4, d_hid=8, seed=seed)
+    if floored:
+        # Logits 40 below the rest put half the tokens under FKL_PROB_FLOOR.
+        student.b2[::2] = -40.0
+    return student
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -563,9 +576,12 @@ def test_pair_step_certain_student_loss_is_positive_zero():
     ([77, 2, 3], [4, 99]),      # only the student's order-3 window reads 77
     ([-1, 2, 3, 4], [5, 6]),    # read by no window: both accept it
 ])
-@pytest.mark.parametrize("student_order", [1, 3])
+@pytest.mark.parametrize("student_order", [1, 3, "neural"])
 def test_pair_step_token_errors_match_the_loop(prompt, response, student_order):
-    student = NGramLogitLM.create(V16, student_order, init_scale=1.0, init_seed=3)
+    if student_order == "neural":  # reads the windows of an order-3 student
+        student = neural_student(3, 3)
+    else:
+        student = NGramLogitLM.create(V16, student_order, init_scale=1.0, init_seed=3)
     teacher = NGramLogitLM.create(V16, 2, init_scale=1.0, init_seed=4)
     for t, ratio in ((None, 0.0), (teacher, 1.0)):
         outcomes = []
@@ -599,11 +615,37 @@ def test_pair_step_nan_table_error_texts_match_the_loop():
     assert messages[0] == f"non-finite gradient for context row {response[0]}"
 
 
-def test_neural_pair_step_keeps_the_per_position_loop():
-    student = TinyNeuralLM.create(V16, context_size=2, d_emb=4, d_hid=8, seed=1)
-    _, teacher, prompt, response = step_case(8, 1)
-    assert_same_step(distill._pair_step(student, teacher, prompt, response, 0.5),
-                     reference_pair_step(student, teacher, prompt, response, 0.5))
+@pytest.mark.parametrize("context_size", [1, 2, 3])
+@pytest.mark.parametrize("with_teacher, loss_ratio", [(False, 0.0), (True, 1.0), (True, 0.0),
+                                                      (True, 0.37)])
+def test_neural_pair_step_bit_equals_per_position_loop(context_size, with_teacher, loss_ratio):
+    for seed in range(4):
+        _, teacher, prompt, response = step_case(
+            seed, 1, prompt_len=seed, zero_teacher_tokens=(0, 7) if seed % 2 else ())
+        student = neural_student(seed, context_size, floored=seed >= 2)
+        teacher = teacher if with_teacher else None
+        for resp in (response, response[:1]):
+            assert_same_step(distill._pair_step(student, teacher, prompt, resp, loss_ratio),
+                             reference_pair_step(student, teacher, prompt, resp, loss_ratio))
+
+
+@pytest.mark.parametrize("name", ["embedding", "w1", "b1", "w2", "b2"])
+def test_neural_pair_step_nan_parameter_error_texts_match_the_loop(name):
+    _, teacher, prompt, response = step_case(7, 1, prompt_len=2)
+    messages = []
+    for step_fn, update_fn in ((distill._pair_step, apply_update),
+                               (reference_pair_step, reference_apply_update)):
+        for t, ratio in ((None, 0.0), (teacher, 1.0)):
+            model = neural_student(7, 2)
+            # The embedding row of a token the first window reads, or the first row.
+            getattr(model, name)[prompt[-1] if name == "embedding" else 0] = np.nan
+            with np.errstate(invalid="ignore"):
+                loss, fkl, grads = step_fn(model, t, prompt, response, ratio)
+                with pytest.raises(NumericError) as info:
+                    update_fn(model, grads, 0.3)
+            assert np.isnan(loss)
+            messages.append(str(info.value))
+    assert messages[:2] == messages[2:]
 
 
 def _train(monkeypatch, oracle, mode, student, teacher, data, cfg):
@@ -618,7 +660,7 @@ def _train(monkeypatch, oracle, mode, student, teacher, data, cfg):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, "neural"])
 @pytest.mark.parametrize("mode, on_policy_frac, loss_ratio", [
     ("offline", 0.5, 1.0), ("online", 0.5, 1.0), ("online", 0.0, 0.0), ("online", 1.0, 2.5),
 ])
@@ -628,10 +670,14 @@ def test_training_bit_equals_oracle_driven_loop(monkeypatch, order, mode, on_pol
     data = make_kd_dataset(teacher, [[k] for k in range(2, 10)], 1.0, make_rng(3),
                            repeats=2, max_len=20)
     cfg = KDConfig(mode=mode, on_policy_frac=on_policy_frac, loss_ratio=loss_ratio,
-                   learning_rate=0.4, steps=120, seed=order, gen_max_len=20)
+                   learning_rate=0.4, steps=120, seed=3 if order == "neural" else order,
+                   gen_max_len=20)
     results = []
     for oracle in (False, True):
-        student = NGramLogitLM.create(V16, order, init_scale=1.5, init_seed=10)
+        if order == "neural":
+            student = TinyNeuralLM.create(V16, context_size=3, d_emb=4, d_hid=8, seed=10)
+        else:
+            student = NGramLogitLM.create(V16, order, init_scale=1.5, init_seed=10)
         log = _train(monkeypatch, oracle, mode, student, teacher, data, cfg)
         results.append((checkpoint_bytes(student), [(bits(e.lm_loss), bits(e.fkl)) for e in log],
                         train_log_rows(log)))

@@ -139,11 +139,14 @@ def test_neural_init_is_seeded_and_bounded():
 
 
 def test_neural_forward_batch_matches_forward():
-    model = TinyNeuralLM.create(VOCAB8, context_size=3, d_emb=4, d_hid=5, seed=3)
-    contexts = [[1, 2, 3], [4], [5, 6], []]
-    batch = model.forward_batch(contexts)
-    for row, ctx in zip(batch, contexts):
-        assert np.allclose(row, model.forward(ctx), atol=1e-15)
+    contexts = [[1, 2, 3], [4], [5, 6], []] + make_rng(4).integers(0, 8, size=(40, 3)).tolist()
+    # The second shape is the canonical draft's, where a matrix product
+    # over the whole batch rounds differently from the per-context one.
+    for d_emb, d_hid in ((4, 5), (16, 64)):
+        model = TinyNeuralLM.create(VOCAB8, context_size=3, d_emb=d_emb, d_hid=d_hid, seed=3)
+        batch = model.forward_batch(contexts)
+        for row, ctx in zip(batch, contexts):
+            assert np.array_equal(row, model.forward(ctx))
 
 
 def test_ce_loss_uniform_logits_is_log_vocab():

@@ -1,4 +1,4 @@
-"""Property tests of the sampling and verification numerics (hypothesis).
+"""Property tests of the sampling, verification and training numerics (hypothesis).
 
 The examples are derandomized, so every run checks the same cases.
 """
@@ -7,8 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import distill
 from speclab.errors import DomainError
-from speclab.lm import NGramLogitLM, Vocab
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import cdf_row, draw, make_rng, sample, softmax_with_temperature
 from speclab.specdec import (
     GenerationConfig,
@@ -22,6 +23,7 @@ from speclab.specdec import (
     verify_block,
 )
 
+from test_distill import assert_same_step, reference_pair_step
 from test_specdec import reference_generate_autoregressive, reference_speculative_generate
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -206,3 +208,33 @@ def test_lockstep_decoders_equal_the_scalar_decoders_on_random_tables(data):
         want_rng = make_rng(seeds[j])
         assert base[j] == reference_generate_autoregressive(target, prompt, config, want_rng)
         assert base_rngs[j].bit_generator.state == want_rng.bit_generator.state
+
+
+@SETTINGS
+@given(st.data())
+def test_neural_pair_step_bit_equals_the_per_position_loop(data):
+    size = data.draw(st.sampled_from([4, 8, 16, 32]))
+    vocab = Vocab(size=size, bos_id=0, eos_id=1)
+    token = st.integers(0, size - 1)
+    seed = data.draw(st.integers(0, 2**16))
+    student = TinyNeuralLM.create(vocab, context_size=data.draw(st.integers(1, 4)),
+                                  d_emb=data.draw(st.integers(1, 16)),
+                                  d_hid=data.draw(st.integers(1, 64)), seed=seed)
+    # Logits 40 below the rest floor those tokens' probabilities in the FKL term.
+    student.b2[data.draw(st.lists(token, max_size=size - 1))] = -40.0
+    zero = data.draw(st.lists(token, max_size=size - 1))
+    if data.draw(st.booleans()):
+        teacher = NGramLogitLM.create(vocab, data.draw(st.integers(1, 2)), init_scale=2.0,
+                                      init_seed=seed)
+        teacher.table[:, zero] = -np.inf
+    else:
+        teacher = TinyNeuralLM.create(vocab, context_size=2, d_emb=4, d_hid=8, seed=seed + 1)
+        teacher.b2[zero] = -np.inf
+    prompt = data.draw(st.lists(token, max_size=6))
+    response = data.draw(st.lists(token, min_size=1, max_size=64))
+    if data.draw(st.booleans()):
+        teacher, loss_ratio = None, 0.0
+    else:
+        loss_ratio = data.draw(st.sampled_from([0.0, 0.37, 1.0, 2.5]))
+    assert_same_step(distill._pair_step(student, teacher, prompt, response, loss_ratio),
+                     reference_pair_step(student, teacher, prompt, response, loss_ratio))

@@ -261,8 +261,8 @@ class CountingLM:
         self.model = model
         self.calls = 0
 
-    def context_key(self, context, end=None):
-        return self.model.context_key(context, end)
+    def context_key(self, context):
+        return self.model.context_key(context)
 
     def forward(self, context):
         self.calls += 1
@@ -355,10 +355,6 @@ def test_context_keys_are_unvalidated_bos_padded_windows():
     assert ngram.context_key([]) == (0, 0)
     assert neural.context_key(seq) == (3, 9, -1)
     assert neural.context_key([4]) == (0, 0, 4)
-    for model in (ngram, neural):
-        for end in range(len(seq) + 1):
-            assert model.context_key(seq, end) == model.context_key(seq[:end])
-            assert type(model.context_key(seq, end)) is tuple
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])
@@ -378,15 +374,6 @@ def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
             rows.row([4, 3, bad])
         assert str(err.value) == f"token id {bad} outside vocab of size {V8.size}"
     assert model.calls == calls + 2
-
-
-def test_row_sampler_reads_the_context_up_to_end():
-    model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=7))
-    rows = RowSampler(model, 0.6)
-    seq = [2, 5, 3, 9]  # the bad last token lies beyond every end read here
-    for end in range(len(seq)):
-        assert rows.row(seq, end) is rows.row(seq[:end])
-    assert model.calls == len(seq)
 
 
 def test_row_cache_keeps_at_most_its_cap(monkeypatch):
