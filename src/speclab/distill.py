@@ -171,12 +171,12 @@ def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
         teacher_probs = softmax_rows_with_temperature(logits, 1.0)
     size = student.vocab.size
     n = len(response)
-    targets = np.array(tokens[start:], dtype=np.int64)
     # The per-position loop checks the first target before any context
     # token, so a bad first target is the one it names.
-    _check_token(targets[0], size)
+    _check_token(response[0], size)
     logits, cache = student._forward_positions(tokens, start)
-    _check_token(targets[-1], size)
+    _check_token(response[-1], size)
+    targets = np.array(response, dtype=np.int64)
     log_p, _ = _stable_log_softmax_rows(logits)
     p_s = np.exp(log_p)
     positions = np.arange(n)

@@ -81,9 +81,11 @@ def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
     sequence order.
     """
     lo = max(0, start - n)
-    padded = np.array(
-        [vocab.bos_id] * (n - start + lo) + list(tokens[lo : len(tokens) - 1]), dtype=np.int64
-    )
+    read = [vocab.bos_id] * (n - start + lo) + list(tokens[lo : len(tokens) - 1])
+    try:
+        padded = np.array(read, dtype=np.int64)
+    except OverflowError:  # a token past int64, so outside the vocab: name the first bad one
+        padded = np.array([_check_token(t, vocab.size) for t in read], dtype=np.int64)
     bad = (padded < 0) | (padded >= vocab.size)
     if bad.any():
         _check_token(padded[bad.argmax()], vocab.size)

@@ -575,6 +575,10 @@ def test_pair_step_certain_student_loss_is_positive_zero():
     ([2, 77], [4, 99]),         # a context token before a later target
     ([77, 2, 3], [4, 99]),      # only the student's order-3 window reads 77
     ([-1, 2, 3, 4], [5, 6]),    # read by no window: both accept it
+    ([2, 3], [2**70, 4]),       # past int64: a DomainError, not an OverflowError
+    ([2, 2**70], [4, 5]),
+    ([2, 3], [4, 5, -2**70]),
+    ([2**70, 2, 3, 4], [5, 6]),
 ])
 @pytest.mark.parametrize("student_order", [1, 3, "neural"])
 def test_pair_step_token_errors_match_the_loop(prompt, response, student_order):
