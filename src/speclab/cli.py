@@ -186,9 +186,15 @@ def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
             raise ConfigError(
                 f"{key} needs one or more finite temperatures >= 0, got {values[key]!r}"
             )
-    for key in ("decode.runs", "sweep.runs_per_seed"):
+    for key in ("decode.runs", "sweep.runs_per_seed", "corpus.pretrain_budget",
+                "compose.data_repeats"):
         if values[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {values[key]}")
+    tolerance, out_c = values["corpus.tolerance"], values["corpus.out_concentration"]
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"corpus.tolerance must be finite and >= 0, got {tolerance}")
+    if not (math.isfinite(out_c) and out_c > 0):
+        raise ConfigError(f"corpus.out_concentration must be finite and > 0, got {out_c}")
     corpus = CorpusSpec(
         vocab_size=values["corpus.vocab_size"],
         order=values["corpus.order"],

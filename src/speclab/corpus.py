@@ -26,14 +26,13 @@ from .files import write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
 from .sampling import (
     STREAM_HELDOUT,
-    RowSampler,
     derive_seed,
     make_rng,
     sample,
     softmax_rows_with_temperature,
     softmax_with_temperature,
 )
-from .specdec import GenerationConfig, generate_autoregressive
+from .specdec import GenerationConfig, _generate
 
 BOS_ID = 0
 EOS_ID = 1
@@ -113,13 +112,15 @@ def collect_heldout_contexts(
     """Contexts visited by fresh rollouts, for exact evaluation.
 
     Every prefix of every rollout contributes one context (the empty
-    prefix included, since generation starts there too).
+    prefix included, since generation starts there too). The rollouts
+    share one generator, so they run one after another, and one dict of
+    rows, so each context window's row is computed once.
     """
     contexts: list[tuple[int, ...]] = []
     cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
-    sampler = RowSampler(model, 1.0)
+    rows: dict = {}
     for _ in range(n_sequences):
-        seq = generate_autoregressive(model, [], cfg, rng, sampler=sampler)
+        seq = _generate(model, [], cfg, rng, rows)
         prefix: list[int] = []
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:

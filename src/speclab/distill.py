@@ -49,8 +49,8 @@ from .lm import (
     apply_update,
     fkl_value,
 )
-from .sampling import RowSampler, derive_seed, make_rng, softmax_rows_with_temperature
-from .specdec import GenerationConfig, generate_autoregressive
+from .sampling import derive_seed, make_rng, softmax_rows_with_temperature
+from .specdec import GenerationConfig, RowTable, decode_lockstep, generate_autoregressive
 
 SOURCE_TEACHER = "teacher"
 SOURCE_STUDENT = "student"
@@ -129,9 +129,14 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     pair is tagged with that temperature. Per-pair seeds are drawn from
     ``rng`` up front, one per pair in pass-major order, so the dataset
     does not depend on evaluation order and each pass continues the same
-    seed stream. All passes share one :class:`RowSampler` per distinct
-    temperature. An empty, negative or non-finite temperature list and
-    ``repeats < 1`` raise :class:`DomainError` before ``rng`` is used.
+    seed stream. The pairs of each distinct temperature are decoded in one
+    :func:`~speclab.specdec.decode_lockstep` call, one stream per pair on
+    ``make_rng`` of its seed, which gives each pair the response that
+    :func:`~speclab.specdec.generate_autoregressive` would. Prompt windows
+    are validated first, in prompt order, so a bad one raises the error of
+    the first pair that meets it. An empty, negative or non-finite
+    temperature list and ``repeats < 1`` raise :class:`DomainError` before
+    ``rng`` is used.
     """
     taus = [tau_gen] if np.ndim(tau_gen) == 0 else list(tau_gen)
     if not taus:
@@ -142,17 +147,22 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
     prompts = list(prompts)
-    seeds = [int(rng.integers(1 << 62)) for _ in range(repeats * len(prompts))]
+    n = len(prompts)
+    seeds = [int(rng.integers(1 << 62)) for _ in range(repeats * n)]
+    tau_of = [taus[i % n % len(taus)] for i in range(len(seeds))]
     configs = {tau: GenerationConfig(tau=tau, max_new_tokens=max_len) for tau in taus}
-    samplers = {tau: RowSampler(teacher, tau) for tau in taus}
-    data: Dataset = []
-    for i, seed in enumerate(seeds):
-        j = i % len(prompts)
-        tau = taus[j % len(taus)]
-        response = generate_autoregressive(teacher, prompts[j], configs[tau], make_rng(seed),
-                                           sampler=samplers[tau])
-        data.append(Pair(list(prompts[j]), response, SOURCE_TEACHER, tau))
-    return data
+    tables = {tau: RowTable(teacher, tau) for tau in dict.fromkeys(tau_of[:n])}
+    for prompt, tau in zip(prompts, tau_of):
+        tables[tau].index(prompt)
+    responses: list = [None] * len(seeds)
+    for tau, table in tables.items():
+        pairs = [i for i, t in enumerate(tau_of) if t == tau]
+        outs = decode_lockstep(table, None, [prompts[i % n] for i in pairs], configs[tau],
+                               [make_rng(seeds[i]) for i in pairs])[0]
+        for i, out in zip(pairs, outs):
+            responses[i] = out
+    return [Pair(list(prompts[i % n]), out, SOURCE_TEACHER, tau_of[i])
+            for i, out in enumerate(responses)]
 
 
 def _pair_step(student, teacher, pair_prompt, response, loss_ratio):

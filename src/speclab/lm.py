@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,8 +118,8 @@ class NGramLogitLM:
         """
         if order < 1:
             raise DomainError(f"order must be >= 1, got {order}")
-        if init_scale < 0:
-            raise DomainError("init_scale must be >= 0")
+        if not (math.isfinite(init_scale) and init_scale >= 0):
+            raise DomainError(f"init_scale must be finite and >= 0, got {init_scale}")
         shape = (vocab.size**order, vocab.size)
         if init_scale > 0:
             table = init_scale * make_rng(init_seed).standard_normal(shape)

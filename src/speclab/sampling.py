@@ -6,23 +6,14 @@ are bit-equal to the 1-D calls.
 
 A categorical draw has two entry points: :func:`sample` takes any
 distribution and computes its CDF, and :func:`draw` takes a row whose
-CDF is already computed (:func:`cdf_row`), such as those a
-:class:`RowSampler` caches for each context it is asked for. ``sample``
-calls ``draw``, so for the same distribution both give the same token,
-consume exactly one uniform, and raise the same :class:`NumericError`
-before drawing. Samplers serve only
-:func:`~speclab.specdec.generate_autoregressive`, the one-prompt decoder
-of dataset generation, held-out rollouts and on-policy training. The
-lockstep decoder reads :class:`~speclab.specdec.RowTable` rows, and
-teacher pretraining does the same search inline on the chain's own CDF
-table.
-
-A sampler keys its rows by the model's ``context_key``: the window of
-tokens the model reads, as a plain tuple that is not validated. The
-tokens are validated on a miss, by the ``model.forward`` that computes
-the row, so a row is stored only under a key that has passed that check
-and a context with a bad token misses every time and raises the model's
-:class:`DomainError`.
+CDF is already computed (:func:`cdf_row`), such as the rows that
+:func:`~speclab.specdec.generate_autoregressive` computes once per
+context window it visits. ``sample`` calls ``draw``, so for the same
+distribution both give the same token, consume exactly one uniform, and
+raise the same :class:`NumericError` before drawing. The lockstep
+decoder draws from :class:`~speclab.specdec.RowTable` rows by the same
+inverse-CDF rule, and teacher pretraining does it inline on the chain's
+own CDF table.
 """
 
 from __future__ import annotations
@@ -41,11 +32,6 @@ STREAM_EVAL = 4
 STREAM_HELDOUT = 5
 
 _MASK64 = (1 << 64) - 1
-
-# Rows one RowSampler, or one RowTable of the lockstep decoder, keeps:
-# above the canonical target's 1,024 contexts, and at about 0.6 KB a row
-# (vocabulary 32) some 2.5 MB each.
-MAX_CACHED_ROWS = 4096
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -125,60 +111,12 @@ def cdf_row(probs: np.ndarray) -> tuple:
     return probs, array("d", probs.cumsum().tobytes())
 
 
-class RowCache(dict):
-    """Rows by key, storing at most :data:`MAX_CACHED_ROWS` of them."""
-
-    def keep(self, key, row):
-        """Store ``row`` under ``key`` unless the cache is full; return it."""
-        if len(self) < MAX_CACHED_ROWS:
-            self[key] = row
-        return row
-
-
-class RowSampler:
-    """Tau-scaled next-token rows of one model, one per visited context.
-
-    :meth:`row` returns the :func:`cdf_row` of ``softmax_with_temperature(
-    model.forward(context), tau)``. Rows are keyed by ``model.context_key``,
-    the unvalidated window of the tokens the model reads, so a hit costs
-    one window and one dict lookup. Only a miss calls ``model.forward``,
-    which validates the tokens: a row is stored only under a key that
-    passed, and a key holding a bad token misses and raises every time.
-
-    The first :data:`MAX_CACHED_ROWS` keys to be visited keep their row,
-    and later visits return it; a context met after that computes its row
-    on every visit. The cache pays when many draws share few contexts, as
-    in the canonical order-2 target (1,024 rows) and order-1 draft (32),
-    where the cap never binds. A model with many more reachable contexts
-    (an order-3 teacher or a tiny-neural draft with three context tokens,
-    32,768 each) visits most of them once or twice, and the cap keeps its
-    memory bounded instead of growing with every new context.
-
-    The model must not change while a sampler is in use, so build one per
-    (read-only model, tau) and keep it only as long as that holds.
-    """
-
-    def __init__(self, model, tau: float):
-        self.model = model
-        self.tau = tau
-        self._rows = RowCache()
-
-    def row(self, context):
-        """Row after ``context``."""
-        key = self.model.context_key(context)
-        row = self._rows.get(key)
-        if row is None:
-            probs = softmax_with_temperature(self.model.forward(context), self.tau)
-            row = self._rows.keep(key, cdf_row(probs))
-        return row
-
-
 def draw(row, rng: np.random.Generator) -> int:
     """:func:`sample` on a ``(probs, cdf)`` pair whose CDF is computed.
 
     ``cdf`` is the ``np.cumsum`` of ``probs`` as an ``array('d')``, as
     :func:`cdf_row` builds it. The total is checked here, not when
-    a row is cached, so a bad row raises before any uniform is used.
+    the row is built, so a bad row raises before any uniform is used.
 
     Teacher pretraining repeats this search inline on chain rows whose
     totals it checks once per row.

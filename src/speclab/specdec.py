@@ -17,11 +17,13 @@ carries the window index of its rows in each model's :class:`RowTable`,
 and every draw, acceptance test and commit is one array operation over
 the streams still decoding. A rejection's correction is drawn from the
 residual of the two rows it met. With no draft the loop is the
-autoregressive baseline. :func:`speculative_generate` is its one-stream
-form. :func:`generate_autoregressive` samples one prompt token by token
-from :class:`~speclab.sampling.RowSampler` rows, for training code that
-draws one response at a time. :func:`verify_block` applies the rule to
-one block of explicit distributions.
+autoregressive baseline, and KD datasets are decoded that way.
+:func:`speculative_generate` is its one-stream form.
+:func:`generate_autoregressive` samples one prompt token by token, each
+row computed once per window the call visits, for code that draws one
+response at a time on one generator: on-policy training and held-out
+rollouts. :func:`verify_block` applies the rule to one block of explicit
+distributions.
 
 Randomness contract: a single generator drives one generation. Each
 round consumes, in order, one draw per proposed token (draft sampling),
@@ -38,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sampling
 from .errors import ConfigError, DomainError, NumericError, VerificationError
 from .lm import NGramLogitLM, _check_token
-from .sampling import RowSampler, cdf_row, draw, softmax_rows_with_temperature
+from .sampling import cdf_row, draw, softmax_rows_with_temperature, softmax_with_temperature
 
 _KIND_NAMES = {"resample": "resample", "bonus": "bonus", None: "eos"}
 
@@ -170,25 +171,37 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
     return m, draw(cdf_row(target_dists[m]), rng), "bonus"
 
 
-def generate_autoregressive(model, prompt, config: GenerationConfig, rng,
-                            *, sampler: RowSampler | None = None) -> list[int]:
+def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> list[int]:
     """Plain temperature sampling from one model, one token at a time.
 
     Returns the continuation only. The end-of-sequence token, when
-    drawn, is included as the final element. Rows come from ``sampler``,
-    a :class:`RowSampler` of ``model`` at ``config.tau``, or from a new
-    one for this call; each token is one :func:`draw`.
+    drawn, is included as the final element. Each token is one
+    :func:`draw` from the :func:`~speclab.sampling.cdf_row` of
+    ``softmax_with_temperature(model.forward(context), config.tau)``,
+    computed once per context window this call visits.
     """
-    if sampler is None:
-        sampler = RowSampler(model, config.tau)
-    elif sampler.model is not model or sampler.tau != config.tau:
-        raise DomainError("sampler holds rows of another model or temperature")
-    row = sampler.row
+    return _generate(model, prompt, config, rng, {})
+
+
+def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[int]:
+    """:func:`generate_autoregressive` with the rows in ``rows``, which it fills.
+
+    Rows are keyed by ``model.context_key``, the unvalidated window of the
+    tokens the model reads, so a hit costs one window and one dict lookup.
+    Only a miss calls ``model.forward``, which validates the tokens: a row
+    is stored only under a key that passed, and a key holding a bad token
+    misses and raises every time. Calls that share ``rows`` must share the
+    model, unchanged, and ``config.tau``.
+    """
     eos = model.vocab.eos_id
     seq = list(prompt)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        tok = draw(row(seq), rng)
+        key = model.context_key(seq)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = cdf_row(softmax_with_temperature(model.forward(seq), config.tau))
+        tok = draw(row, rng)
         out.append(tok)
         seq.append(tok)
         if tok == eos:
@@ -210,16 +223,24 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
     return outs[0], traces[0]
 
 
+# Rows one RowTable keeps: above the canonical target's 1,024 contexts,
+# and at about 0.5 KB a row (vocabulary 32, probabilities and CDF) some
+# 2 MB a table.
+MAX_CACHED_ROWS = 4096
+
+
 class RowTable:
     """Tau-scaled next-token rows of one read-only model and their CDFs, by window index.
 
     The index of a context encodes the bos-padded window of the last
     ``width`` tokens the model reads, most recent token last, as
     :meth:`~speclab.lm.NGramLogitLM.context_index` does; appending token
-    ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row equals the
-    :class:`~speclab.sampling.RowSampler` row of any context with that
-    window. ``probs``, ``cdf`` and ``ok`` hold, per slot, a row, its CDF
-    and whether its total passes :func:`draw`'s check.
+    ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row is
+    ``softmax_with_temperature(model.forward(window), tau)`` and its CDF
+    the ``np.cumsum`` of that row, bit for bit as
+    :func:`~speclab.sampling.cdf_row` builds them. ``probs``, ``cdf`` and
+    ``ok`` hold, per slot, a row, its CDF and whether its total passes
+    :func:`draw`'s check.
 
     An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
     table at once from :func:`softmax_rows_with_temperature`, and a row's
@@ -239,7 +260,7 @@ class RowTable:
         if self.rows * self.size > np.iinfo(np.int64).max:
             raise DomainError(f"a window of {self.width} tokens over {self.size} "
                               "has too many rows to index")
-        self.whole = isinstance(model, NGramLogitLM) and self.rows <= sampling.MAX_CACHED_ROWS
+        self.whole = isinstance(model, NGramLogitLM) and self.rows <= MAX_CACHED_ROWS
         if self.whole:
             self.probs = softmax_rows_with_temperature(model.table, tau)
         else:
@@ -275,7 +296,7 @@ class RowTable:
         np.cumsum(self.probs[start:end], axis=1, out=self.cdf[start:end])
         self.ok[start:end] = _sums_to_one(self.cdf[start:end])
         slots[miss] = start + inverse
-        keep = min(len(new), sampling.MAX_CACHED_ROWS - self.kept)
+        keep = min(len(new), MAX_CACHED_ROWS - self.kept)
         if keep > 0:
             at = np.searchsorted(self._keys, new[:keep])
             self._keys = np.insert(self._keys, at, new[:keep])

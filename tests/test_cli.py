@@ -228,6 +228,13 @@ def test_compose_writes_comparison_rows(ws, capsys):
     ("compose.single_tau", "-0.5"),
     ("sweep.runs_per_seed", "0"),
     ("decode.runs", "0"),
+    ("corpus.pretrain_budget", "-5"),
+    ("corpus.pretrain_budget", "0"),
+    ("corpus.tolerance", "nan"),
+    ("corpus.tolerance", "-1"),
+    ("corpus.out_concentration", "0"),
+    ("corpus.out_concentration", "nan"),
+    ("compose.data_repeats", "0"),
 ])
 def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys, key, value):
     _, run, _ = ws

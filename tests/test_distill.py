@@ -29,6 +29,7 @@ from speclab.lm import (
 )
 from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
 from speclab.specdec import GenerationConfig, generate_autoregressive
+from test_specdec import reference_generate_autoregressive
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -173,6 +174,74 @@ def test_make_kd_dataset_rejects_zero_repeats():
     with pytest.raises(DomainError):
         make_kd_dataset(random_lm(V8, 1), [[2]], 1.0, rng, repeats=0)
     assert rng.bit_generator.state == before
+
+
+def reference_kd_dataset(teacher, prompts, taus, rng, repeats, max_len):
+    """make_kd_dataset as a per-pair loop of the per-token reference decoder."""
+    seeds = [int(rng.integers(1 << 62)) for _ in range(repeats * len(prompts))]
+    data = []
+    for i, seed in enumerate(seeds):
+        prompt = prompts[i % len(prompts)]
+        tau = taus[i % len(prompts) % len(taus)]
+        cfg = GenerationConfig(tau=tau, max_new_tokens=max_len)
+        response = reference_generate_autoregressive(teacher, prompt, cfg, make_rng(seed))
+        data.append((prompt, response, tau, "teacher"))
+    return data
+
+
+def kd_teacher(family):
+    if family == "ngram3":
+        return NGramLogitLM.create(V8, 3, init_scale=1.5, init_seed=31)
+    return TinyNeuralLM.create(V8, context_size=3, d_emb=4, d_hid=8, seed=32)
+
+
+@pytest.mark.parametrize("family", ["ngram3", "neural"])
+@pytest.mark.parametrize("taus", [(0.0,), (0.7,), (1.0, 0.5)])
+def test_make_kd_dataset_equals_the_per_pair_reference_loop(family, taus):
+    # Both teachers fill their row tables lazily, one window at a time.
+    teacher = kd_teacher(family)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [3, 3], [7]]
+    tau_gen = taus[0] if len(taus) == 1 else taus
+    got_rng, want_rng = make_rng(41), make_rng(41)
+    got = make_kd_dataset(teacher, prompts, tau_gen, got_rng, repeats=2, max_len=12)
+    want = reference_kd_dataset(teacher, prompts, taus, want_rng, 2, 12)
+    assert [(p.prompt, p.response, p.tau_gen, p.source) for p in got] == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_make_kd_dataset_skips_a_temperature_without_pairs(monkeypatch):
+    # Three temperatures over two prompts: 0.3 answers no prompt.
+    teacher = kd_teacher("ngram3")
+    calls = []
+    decode_lockstep = distill.decode_lockstep
+
+    def counting(table, draft, prompts, config, rngs, **kw):
+        calls.append((table.tau, len(prompts)))
+        return decode_lockstep(table, draft, prompts, config, rngs, **kw)
+
+    monkeypatch.setattr(distill, "decode_lockstep", counting)
+    got = make_kd_dataset(teacher, [[2], [3]], (1.0, 0.5, 0.3), make_rng(42), repeats=3,
+                          max_len=8)
+    want = reference_kd_dataset(teacher, [[2], [3]], (1.0, 0.5, 0.3), make_rng(42), 3, 8)
+    assert [(p.prompt, p.response, p.tau_gen, p.source) for p in got] == want
+    assert calls == [(1.0, 3), (0.5, 3)]
+    assert make_kd_dataset(teacher, [], (1.0, 0.5), make_rng(42), repeats=3) == []
+    assert calls == [(1.0, 3), (0.5, 3)]
+
+
+@pytest.mark.parametrize("prompts", [
+    [[2], [3, 9], [4]],
+    [[2], [9], [-1]],  # the first bad prompt is not at the first temperature
+    [[2], [4], [-1, 3], [8, 1, 2, 3]],
+])
+def test_make_kd_dataset_raises_the_per_pair_error_for_a_bad_prompt(prompts):
+    teacher = kd_teacher("ngram3")
+    with pytest.raises(DomainError) as want:
+        reference_kd_dataset(teacher, prompts, (1.0, 0.5), make_rng(43), 2, 8)
+    with pytest.raises(DomainError) as got:
+        make_kd_dataset(teacher, prompts, (1.0, 0.5), make_rng(43), repeats=2, max_len=8)
+    assert str(got.value) == str(want.value)
+    assert "outside vocab of size 8" in str(got.value)
 
 
 def test_offline_single_pair_memorization():

@@ -60,6 +60,12 @@ def test_vocab_validation():
         Vocab(size=4, bos_id=2, eos_id=2)
 
 
+@pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+def test_ngram_create_rejects_a_bad_init_scale(scale):
+    with pytest.raises(DomainError, match="init_scale must be finite and >= 0"):
+        NGramLogitLM.create(VOCAB8, 1, init_scale=scale)
+
+
 def test_ngram_unseen_context_scores_uniform():
     model = NGramLogitLM.create(VOCAB8, 1)
     assert np.array_equal(model.forward([3]), np.zeros(8))

@@ -4,11 +4,11 @@ from array import array
 import numpy as np
 import pytest
 
-from speclab import sampling
+from speclab import specdec
 from speclab.errors import DomainError, NumericError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import (
-    RowSampler,
+    cdf_row,
     derive_seed,
     draw,
     make_rng,
@@ -16,6 +16,7 @@ from speclab.sampling import (
     softmax_rows_with_temperature,
     softmax_with_temperature,
 )
+from speclab.specdec import GenerationConfig, generate_autoregressive
 
 
 def test_softmax_tau_one_known_values():
@@ -207,7 +208,7 @@ def reference_sample(dist, rng):
 
 
 def cached(dist):
-    """A row as RowSampler caches it: the probabilities and their CDF."""
+    """A row as cdf_row builds it: the probabilities and their CDF."""
     dist = np.asarray(dist, dtype=float)
     return dist, array("d", np.cumsum(dist).tobytes())
 
@@ -259,6 +260,7 @@ class CountingLM:
 
     def __init__(self, model):
         self.model = model
+        self.vocab = model.vocab
         self.calls = 0
 
     def context_key(self, context):
@@ -272,57 +274,57 @@ class CountingLM:
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
 
-def test_row_sampler_computes_each_context_row_once():
-    model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=3))
-    rows = RowSampler(model, 0.7)
-    first = rows.row([5, 2, 3])
-    assert rows.row([4, 2, 3]) is first  # same last two tokens, same row
-    assert rows.row([2, 3]) is first
-    assert rows.row([3]) is not first  # padded with bos: another row
-    assert model.calls == 2
-    assert np.array_equal(first[0], softmax_with_temperature(model.model.forward([2, 3]), 0.7))
-    assert list(first[1]) == np.cumsum(first[0]).tolist()
+def counting_model(family, seed):
+    if family == "ngram":
+        return CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=seed))
+    return CountingLM(TinyNeuralLM.create(V8, context_size=2, d_emb=3, d_hid=4, seed=seed))
 
 
-def test_row_sampler_keys_neural_rows_by_window():
-    model = CountingLM(TinyNeuralLM.create(V8, context_size=2, d_emb=3, d_hid=4, seed=1))
-    rows = RowSampler(model, 1.0)
-    assert rows.row([6, 2, 3]) is rows.row([2, 3])
-    assert rows.row([3]) is not rows.row([2, 3])
-    assert model.calls == 2
+def reference_rows_generate(model, prompt, tau, max_new_tokens, rng):
+    """One draw per token from the cdf_row of the model's tau-scaled softmax."""
+    seq, out = list(prompt), []
+    for _ in range(max_new_tokens):
+        out.append(draw(cdf_row(softmax_with_temperature(model.forward(seq), tau)), rng))
+        seq.append(out[-1])
+        if out[-1] == V8.eos_id:
+            break
+    return out
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_generate_autoregressive_computes_each_window_row_once_per_call(family):
+    model = counting_model(family, 3)
+    if family == "ngram":  # no eos, so the call meets many windows twice
+        model.model.table[:, V8.eos_id] = -np.inf
+    else:
+        model.model.b2[V8.eos_id] = -np.inf
+    cfg = GenerationConfig(tau=0.7, max_new_tokens=60)
+    out = generate_autoregressive(model, [5, 2, 3], cfg, make_rng(11))
+    assert out == reference_rows_generate(model.model, [5, 2, 3], 0.7, 60, make_rng(11))
+    seq = [5, 2, 3] + out
+    windows = {model.context_key(seq[:i]) for i in range(3, 3 + len(out))}
+    assert model.calls == len(windows) < len(out)  # windows repeat, rows do not
+    generate_autoregressive(model, [5, 2, 3], cfg, make_rng(11))
+    assert model.calls == 2 * len(windows)  # a new call computes its rows anew
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0, 2.5])
 def test_row_sampler_rows_bit_equal_batched_rows(tau):
+    # The rows generate_autoregressive draws from, against the batched rows.
     model = NGramLogitLM.create(V8, 2, init_scale=2.0, init_seed=4)
     model.table[:, 5] = -np.inf  # a zero-probability token in every row
     contexts = [[], [2], [3, 4], [7, 7, 6], [1, 0]]
     batched = softmax_rows_with_temperature(model.forward_batch(contexts), tau)
-    rows = RowSampler(model, tau)
     for i, context in enumerate(contexts):
-        probs, cdf = rows.row(context)
+        probs, cdf = cdf_row(softmax_with_temperature(model.forward(context), tau))
         assert np.array_equal(probs, batched[i])
         assert np.array_equal(np.array(cdf), np.cumsum(batched, axis=1)[i])
 
 
-def test_row_sampler_propagates_token_errors():
-    rows = RowSampler(NGramLogitLM.create(V8, 2), 1.0)
+def test_generate_autoregressive_propagates_token_errors():
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=5)
     with pytest.raises(DomainError, match="token id 9"):
-        rows.row([2, 9])
-
-
-def test_row_sampler_stops_storing_rows_at_its_cap(monkeypatch):
-    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 2)
-    model = CountingLM(NGramLogitLM.create(V8, 1, init_scale=1.0, init_seed=5))
-    rows = RowSampler(model, 0.7)
-    kept = [rows.row([t]) for t in (2, 3)]
-    late = rows.row([4])
-    assert all(rows.row([t]) is row for t, row in zip((2, 3), kept))
-    again = rows.row([4])
-    assert again is not late  # past the cap: computed anew, not stored
-    assert np.array_equal(again[0], late[0]) and again[1] == late[1]
-    assert np.array_equal(late[0], softmax_with_temperature(model.model.forward([4]), 0.7))
-    assert model.calls == 4
+        generate_autoregressive(NGramLogitLM.create(V8, 2), [2, 9], cfg, make_rng(0))
 
 
 def reference_softmax(logits, tau):
@@ -360,25 +362,22 @@ def test_context_keys_are_unvalidated_bos_padded_windows():
 @pytest.mark.parametrize("family", ["ngram", "neural"])
 @pytest.mark.parametrize("bad", [9, 8, -1])
 def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
-    if family == "ngram":
-        model = CountingLM(NGramLogitLM.create(V8, 2, init_scale=1.0, init_seed=6))
-    else:
-        model = CountingLM(TinyNeuralLM.create(V8, context_size=2, d_emb=3, d_hid=4, seed=6))
-    rows = RowSampler(model, 0.8)
+    # Rows shared across calls, as held-out rollouts share them: a row is
+    # stored only under a key that passed, so a bad key misses every time.
+    model = counting_model(family, 6)
+    cfg = GenerationConfig(tau=0.8, max_new_tokens=1)
+    rows = {}
     for a in range(V8.size):
         for b in range(V8.size):
-            rows.row([a, b])  # every valid key is cached
+            specdec._generate(model, [a, b], cfg, make_rng(0), rows)  # every valid key
+    assert len(rows) == V8.size**2
     calls = model.calls
-    for _ in range(2):  # the bad key is never stored, so it raises again
+    for share in (rows, rows, None):
         with pytest.raises(DomainError) as err:
-            rows.row([4, 3, bad])
+            if share is None:
+                generate_autoregressive(model, [4, 3, bad], cfg, make_rng(0))
+            else:
+                specdec._generate(model, [4, 3, bad], cfg, make_rng(0), share)
         assert str(err.value) == f"token id {bad} outside vocab of size {V8.size}"
-    assert model.calls == calls + 2
-
-
-def test_row_cache_keeps_at_most_its_cap(monkeypatch):
-    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 2)
-    cache = sampling.RowCache()
-    rows = [object() for _ in range(3)]
-    assert [cache.keep(k, row) for k, row in enumerate(rows)] == rows
-    assert cache == {0: rows[0], 1: rows[1]}
+    assert model.calls == calls + 3
+    assert len(rows) == V8.size**2

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from speclab import distill, sampling, specdec
+from speclab import distill, specdec
 from speclab.distill import KDConfig, Pair, TrainStep, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
 from speclab.sampling import (
-    RowSampler,
+    cdf_row,
     derive_seed,
     make_rng,
     sample,
@@ -454,7 +454,7 @@ def oracle_target(order, seed, zero_tokens=False):
 
 
 def assert_decoders_match_oracle(target, draft, config, prompts, seed):
-    target_rows = RowSampler(target, config.tau)
+    shared_rows = {}  # one row dict across prompts, as held-out rollouts share it
     for j, prompt in enumerate(prompts):
         s = derive_seed(seed, j)
         want_rng, got_rng = make_rng(s), make_rng(s)
@@ -464,10 +464,13 @@ def assert_decoders_match_oracle(target, draft, config, prompts, seed):
         assert dump_trace(got[1]) == dump_trace(want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         for shared in (False, True):
-            rows = {"sampler": target_rows} if shared else {}
             want_rng, got_rng = make_rng(s), make_rng(s)
             want = reference_generate_autoregressive(target, prompt, config, want_rng)
-            assert generate_autoregressive(target, prompt, config, got_rng, **rows) == want
+            if shared:
+                got = specdec._generate(target, prompt, config, got_rng, shared_rows)
+            else:
+                got = generate_autoregressive(target, prompt, config, got_rng)
+            assert got == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -528,16 +531,6 @@ def test_cached_row_decoders_raise_oracle_error_at_tiny_tau():
                 decoder(*models, [2, 3], cfg, got_rng)
         assert str(got.value) == str(want.value)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def test_decoders_reject_a_sampler_of_another_model_or_tau():
-    target = random_ngram(2, 130)
-    draft = random_ngram(1, 131)
-    cfg = GenerationConfig(tau=0.5)
-    with pytest.raises(DomainError, match="sampler"):
-        generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(draft, 0.5))
-    with pytest.raises(DomainError, match="sampler"):
-        generate_autoregressive(target, [2], cfg, make_rng(0), sampler=RowSampler(target, 1.0))
 
 
 def window_of(index, width, size=8):
@@ -670,20 +663,25 @@ def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():
         decode_lockstep(RowTable(target, 0.5), RowTable(other, 0.5), [[2]], cfg, [make_rng(0)])
 
 
-def test_row_table_rows_equal_row_sampler_rows(monkeypatch):
+def reference_row(model, context, tau):
+    """The (probs, cdf) row that generate_autoregressive draws from after ``context``."""
+    return cdf_row(softmax_with_temperature(model.forward(context), tau))
+
+
+def test_row_table_rows_equal_reference_rows(monkeypatch):
     # Whole n-gram tables, and rows filled lazily from model.forward.
     models = [random_ngram(2, 140), oracle_draft("neural", 141)]
     for cap in (4096, 5):
-        monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", cap)
+        monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
         for model in models:
             for tau in (0.0, 0.7):
-                table, sampler = RowTable(model, tau), RowSampler(model, tau)
+                table = RowTable(model, tau)
                 assert table.whole == (cap == 4096 and model is models[0])
                 contexts = [[], [3], [2, 5], [7, 1, 4], [6, 6, 6, 2]]
                 idx = np.array([table.index(c) for c in contexts])
                 slots = table.slots(idx)
                 for context, slot in zip(contexts, slots):
-                    probs, cdf = sampler.row(context)
+                    probs, cdf = reference_row(model, context, tau)
                     assert np.array_equal(table.probs[slot], probs)
                     assert np.array_equal(table.cdf[slot], np.array(cdf))
                     assert table.ok[slot]
@@ -768,7 +766,7 @@ def test_row_tables_stop_at_the_cap(monkeypatch):
     # A cap of 3 makes every table fill lazily from model.forward. The first
     # three indices looked up keep their rows; rows past the cap are built
     # again on each lookup, in slots after the kept ones.
-    monkeypatch.setattr(sampling, "MAX_CACHED_ROWS", 3)
+    monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", 3)
     target = oracle_target(2, 180)
     prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5]] * 3
     for family in ("ngram", "neural"):
@@ -781,9 +779,8 @@ def test_row_tables_stop_at_the_cap(monkeypatch):
                                           target_rows=tables[0], draft_rows=tables[1])
         for table in tables:
             assert table.kept == 3 and len(table.probs) > 3
-            sampler = RowSampler(table.model, 1.0)
             for index, slot in zip(table._keys[:-1], table._where[:-1]):
-                probs, cdf = sampler.row(window_of(int(index), table.width))
+                probs, cdf = reference_row(table.model, window_of(int(index), table.width), 1.0)
                 assert np.array_equal(table.probs[slot], probs)
                 assert np.array_equal(table.cdf[slot], np.array(cdf))
 
@@ -793,9 +790,9 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
     target = oracle_target(2, 190)
     draft = oracle_draft("ngram", 290)
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=12)
-    target_rows = RowSampler(target, 1.0)
-    for j in range(20):  # warm the sampler
-        generate_autoregressive(target, [2 + j % 6], cfg, make_rng(j), sampler=target_rows)
+    target_rows = {}
+    for j in range(20):  # warm the rows, as held-out rollouts share them
+        specdec._generate(target, [2 + j % 6], cfg, make_rng(j), target_rows)
     want_rng, got_rng = make_rng(7), make_rng(7)
     with pytest.raises(DomainError) as want:
         reference_speculative_generate(target, draft, prompt, cfg, want_rng)
@@ -807,14 +804,17 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
     # reference drafts tokens before its target meets [9, 3] or [4, -2, 5].
     assert got_rng.bit_generator.state == make_rng(7).bit_generator.state
 
-    want_rng, got_rng = make_rng(7), make_rng(7)
+    want_rng = make_rng(7)
     with pytest.raises(DomainError) as want:
         reference_generate_autoregressive(target, prompt, cfg, want_rng)
-    with pytest.raises(DomainError) as got:
-        generate_autoregressive(target, prompt, cfg, got_rng, sampler=target_rows)
-    assert str(got.value) == str(want.value)
-    assert "outside vocab of size 8" in str(got.value)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for decode in (generate_autoregressive,
+                   lambda *args: specdec._generate(*args, target_rows)):
+        got_rng = make_rng(7)
+        with pytest.raises(DomainError) as got:
+            decode(target, prompt, cfg, got_rng)
+        assert str(got.value) == str(want.value)
+        assert "outside vocab of size 8" in str(got.value)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def reference_train_online(student, teacher, fixed_dataset, config):
