@@ -134,9 +134,10 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     ``make_rng`` of its seed, which gives each pair the response that
     :func:`~speclab.specdec.generate_autoregressive` would. Prompt windows
     are validated first, in prompt order, so a bad one raises the error of
-    the first pair that meets it. An empty, negative or non-finite
-    temperature list and ``repeats < 1`` raise :class:`DomainError` before
-    ``rng`` is used.
+    the first pair that meets it. A teacher window too wide for a
+    :class:`~speclab.specdec.RowTable` to index raises
+    :class:`DomainError`. An empty, negative or non-finite temperature
+    list and ``repeats < 1`` raise it before ``rng`` is used.
     """
     taus = [tau_gen] if np.ndim(tau_gen) == 0 else list(tau_gen)
     if not taus:

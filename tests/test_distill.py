@@ -244,6 +244,13 @@ def test_make_kd_dataset_raises_the_per_pair_error_for_a_bad_prompt(prompts):
     assert "outside vocab of size 8" in str(got.value)
 
 
+def test_make_kd_dataset_rejects_a_teacher_window_too_wide_to_index():
+    teacher = TinyNeuralLM.create(Vocab(size=32, bos_id=0, eos_id=1), context_size=13,
+                                  d_emb=2, d_hid=2)
+    with pytest.raises(DomainError, match="too many rows to index"):
+        make_kd_dataset(teacher, [[2]], 1.0, make_rng(0), max_len=4)
+
+
 def test_offline_single_pair_memorization():
     # One pair with self-consistent order-1 transitions: the student must
     # end up assigning every response token probability > 0.9.
