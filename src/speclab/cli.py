@@ -1,6 +1,6 @@
 """Command-line entry point: reproducible experiment runs from config files.
 
-Commands: ``corpus`` (build chain, teacher, prompt sets), ``distill``
+Commands: ``corpus`` (build chain, teacher, prompt set), ``distill``
 (train a draft), ``decode`` (measure one decoding setting), ``sweep``
 (distillation-tau x decoding-tau grid), ``compose`` (mixed-temperature
 dataset vs single-temperature), ``report`` (text summary of sweep CSVs).
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -32,8 +32,6 @@ from .corpus import (
     CorpusBundle,
     CorpusSpec,
     build_corpus,
-    build_ground_truth,
-    canonical_prompts,
     load_prompts,
     save_prompts,
 )
@@ -79,76 +77,88 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
 
-# Flat `section.key = value` schema: parser and default per key.
+def _finite_nonneg(value) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+# Range checks: (test, what a passing value is).
+_AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
+_FINITE_NONNEG = (_finite_nonneg, "finite and >= 0")
+_TAUS = (lambda taus: len(taus) > 0 and all(map(_finite_nonneg, taus)),
+         "one or more finite temperatures >= 0")
+_SEEDS = (lambda seeds: 0 < len(seeds) == len(set(seeds)), "one or more distinct seeds")
+_FAMILY = (lambda name: name in (FAMILY_NGRAM, FAMILY_NEURAL),
+           f"'{FAMILY_NGRAM}' or '{FAMILY_NEURAL}'")
+
+# Flat `section.key = value` schema: parser, default and range check per
+# key. A check of None means any parsed value is in range, or that the
+# section's dataclass (_SECTIONS) checks it when it is built.
 _SCHEMA = {
-    "corpus.vocab_size": (int, 32),
-    "corpus.order": (int, 2),
-    "corpus.concentration": (float, 0.5),
-    "corpus.out_concentration": (float, 0.05),
-    "corpus.n_prompts": (int, 200),
-    "corpus.prompt_len": (int, 8),
-    "corpus.seed": (int, 0),
-    "corpus.pretrain_budget": (int, 800_000),
-    "corpus.tolerance": (float, 0.05),
-    "models.teacher_order": (int, 2),
-    "models.draft_family": (str, FAMILY_NGRAM),
-    "models.draft_order": (int, 1),
-    "models.draft_init_scale": (float, 2.0),
-    "models.draft_context_size": (int, 3),
-    "models.draft_d_emb": (int, 16),
-    "models.draft_d_hid": (int, 64),
-    "kd.mode": (str, "offline"),
-    "kd.tau_gen": (float, 1.0),
-    "kd.on_policy_frac": (float, 0.5),
-    "kd.loss_ratio": (float, 1.0),
-    "kd.learning_rate": (float, 0.3),
-    "kd.steps": (int, 3000),
-    "kd.seed": (int, 0),
-    "kd.gen_max_len": (int, 64),
-    "kd.data_repeats": (int, 5),
-    "decode.tau": (float, 1.0),
-    "decode.block_size": (int, 4),
-    "decode.max_new_tokens": (int, 64),
-    "decode.seed": (int, 0),
-    "decode.runs": (int, 5),
-    "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS),
-    "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS),
-    "sweep.seeds": (_parse_int_list, (1, 2, 3, 4, 5)),
-    "sweep.runs_per_seed": (int, 1),
-    "sweep.traces": (_parse_bool, False),
-    "compose.tau_set": (_parse_float_list, (1.0, 0.9, 0.8)),
-    "compose.single_tau": (float, 1.0),
-    "compose.decode_taus": (_parse_float_list, (1.0,)),
-    "compose.seeds": (_parse_int_list, (1, 2, 3, 4, 5)),
-    "compose.data_repeats": (int, 1),
-    "io.output_dir": (str, "runs/default"),
+    "corpus.vocab_size": (int, 32, None),
+    "corpus.order": (int, 2, None),
+    "corpus.concentration": (float, 0.5, None),
+    "corpus.n_prompts": (int, 200, None),
+    "corpus.prompt_len": (int, 8, None),
+    "corpus.seed": (int, 0, None),
+    "corpus.pretrain_budget": (int, 800_000, _AT_LEAST_1),
+    "corpus.tolerance": (float, 0.05, _FINITE_NONNEG),
+    "models.teacher_order": (int, 2, _AT_LEAST_1),
+    "models.draft_family": (str, FAMILY_NGRAM, _FAMILY),
+    "models.draft_order": (int, 1, _AT_LEAST_1),
+    "models.draft_init_scale": (float, 2.0, _FINITE_NONNEG),
+    "models.draft_context_size": (int, 3, _AT_LEAST_1),
+    "models.draft_d_emb": (int, 16, _AT_LEAST_1),
+    "models.draft_d_hid": (int, 64, _AT_LEAST_1),
+    "kd.mode": (str, "offline", None),
+    "kd.tau_gen": (float, 1.0, None),
+    "kd.on_policy_frac": (float, 0.5, None),
+    "kd.loss_ratio": (float, 1.0, None),
+    "kd.learning_rate": (float, 0.3, None),
+    "kd.steps": (int, 3000, None),
+    "kd.seed": (int, 0, None),
+    "kd.gen_max_len": (int, 64, None),
+    "kd.data_repeats": (int, 5, None),
+    "decode.tau": (float, 1.0, None),
+    "decode.block_size": (int, 4, None),
+    "decode.max_new_tokens": (int, 64, None),
+    "decode.seed": (int, 0, None),
+    "decode.runs": (int, 5, _AT_LEAST_1),
+    "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS, _TAUS),
+    "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS, _TAUS),
+    "sweep.seeds": (_parse_int_list, (1, 2, 3, 4, 5), _SEEDS),
+    "sweep.runs_per_seed": (int, 1, _AT_LEAST_1),
+    "sweep.traces": (_parse_bool, False, None),
+    "compose.tau_set": (_parse_float_list, (1.0, 0.9, 0.8), _TAUS),
+    "compose.single_tau": (float, 1.0, _FINITE_NONNEG),
+    "compose.decode_taus": (_parse_float_list, (1.0,), _TAUS),
+    "compose.seeds": (_parse_int_list, (1, 2, 3, 4, 5), _SEEDS),
+    "compose.data_repeats": (int, 1, _AT_LEAST_1),
+    "io.output_dir": (str, "runs/default", None),
 }
 
-# Checked on load, so a bad temperature fails before any draft trains.
-_TAU_KEYS = ("sweep.kd_taus", "sweep.decode_taus", "compose.tau_set", "compose.decode_taus",
-             "compose.single_tau")
+# Sections built into a dataclass, field by field, whose constructor
+# checks the fields' ranges. Each starts its DomainError with the field
+# name, so the section prefix makes the message name the key.
+_SECTIONS = (("corpus", CorpusSpec), ("kd", KDConfig), ("decode", GenerationConfig))
 
 
 @dataclass
 class RunConfig:
-    """Typed view of one config file."""
+    """Typed view of one config file: the built sections plus every resolved value."""
 
     corpus: CorpusSpec
-    out_concentration: float
-    pretrain_budget: int
-    tolerance: float
-    models: dict
     kd: KDConfig
     decode: GenerationConfig
-    decode_runs: int
-    sweep: dict
-    compose: dict
-    output_dir: Path
+    values: dict
+
+    @property
+    def output_dir(self) -> Path:
+        return Path(self.values["io.output_dir"])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Flat `section.key = value` lines into a fully defaulted dict."""
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = {key: default for key, (_, default, _) in _SCHEMA.items()}
     set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -166,7 +176,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                 f"{source}:{lineno}: duplicate key '{key}', first set on line {set_on[key]}"
             )
         set_on[key] = lineno
-        parser_fn, _ = _SCHEMA[key]
+        parser_fn = _SCHEMA[key][0]
         try:
             values[key] = parser_fn(value)
         except ValueError as exc:
@@ -176,74 +186,18 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
     if seed_override is not None:
-        values = dict(values)
-        values["corpus.seed"] = seed_override
-        values["kd.seed"] = seed_override
-        values["decode.seed"] = seed_override
-    for key in _TAU_KEYS:
-        taus = values[key] if isinstance(values[key], tuple) else (values[key],)
-        if not taus or not all(math.isfinite(tau) and tau >= 0 for tau in taus):
-            raise ConfigError(
-                f"{key} needs one or more finite temperatures >= 0, got {values[key]!r}"
-            )
-    for key in ("decode.runs", "sweep.runs_per_seed", "corpus.pretrain_budget",
-                "compose.data_repeats"):
-        if values[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {values[key]}")
-    tolerance, out_c = values["corpus.tolerance"], values["corpus.out_concentration"]
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ConfigError(f"corpus.tolerance must be finite and >= 0, got {tolerance}")
-    if not (math.isfinite(out_c) and out_c > 0):
-        raise ConfigError(f"corpus.out_concentration must be finite and > 0, got {out_c}")
-    corpus = CorpusSpec(
-        vocab_size=values["corpus.vocab_size"],
-        order=values["corpus.order"],
-        concentration=values["corpus.concentration"],
-        n_prompts=values["corpus.n_prompts"],
-        prompt_len=values["corpus.prompt_len"],
-        seed=values["corpus.seed"],
-    )
-    models = {
-        key.split(".", 1)[1]: values[key] for key in _SCHEMA if key.startswith("models.")
-    }
-    if models["draft_family"] not in (FAMILY_NGRAM, FAMILY_NEURAL):
-        raise ConfigError(f"unknown models.draft_family '{models['draft_family']}'")
-    kd = KDConfig(
-        mode=values["kd.mode"],
-        tau_gen=values["kd.tau_gen"],
-        on_policy_frac=values["kd.on_policy_frac"],
-        loss_ratio=values["kd.loss_ratio"],
-        learning_rate=values["kd.learning_rate"],
-        steps=values["kd.steps"],
-        seed=values["kd.seed"],
-        gen_max_len=values["kd.gen_max_len"],
-        data_repeats=values["kd.data_repeats"],
-    )
-    decode = GenerationConfig(
-        tau=values["decode.tau"],
-        block_size=values["decode.block_size"],
-        max_new_tokens=values["decode.max_new_tokens"],
-        seed=values["decode.seed"],
-    )
-    sweep = {
-        key.split(".", 1)[1]: values[key] for key in _SCHEMA if key.startswith("sweep.")
-    }
-    compose = {
-        key.split(".", 1)[1]: values[key] for key in _SCHEMA if key.startswith("compose.")
-    }
-    return RunConfig(
-        corpus=corpus,
-        out_concentration=values["corpus.out_concentration"],
-        pretrain_budget=values["corpus.pretrain_budget"],
-        tolerance=values["corpus.tolerance"],
-        models=models,
-        kd=kd,
-        decode=decode,
-        decode_runs=values["decode.runs"],
-        sweep=sweep,
-        compose=compose,
-        output_dir=Path(values["io.output_dir"]),
-    )
+        values = {**values, "corpus.seed": seed_override, "kd.seed": seed_override,
+                  "decode.seed": seed_override}
+    for key, (_, _, check) in _SCHEMA.items():
+        if check is not None and not check[0](values[key]):
+            raise ConfigError(f"{key} must be {check[1]}, got {values[key]!r}")
+    built = {}
+    for section, cls in _SECTIONS:
+        try:
+            built[section] = cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)})
+        except DomainError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
+    return RunConfig(**built, values=values)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -256,21 +210,21 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 def _draft_factory(config: RunConfig):
     """Student constructor; the same initialization every call."""
-    models = config.models
+    values = config.values
     vocab = config.corpus.vocab()
     init_seed = derive_seed(config.kd.seed, _TAG_DRAFT_INIT)
-    if models["draft_family"] == FAMILY_NGRAM:
+    if values["models.draft_family"] == FAMILY_NGRAM:
         return lambda: NGramLogitLM.create(
             vocab,
-            models["draft_order"],
-            init_scale=models["draft_init_scale"],
+            values["models.draft_order"],
+            init_scale=values["models.draft_init_scale"],
             init_seed=init_seed,
         )
     return lambda: TinyNeuralLM.create(
         vocab,
-        context_size=models["draft_context_size"],
-        d_emb=models["draft_d_emb"],
-        d_hid=models["draft_d_hid"],
+        context_size=values["models.draft_context_size"],
+        d_emb=values["models.draft_d_emb"],
+        d_hid=values["models.draft_d_hid"],
         seed=init_seed,
     )
 
@@ -307,21 +261,17 @@ def cmd_corpus(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_corpus(
         config.corpus,
-        teacher_order=config.models["teacher_order"],
-        pretrain_budget=config.pretrain_budget,
-        tolerance=config.tolerance,
+        teacher_order=config.values["models.teacher_order"],
+        pretrain_budget=config.values["corpus.pretrain_budget"],
+        tolerance=config.values["corpus.tolerance"],
     )
     save_checkpoint(bundle.ground_truth, out / "ground_truth.ckpt")
     save_checkpoint(bundle.teacher, out / "teacher.ckpt")
     save_prompts(bundle.prompts, out / "prompts_in.txt")
-    spec_out = replace(config.corpus, concentration=config.out_concentration)
-    gt_out = build_ground_truth(spec_out, make_rng(spec_out.seed))
-    save_prompts(canonical_prompts(gt_out, spec_out), out / "prompts_out.txt")
     meta = (
         f"vocab_size = {config.corpus.vocab_size}\n"
         f"order = {config.corpus.order}\n"
         f"concentration = {config.corpus.concentration!r}\n"
-        f"out_concentration = {config.out_concentration!r}\n"
         f"seed = {config.corpus.seed}\n"
         f"teacher_heldout_ce = {bundle.teacher_ce:.12f}\n"
         f"heldout_entropy_rate = {bundle.entropy_rate:.12f}\n"
@@ -378,7 +328,7 @@ def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
         draft,
         bundle.prompts,
         config.decode,
-        config.decode_runs,
+        config.values["decode.runs"],
         on_trace=lambda run, j, trace: blocks.append(dump_trace(trace)),
     )
     traces_dir = out / "traces"
@@ -409,9 +359,9 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
-    sweep = config.sweep
+    values = config.values
     trace_sink = None
-    if sweep["traces"]:
+    if values["sweep.traces"]:
         traces_dir = out / "traces"
         traces_dir.mkdir(exist_ok=True)
 
@@ -420,14 +370,14 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
             write_atomic(traces_dir / name, text)
 
     result = run_sweep(
-        sweep["kd_taus"],
-        sweep["decode_taus"],
+        values["sweep.kd_taus"],
+        values["sweep.decode_taus"],
         config.kd.mode,
         bundle,
         config.decode,
-        sweep["seeds"],
+        values["sweep.seeds"],
         kd_template=config.kd,
-        runs_per_seed=sweep["runs_per_seed"],
+        runs_per_seed=values["sweep.runs_per_seed"],
         cache_dir=out / "drafts",
         jobs=jobs,
         draft_factory=_draft_factory(config),
@@ -436,7 +386,7 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
     csv_text = sweep_csv_text(result, no_timing=no_timing)
     write_atomic(out / "sweep.csv", csv_text)
     rows = parse_sweep_csv(csv_text)
-    expected = len(result.kd_taus) * len(result.decode_taus) * len(sweep["seeds"])
+    expected = len(result.kd_taus) * len(result.decode_taus) * len(values["sweep.seeds"])
     if len(rows) != expected:
         raise VerificationError("sweep CSV row count does not match the grid")
     print(f"sweep written to {out / 'sweep.csv'} ({len(rows)} rows)")
@@ -447,7 +397,7 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
-    comp = config.compose
+    values = config.values
     factory = _draft_factory(config)
 
     def train_pair(seed: int):
@@ -457,28 +407,28 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
         # per-transition estimates noisy enough that the mixture's cleaner
         # low-temperature samples can show up in the comparison.
         pair = []
-        for taus in (comp["single_tau"], comp["tau_set"]):
+        for taus in (values["compose.single_tau"], values["compose.tau_set"]):
             draft = factory()
             dataset = make_kd_dataset(
                 bundle.teacher,
                 bundle.prompts,
                 taus,
                 make_rng(data_seed),
-                repeats=comp["data_repeats"],
+                repeats=values["compose.data_repeats"],
                 max_len=config.kd.gen_max_len,
             )
             train_offline(draft, dataset, kd_cfg)
             pair.append(draft)
         return pair
 
-    drafts = {seed: train_pair(seed) for seed in comp["seeds"]}
+    drafts = {seed: train_pair(seed) for seed in values["compose.seeds"]}
     rows = compare_drafts(
         bundle.teacher,
         lambda seed: drafts[seed],
         bundle.prompts,
-        comp["decode_taus"],
+        values["compose.decode_taus"],
         config.decode,
-        comp["seeds"],
+        values["compose.seeds"],
     )
     lines = ["decode_tau,seed,delta_alpha,delta_speedup"]
     wins = 0

@@ -95,7 +95,7 @@ class KDConfig:
 
     def __post_init__(self):
         if self.mode not in ("offline", "online"):
-            raise DomainError(f"unknown distillation mode '{self.mode}'")
+            raise DomainError(f"mode must be 'offline' or 'online', got '{self.mode}'")
         for name in ("tau_gen", "loss_ratio", "learning_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

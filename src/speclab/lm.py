@@ -218,8 +218,9 @@ class TinyNeuralLM:
         d_hid: int = 64,
         seed: int = 0,
     ) -> "TinyNeuralLM":
-        if context_size < 1:
-            raise DomainError(f"context_size must be >= 1, got {context_size}")
+        for name, size in (("context_size", context_size), ("d_emb", d_emb), ("d_hid", d_hid)):
+            if size < 1:
+                raise DomainError(f"{name} must be >= 1, got {size}")
         rng = make_rng(seed)
         # Weights drawn uniform in [-0.1, 0.1]; biases start at zero.
         emb = rng.uniform(-0.1, 0.1, size=(vocab.size, d_emb))

@@ -1,5 +1,6 @@
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,14 @@ def test_load_config_seed_override(tmp_path):
     assert (untouched.corpus.seed, untouched.kd.seed, untouched.decode.seed) == (3, 4, 5)
 
 
+def test_canonical_config_sets_every_key_once_at_its_default():
+    text = (Path(__file__).resolve().parent.parent / "configs" / "canonical.cfg").read_text()
+    keys = [line.partition("=")[0].strip() for line in text.splitlines()
+            if line.strip() and not line.startswith("#")]
+    assert sorted(keys) == sorted(parse_config_text(""))
+    assert parse_config_text(text) == parse_config_text("")
+
+
 def test_config_rejects_neural_teacher(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("models.teacher_family = neural\n")
@@ -121,8 +130,7 @@ def test_config_rejects_unknown_draft_family(tmp_path):
 
 def test_corpus_writes_artifacts(ws):
     _, run, _ = ws
-    for name in ("ground_truth.ckpt", "teacher.ckpt", "prompts_in.txt",
-                 "prompts_out.txt", "corpus_meta.txt"):
+    for name in ("ground_truth.ckpt", "teacher.ckpt", "prompts_in.txt", "corpus_meta.txt"):
         assert (run / name).is_file()
     meta = (run / "corpus_meta.txt").read_text()
     assert "teacher_heldout_ce = " in meta
@@ -131,8 +139,7 @@ def test_corpus_writes_artifacts(ws):
 
 def test_corpus_rerun_is_byte_identical(ws, capsys):
     _, run, cfg = ws
-    names = ("ground_truth.ckpt", "teacher.ckpt", "prompts_in.txt",
-             "prompts_out.txt", "corpus_meta.txt")
+    names = ("ground_truth.ckpt", "teacher.ckpt", "prompts_in.txt", "corpus_meta.txt")
     before = {name: (run / name).read_bytes() for name in names}
     assert main(["corpus", "--config", str(cfg)]) == 0
     assert "corpus written to" in capsys.readouterr().out
@@ -232,9 +239,22 @@ def test_compose_writes_comparison_rows(ws, capsys):
     ("corpus.pretrain_budget", "0"),
     ("corpus.tolerance", "nan"),
     ("corpus.tolerance", "-1"),
+    # A retired key is an unknown key.
     ("corpus.out_concentration", "0"),
-    ("corpus.out_concentration", "nan"),
     ("compose.data_repeats", "0"),
+    ("models.teacher_order", "0"),
+    ("models.draft_order", "0"),
+    ("models.draft_context_size", "0"),
+    ("models.draft_d_emb", "-1"),
+    ("models.draft_d_hid", "0"),
+    ("models.draft_init_scale", "-1"),
+    ("models.draft_init_scale", "inf"),
+    ("sweep.seeds", "1,1"),
+    ("compose.seeds", ""),
+    # Checked by the dataclass built from the key's section.
+    ("kd.steps", "-1"),
+    ("decode.block_size", "0"),
+    ("corpus.vocab_size", "3"),
 ])
 def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys, key, value):
     _, run, _ = ws
@@ -247,7 +267,9 @@ def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys,
     cfg.write_text(base + f"{key} = {value}\nio.output_dir = {out}\n")
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(cfg)
-    assert main([key.split(".")[0], "--config", str(cfg)]) == 1
+    section = key.split(".")[0]
+    command = "distill" if section in ("models", "kd") else section
+    assert main([command, "--config", str(cfg)]) == 1
     assert key in capsys.readouterr().err
     assert not (out / "drafts").exists()
     assert sorted(path.name for path in out.iterdir()) == ["prompts_in.txt", "teacher.ckpt"]

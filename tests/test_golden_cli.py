@@ -64,7 +64,7 @@ GOLDEN = {
         "ngram/comparison.csv":
             "02f7993da4b5792648f7c0c12d95d25ad0eae2fa20ddd3f81f04f45ccc93f225",
         "ngram/corpus_meta.txt":
-            "9522489f43267c4f269e9471139c4f2c74fe8e2cf5435f5acacfdfc871caea04",
+            "b9952ad84cac47283ce2a35c7a752b6a475c637eacb4697992fbbd31d7e89ce5",
         "ngram/decode_stats.txt":
             "a681e0791e28bc7a9c55e1374eeef12aa3d42914f5d6f2075ed2ca063fd8b0ae",
         "ngram/draft.ckpt":
@@ -77,8 +77,6 @@ GOLDEN = {
             "f32109d815a2bd7848a9fe23d9e43ef7e4fc1e3390db519dce642967ff6b71d9",
         "ngram/prompts_in.txt":
             "92151b4f89e473d3e2466aa92ffb18fbc1e9db7fe5339ebe0e22a560cd38a223",
-        "ngram/prompts_out.txt":
-            "67859a5ce6c55f23ccd943af4c49510a3fc250861c41d41d2f18e62ee3e83233",
         "ngram/report.txt":
             "1bdd4e7eb7144fc778b7a1f2cdf377fd07647d6152ec4a9f01d9964ae2464466",
         "ngram/sweep.csv":

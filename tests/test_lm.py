@@ -66,6 +66,18 @@ def test_ngram_create_rejects_a_bad_init_scale(scale):
         NGramLogitLM.create(VOCAB8, 1, init_scale=scale)
 
 
+@pytest.mark.parametrize("name, size", [
+    ("context_size", 0),
+    ("d_emb", -1),
+    ("d_emb", 0),
+    ("d_hid", 0),
+])
+def test_neural_create_rejects_a_size_below_one(name, size):
+    sizes = {"context_size": 2, "d_emb": 3, "d_hid": 4, name: size}
+    with pytest.raises(DomainError, match=f"{name} must be >= 1, got {size}"):
+        TinyNeuralLM.create(VOCAB8, **sizes, seed=0)
+
+
 def test_ngram_unseen_context_scores_uniform():
     model = NGramLogitLM.create(VOCAB8, 1)
     assert np.array_equal(model.forward([3]), np.zeros(8))
