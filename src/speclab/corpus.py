@@ -62,8 +62,8 @@ class CorpusSpec:
             raise DomainError(f"concentration must be finite and > 0, got {self.concentration}")
         if self.prompt_len < 1:
             raise DomainError("prompt_len must be >= 1")
-        if self.n_prompts < 0:
-            raise DomainError("n_prompts must be >= 0")
+        if self.n_prompts < 1:
+            raise DomainError("n_prompts must be >= 1")
 
     def vocab(self) -> Vocab:
         return Vocab(size=self.vocab_size, bos_id=BOS_ID, eos_id=EOS_ID)

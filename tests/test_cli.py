@@ -255,6 +255,7 @@ def test_compose_writes_comparison_rows(ws, capsys):
     ("kd.steps", "-1"),
     ("decode.block_size", "0"),
     ("corpus.vocab_size", "3"),
+    ("corpus.n_prompts", "0"),
 ])
 def test_bad_temperature_fails_on_load_before_any_training(ws, tmp_path, capsys, key, value):
     _, run, _ = ws
