@@ -14,7 +14,6 @@ non-deterministic output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -235,9 +234,9 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
     Every (cell, seed) evaluation uses the child seed
     ``derive_seed(base_config.seed, tag, kd_index, decode_index, seed)``
     so cells are independent and reruns reproduce bit for bit. Drafts
-    train sequentially; with ``jobs > 1`` the decode evaluations run in
-    a thread pool (identical results, but wall times then include
-    scheduling noise, so keep ``jobs=1`` when timing matters).
+    train and cells decode one after another. ``jobs`` stays for callers
+    that pass it and must be 1; a thread pool over the cells made sweeps
+    slower, not faster.
     ``trace_sink(kd_tau, decode_tau, seed, text)``, when given, receives
     the concatenated traces of each evaluation.
     """
@@ -250,8 +249,8 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         raise DomainError("seed list must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise DomainError("seeds must be distinct")
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
+    if jobs != 1:
+        raise DomainError(f"jobs must be 1 (sweeps run serially), got {jobs}")
     if kd_mode not in ("offline", "online"):
         raise DomainError(f"unknown distillation mode '{kd_mode}'")
     if kd_template is None:
@@ -291,12 +290,7 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         for di in range(len(decode_taus))
         for seed in sorted(seeds)
     ]
-    if jobs == 1:
-        results = {key: eval_cell(*key) for key in keys}
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {key: pool.submit(eval_cell, *key) for key in keys}
-            results = {key: fut.result() for key, fut in futures.items()}
+    results = {key: eval_cell(*key) for key in keys}
 
     cells = tuple(
         tuple(

@@ -355,7 +355,7 @@ def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
+def cmd_sweep(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
@@ -379,7 +379,6 @@ def cmd_sweep(config: RunConfig, jobs: int = 1, no_timing: bool = False) -> int:
         kd_template=config.kd,
         runs_per_seed=values["sweep.runs_per_seed"],
         cache_dir=out / "drafts",
-        jobs=jobs,
         draft_factory=_draft_factory(config),
         trace_sink=trace_sink,
     )
@@ -529,7 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_config=True):
         p.add_argument("--config", required=needs_config, help="path to a run config file")
         p.add_argument("--seed", type=int, default=None, help="override corpus/kd/decode seeds")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for sweep evaluation")
         p.add_argument("--no-timing", action="store_true", help="zero wall-clock fields")
 
     for name in ("corpus", "distill", "decode", "sweep", "compose"):
@@ -553,7 +551,7 @@ def main(argv=None) -> int:
         if args.command == "decode":
             return cmd_decode(config, no_timing=args.no_timing)
         if args.command == "sweep":
-            return cmd_sweep(config, jobs=args.jobs, no_timing=args.no_timing)
+            return cmd_sweep(config, no_timing=args.no_timing)
         if args.command == "compose":
             return cmd_compose(config, no_timing=args.no_timing)
         raise ConfigError(f"unknown command '{args.command}'")

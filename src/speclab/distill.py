@@ -22,9 +22,10 @@ all read from the parameters as they were before the step. The
 positions are batched for both model families: one forward over all the
 student's context windows, one row-wise log-softmax shared by the CE and
 FKL terms, and one gradient part per (position, term), CE before FKL at
-each position, as the per-position loop (:func:`ce_gradient`,
-:func:`fkl_gradient`, :func:`accumulate_gradients`) would add them. An
-n-gram student adds the parts into its rows with one ``np.add.at``. A
+each position, as a per-position loop of CE and FKL gradients added by
+:func:`~speclab.lm.accumulate_gradients` would add them.
+:func:`~speclab.lm.ce_gradient` and :func:`~speclab.lm.fkl_gradient` are
+this kernel at one position. An n-gram student adds the parts into its rows with one ``np.add.at``. A
 tiny-neural student backpropagates them with one matrix-vector product
 per part and adds the scaled parts left to right. Losses and divergences
 are summed left to right from 0.0, as that loop does, and the row
@@ -45,6 +46,7 @@ from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
     _check_token,
+    _fkl_logit_grads,
     _stable_log_softmax_rows,
     apply_update,
     fkl_value,
@@ -169,9 +171,9 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
 def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
     """Mean gradients over one response; returns (lm_loss, fkl, grads).
 
-    All positions at once, bit for bit as the per-position loop of
-    :func:`ce_gradient`, :func:`fkl_gradient` and :func:`accumulate_gradients`
-    computes them (see the module docstring).
+    All positions at once, bit for bit as a per-position loop of CE and
+    FKL gradients added by :func:`~speclab.lm.accumulate_gradients` would
+    compute them (see the module docstring).
     """
     tokens = list(pair_prompt) + list(response)
     start = len(pair_prompt)
@@ -198,10 +200,8 @@ def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
     fkl = None
     if teacher_probs is not None:
         fkl = _position_sum(_fkl_rows(teacher_probs, p_s)) / n
-        unfloored = (p_s > FKL_PROB_FLOOR).astype(float)
-        weight = (teacher_probs * unfloored).sum(axis=1, keepdims=True)
         # CE and FKL parts interleave, in the order the per-position loop adds them.
-        dlogits = np.stack((dlogits, p_s * weight - teacher_probs * unfloored),
+        dlogits = np.stack((dlogits, _fkl_logit_grads(teacher_probs, p_s)),
                            axis=1).reshape(2 * n, size)
         scales = np.array([1.0 / n, loss_ratio / n] * n)
         positions = np.repeat(positions, 2)

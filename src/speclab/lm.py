@@ -8,8 +8,13 @@ plus gradient and update helpers):
 * :class:`TinyNeuralLM` is a one-hidden-layer MLP over concatenated
   token embeddings with tanh activation.
 
-Gradients are computed analytically; ``tests/`` check them against
-central finite differences, so the two routes stay independent.
+Gradients are computed analytically, by one batched kernel per family:
+``_forward_positions`` over every position of a token sequence, then
+``_backprop_parts`` over per-position logit-gradient rows. Training runs
+it on whole responses; :func:`ce_gradient` and :func:`fkl_gradient` are
+its one-position views. ``tests/`` check these against central finite
+differences and against per-position formulas written out by hand
+(``tests/oracles.py``), so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -255,17 +260,11 @@ class TinyNeuralLM:
         """
         return _padded_window(context, self.context_size, self.vocab.bos_id)
 
-    def _forward_cached(self, context):
-        window = self._window(context)
-        x = self.embedding[window].ravel()
-        h = np.tanh(x @ self.w1 + self.b1)
-        logits = h @ self.w2 + self.b2
-        return logits, (window, x, h)
-
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a fresh array."""
-        logits, _ = self._forward_cached(context)
-        return logits
+        x = self.embedding[self._window(context)].ravel()
+        h = np.tanh(x @ self.w1 + self.b1)
+        return h @ self.w2 + self.b2
 
     def forward_batch(self, contexts) -> np.ndarray:
         """Stacked logits for several contexts, each row bit-equal to :meth:`forward`."""
@@ -292,24 +291,10 @@ class TinyNeuralLM:
         return self._forward_windows(
             padded[np.arange(len(tokens) - start)[:, None] + np.arange(self.context_size)])
 
-    def _backprop(self, cache, dlogits: np.ndarray) -> GradientBundle:
-        """Gradients of a scalar loss given its gradient w.r.t. the logits."""
-        window, x, h = cache
-        dw2 = np.outer(h, dlogits)
-        db2 = dlogits
-        dh = self.w2 @ dlogits
-        dpre = dh * (1.0 - h * h)
-        dw1 = np.outer(x, dpre)
-        db1 = dpre
-        dx = (self.w1 @ dpre).reshape(self.context_size, self.d_emb)
-        demb = np.zeros_like(self.embedding)
-        for i, t in enumerate(window):
-            demb[t] += dx[i]
-        return {"embedding": demb, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-
     def _backprop_parts(self, cache, positions, dlogits, scales) -> GradientBundle:
-        """The sum over k of ``scales[k]`` times :meth:`_backprop` of ``dlogits[k]``
-        at window ``positions[k]`` of ``cache``.
+        """The sum over k of ``scales[k]`` times the gradients of a loss whose
+        gradient w.r.t. the logits of window ``positions[k]`` of ``cache`` is
+        ``dlogits[k]``.
 
         Bit for bit the bundle that :func:`accumulate_gradients` builds from
         those parts in order k: each part is scaled, then the parts are
@@ -350,23 +335,17 @@ def ce_gradient(model: LanguageModel, context, target: int):
     """Cross-entropy loss -log p(target | context) and its gradients.
 
     Returns ``(loss, gradients)`` where the gradient of the loss with
-    respect to the logit row is softmax(logits) - onehot(target).
+    respect to the logit row is softmax(logits) - onehot(target). It is
+    one position of the batched kernel that training runs. The target is
+    validated before the context.
     """
     target = _check_token(target, model.vocab.size)
-    if isinstance(model, NGramLogitLM):
-        idx = model.context_index(context)
-        logits = model.table[idx]
-        log_p, _ = _stable_log_softmax_rows(logits)
-        loss = -log_p[target]
-        g = np.exp(log_p)
-        g[target] -= 1.0
-        return float(loss), {idx: g}
-    logits, cache = model._forward_cached(context)
+    context = list(context)
+    logits, cache = model._forward_positions(context + [target], len(context))
     log_p, _ = _stable_log_softmax_rows(logits)
-    loss = -log_p[target]
     g = np.exp(log_p)
-    g[target] -= 1.0
-    return float(loss), model._backprop(cache, g)
+    g[0, target] -= 1.0
+    return float(-log_p[0, target]), model._backprop_parts(cache, [0], g, np.ones(1))
 
 
 def _ce_step_rows(model: NGramLogitLM, rows, targets, lrs) -> np.ndarray:
@@ -401,11 +380,13 @@ def fkl_value(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     return float(np.sum(pt * (np.log(pt) - np.log(clamped[active]))))
 
 
-def _fkl_logit_grad(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
-    # Exact gradient of the floored divergence w.r.t. the student logits.
-    # Where no flooring is active this reduces to student - teacher.
+def _fkl_logit_grads(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
+    """Exact gradient of each row's floored divergence w.r.t. the student logits.
+
+    Where no flooring is active a row reduces to student - teacher.
+    """
     unfloored = (student_probs > FKL_PROB_FLOOR).astype(float)
-    weight = float(np.sum(teacher_probs * unfloored))
+    weight = (teacher_probs * unfloored).sum(axis=1, keepdims=True)
     return student_probs * weight - teacher_probs * unfloored
 
 
@@ -413,26 +394,23 @@ def fkl_gradient(model: LanguageModel, context, teacher_probs: np.ndarray):
     """Forward KL against a fixed teacher distribution, with gradients.
 
     ``teacher_probs`` is the teacher's next-token distribution for the
-    same context. Returns ``(divergence, gradients)``.
+    same context. Returns ``(divergence, gradients)``, from one position
+    of the batched kernel that training runs.
     """
-    if isinstance(model, NGramLogitLM):
-        idx = model.context_index(context)
-        logits = model.table[idx]
-        log_p, _ = _stable_log_softmax_rows(logits)
-        p_s = np.exp(log_p)
-        return fkl_value(teacher_probs, p_s), {idx: _fkl_logit_grad(teacher_probs, p_s)}
-    logits, cache = model._forward_cached(context)
+    context = list(context)
+    # No window reads the last token, so any token closes the sequence.
+    logits, cache = model._forward_positions(context + [model.vocab.bos_id], len(context))
     log_p, _ = _stable_log_softmax_rows(logits)
     p_s = np.exp(log_p)
-    div = fkl_value(teacher_probs, p_s)
-    return div, model._backprop(cache, _fkl_logit_grad(teacher_probs, p_s))
+    dlogits = _fkl_logit_grads(teacher_probs[None], p_s)
+    return fkl_value(teacher_probs, p_s[0]), model._backprop_parts(cache, [0], dlogits, np.ones(1))
 
 
 def apply_update(model: LanguageModel, grads: GradientBundle, lr: float) -> LanguageModel:
     """In-place SGD step: parameter <- parameter - lr * gradient.
 
-    A non-finite n-gram gradient raises :class:`NumericError` naming the
-    first such row in ``grads`` order, before any row moves.
+    A non-finite gradient raises :class:`NumericError` naming the first
+    such n-gram row or parameter in ``grads`` order, before anything moves.
     """
     if isinstance(model, NGramLogitLM):
         if not grads:
@@ -445,9 +423,10 @@ def apply_update(model: LanguageModel, grads: GradientBundle, lr: float) -> Lang
         model.table[np.fromiter(grads, dtype=np.int64, count=len(grads))] -= lr * g
         return model
     for name, g in grads.items():
-        param = getattr(model, name)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
+    for name, g in grads.items():
+        param = getattr(model, name)
         param -= lr * g
     return model
 
@@ -501,49 +480,6 @@ def _scaled_outer_sum(a: np.ndarray, b: np.ndarray, scales: np.ndarray) -> np.nd
             buf[0] = total
             total = _sum_parts(buf[: 1 + hi - lo])
     return total
-
-
-def parameter_vector(model: LanguageModel) -> np.ndarray:
-    """All parameters flattened into one vector (copy)."""
-    if isinstance(model, NGramLogitLM):
-        return model.table.ravel().copy()
-    return np.concatenate([getattr(model, n).ravel() for n in TinyNeuralLM.PARAM_NAMES])
-
-
-def set_parameter_vector(model: LanguageModel, vec: np.ndarray) -> LanguageModel:
-    """Write a flat vector produced by :func:`parameter_vector` back."""
-    if isinstance(model, NGramLogitLM):
-        if vec.size != model.table.size:
-            raise DomainError("parameter vector length mismatch")
-        model.table[...] = vec.reshape(model.table.shape)
-        return model
-    offset = 0
-    for name in TinyNeuralLM.PARAM_NAMES:
-        param = getattr(model, name)
-        part = vec[offset : offset + param.size]
-        if part.size != param.size:
-            raise DomainError("parameter vector length mismatch")
-        param[...] = part.reshape(param.shape)
-        offset += param.size
-    if offset != vec.size:
-        raise DomainError("parameter vector length mismatch")
-    return model
-
-
-def gradient_vector(model: LanguageModel, grads: GradientBundle) -> np.ndarray:
-    """Gradients flattened into the :func:`parameter_vector` layout."""
-    if isinstance(model, NGramLogitLM):
-        flat = np.zeros(model.table.size)
-        size = model.vocab.size
-        for idx, g in grads.items():
-            flat[idx * size : (idx + 1) * size] = g
-        return flat
-    parts = []
-    for name in TinyNeuralLM.PARAM_NAMES:
-        param = getattr(model, name)
-        g = grads.get(name)
-        parts.append(np.zeros(param.size) if g is None else np.asarray(g).ravel())
-    return np.concatenate(parts)
 
 
 def _encode_array(arr: np.ndarray) -> dict:

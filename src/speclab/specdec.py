@@ -108,36 +108,6 @@ def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r / mass
 
 
-def _residual_row(p: np.ndarray, q: np.ndarray) -> tuple:
-    """The :func:`~speclab.sampling.cdf_row` a rejection's correction is drawn from."""
-    try:
-        return cdf_row(residual_distribution(p, q))
-    except DomainError:
-        # p <= q everywhere, yet an ulp-level ratio below 1 was
-        # rejected: the residual has no mass, so draw from p itself.
-        return cdf_row(p)
-
-
-def acceptance_probability(p: np.ndarray, q: np.ndarray) -> float:
-    """Analytic per-position acceptance rate sum_x min(p(x), q(x))."""
-    return float(np.minimum(p, q).sum())
-
-
-def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Marginal law of the token emitted at one verified position.
-
-    accept-part + reject-mass * residual; equals p up to rounding, which
-    is the losslessness identity the tests pin down.
-    """
-    overlap = np.minimum(p, q)
-    r = np.maximum(p - q, 0.0)
-    rmass = r.sum()
-    if rmass <= 0.0:
-        # q covers p everywhere: every token is accepted.
-        return overlap / overlap.sum()
-    return overlap + (1.0 - overlap.sum()) * (r / rmass)
-
-
 def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | None, str | None]:
     """Scan one proposed block left to right with the acceptance rule.
 
@@ -149,8 +119,10 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
 
     Returns ``(accepted_count, correction_token, correction_kind)``.
     Consumes one uniform per verified position, then one draw for the
-    correction sample if any. A rejection at a position where the
-    residual has no mass draws the correction from the target row.
+    correction sample if any. The correction is drawn from the row that
+    :func:`decode_lockstep` draws it from, :func:`_residual_rows` of the
+    target and draft rows, which is the target row where the residual
+    has no mass.
     """
     m = len(proposed)
     if len(draft_dists) != m or len(target_dists) not in (m, m + 1):
@@ -165,7 +137,8 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
             )
         ratio = p_x / q_x
         if not rng.random() < (1.0 if ratio >= 1.0 else ratio):
-            return i, draw(_residual_row(target_dists[i], draft_dists[i]), rng), "resample"
+            residual = _residual_rows(target_dists[i][None], draft_dists[i][None])[0]
+            return i, draw(cdf_row(residual), rng), "resample"
     if len(target_dists) == m:
         return m, None, None
     return m, draw(cdf_row(target_dists[m]), rng), "bonus"
@@ -385,7 +358,12 @@ def _draw_slots(probs: np.ndarray, cdf: np.ndarray, ok: np.ndarray, slots: np.nd
 
 
 def _residual_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`_residual_row` probabilities for each row pair, bit for bit."""
+    """The row a rejection's correction is drawn from, for each row pair.
+
+    Each row is :func:`residual_distribution` of its pair, bit for bit.
+    Where the residual has no mass (p <= q everywhere, yet an ulp-level
+    ratio below 1 was rejected) it is the target row p itself.
+    """
     r = np.maximum(p - q, 0.0)
     mass = r.sum(axis=1, keepdims=True)
     out = p.copy()

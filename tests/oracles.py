@@ -1,0 +1,132 @@
+"""Closed forms and reference formulas that only the tests call.
+
+``src/speclab`` keeps one implementation of each computation: the
+batched kernels that training and decoding run. The functions here are
+independent routes to the same numbers, for the tests to compare with:
+
+* the flat parameter layout that central finite differences perturb;
+* the per-position CE and FKL gradients, each written out as one
+  context's forward and backward pass;
+* the law of the token emitted at one verified position, and its
+  acceptance probability.
+"""
+
+import numpy as np
+
+from speclab.errors import DomainError
+from speclab.lm import (
+    FKL_PROB_FLOOR,
+    NGramLogitLM,
+    TinyNeuralLM,
+    _check_token,
+    _stable_log_softmax_rows,
+    fkl_value,
+)
+from speclab.specdec import _residual_rows
+
+
+def parameter_vector(model) -> np.ndarray:
+    """All parameters flattened into one vector (copy)."""
+    if isinstance(model, NGramLogitLM):
+        return model.table.ravel().copy()
+    return np.concatenate([getattr(model, n).ravel() for n in TinyNeuralLM.PARAM_NAMES])
+
+
+def set_parameter_vector(model, vec: np.ndarray):
+    """Write a flat vector produced by :func:`parameter_vector` back."""
+    if isinstance(model, NGramLogitLM):
+        if vec.size != model.table.size:
+            raise DomainError("parameter vector length mismatch")
+        model.table[...] = vec.reshape(model.table.shape)
+        return model
+    offset = 0
+    for name in TinyNeuralLM.PARAM_NAMES:
+        param = getattr(model, name)
+        part = vec[offset : offset + param.size]
+        if part.size != param.size:
+            raise DomainError("parameter vector length mismatch")
+        param[...] = part.reshape(param.shape)
+        offset += param.size
+    if offset != vec.size:
+        raise DomainError("parameter vector length mismatch")
+    return model
+
+
+def gradient_vector(model, grads) -> np.ndarray:
+    """Gradients flattened into the :func:`parameter_vector` layout."""
+    if isinstance(model, NGramLogitLM):
+        flat = np.zeros(model.table.size)
+        size = model.vocab.size
+        for idx, g in grads.items():
+            flat[idx * size : (idx + 1) * size] = g
+        return flat
+    parts = []
+    for name in TinyNeuralLM.PARAM_NAMES:
+        param = getattr(model, name)
+        g = grads.get(name)
+        parts.append(np.zeros(param.size) if g is None else np.asarray(g).ravel())
+    return np.concatenate(parts)
+
+
+def _forward(model, context):
+    """Logits after ``context``, and what :func:`_backprop` reads."""
+    if isinstance(model, NGramLogitLM):
+        idx = model.context_index(context)
+        return model.table[idx], idx
+    window = model._window(context)
+    x = model.embedding[window].ravel()
+    h = np.tanh(x @ model.w1 + model.b1)
+    return h @ model.w2 + model.b2, (window, x, h)
+
+
+def _backprop(model, cache, dlogits: np.ndarray) -> dict:
+    """Gradients of a scalar loss given its gradient w.r.t. the logits."""
+    if isinstance(model, NGramLogitLM):
+        return {cache: dlogits}
+    window, x, h = cache
+    dpre = (model.w2 @ dlogits) * (1.0 - h * h)
+    dx = (model.w1 @ dpre).reshape(model.context_size, model.d_emb)
+    demb = np.zeros_like(model.embedding)
+    for i, t in enumerate(window):
+        demb[t] += dx[i]
+    return {"embedding": demb, "w1": np.outer(x, dpre), "b1": dpre,
+            "w2": np.outer(h, dlogits), "b2": dlogits}
+
+
+def reference_ce_gradient(model, context, target: int):
+    """:func:`speclab.lm.ce_gradient` as one context's forward and backward pass."""
+    target = _check_token(target, model.vocab.size)
+    logits, cache = _forward(model, context)
+    log_p, _ = _stable_log_softmax_rows(logits)
+    loss = -log_p[target]
+    g = np.exp(log_p)
+    g[target] -= 1.0
+    return float(loss), _backprop(model, cache, g)
+
+
+def reference_fkl_gradient(model, context, teacher_probs: np.ndarray):
+    """:func:`speclab.lm.fkl_gradient` as one context's forward and backward pass."""
+    logits, cache = _forward(model, context)
+    log_p, _ = _stable_log_softmax_rows(logits)
+    p_s = np.exp(log_p)
+    # Exact gradient of the floored divergence w.r.t. the student logits.
+    unfloored = (p_s > FKL_PROB_FLOOR).astype(float)
+    weight = float(np.sum(teacher_probs * unfloored))
+    dlogits = p_s * weight - teacher_probs * unfloored
+    return fkl_value(teacher_probs, p_s), _backprop(model, cache, dlogits)
+
+
+def acceptance_probability(p: np.ndarray, q: np.ndarray) -> float:
+    """Analytic per-position acceptance rate sum_x min(p(x), q(x))."""
+    return float(np.minimum(p, q).sum())
+
+
+def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Marginal law of the token emitted at one verified position.
+
+    The accepted mass min(p, q), plus the rejected mass times the row the
+    decoder draws a correction from, :func:`speclab.specdec._residual_rows`.
+    It equals p up to rounding: the losslessness identity.
+    """
+    overlap = np.minimum(p, q)
+    return overlap + (1.0 - overlap.sum()) * _residual_rows(p[None], q[None])[0]

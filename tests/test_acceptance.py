@@ -41,9 +41,6 @@ from speclab.lm import (
     Vocab,
     ce_gradient,
     fkl_gradient,
-    gradient_vector,
-    parameter_vector,
-    set_parameter_vector,
 )
 from speclab.sampling import (
     STREAM_BASELINE,
@@ -54,11 +51,17 @@ from speclab.sampling import (
 )
 from speclab.specdec import (
     GenerationConfig,
-    acceptance_probability,
     generate_autoregressive,
-    induced_distribution,
     speculative_generate,
     verify_block,
+)
+
+from oracles import (
+    acceptance_probability,
+    gradient_vector,
+    induced_distribution,
+    parameter_vector,
+    set_parameter_vector,
 )
 
 SEEDS = (1, 2, 3, 4, 5)

@@ -191,8 +191,9 @@ def test_sweep_writes_grid_and_reruns_identically(ws, capsys):
     assert (run / "drafts" / "draft_offline_tau1.00.ckpt").is_file()
     assert main(["sweep", "--config", str(cfg), "--no-timing"]) == 0
     assert (run / "sweep.csv").read_bytes() == first
-    assert main(["sweep", "--config", str(cfg), "--no-timing", "--jobs", "2"]) == 0
-    assert (run / "sweep.csv").read_bytes() == first
+    with pytest.raises(SystemExit):  # sweeps run serially: no worker flag
+        main(["sweep", "--config", str(cfg), "--no-timing", "--jobs", "2"])
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_sweep_traces_recount_to_csv_alphas(ws, tmp_path):

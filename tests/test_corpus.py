@@ -20,9 +20,11 @@ from speclab.corpus import (
     save_prompts,
 )
 from speclab.errors import DomainError, NumericError, TrainingError
-from speclab.lm import NGramLogitLM, apply_update, ce_gradient
+from speclab.lm import NGramLogitLM, apply_update
 from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
 from speclab.specdec import GenerationConfig, generate_autoregressive
+
+from oracles import reference_ce_gradient
 
 # A small spec keeps the pretraining tests fast; the full-size corpus is
 # exercised by the acceptance suite.
@@ -288,7 +290,7 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
         prefix = []
         for tok in seq:
             lr = lr_start * 0.5 ** int(lr_stages * used / steps)
-            _, grads = ce_gradient(teacher, prefix, tok)
+            _, grads = reference_ce_gradient(teacher, prefix, tok)
             apply_update(teacher, grads, lr)
             prefix.append(tok)
             used += 1

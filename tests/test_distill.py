@@ -23,12 +23,11 @@ from speclab.lm import (
     Vocab,
     accumulate_gradients,
     apply_update,
-    ce_gradient,
     checkpoint_bytes,
-    fkl_gradient,
 )
 from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
 from speclab.specdec import GenerationConfig, generate_autoregressive
+from oracles import reference_ce_gradient, reference_fkl_gradient
 from test_specdec import reference_generate_autoregressive
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
@@ -530,11 +529,11 @@ def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
             tail.append(tok)
         teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
     for i, tok in enumerate(response):
-        loss, g = ce_gradient(student, ctx, tok)
+        loss, g = reference_ce_gradient(student, ctx, tok)
         lm_loss += loss
         accumulate_gradients(grads, g, 1.0 / n)
         if with_fkl:
-            div, gf = fkl_gradient(student, ctx, teacher_probs[i])
+            div, gf = reference_fkl_gradient(student, ctx, teacher_probs[i])
             fkl_sum += div
             accumulate_gradients(grads, gf, loss_ratio / n)
         ctx.append(tok)

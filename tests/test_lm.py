@@ -18,13 +18,18 @@ from speclab.lm import (
     checkpoint_bytes,
     fkl_gradient,
     fkl_value,
-    gradient_vector,
     load_checkpoint,
-    parameter_vector,
     save_checkpoint,
-    set_parameter_vector,
 )
 from speclab.sampling import make_rng
+
+from oracles import (
+    gradient_vector,
+    parameter_vector,
+    reference_ce_gradient,
+    reference_fkl_gradient,
+    set_parameter_vector,
+)
 
 VOCAB8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -288,6 +293,82 @@ def test_apply_update_rejects_non_finite_gradient():
     bad = {"w2": np.full_like(neural.w2, np.inf)}
     with pytest.raises(NumericError, match="w2"):
         apply_update(neural, bad, lr=0.1)
+
+
+def test_apply_update_moves_no_neural_parameter_before_a_bad_gradient():
+    model = TinyNeuralLM.create(VOCAB8, context_size=2, d_emb=3, d_hid=4, seed=2)
+    _, grads = ce_gradient(model, [2, 3], 4)
+    grads["w2"] = grads["w2"].copy()
+    grads["w2"][1, 2] = np.nan
+    before = checkpoint_bytes(model)
+    with pytest.raises(NumericError, match="parameter 'w2'"):
+        apply_update(model, grads, lr=0.1)
+    assert checkpoint_bytes(model) == before
+
+
+def kernel_view_models(seed):
+    """Models of both families, orders and context sizes 1-3, saturated ones included."""
+    for n in (1, 2, 3):
+        yield NGramLogitLM.create(VOCAB8, n, init_scale=1.5, init_seed=seed + n)
+        # Logits this spread starve most tokens below FKL_PROB_FLOOR.
+        yield NGramLogitLM.create(VOCAB8, n, init_scale=60.0, init_seed=seed + n)
+        yield TinyNeuralLM.create(VOCAB8, context_size=n, d_emb=3, d_hid=5, seed=seed + n)
+        saturated = TinyNeuralLM.create(VOCAB8, context_size=n, d_emb=3, d_hid=5, seed=seed + n)
+        saturated.w1 *= 4000.0  # most tanh units at exactly +-1
+        yield saturated
+
+
+def gradient_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def assert_same_gradient(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert list(got[1]) == list(want[1])
+    for key, g in want[1].items():
+        assert np.array_equal(got[1][key], g), key
+
+
+def test_gradient_views_equal_the_per_position_references():
+    # ce_gradient and fkl_gradient are one position of the batched kernel;
+    # the references are the per-position formulas, written out by hand.
+    rng = make_rng(61)
+    saturated = 0
+    for model in kernel_view_models(7):
+        if isinstance(model, TinyNeuralLM):
+            h = np.tanh(model.embedding[[2] * model.context_size].ravel() @ model.w1)
+            saturated += bool(np.any(np.abs(h) == 1.0))
+        for _ in range(40):
+            context = rng.integers(0, 8, size=int(rng.integers(0, 5))).tolist()
+            target = int(rng.integers(0, 8))
+            teacher = rng.dirichlet(np.full(8, 0.5))
+            teacher[rng.random(8) < 0.3] = 0.0
+            teacher /= teacher.sum() if teacher.sum() > 0 else 1.0
+            assert_same_gradient(gradient_outcome(ce_gradient, model, context, target),
+                                 gradient_outcome(reference_ce_gradient, model, context, target))
+            assert_same_gradient(gradient_outcome(fkl_gradient, model, context, teacher),
+                                 gradient_outcome(reference_fkl_gradient, model, context, teacher))
+    assert saturated >= 3
+
+
+@pytest.mark.parametrize("bad", [8, -1, 2**63, -(2**63) - 1, 2**64])
+def test_gradient_views_raise_the_reference_errors(bad):
+    rng = make_rng(62)
+    teacher = rng.dirichlet(np.ones(8))
+    cases = [([2, 3], bad), ([bad], 4), ([bad, 3], 4), ([2, bad, 3], 9), ([bad, 2, 3, 4], 5),
+             ([], bad)]
+    for model in kernel_view_models(9):
+        for context, target in cases:
+            want = gradient_outcome(reference_ce_gradient, model, context, target)
+            assert_same_gradient(gradient_outcome(ce_gradient, model, context, target), want)
+            want = gradient_outcome(reference_fkl_gradient, model, context, teacher)
+            assert_same_gradient(gradient_outcome(fkl_gradient, model, context, teacher), want)
 
 
 def test_sgd_on_repeated_example_drives_loss_down():

@@ -14,15 +14,14 @@ from speclab.sampling import cdf_row, draw, make_rng, sample, softmax_with_tempe
 from speclab.specdec import (
     GenerationConfig,
     RowTable,
-    _residual_row,
     _residual_rows,
     decode_lockstep,
     dump_trace,
-    induced_distribution,
     residual_distribution,
     verify_block,
 )
 
+from oracles import induced_distribution
 from test_distill import assert_same_step, reference_pair_step
 from test_specdec import reference_generate_autoregressive, reference_speculative_generate
 
@@ -165,9 +164,11 @@ def test_batched_residual_rows_bit_equal_one_row_residuals(pairs):
     drafts = np.array([np.r_[q, np.zeros(n - len(q))] for _, q in pairs])
     rows = _residual_rows(target, drafts)
     for i in range(len(pairs)):
-        probs, cdf = _residual_row(target[i], drafts[i])
-        assert np.array_equal(rows[i], probs)
-        assert np.array_equal(np.cumsum(rows[i]), np.array(cdf))
+        try:
+            want = residual_distribution(target[i], drafts[i])
+        except DomainError:  # no residual mass: the correction comes from the target row
+            want = target[i]
+        assert rows[i].tobytes() == want.tobytes()
 
 
 @SETTINGS

@@ -22,16 +22,16 @@ from speclab.specdec import (
     RoundRecord,
     RowTable,
     SpeculationTrace,
-    acceptance_probability,
     decode_lockstep,
     dump_trace,
     generate_autoregressive,
-    induced_distribution,
     parse_trace,
     residual_distribution,
     speculative_generate,
     verify_block,
 )
+
+from oracles import acceptance_probability, induced_distribution
 
 VOCAB8 = Vocab(size=8, bos_id=0, eos_id=1)
 
