@@ -32,7 +32,7 @@ from .sampling import (
     softmax_rows_with_temperature,
     softmax_with_temperature,
 )
-from .specdec import GenerationConfig, _generate
+from .specdec import _UNIFORM_CHUNK, GenerationConfig, _generate
 
 BOS_ID = 0
 EOS_ID = 1
@@ -192,20 +192,32 @@ def pretrain_teacher(
     ``check_every``, and once more when the budget is spent. Training
     runs in chunks that end at those points. A chunk first rolls out its
     sequences, buffering one ``(teacher row, token, lr)`` update per
-    token, and then applies the buffer as a wavefront: step k updates,
-    in one batched gather, log-softmax and scatter, every row that has
-    at least k + 1 buffered updates, with its k-th one.
+    token and reading its uniforms ``_UNIFORM_CHUNK`` at a time from one
+    ``rng.random(out=...)`` call. When the rollouts end, by the chunk's
+    end or by an error, the uniforms drawn but not read are handed back
+    with ``rng.bit_generator.advance``. The chunk then applies the buffer
+    as a wavefront: step k updates, in one batched gather, log-softmax
+    and scatter, every row that has at least k + 1 buffered updates,
+    with its k-th one. Steps never grow, so once a step holds one row
+    (in practice the all-bos start row), the rest of that row's updates
+    run as one 1-D loop on a copy of the row.
 
     Exactness. The result is bit-identical to applying
     :func:`ce_gradient` and :func:`apply_update` token by token in
-    rollout order. Rollouts never read the teacher, and each token still
-    draws one uniform, by inverse CDF on the chain's precomputed tau=1
-    table as :func:`sample` does, so the draws are unchanged. A CE step
-    on an n-gram table reads and writes only its own context row, so
-    only the order of updates within one row matters, and the wavefront
-    keeps it; the row-wise arithmetic is the per-row arithmetic. A
-    non-finite gradient raises :class:`NumericError` naming the row of
-    the first one in token order.
+    rollout order. Rollouts never read the teacher, and each token
+    reads one uniform, by inverse CDF on the chain's precomputed tau=1
+    table as :func:`sample` does. ``Generator.random(out=...)`` fills a
+    buffer with the values that as many ``random()`` calls return, so
+    the draws are unchanged, and the rewind leaves ``rng`` where
+    token-by-token sampling leaves it, on every return and every error.
+    As for the decoders in :mod:`speclab.specdec`, that needs ``rng`` to
+    be a :func:`make_rng` generator: ``advance`` counts its PCG64
+    outputs, one per uniform. A CE step on an n-gram table reads
+    and writes only its own context row, so only the order of updates
+    within one row matters, and the wavefront keeps it; the row-wise
+    and the 1-D arithmetic are the per-row arithmetic. A non-finite
+    gradient raises :class:`NumericError` naming the row of the first
+    one in token order.
     """
     if seq_len < 1:
         raise DomainError(f"seq_len must be >= 1, got {seq_len}")
@@ -231,38 +243,51 @@ def pretrain_teacher(
     chain_start = ground_truth.context_index(())
     n_teacher_rows = len(teacher.table)
     teacher_start = teacher.context_index(())
+    buf = np.empty(_UNIFORM_CHUNK)
     used = 0
     since_check = 0
     while used < steps:
         first = used
         rows: list[int] = []
         tokens: list[int] = []
-        while True:
-            ctx = chain_start
-            row = teacher_start
-            for _ in range(seq_len):
-                cdf_row = chain_rows[ctx]
-                if cdf_row is None:
-                    if not abs(cdf[ctx, -1] - 1.0) <= 1e-9:
-                        raise NumericError(f"cannot sample: chain row {ctx} totals {cdf[ctx, -1]}")
-                    cdf_row = chain_rows[ctx] = array("d", cdf[ctx])
-                tok = bisect_right(cdf_row, rng.random())
-                # draw()'s search, clamp and zero-probability guard, inline.
-                if tok >= size:
-                    tok = size - 1
-                    while tok > 0 and probs[ctx, tok] <= 0.0:
-                        tok -= 1
-                if used < steps:
-                    rows.append(row)
-                    tokens.append(tok)
-                    used += 1
-                    since_check += 1
-                if tok == eos:
+        uniforms: list[float] = []
+        read = drawn = 0
+        try:
+            while True:
+                ctx = chain_start
+                row = teacher_start
+                for _ in range(seq_len):
+                    cdf_row = chain_rows[ctx]
+                    if cdf_row is None:
+                        if not abs(cdf[ctx, -1] - 1.0) <= 1e-9:
+                            raise NumericError(
+                                f"cannot sample: chain row {ctx} totals {cdf[ctx, -1]}")
+                        cdf_row = chain_rows[ctx] = array("d", cdf[ctx])
+                    if read == drawn:
+                        uniforms = rng.random(out=buf).tolist()
+                        drawn += _UNIFORM_CHUNK
+                    # read - drawn counts back from the end of the chunk.
+                    tok = bisect_right(cdf_row, uniforms[read - drawn])
+                    read += 1
+                    # draw()'s search, clamp and zero-probability guard, inline.
+                    if tok >= size:
+                        tok = size - 1
+                        while tok > 0 and probs[ctx, tok] <= 0.0:
+                            tok -= 1
+                    if used < steps:
+                        rows.append(row)
+                        tokens.append(tok)
+                        used += 1
+                        since_check += 1
+                    if tok == eos:
+                        break
+                    ctx = (ctx * size + tok) % n_chain_rows
+                    row = (row * size + tok) % n_teacher_rows
+                if used >= steps or since_check >= check_every:
                     break
-                ctx = (ctx * size + tok) % n_chain_rows
-                row = (row * size + tok) % n_teacher_rows
-            if used >= steps or since_check >= check_every:
-                break
+        finally:
+            # Hand the unread uniforms back, as specdec._Uniforms.rewind does.
+            rng.bit_generator.advance(read - drawn)
         lrs = lr_start * 0.5 ** (lr_stages * np.arange(first, used) / steps).astype(np.int64)
         _apply_wavefront(teacher, np.array(rows, dtype=np.int64),
                          np.array(tokens, dtype=np.int64), lrs)
@@ -287,13 +312,18 @@ def _apply_wavefront(teacher: NGramLogitLM, rows, tokens, lrs) -> None:
     ``tokens[i]`` at rate ``lrs[i]``; the result equals applying them in
     index order. Raises :class:`NumericError` for the first update, by
     index, whose gradient is not finite.
+
+    Steps never grow, so from the first one-row step on every step
+    updates the same row. That tail runs as a 1-D loop on a copy of the
+    row with the operations of :func:`~speclab.lm._ce_step_rows`.
     """
     by_row = np.argsort(rows, kind="stable")
     sorted_rows = rows[by_row]
     starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
     rank = np.arange(len(rows)) - np.repeat(starts, np.diff(np.r_[starts, len(rows)]))
     order = by_row[np.argsort(rank, kind="stable")]
-    bounds = np.cumsum(np.bincount(rank))
+    counts = np.bincount(rank)
+    bounds = np.cumsum(counts[counts > 1])
     step_rows, step_tokens, step_lrs = rows[order], tokens[order], lrs[order]
     first_bad = len(rows)
     lo = 0
@@ -302,6 +332,20 @@ def _apply_wavefront(teacher: NGramLogitLM, rows, tokens, lrs) -> None:
         if bad.any():
             first_bad = min(first_bad, int(order[lo:hi][bad].min()))
         lo = hi
+    if lo < len(rows):
+        x = teacher.table[step_rows[lo]].copy()
+        e = np.empty_like(x)
+        for i, tok, lr in zip(order[lo:].tolist(), step_tokens[lo:].tolist(),
+                              step_lrs[lo:].tolist()):
+            m = x.max()
+            lse = m + np.log(np.exp(np.subtract(x, m, out=e), out=e).sum())
+            if not math.isfinite(lse):
+                first_bad = min(first_bad, i)
+                continue
+            np.exp(np.subtract(x, lse, out=e), out=e)
+            e[tok] -= 1.0
+            np.subtract(x, np.multiply(e, lr, out=e), out=x)
+        teacher.table[step_rows[lo]] = x
     if first_bad < len(rows):
         raise NumericError(f"non-finite gradient for context row {rows[first_bad]}")
 

@@ -491,10 +491,31 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
+# Base64 characters decoded at a time: a multiple of 4, so that only the
+# last slice can hold padding.
+_B64_SLICE = 1 << 16
+
+
 def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-    return arr.reshape(obj["shape"]).copy()
+    """The array that :func:`_encode_array` wrote, decoded once into new memory.
+
+    The base64 text is decoded a slice at a time straight into the
+    array, so no decoded copy of the whole text is ever held.
+    """
+    text, shape, dtype = obj["data"], obj["shape"], np.dtype(obj["dtype"])
+    nbytes = len(text) // 4 * 3 - text[-2:].count("=")
+    if nbytes != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"{nbytes} data bytes do not fill shape {shape} of {dtype}")
+    arr = np.empty(shape, dtype)
+    flat = arr.reshape(-1).view(np.uint8)
+    pos = 0
+    for start in range(0, len(text), _B64_SLICE):
+        part = np.frombuffer(base64.b64decode(text[start:start + _B64_SLICE]), np.uint8)
+        flat[pos:pos + len(part)] = part
+        pos += len(part)
+    if pos != nbytes:
+        raise ValueError(f"base64 text decodes to {pos} bytes, not {nbytes}")
+    return arr
 
 
 def _field(doc, path, *keys):

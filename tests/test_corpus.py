@@ -9,6 +9,7 @@ from speclab.corpus import (
     EOS_ID,
     CorpusBundle,
     CorpusSpec,
+    _apply_wavefront,
     build_corpus,
     build_ground_truth,
     canonical_prompts,
@@ -20,7 +21,7 @@ from speclab.corpus import (
     save_prompts,
 )
 from speclab.errors import DomainError, NumericError, TrainingError
-from speclab.lm import NGramLogitLM, apply_update
+from speclab.lm import NGramLogitLM, Vocab, apply_update
 from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
 from speclab.specdec import GenerationConfig, generate_autoregressive
 
@@ -330,11 +331,16 @@ ORDER2 = CorpusSpec(vocab_size=12, order=2, concentration=0.5, seed=4)
     (ORDER2, 1_500, {"check_every": 1}),
     (SMALL, 0, {}),
     (SMALL, 50, {}),
+    (SMALL, 63, {}),
+    (SMALL, 64, {}),
+    (SMALL, 65, {}),
 ], ids=["small", "order2", "order1-teacher3", "mid-sequence", "check-every-1",
-        "budget0", "budget50"])
+        "budget0", "budget50", "budget63", "budget64", "budget65"])
 def test_pretrain_matches_token_by_token_reference(spec, steps, kwargs):
     # Same teacher table bit for bit, same error text, and the same
-    # generator state afterwards, as the per-token loop.
+    # generator state afterwards, as the per-token loop. Uniforms are
+    # drawn 64 at a time, so the budgets around 64 and the check after
+    # every rollout hand unread ones back at every chunk's end.
     gt = build_ground_truth(spec, make_rng(spec.seed))
     table, err, after = _outcome(pretrain_teacher, gt, spec, steps, 2, **kwargs)
     ref_table, ref_err, ref_after = _outcome(reference_pretrain, gt, spec, steps, 2, **kwargs)
@@ -394,3 +400,100 @@ def test_pretrain_rejects_empty_rollouts():
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
     with pytest.raises(DomainError, match="seq_len"):
         pretrain_teacher(gt, SMALL, 100, make_rng(2), seq_len=0)
+
+
+def test_pretrain_rewinds_the_generator_when_a_chain_row_fails_mid_rollout():
+    gt = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
+    heldout = {gt.context_index(c) for c in collect_heldout_contexts(
+        gt, make_rng(derive_seed(ORDER2.seed, STREAM_HELDOUT)))}
+    # The first chain row that training's rollouts reach after at least one
+    # token and the held-out rollouts never reach.
+    rng = make_rng(2)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
+    bad = None
+    while bad is None:
+        seq = generate_autoregressive(gt, [], cfg, rng)
+        bad = next((gt.context_index(seq[:i]) for i in range(1, len(seq))
+                    if gt.context_index(seq[:i]) not in heldout), None)
+    gt.table[bad, 3] = np.inf  # its tau=1 row is NaN, so it does not total 1
+    afters = []
+    for fn in (pretrain_teacher, reference_pretrain):
+        rng = make_rng(2)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="cannot sample"):
+            fn(gt, ORDER2, 50_000, rng)
+        afters.append(rng.random())
+    assert afters[0] == afters[1]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-equal arrays, with every NaN taken as equal to every other."""
+    return np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+
+
+def reference_wavefront(teacher, rows, tokens, lrs) -> None:
+    """:func:`_apply_wavefront` as one CE step per update, in index order.
+
+    A step with a non-finite gradient moves nothing; the first one's
+    error is raised after the last update.
+    """
+    size = teacher.vocab.size
+    error = None
+    for row, tok, lr in zip(rows, tokens, lrs):
+        context = [row // size**k % size for k in reversed(range(teacher.order))]
+        assert teacher.context_index(context) == row
+        _, grads = reference_ce_gradient(teacher, context, tok)
+        try:
+            apply_update(teacher, grads, lr)
+        except NumericError as exc:
+            error = error or exc
+    if error is not None:
+        raise error
+
+
+def wavefront_outcome(fn, teacher, rows, tokens, lrs):
+    """The table and error text after ``fn`` applies the updates to a copy."""
+    model = NGramLogitLM(vocab=teacher.vocab, order=teacher.order, table=teacher.table.copy())
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            fn(model, np.array(rows, dtype=np.int64), np.array(tokens, dtype=np.int64),
+               np.array(lrs, dtype=float))
+        except NumericError as exc:
+            return model.table, str(exc)
+    return model.table, None
+
+
+def _wavefront_case(name):
+    rng = make_rng(7)
+    rows = {
+        # Pretraining's shape: the start row gets most of the updates.
+        "one-dominant-row": [0 if rng.random() < 0.6 else int(rng.integers(64))
+                             for _ in range(300)],
+        "one-row-only": [21] * 40,
+        "single-update": [9],
+        # Row 0's 20th update is in its one-row tail; row 50 starts non-finite.
+        "tail-bad-first": [0] * 30 + [13, 0, 14, 13, 14, 13, 14, 50],
+        "multi-row-bad-first": [50, 13, 14] * 3 + [0] * 30,
+    }[name]
+    tokens = rng.integers(0, 8, len(rows)).tolist()
+    lrs = (0.8 * 0.5 ** rng.integers(0, 6, len(rows))).tolist()
+    if name.endswith("bad-first"):
+        lrs[[i for i, r in enumerate(rows) if r == 0][19]] = np.inf
+    return rows, tokens, lrs
+
+
+@pytest.mark.parametrize("case", ["one-dominant-row", "one-row-only", "single-update",
+                                  "tail-bad-first", "multi-row-bad-first"])
+def test_wavefront_equals_one_update_at_a_time(case):
+    teacher = NGramLogitLM.create(Vocab(size=8, bos_id=0, eos_id=1), 2, init_scale=2.0,
+                                  init_seed=5)
+    rows, tokens, lrs = _wavefront_case(case)
+    if case.endswith("bad-first"):
+        teacher.table[50, 4] = np.inf
+    table, err = wavefront_outcome(_apply_wavefront, teacher, rows, tokens, lrs)
+    ref_table, ref_err = wavefront_outcome(reference_wavefront, teacher, rows, tokens, lrs)
+    assert same_bits(table, ref_table)
+    assert err == ref_err
+    if case.endswith("bad-first"):
+        row = 0 if case == "tail-bad-first" else 50
+        assert err == f"non-finite gradient for context row {row}"
+        assert not np.isfinite(table[0]).all()

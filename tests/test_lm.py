@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,29 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, family):
     save_checkpoint(model, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
+
+
+def test_checkpoint_load_decodes_each_array_once_into_writable_memory(tmp_path):
+    model = NGramLogitLM.create(Vocab(size=32, bos_id=0, eos_id=1), 3)  # an 8 MiB table
+    model.table[...] = make_rng(31).normal(size=model.table.shape)
+    path = tmp_path / "order3.ckpt"
+    save_checkpoint(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The JSON parse holds the file's bytes and its text at once; decoding
+    # then holds the text and the table, with no decoded copy of the text.
+    assert peak < 2 * path.stat().st_size + 2**20
+    assert np.array_equal(loaded.table, model.table)
+    neural = TinyNeuralLM.create(VOCAB8, seed=31)
+    save_checkpoint(neural, tmp_path / "neural.ckpt")
+    params = [getattr(load_checkpoint(tmp_path / "neural.ckpt"), n)
+              for n in TinyNeuralLM.PARAM_NAMES]
+    for arr in [loaded.table, *params]:
+        assert arr.flags.owndata and arr.flags.writeable
 
 def test_checkpoint_rejects_bad_files(tmp_path):
     model = NGramLogitLM.create(VOCAB8, 1)

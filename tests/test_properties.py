@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import distill
+from speclab.corpus import _apply_wavefront
 from speclab.errors import DomainError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import cdf_row, draw, make_rng, sample, softmax_with_temperature
@@ -22,6 +23,7 @@ from speclab.specdec import (
 )
 
 from oracles import induced_distribution
+from test_corpus import reference_wavefront, same_bits, wavefront_outcome
 from test_distill import assert_same_step, reference_pair_step
 from test_specdec import reference_generate_autoregressive, reference_speculative_generate
 
@@ -239,3 +241,24 @@ def test_neural_pair_step_bit_equals_the_per_position_loop(data):
         loss_ratio = data.draw(st.sampled_from([0.0, 0.37, 1.0, 2.5]))
     assert_same_step(distill._pair_step(student, teacher, prompt, response, loss_ratio),
                      reference_pair_step(student, teacher, prompt, response, loss_ratio))
+
+
+@SETTINGS
+@given(st.data())
+def test_wavefront_bit_equals_one_update_at_a_time(data):
+    size = data.draw(st.integers(2, 6))
+    teacher = NGramLogitLM.create(Vocab(size=size, bos_id=0, eos_id=1), data.draw(st.integers(1, 2)),
+                                  init_scale=data.draw(st.sampled_from([0.0, 1.0, 30.0])),
+                                  init_seed=data.draw(st.integers(0, 2**16)))
+    row = st.integers(0, len(teacher.table) - 1)
+    if data.draw(st.booleans()):
+        teacher.table[data.draw(row), data.draw(st.integers(0, size - 1))] = np.inf
+    # Pretraining's shape: one row, the start row there, gets most updates.
+    rows = data.draw(st.lists(st.one_of(st.just(data.draw(row)), row), min_size=1, max_size=60))
+    tokens = data.draw(st.lists(st.integers(0, size - 1), min_size=len(rows), max_size=len(rows)))
+    lr = st.one_of(st.floats(0.0, 2.0), st.sampled_from([1e300, np.inf]))
+    lrs = data.draw(st.lists(lr, min_size=len(rows), max_size=len(rows)))
+    table, err = wavefront_outcome(_apply_wavefront, teacher, rows, tokens, lrs)
+    ref_table, ref_err = wavefront_outcome(reference_wavefront, teacher, rows, tokens, lrs)
+    assert same_bits(table, ref_table)
+    assert err == ref_err
