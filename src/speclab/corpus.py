@@ -192,30 +192,26 @@ def pretrain_teacher(
     ``check_every``, and once more when the budget is spent. Training
     runs in chunks that end at those points. A chunk first rolls out its
     sequences, buffering one ``(teacher row, token, lr)`` update per
-    token and reading its uniforms ``_UNIFORM_CHUNK`` at a time from one
-    ``rng.random(out=...)`` call. When the rollouts end, by the chunk's
-    end or by an error, the uniforms drawn but not read are handed back
-    with ``rng.bit_generator.advance``. The chunk then applies the buffer
-    as a wavefront: step k updates, in one batched gather, log-softmax
-    and scatter, every row that has at least k + 1 buffered updates,
-    with its k-th one. Steps never grow, so once a step holds one row
-    (in practice the all-bos start row), the rest of that row's updates
-    run as one 1-D loop on a copy of the row.
+    token and reading uniforms 64 at a time; however the rollouts stop,
+    the uniforms drawn but not read go back to ``rng``. It then applies
+    the buffer as a wavefront: step k updates, in one batched gather,
+    log-softmax and scatter, every row that has at least k + 1 buffered
+    updates, with its k-th one. Once a step holds one row (the start
+    row, in practice), the rest run as a 1-D loop on that row.
 
     Exactness. The result is bit-identical to applying
     :func:`ce_gradient` and :func:`apply_update` token by token in
     rollout order. Rollouts never read the teacher, and each token
     reads one uniform, by inverse CDF on the chain's precomputed tau=1
-    table as :func:`sample` does. ``Generator.random(out=...)`` fills a
-    buffer with the values that as many ``random()`` calls return, so
-    the draws are unchanged, and the rewind leaves ``rng`` where
-    token-by-token sampling leaves it, on every return and every error.
-    As for the decoders in :mod:`speclab.specdec`, that needs ``rng`` to
-    be a :func:`make_rng` generator: ``advance`` counts its PCG64
-    outputs, one per uniform. A CE step on an n-gram table reads
-    and writes only its own context row, so only the order of updates
-    within one row matters, and the wavefront keeps it; the row-wise
-    and the 1-D arithmetic are the per-row arithmetic. A non-finite
+    table as :func:`sample` does. ``rng.random(out=...)`` fills a chunk
+    with what as many ``rng.random()`` calls return, and
+    ``rng.bit_generator.advance`` hands the unread ones back, so the
+    draws and the final generator state are those of token-by-token
+    sampling. As for the decoders in :mod:`speclab.specdec`, ``rng``
+    must be a :func:`make_rng` (PCG64) generator. A CE step on an n-gram
+    table reads and writes only its own context row, so only the order
+    of updates within one row matters, and the wavefront keeps it; the
+    row-wise and 1-D arithmetic are the per-row arithmetic. A non-finite
     gradient raises :class:`NumericError` naming the row of the first
     one in token order.
     """

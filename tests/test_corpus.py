@@ -339,8 +339,9 @@ ORDER2 = CorpusSpec(vocab_size=12, order=2, concentration=0.5, seed=4)
 def test_pretrain_matches_token_by_token_reference(spec, steps, kwargs):
     # Same teacher table bit for bit, same error text, and the same
     # generator state afterwards, as the per-token loop. Uniforms are
-    # drawn 64 at a time, so the budgets around 64 and the check after
-    # every rollout hand unread ones back at every chunk's end.
+    # drawn 64 at a time: the rollouts of budgets 63 and 64 read exactly
+    # one chunk, those of budget 65 one uniform of the next; with a check
+    # after every rollout, each rollout hands its unread uniforms back.
     gt = build_ground_truth(spec, make_rng(spec.seed))
     table, err, after = _outcome(pretrain_teacher, gt, spec, steps, 2, **kwargs)
     ref_table, ref_err, ref_after = _outcome(reference_pretrain, gt, spec, steps, 2, **kwargs)

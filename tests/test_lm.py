@@ -420,7 +420,6 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, family):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
-
 def test_checkpoint_load_decodes_each_array_once_into_writable_memory(tmp_path):
     model = NGramLogitLM.create(Vocab(size=32, bos_id=0, eos_id=1), 3)  # an 8 MiB table
     model.table[...] = make_rng(31).normal(size=model.table.shape)
@@ -442,6 +441,7 @@ def test_checkpoint_load_decodes_each_array_once_into_writable_memory(tmp_path):
               for n in TinyNeuralLM.PARAM_NAMES]
     for arr in [loaded.table, *params]:
         assert arr.flags.owndata and arr.flags.writeable
+
 
 def test_checkpoint_rejects_bad_files(tmp_path):
     model = NGramLogitLM.create(VOCAB8, 1)

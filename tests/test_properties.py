@@ -247,7 +247,8 @@ def test_neural_pair_step_bit_equals_the_per_position_loop(data):
 @given(st.data())
 def test_wavefront_bit_equals_one_update_at_a_time(data):
     size = data.draw(st.integers(2, 6))
-    teacher = NGramLogitLM.create(Vocab(size=size, bos_id=0, eos_id=1), data.draw(st.integers(1, 2)),
+    teacher = NGramLogitLM.create(Vocab(size=size, bos_id=0, eos_id=1),
+                                  data.draw(st.integers(1, 2)),
                                   init_scale=data.draw(st.sampled_from([0.0, 1.0, 30.0])),
                                   init_seed=data.draw(st.integers(0, 2**16)))
     row = st.integers(0, len(teacher.table) - 1)
