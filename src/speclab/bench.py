@@ -24,7 +24,7 @@ from .corpus import CorpusBundle
 from .distill import KDConfig, make_kd_dataset, train_offline, train_online
 from .errors import DomainError, TrainingError
 from .lm import NGramLogitLM, load_checkpoint, save_checkpoint
-from .sampling import STREAM_EVAL, derive_seed, make_rng
+from .sampling import STREAM_EVAL, SeedBank, derive_seed, derive_seeds, make_rng
 from .specdec import GenerationConfig, RowTable, decode_lockstep, dump_trace, parse_trace
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -112,26 +112,32 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     two lockstep decoders. Both models are read-only here, so one
     :class:`~speclab.specdec.RowTable` per model serves the call: the
     target table, built inside the speculative timing, is read warm by
-    the baseline, which biases ``speedup`` against speculation. Seeding
-    each stream's generators stays outside the timing.
+    the baseline, which biases ``speedup`` against speculation.
+
+    Stream ``s = run * len(prompts) + j`` decodes speculatively on
+    ``make_rng(derive_seed(config.seed, STREAM_EVAL, run, j))`` and as the
+    baseline on ``make_rng(derive_seed(that seed, 1))``. Each side's
+    streams are derived, seeded and drawn in bulk by one
+    :class:`~speclab.sampling.SeedBank`, bit-equal to those generators;
+    seeding stays outside the timings.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")
     prompts = list(prompts)
     if not prompts:
         raise DomainError("prompt list is empty")
-    seeds = [derive_seed(config.seed, STREAM_EVAL, run, j)
-             for run in range(runs) for j in range(len(prompts))]
-    rngs = [make_rng(seed) for seed in seeds]
+    run, j = np.divmod(np.arange(runs * len(prompts)), len(prompts))
+    seeds = derive_seeds(config.seed, STREAM_EVAL, run, j)
+    bank = SeedBank(seeds)
     start = perf_counter()
     target_rows = RowTable(target, config.tau)
     outs, proposed, accepted, traces = decode_lockstep(
-        target_rows, RowTable(draft, config.tau), prompts * runs, config, rngs,
+        target_rows, RowTable(draft, config.tau), prompts * runs, config, bank,
         traces=on_trace is not None)
     wall_spec = perf_counter() - start
-    rngs = [make_rng(derive_seed(seed, 1)) for seed in seeds]
+    bank = SeedBank(derive_seeds(seeds, 1))
     start = perf_counter()
-    decode_lockstep(target_rows, None, prompts * runs, config, rngs)
+    decode_lockstep(target_rows, None, prompts * runs, config, bank)
     wall_base = perf_counter() - start
     if on_trace is not None:
         for s, trace in enumerate(traces):

@@ -259,12 +259,17 @@ def _load_eval_bundle(config: RunConfig) -> CorpusBundle:
 def cmd_corpus(config: RunConfig) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    bundle = build_corpus(
-        config.corpus,
-        teacher_order=config.values["models.teacher_order"],
-        pretrain_budget=config.values["corpus.pretrain_budget"],
-        tolerance=config.values["corpus.tolerance"],
-    )
+    budget = config.values["corpus.pretrain_budget"]
+    try:
+        bundle = build_corpus(
+            config.corpus,
+            teacher_order=config.values["models.teacher_order"],
+            pretrain_budget=budget,
+            tolerance=config.values["corpus.tolerance"],
+        )
+    except TrainingError as exc:
+        # A wider teacher has more rows to fit: name the key that buys it tokens.
+        raise TrainingError(f"{exc}; raise corpus.pretrain_budget (now {budget})") from exc
     save_checkpoint(bundle.ground_truth, out / "ground_truth.ckpt")
     save_checkpoint(bundle.teacher, out / "teacher.ckpt")
     save_prompts(bundle.prompts, out / "prompts_in.txt")

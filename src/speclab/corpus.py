@@ -25,6 +25,7 @@ from .errors import DomainError, NumericError, TrainingError
 from .files import write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
 from .sampling import (
+    _UNIFORM_CHUNK,
     STREAM_HELDOUT,
     derive_seed,
     make_rng,
@@ -32,7 +33,7 @@ from .sampling import (
     softmax_rows_with_temperature,
     softmax_with_temperature,
 )
-from .specdec import _UNIFORM_CHUNK, GenerationConfig, _generate
+from .specdec import GenerationConfig, _generate
 
 BOS_ID = 0
 EOS_ID = 1

@@ -51,7 +51,7 @@ from .lm import (
     apply_update,
     fkl_value,
 )
-from .sampling import derive_seed, make_rng, softmax_rows_with_temperature
+from .sampling import SeedBank, derive_seed, make_rng, softmax_rows_with_temperature
 from .specdec import GenerationConfig, RowTable, decode_lockstep, generate_autoregressive
 
 SOURCE_TEACHER = "teacher"
@@ -132,8 +132,10 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     ``rng`` up front, one per pair in pass-major order, so the dataset
     does not depend on evaluation order and each pass continues the same
     seed stream. The pairs of each distinct temperature are decoded in one
-    :func:`~speclab.specdec.decode_lockstep` call, one stream per pair on
-    ``make_rng`` of its seed, which gives each pair the response that
+    :func:`~speclab.specdec.decode_lockstep` call on a
+    :class:`~speclab.sampling.SeedBank` of their seeds, one stream per
+    pair reading the uniforms of ``make_rng`` of its seed, which gives
+    each pair the response that
     :func:`~speclab.specdec.generate_autoregressive` would. Prompt windows
     are validated first, in prompt order, so a bad one raises the error of
     the first pair that meets it. A teacher window too wide for a
@@ -151,7 +153,7 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
         raise DomainError("repeats must be >= 1")
     prompts = list(prompts)
     n = len(prompts)
-    seeds = [int(rng.integers(1 << 62)) for _ in range(repeats * n)]
+    seeds = rng.integers(1 << 62, size=repeats * n)
     tau_of = [taus[i % n % len(taus)] for i in range(len(seeds))]
     configs = {tau: GenerationConfig(tau=tau, max_new_tokens=max_len) for tau in taus}
     tables = {tau: RowTable(teacher, tau) for tau in dict.fromkeys(tau_of[:n])}
@@ -161,7 +163,7 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     for tau, table in tables.items():
         pairs = [i for i, t in enumerate(tau_of) if t == tau]
         outs = decode_lockstep(table, None, [prompts[i % n] for i in pairs], configs[tau],
-                               [make_rng(seeds[i]) for i in pairs])[0]
+                               SeedBank(seeds[pairs]))[0]
         for i, out in zip(pairs, outs):
             responses[i] = out
     return [Pair(list(prompts[i % n]), out, SOURCE_TEACHER, tau_of[i])

@@ -14,6 +14,11 @@ raise the same :class:`NumericError` before drawing. The lockstep
 decoder draws from :class:`~speclab.specdec.RowTable` rows by the same
 inverse-CDF rule, and teacher pretraining does it inline on the chain's
 own CDF table.
+
+:func:`make_rng` and :func:`derive_seed` define every random stream.
+:func:`derive_seeds` and :class:`SeedBank` compute the same seeds and
+uniforms for many streams at once, bit for bit, for decodes that give
+each of thousands of streams its own generator.
 """
 
 from __future__ import annotations
@@ -49,6 +54,224 @@ def derive_seed(base: int, *parts: int) -> int:
     entropy = [int(base) & _MASK64] + [int(p) & _MASK64 for p in parts]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's
+# 128-bit LCG multiplier, as numpy documents and ships them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# Uniforms a stream draws per refill: 0.5 KB a stream.
+_UNIFORM_CHUNK = 64
+# Streams a SeedBank refills per jump-ahead, which bounds its temporaries.
+_REFILL_BLOCK = 64
+
+
+def _uint64s(values) -> np.ndarray:
+    """``int(v) & _MASK64`` of each value, as ``derive_seed`` masks, in a uint64 array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)  # two's complement: negatives wrap as masked
+    arr = np.asarray(values, dtype=object)
+    return np.array([int(v) & _MASK64 for v in arr.ravel()], dtype=np.uint64).reshape(arr.shape)
+
+
+def _seed_pools(columns) -> np.ndarray:
+    """SeedSequence pools of rows of 64-bit entropy values, one row per stream.
+
+    ``columns`` holds one uint64 array per entropy value. numpy splits a
+    value into 32-bit words, one word below 2^32 and two from there, and
+    the mixing runs over the words; rows are mixed in groups of equal
+    word count, each group with one array operation per mixing step.
+    """
+    los = [(c & _M32).astype(np.uint32) for c in columns]
+    his = [(c >> 32).astype(np.uint32) for c in columns]
+    width = sum((hi != 0).astype(np.int64) + 1 for hi in his)
+    pools = np.empty((len(columns[0]), 4), dtype=np.uint32)
+    for w in range(len(columns), 2 * len(columns) + 1):
+        rows = np.flatnonzero(width == w)
+        if not rows.size:
+            continue
+        words = np.zeros((len(rows), w), dtype=np.uint32)
+        r = np.arange(len(rows))
+        at = np.zeros(len(rows), dtype=np.int64)
+        for lo, hi in zip(los, his):
+            words[r, at] = lo[rows]
+            two = hi[rows] != 0
+            words[r[two], at[two] + 1] = hi[rows][two]
+            at += 1 + two
+        pools[rows] = _mix_entropy(words)
+    return pools
+
+
+def _mix_entropy(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` over rows of equal length, into 4-word pools."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * _MULT_A & _M32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        v = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return v ^ (v >> np.uint32(16))
+
+    n, w = words.shape
+    pool = [hashmix(words[:, i] if i < w else np.zeros(n, dtype=np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, w):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    return np.stack(pool, axis=1)
+
+
+def _generate_state(pools: np.ndarray, n_words: int) -> list:
+    """``generate_state(n_words, np.uint64)`` of each pool, as ``n_words`` uint64 arrays."""
+    h = _INIT_B
+    half = []
+    for i in range(2 * n_words):
+        v = pools[:, i % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _M32
+        v = v * np.uint32(h)
+        half.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return [half[2 * k] | (half[2 * k + 1] << np.uint64(32)) for k in range(n_words)]
+
+
+def derive_seeds(base, *parts) -> np.ndarray:
+    """:func:`derive_seed` over arrays, bit for bit.
+
+    Element ``i`` is ``derive_seed(base[i], parts[0][i], parts[1][i], ...)``.
+
+    ``base`` and each part are ints or int arrays, broadcast together and
+    masked to 64 bits as :func:`derive_seed` masks them.
+    """
+    columns = [c.ravel() for c in np.broadcast_arrays(*map(_uint64s, (base,) + parts))]
+    return _generate_state(_seed_pools(columns), 1)[0]
+
+
+def _mul128(ah, al, bh, bl):
+    """``a * b mod 2^128`` of 128-bit values held as (high, low) uint64 arrays."""
+    a0, a1 = al & _M32, al >> 32
+    b0, b1 = bl & _M32, bl >> 32
+    lo, m1, m2 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((lo >> 32) + (m1 & _M32) + (m2 & _M32)) >> 32
+    return a1 * b1 + (m1 >> 32) + (m2 >> 32) + carry + ah * bl + al * bh, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _split128(values) -> tuple:
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+# 1 + M + ... + M^(j-1) for j = 1.._UNIFORM_CHUNK, M the PCG64 multiplier.
+# As (M - 1) * (1 + ... + M^(j-1)) = M^j - 1, j LCG steps take a state s
+# with increment inc to M^j * s + (1 + ... + M^(j-1)) * inc
+# = s + (1 + ... + M^(j-1)) * ((M - 1) * s + inc), all mod 2^128.
+_STEP_SUMS = _split128([sum(pow(_PCG_MULT, i, 1 << 128) for i in range(j)) & _MASK128
+                        for j in range(1, _UNIFORM_CHUNK + 1)])
+_MULT_LESS_1 = _split128([_PCG_MULT - 1])
+
+
+def _ahead(hi, lo, inc_hi, inc_lo, steps: int):
+    """The PCG64 states 1..``steps`` LCG steps after each (hi, lo), one row per state."""
+    u_hi, u_lo = _add128(*_mul128(hi, lo, *_MULT_LESS_1), inc_hi, inc_lo)
+    c_hi, c_lo = (c[:steps] for c in _STEP_SUMS)
+    return _add128(*_mul128(u_hi[:, None], u_lo[:, None], c_hi, c_lo), hi[:, None], lo[:, None])
+
+
+class SeedBank:
+    """The uniforms of many :func:`make_rng` streams, seeded and drawn in bulk.
+
+    Stream ``i`` reads, one :meth:`take` after another, the doubles that
+    ``make_rng(seeds[i]).random()`` returns call after call. The bank
+    holds each stream's PCG64 state and increment as uint64 (high, low)
+    arrays. Seeding runs numpy's SeedSequence mixing and PCG64's two-step
+    seeding on all streams at once. A refill computes each of a stream's
+    next outputs with one jump-ahead from its state (see ``_STEP_SUMS``),
+    then PCG64's XSL-RR output and ``Generator.random``'s
+    ``(x >> 11) * 2^-53``. It holds no generator, so there is none to
+    hand back: :meth:`state` reads where a stream's generator would stand.
+
+    A stream holds up to ``_UNIFORM_CHUNK`` drawn uniforms. When a
+    :meth:`take` meets a stream with none left, every stream of that
+    take that has read at least half its chunk keeps its unread tail and
+    is topped up behind it, ``_REFILL_BLOCK`` streams per jump-ahead, so
+    streams read at different rates share refills.
+    """
+
+    def __init__(self, seeds):
+        init_hi, init_lo, seq_hi, seq_lo = _generate_state(
+            _seed_pools([_uint64s(seeds).ravel()]), 4)
+        # PCG64's srandom: inc = 2 * seq + 1, then one step from inc + init.
+        self.inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+        self.inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        hi, lo = _ahead(*_add128(self.inc_hi, self.inc_lo, init_hi, init_lo),
+                        self.inc_hi, self.inc_lo, 1)
+        self.state_hi, self.state_lo = hi[:, 0], lo[:, 0]
+        self.buf = np.empty((len(self.inc_lo), _UNIFORM_CHUNK))
+        self.used = np.full(len(self.inc_lo), _UNIFORM_CHUNK)
+
+    def __len__(self) -> int:
+        return len(self.used)
+
+    def take(self, streams: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the distinct ``streams``."""
+        used = self.used[streams]
+        if used.max(initial=0) == _UNIFORM_CHUNK:
+            self._top_up(streams[used >= _UNIFORM_CHUNK // 2])
+            used = self.used[streams]
+        self.used[streams] = used + 1
+        return self.buf.ravel().take(streams * _UNIFORM_CHUNK + used)
+
+    def _top_up(self, streams: np.ndarray) -> None:
+        """Move each stream's unread uniforms to the front and draw the rest."""
+        for b in range(0, len(streams), _REFILL_BLOCK):
+            s = streams[b : b + _REFILL_BLOCK]
+            used = self.used[s]
+            hi, lo = _ahead(self.state_hi[s], self.state_lo[s], self.inc_hi[s], self.inc_lo[s],
+                            int(used.max()))
+            x = hi ^ lo
+            rot = hi >> np.uint64(58)
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            fresh = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+            both = np.concatenate([self.buf[s], fresh], axis=1)
+            self.buf[s] = np.take_along_axis(both, used[:, None] + np.arange(_UNIFORM_CHUNK),
+                                             axis=1)
+            r = np.arange(len(s))
+            self.state_hi[s] = hi[r, used - 1]
+            self.state_lo[s] = lo[r, used - 1]
+            self.used[s] = 0
+
+    def rewind(self) -> None:
+        """Nothing to hand back: the bank has no generators (see :meth:`state`)."""
+
+    def state(self, stream: int) -> dict:
+        """``{"state", "inc"}`` of the stream's generator after the uniforms it has read.
+
+        This is ``make_rng(seed).bit_generator.state["state"]`` after as
+        many ``random()`` calls: the bank's state, stepped back over the
+        drawn uniforms the stream has not read.
+        """
+        inc = int(self.inc_hi[stream]) << 64 | int(self.inc_lo[stream])
+        s = int(self.state_hi[stream]) << 64 | int(self.state_lo[stream])
+        back = pow(_PCG_MULT, -1, 1 << 128)
+        for _ in range(_UNIFORM_CHUNK - int(self.used[stream])):
+            s = (s - inc) * back & _MASK128
+        return {"state": s, "inc": inc}
 
 
 def softmax_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:

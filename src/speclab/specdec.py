@@ -12,8 +12,9 @@ had been sampled token by token (Leviathan et al. 2023, arXiv
 2211.17192).
 
 One loop applies the rule. :func:`decode_lockstep` decodes many prompts
-at once: every prompt is a stream with its own generator, each stream
-carries the window index of its rows in each model's :class:`RowTable`,
+at once: every prompt is a stream with its own generator, or its own
+stream of a :class:`~speclab.sampling.SeedBank`, each stream carries the
+window index of its rows in each model's :class:`RowTable`,
 and every draw, acceptance test and commit is one array operation over
 the streams still decoding. A rejection's correction is drawn from the
 residual of the two rows it met. With no draft the loop is the
@@ -30,7 +31,9 @@ round consumes, in order, one draw per proposed token (draft sampling),
 one uniform per verified position, and one draw for the correction
 sample when a correction is drawn. Replaying with the same seed
 reproduces the trace exactly, and a decode leaves the generator where
-those draws leave it.
+those draws leave it. A :class:`~speclab.sampling.SeedBank` stream reads
+the uniforms of ``make_rng`` of its seed, so it decodes what that
+generator would.
 """
 
 from __future__ import annotations
@@ -42,7 +45,14 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, VerificationError
 from .lm import NGramLogitLM, _check_token
-from .sampling import cdf_row, draw, softmax_rows_with_temperature, softmax_with_temperature
+from .sampling import (
+    _UNIFORM_CHUNK,
+    SeedBank,
+    cdf_row,
+    draw,
+    softmax_rows_with_temperature,
+    softmax_with_temperature,
+)
 
 _KIND_NAMES = {"resample": "resample", "bonus": "bonus", None: "eos"}
 
@@ -291,10 +301,6 @@ class RowTable:
         return softmax_rows_with_temperature(logits, self.tau)
 
 
-# Uniforms drawn per stream and refill: 0.5 KB a stream.
-_UNIFORM_CHUNK = 64
-
-
 class _Uniforms:
     """Each stream's uniforms in its generator's order, drawn a chunk at a time.
 
@@ -378,7 +384,10 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     Stream ``i`` decodes ``prompts[i]`` with generator ``rngs[i]`` and
     emits the tokens and trace of draft-verify decoding with that
     generator, or with ``draft=None`` what :func:`generate_autoregressive`
-    would. It reads the same uniforms in the same order: a round is a
+    would. ``rngs`` is a list of generators, or a
+    :class:`~speclab.sampling.SeedBank` whose stream ``i`` stands for
+    ``make_rng(seeds[i])`` and decodes as that generator would; either
+    holds one stream per prompt, or :class:`DomainError` is raised. It reads the same uniforms in the same order: a round is a
     block of zero proposals and a bonus token. Rows come from the tables,
     which must hold ``config.tau``; a rejection's correction row is the
     residual of its target and draft rows, built for that draw. Each
@@ -390,7 +399,8 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     first; the first error raised is that of the first failing stream.
     A draw checks its rows before it reads any stream's uniform. On
     return, or on an error, each generator has advanced by exactly the
-    uniforms its stream read.
+    uniforms its stream read, as has each bank stream's
+    :meth:`~speclab.sampling.SeedBank.state`.
 
     Returns ``(tokens, proposed, accepted, traces)``: one token list and
     one count of proposed and of accepted draft tokens per stream, and
@@ -411,7 +421,9 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     eos = target.model.vocab.eos_id
     cap = config.max_new_tokens
     block = 0 if draft is None else config.block_size
-    uniforms = _Uniforms(rngs)
+    if len(rngs) != n:
+        raise DomainError(f"{len(rngs)} random streams for {n} prompts")
+    uniforms = rngs if isinstance(rngs, SeedBank) else _Uniforms(rngs)
     out = np.empty((n, cap), dtype=np.int64)
     n_out = np.zeros(n, dtype=np.int64)
     proposed = np.zeros(n, dtype=np.int64)

@@ -41,6 +41,25 @@ def test_summarise_takes_medians_over_untraced_runs_only():
     pretrain = summary["workloads"]["teacher_pretrain"]
     assert pretrain["end_to_end"]["wall_probes"] == 7.0
     assert pretrain["traced_seeds"] == [] and "per_layer" not in pretrain
+    assert "per_layer_quartiles" not in pretrain
+
+
+def test_summarise_writes_quartiles_beside_each_median():
+    walls = [1.0, 2.0, 3.0, 4.0, 10.0]
+    records = [record("sweep_decode", seed, wall=w) for seed, w in enumerate(walls)]
+    records += [record("sweep_decode", 9, trace=True, layer=4.0),
+                record("sweep_decode", 8, trace=True, layer=6.0),
+                record("teacher_pretrain", 5, wall=7.0)]
+    workloads = load_tool().summarise("demo", records)["workloads"]
+    sweep = workloads["sweep_decode"]
+    # statistics.quantiles(n=4), as perfbench/spread.py takes them.
+    assert sweep["end_to_end"] == {"wall_probes": 3.0, "peak_rss_mb": 43.0}
+    assert sweep["end_to_end_quartiles"] == {"wall_probes": [1.5, 7.0],
+                                             "peak_rss_mb": [41.5, 47.0]}
+    assert sweep["per_layer"] == {"specdec.rounds": 5.0}
+    assert sweep["per_layer_quartiles"] == {"specdec.rounds": [3.5, 6.5]}
+    # One run is its own quartiles.
+    assert workloads["teacher_pretrain"]["end_to_end_quartiles"]["wall_probes"] == [7.0, 7.0]
 
 
 def test_summarise_sums_failed_checks_over_all_runs():

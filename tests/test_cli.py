@@ -180,6 +180,17 @@ def test_decode_without_draft_fails_cleanly(ws, tmp_path, capsys):
     assert "run the corpus command first" in err
 
 
+def test_unconverged_teacher_names_the_budget_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    text = BASE.replace("corpus.pretrain_budget = 200000", "corpus.pretrain_budget = 2000")
+    cfg.write_text(text + f"models.teacher_order = 3\nio.output_dir = {tmp_path / 'run'}\n")
+    assert main(["corpus", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: teacher not converged in 2000 tokens")
+    assert err.rstrip().endswith("; raise corpus.pretrain_budget (now 2000)")
+    assert not (tmp_path / "run" / "teacher.ckpt").exists()
+
+
 def test_sweep_writes_grid_and_reruns_identically(ws, capsys):
     _, run, cfg = ws
     assert main(["sweep", "--config", str(cfg), "--no-timing"]) == 0

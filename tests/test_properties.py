@@ -11,7 +11,16 @@ from speclab import distill
 from speclab.corpus import _apply_wavefront
 from speclab.errors import DomainError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
-from speclab.sampling import cdf_row, draw, make_rng, sample, softmax_with_temperature
+from speclab.sampling import (
+    SeedBank,
+    cdf_row,
+    derive_seed,
+    derive_seeds,
+    draw,
+    make_rng,
+    sample,
+    softmax_with_temperature,
+)
 from speclab.specdec import (
     GenerationConfig,
     RowTable,
@@ -211,6 +220,39 @@ def test_lockstep_decoders_equal_the_scalar_decoders_on_random_tables(data):
         want_rng = make_rng(seeds[j])
         assert base[j] == reference_generate_autoregressive(target, prompt, config, want_rng)
         assert base_rngs[j].bit_generator.state == want_rng.bit_generator.state
+
+
+# Seed and index values: one 32-bit word, two words, the word edges, and
+# negatives and values past 64 bits, which both mask.
+SEED_VALUES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                        st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+                        st.integers(-(2**64), -1), st.integers(2**64, 2**66))
+
+
+@SETTINGS
+@given(st.data())
+def test_seed_bank_equals_make_rng_and_derive_seed(data):
+    n_parts = data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(SEED_VALUES, min_size=n_parts + 1,
+                                       max_size=n_parts + 1), min_size=1, max_size=6))
+    seeds = derive_seeds(*zip(*rows))
+    assert seeds.tolist() == [derive_seed(*row) for row in rows]
+    # Each stream reads a count around the chunk size, in takes of random subsets.
+    bank_seeds = seeds.tolist() + [row[0] for row in rows]
+    bank = SeedBank(bank_seeds)
+    reads = np.array(data.draw(st.lists(st.integers(0, 140), min_size=len(bank_seeds),
+                                        max_size=len(bank_seeds))))
+    got = [[] for _ in bank_seeds]
+    rng = make_rng(data.draw(st.integers(0, 2**32)))
+    while (reads > 0).any():
+        streams = np.flatnonzero((reads > 0) & (rng.random(len(reads)) < 0.8))
+        for s, u in zip(streams.tolist(), bank.take(streams).tolist()):
+            got[s].append(u)
+        reads[streams] -= 1
+    for i, seed in enumerate(bank_seeds):
+        gen = make_rng(seed)
+        assert got[i] == gen.random(len(got[i])).tolist()
+        assert bank.state(i) == gen.bit_generator.state["state"]
 
 
 @SETTINGS

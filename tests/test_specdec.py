@@ -10,8 +10,10 @@ from speclab.distill import KDConfig, Pair, TrainStep, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
 from speclab.sampling import (
+    SeedBank,
     cdf_row,
     derive_seed,
+    derive_seeds,
     make_rng,
     sample,
     softmax_rows_with_temperature,
@@ -648,6 +650,55 @@ def test_lockstep_leaves_every_generator_where_the_reference_does(family, spec):
             with pytest.raises(NumericError):
                 reference(prompt, cfg, rng)
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("tau", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("spec", [True, False])
+def test_lockstep_with_a_seed_bank_equals_lockstep_with_its_generators(family, tau, spec):
+    # 150 streams span three refill blocks; with eos rare, many read past a chunk.
+    target = random_ngram(2, 460, scale=1.5)
+    target.table[:, VOCAB8.eos_id] -= 4.0
+    draft = oracle_draft(family, 470)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [1], [3, 3]] * 25
+    seeds = derive_seeds(480, 4, np.arange(len(prompts)))
+    cfg = GenerationConfig(tau=tau, block_size=4, max_new_tokens=90)
+    target_rows = RowTable(target, tau)
+    draft_rows = RowTable(draft, tau) if spec else None
+    rngs = [make_rng(s) for s in seeds.tolist()]
+    want = decode_lockstep(target_rows, draft_rows, prompts, cfg, rngs, traces=True)
+    bank = SeedBank(seeds)
+    got = decode_lockstep(target_rows, draft_rows, prompts, cfg, bank, traces=True)
+    assert got[0] == want[0]
+    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+    if spec:
+        assert [dump_trace(t) for t in got[3]] == [dump_trace(t) for t in want[3]]
+        assert want[2].sum() < want[1].sum()  # rejections, and so residual draws
+    else:
+        assert got[3] is want[3] is None
+    assert max(len(out) for out in want[0]) > 64
+    assert [bank.state(i) for i in range(len(prompts))] == [
+        rng.bit_generator.state["state"] for rng in rngs]
+
+
+@pytest.mark.parametrize("spec", [True, False])
+def test_lockstep_with_a_seed_bank_raises_the_generator_errors(spec):
+    target = oracle_target(2, 120)
+    draft = oracle_draft("ngram", 220)
+    cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=10)
+    draft_rows = RowTable(draft, 1.0) if spec else None
+    for prompts in ([[2], [3, 9]], [[9, 3]], [[4], [-1]], [[4, -2, 5]]):
+        seeds = derive_seeds(7, np.arange(len(prompts)))
+        with pytest.raises(DomainError) as want:
+            decode_lockstep(RowTable(target, 1.0), draft_rows, prompts, cfg,
+                            [make_rng(s) for s in seeds.tolist()])
+        with pytest.raises(DomainError) as got:
+            decode_lockstep(RowTable(target, 1.0), draft_rows, prompts, cfg, SeedBank(seeds))
+        assert str(got.value) == str(want.value)
+        assert "outside vocab of size 8" in str(got.value)
+    for source in (SeedBank([1, 2]), [make_rng(1)]):
+        with pytest.raises(DomainError, match="random streams for 3 prompts"):
+            decode_lockstep(RowTable(target, 1.0), draft_rows, [[2]] * 3, cfg, source)
 
 
 def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():

@@ -13,6 +13,10 @@ repository root with, per workload:
   runs, one run per seed;
 * ``per_layer``: the median of each per-layer metric over the traced runs,
   when there are any;
+* ``end_to_end_quartiles`` and ``per_layer_quartiles``: the first and
+  third quartiles of the same runs, ``[q1, q3]`` as
+  ``statistics.quantiles(values, n=4)`` gives them (as
+  ``perfbench/spread.py`` does), or ``[v, v]`` for a single run;
 * the seeds of the untraced and traced runs and the number of failed
   checks;
 
@@ -28,6 +32,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHARED = ("git_rev", "python", "numpy", "speclab", "cpu_model", "nproc")
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def spread(runs: list[dict], key: str) -> tuple[dict, dict]:
+    """Median and quartiles of each ``runs[i][key]`` metric."""
+    values = {k: [r[key][k] for r in runs] for k in (runs[0][key] if runs else ())}
+    return ({k: statistics.median(v) for k, v in values.items()},
+            {k: quartiles(v) for k, v in values.items()})
 
 
 def summarise(label: str, records: list[dict]) -> dict:
@@ -48,12 +66,10 @@ def summarise(label: str, records: list[dict]) -> dict:
             "seeds": sorted(r["meta"]["seed"] for r in plain),
             "traced_seeds": sorted(r["meta"]["seed"] for r in traced),
             "failed": sum(len(r["checks"]["failures"]) for r in runs),
-            "end_to_end": {k: statistics.median(r["end_to_end"][k] for r in plain)
-                           for k in (plain[0]["end_to_end"] if plain else ())},
         }
+        entry["end_to_end"], entry["end_to_end_quartiles"] = spread(plain, "end_to_end")
         if traced:
-            entry["per_layer"] = {k: statistics.median(r["per_layer"][k] for r in traced)
-                                  for k in traced[0]["per_layer"]}
+            entry["per_layer"], entry["per_layer_quartiles"] = spread(traced, "per_layer")
         workloads[name] = entry
     return {"label": label, **shared, "workloads": workloads}
 
