@@ -59,6 +59,11 @@ SOURCE_STUDENT = "student"
 SOURCE_FIXED = "fixed"
 _SOURCES = (SOURCE_TEACHER, SOURCE_STUDENT, SOURCE_FIXED)
 
+# Pairs decoded per decode_lockstep call. Each live stream holds about
+# 1 KB (its uniforms, its output row), so this bounds a KD dataset's
+# decode memory whatever its size; canonical KD datasets take two calls.
+_KD_STREAMS = 512
+
 
 @dataclass
 class Pair:
@@ -131,7 +136,8 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
     pair is tagged with that temperature. Per-pair seeds are drawn from
     ``rng`` up front, one per pair in pass-major order, so the dataset
     does not depend on evaluation order and each pass continues the same
-    seed stream. The pairs of each distinct temperature are decoded in one
+    seed stream. The pairs of each distinct temperature are decoded
+    ``_KD_STREAMS`` at a time, each batch in one
     :func:`~speclab.specdec.decode_lockstep` call on a
     :class:`~speclab.sampling.SeedBank` of their seeds, one stream per
     pair reading the uniforms of ``make_rng`` of its seed, which gives
@@ -161,11 +167,13 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
         tables[tau].index(prompt)
     responses: list = [None] * len(seeds)
     for tau, table in tables.items():
-        pairs = [i for i, t in enumerate(tau_of) if t == tau]
-        outs = decode_lockstep(table, None, [prompts[i % n] for i in pairs], configs[tau],
-                               SeedBank(seeds[pairs]))[0]
-        for i, out in zip(pairs, outs):
-            responses[i] = out
+        of_tau = [i for i, t in enumerate(tau_of) if t == tau]
+        for start in range(0, len(of_tau), _KD_STREAMS):
+            pairs = of_tau[start : start + _KD_STREAMS]
+            outs = decode_lockstep(table, None, [prompts[i % n] for i in pairs], configs[tau],
+                                   SeedBank(seeds[pairs]))[0]
+            for i, out in zip(pairs, outs):
+                responses[i] = out
     return [Pair(list(prompts[i % n]), out, SOURCE_TEACHER, tau_of[i])
             for i, out in enumerate(responses)]
 

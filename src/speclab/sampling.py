@@ -159,17 +159,35 @@ def derive_seeds(base, *parts) -> np.ndarray:
 
 
 def _mul128(ah, al, bh, bl):
-    """``a * b mod 2^128`` of 128-bit values held as (high, low) uint64 arrays."""
+    """``a * b mod 2^128`` of 128-bit values held as (high, low) uint64 arrays.
+
+    Operands broadcast; each 64-bit half is split into 32-bit words, and
+    the products are summed in place to keep few temporaries alive.
+    """
     a0, a1 = al & _M32, al >> 32
     b0, b1 = bl & _M32, bl >> 32
-    lo, m1, m2 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((lo >> 32) + (m1 & _M32) + (m2 & _M32)) >> 32
-    return a1 * b1 + (m1 >> 32) + (m2 >> 32) + carry + ah * bl + al * bh, al * bl
+    lo = a0 * b0
+    carry = lo >> 32
+    hi = a0 * b1
+    carry += hi & _M32
+    hi >>= 32
+    part = a1 * b0
+    carry += part & _M32
+    part >>= 32
+    hi += part
+    carry >>= 32
+    hi += carry
+    for x, y in ((a1, b1), (ah, bl), (al, bh)):
+        hi += np.multiply(x, y, out=part)
+    return hi, np.multiply(al, bl, out=lo)
 
 
 def _add128(ah, al, bh, bl):
-    lo = al + bl
-    return ah + bh + (lo < al), lo
+    """``a + b mod 2^128``, written into ``a``'s arrays."""
+    al += bl
+    ah += al < bl
+    ah += bh
+    return ah, al
 
 
 def _split128(values) -> tuple:
@@ -219,7 +237,7 @@ class SeedBank:
         # PCG64's srandom: inc = 2 * seq + 1, then one step from inc + init.
         self.inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
         self.inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-        hi, lo = _ahead(*_add128(self.inc_hi, self.inc_lo, init_hi, init_lo),
+        hi, lo = _ahead(*_add128(init_hi, init_lo, self.inc_hi, self.inc_lo),
                         self.inc_hi, self.inc_lo, 1)
         self.state_hi, self.state_lo = hi[:, 0], lo[:, 0]
         self.buf = np.empty((len(self.inc_lo), _UNIFORM_CHUNK))
@@ -244,16 +262,25 @@ class SeedBank:
             used = self.used[s]
             hi, lo = _ahead(self.state_hi[s], self.state_lo[s], self.inc_hi[s], self.inc_lo[s],
                             int(used.max()))
-            x = hi ^ lo
-            rot = hi >> np.uint64(58)
-            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-            fresh = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-            both = np.concatenate([self.buf[s], fresh], axis=1)
-            self.buf[s] = np.take_along_axis(both, used[:, None] + np.arange(_UNIFORM_CHUNK),
-                                             axis=1)
             r = np.arange(len(s))
             self.state_hi[s] = hi[r, used - 1]
             self.state_lo[s] = lo[r, used - 1]
+            # XSL-RR in place: rotate hi ^ lo right by hi >> 58.
+            lo ^= hi
+            hi >>= 58
+            right = lo >> hi
+            np.subtract(64, hi, out=hi)
+            hi &= 63
+            lo <<= hi
+            lo |= right
+            lo >>= 11
+            fresh = np.multiply(lo, 1.0 / 9007199254740992.0, out=right.view(np.float64))
+            if fresh.shape[1] == _UNIFORM_CHUNK and (used == _UNIFORM_CHUNK).all():
+                self.buf[s] = fresh
+            else:
+                both = np.concatenate([self.buf[s], fresh], axis=1)
+                self.buf[s] = np.take_along_axis(both, used[:, None] + np.arange(_UNIFORM_CHUNK),
+                                                 axis=1)
             self.used[s] = 0
 
     def rewind(self) -> None:

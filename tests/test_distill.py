@@ -228,6 +228,27 @@ def test_make_kd_dataset_skips_a_temperature_without_pairs(monkeypatch):
     assert calls == [(1.0, 3), (0.5, 3)]
 
 
+def test_make_kd_dataset_decodes_at_most_kd_streams_pairs_per_call(monkeypatch):
+    # Responses of up to 70 tokens read past a seed bank stream's first chunk.
+    teacher = kd_teacher("ngram3")
+    teacher.table[:, V8.eos_id] -= 6.0
+    calls = []
+    decode_lockstep = distill.decode_lockstep
+
+    def counting(table, draft, prompts, config, rngs, **kw):
+        calls.append((table.tau, len(prompts)))
+        return decode_lockstep(table, draft, prompts, config, rngs, **kw)
+
+    monkeypatch.setattr(distill, "decode_lockstep", counting)
+    monkeypatch.setattr(distill, "_KD_STREAMS", 4)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [3, 3], [7]]
+    got = make_kd_dataset(teacher, prompts, (1.0, 0.5), make_rng(44), repeats=2, max_len=70)
+    want = reference_kd_dataset(teacher, prompts, (1.0, 0.5), make_rng(44), 2, 70)
+    assert [(p.prompt, p.response, p.tau_gen, p.source) for p in got] == want
+    assert calls == [(1.0, 4), (1.0, 2), (0.5, 4), (0.5, 2)]
+    assert max(len(p.response) for p in got) > 64
+
+
 @pytest.mark.parametrize("prompts", [
     [[2], [3, 9], [4]],
     [[2], [9], [-1]],  # the first bad prompt is not at the first temperature

@@ -269,7 +269,7 @@ def test_seed_bank_of_1000_streams_peaks_below_1000_generators_and_their_chunks(
     finally:
         tracemalloc.stop()
     # Measured: generators and chunks hold 1.39 MB; the bank holds 0.55 MB
-    # and peaks at 1.14 MB while it refills.
+    # and peaks at 0.87 MB while it refills.
     assert held["bank"] < 0.6e6
     assert peak["bank"] < held["generators"], (peak, held)
 
