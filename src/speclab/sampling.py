@@ -275,7 +275,7 @@ class SeedBank:
             lo |= right
             lo >>= 11
             fresh = np.multiply(lo, 1.0 / 9007199254740992.0, out=right.view(np.float64))
-            if fresh.shape[1] == _UNIFORM_CHUNK and (used == _UNIFORM_CHUNK).all():
+            if (used == _UNIFORM_CHUNK).all():  # no unread tail to keep
                 self.buf[s] = fresh
             else:
                 both = np.concatenate([self.buf[s], fresh], axis=1)
