@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, TrainingError
-from .files import write_atomic
+from .files import read_lines, write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
 from .sampling import (
     _UNIFORM_CHUNK,
@@ -355,18 +355,15 @@ def save_prompts(prompts: list[list[int]], path) -> None:
 def load_prompts(path) -> list[list[int]]:
     """Prompts saved by :func:`save_prompts`; blank lines are skipped.
 
-    A token that is not an integer raises :class:`DomainError` naming the
-    path and line.
+    A token that is not an integer, or a last line without its newline,
+    raises :class:`DomainError` naming the path and line.
     """
     prompts = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    prompts.append([int(t) for t in line.split(",")])
-                except ValueError as exc:
-                    raise DomainError(f"{path} line {lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        try:
+            prompts.append([int(t) for t in line.split(",")])
+        except ValueError as exc:
+            raise DomainError(f"{path} line {lineno}: {exc}") from exc
     return prompts
 
 

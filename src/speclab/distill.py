@@ -12,10 +12,15 @@ Two regimes over the same gradient machinery:
   the teacher's and student's next-token distributions (always at
   temperature 1) to the cross entropy.
 
-Every step draws its randomness from a fresh stream derived from
-``(config.seed, step)``, with the pair index drawn first. Because of
-that, online training with ``on_policy_frac=0`` and ``loss_ratio=0``
-walks through exactly the same pairs and updates as offline training.
+Every step draws what a fresh ``make_rng(derive_seed(config.seed, step))``
+would: the pair index first, then (online) the coin, and an on-policy
+response from that generator's state after both. The trainers compute
+these draws in bulk, bit for bit, with
+:func:`~speclab.sampling.step_draws`, and an on-policy step hands one
+reused generator, set to its step's state, to
+:func:`~speclab.specdec.generate_autoregressive`. Because of that,
+online training with ``on_policy_frac=0`` and ``loss_ratio=0`` walks
+through exactly the same pairs and updates as offline training.
 
 Exactness. A step's gradients are the mean over its response positions,
 all read from the parameters as they were before the step. The
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TrainingError
-from .files import write_atomic
+from .files import read_lines, write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
@@ -51,7 +56,13 @@ from .lm import (
     apply_update,
     fkl_value,
 )
-from .sampling import SeedBank, derive_seed, make_rng, softmax_rows_with_temperature
+from .sampling import (
+    SeedBank,
+    make_rng,
+    pcg64_state,
+    softmax_rows_with_temperature,
+    step_draws,
+)
 from .specdec import GenerationConfig, RowTable, decode_lockstep, generate_autoregressive
 
 SOURCE_TEACHER = "teacher"
@@ -246,13 +257,18 @@ def train_offline(
     dataset: Dataset,
     config: KDConfig,
 ) -> TrainingLog:
-    """Cross-entropy SGD on a fixed dataset; one pair per step."""
+    """Cross-entropy SGD on a fixed dataset; one pair per step.
+
+    Step ``k`` trains on the pair that
+    ``make_rng(derive_seed(config.seed, k)).integers(len(dataset))`` picks,
+    computed in bulk (see the module docstring).
+    """
     if not dataset:
         raise DomainError("dataset is empty")
     log: TrainingLog = []
-    for step in range(1, config.steps + 1):
-        step_rng = make_rng(derive_seed(config.seed, step))
-        pair = dataset[int(step_rng.integers(len(dataset)))]
+    draws = step_draws(config.seed, config.steps, len(dataset))
+    for step, (index, _, _) in enumerate(draws, start=1):
+        pair = dataset[index]
         lm_loss, _, grads = _pair_step(student, None, pair.prompt, pair.response, 0.0)
         _check_finite(lm_loss, None, step, config)
         apply_update(student, grads, config.learning_rate)
@@ -266,17 +282,24 @@ def train_online(
     fixed_dataset: Dataset,
     config: KDConfig,
 ) -> TrainingLog:
-    """Mixed fixed/on-policy distillation with a forward KL term."""
+    """Mixed fixed/on-policy distillation with a forward KL term.
+
+    Step ``k`` draws, as ``make_rng(derive_seed(config.seed, k))`` would,
+    its pair index and then a coin; a coin at most ``on_policy_frac`` makes
+    the step on-policy, and its response is sampled from the student on
+    that generator's state after both draws (see the module docstring).
+    """
     if not fixed_dataset:
         raise DomainError("fixed_dataset is empty")
     log: TrainingLog = []
     gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
-    for step in range(1, config.steps + 1):
-        step_rng = make_rng(derive_seed(config.seed, step))
-        pair = fixed_dataset[int(step_rng.integers(len(fixed_dataset)))]
-        mu = step_rng.random()
-        if mu <= config.on_policy_frac:
-            response = generate_autoregressive(student, pair.prompt, gen_cfg, step_rng)
+    rng = make_rng(0)  # set to each on-policy step's own state
+    draws = step_draws(config.seed, config.steps, len(fixed_dataset))
+    for step, (index, coin, state) in enumerate(draws, start=1):
+        pair = fixed_dataset[index]
+        if coin <= config.on_policy_frac:
+            rng.bit_generator.state = pcg64_state(state)
+            response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
         else:
             response = pair.response
         lm_loss, fkl, grads = _pair_step(
@@ -302,27 +325,24 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Pairs saved by :func:`save_dataset`; blank lines are skipped.
 
-    A malformed line raises :class:`DomainError` naming the path and line.
+    A malformed line, or a last line without its newline, raises
+    :class:`DomainError` naming the path and line.
     """
     data: Dataset = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path} line {lineno}"
-            parts = [part.split("=", 1) for part in line.split()]
-            if any(len(part) != 2 for part in parts):
-                raise DomainError(f"{where}: a field without '='")
-            fields = dict(parts)
-            if set(fields) != {"tau", "src", "prompt", "response"}:
-                raise DomainError(f"{where}: unexpected fields")
-            try:
-                prompt, response = ([int(t) for t in fields[k].split(",")] if fields[k] else []
-                                    for k in ("prompt", "response"))
-                data.append(Pair(prompt, response, fields["src"], float(fields["tau"])))
-            except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        where = f"{path} line {lineno}"
+        parts = [part.split("=", 1) for part in line.split()]
+        if any(len(part) != 2 for part in parts):
+            raise DomainError(f"{where}: a field without '='")
+        fields = dict(parts)
+        if set(fields) != {"tau", "src", "prompt", "response"}:
+            raise DomainError(f"{where}: unexpected fields")
+        try:
+            prompt, response = ([int(t) for t in fields[k].split(",")] if fields[k] else []
+                                for k in ("prompt", "response"))
+            data.append(Pair(prompt, response, fields["src"], float(fields["tau"])))
+        except ValueError as exc:
+            raise DomainError(f"{where}: {exc}") from exc
     return data
 
 

@@ -1,8 +1,9 @@
-"""Atomic artifact writes.
+"""Atomic artifact writes, and line reads that refuse a truncated file.
 
 An artifact is written to a temporary file in its own directory and
 then renamed over the destination, so a reader sees either the old
-file or the complete new one, never a truncated write.
+file or the complete new one, never a truncated write. Text artifacts
+end every line with a newline, so a reader can tell a file cut short.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
+
+from .errors import DomainError
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -28,3 +31,20 @@ def write_atomic(path, data: str | bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already once the rename succeeded
+
+
+def read_lines(path):
+    """``(lineno, line)`` for each non-blank line of a text artifact, stripped.
+
+    A non-blank last line without a newline is a truncated file: it raises
+    :class:`DomainError` naming the path and line.
+    """
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if not raw.endswith("\n"):
+                raise DomainError(f"{path} line {lineno}: no newline at the end of the file, "
+                                  "which may be truncated")
+            yield lineno, line

@@ -451,7 +451,8 @@ def _sum_parts(parts: np.ndarray) -> np.ndarray:
     if parts[0].size == 1:
         # Over parts of one value np.add.reduce may sum pairwise; cumsum never does.
         return np.cumsum(parts, axis=0)[-1]
-    return np.add.reduce(parts, axis=0)
+    # From -0.0, not the identity 0.0, which would turn a first part's -0.0 into 0.0.
+    return np.add.reduce(parts, axis=0, initial=-0.0)
 
 
 def _scaled_sum(parts: np.ndarray, scales: np.ndarray) -> np.ndarray:

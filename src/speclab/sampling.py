@@ -18,7 +18,9 @@ own CDF table.
 :func:`make_rng` and :func:`derive_seed` define every random stream.
 :func:`derive_seeds` and :class:`SeedBank` compute the same seeds and
 uniforms for many streams at once, bit for bit, for decodes that give
-each of thousands of streams its own generator.
+each of thousands of streams its own generator. :func:`step_draws`
+computes, with the same code, the first draws of the generator that
+each training step builds.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ _MASK128 = (1 << 128) - 1
 _UNIFORM_CHUNK = 64
 # Streams a SeedBank refills per jump-ahead, which bounds its temporaries.
 _REFILL_BLOCK = 64
+# Training steps whose draws step_draws computes at once.
+_STEP_BLOCK = 512
+# Generator.random's scale of a 53-bit integer to a double in [0, 1).
+_TO_DOUBLE = 1.0 / 9007199254740992.0
 
 
 def _uint64s(values) -> np.ndarray:
@@ -211,6 +217,35 @@ def _ahead(hi, lo, inc_hi, inc_lo, steps: int):
     return _add128(*_mul128(u_hi[:, None], u_lo[:, None], c_hi, c_lo), hi[:, None], lo[:, None])
 
 
+def _pcg64_seed(seeds: np.ndarray) -> tuple:
+    """(state_hi, state_lo, inc_hi, inc_lo) of ``make_rng(seed)`` for each uint64 seed.
+
+    numpy's SeedSequence of each seed gives ``generate_state(4, uint64)``
+    words ``init`` and ``seq``, and PCG64's srandom sets
+    ``inc = 2 * seq + 1``, then takes one step from ``init + inc``.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _generate_state(_seed_pools([seeds]), 4)
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    hi, lo = _ahead(*_add128(init_hi, init_lo, inc_hi, inc_lo), inc_hi, inc_lo, 1)
+    return hi[:, 0], lo[:, 0], inc_hi, inc_lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of each state (hi, lo): ``hi ^ lo`` rotated right by ``hi >> 58``.
+
+    Computed in place: the output is written into ``lo``, and ``hi`` is spent.
+    """
+    lo ^= hi
+    hi >>= 58
+    right = lo >> hi
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    lo <<= hi
+    lo |= right
+    return lo
+
+
 class SeedBank:
     """The uniforms of many :func:`make_rng` streams, seeded and drawn in bulk.
 
@@ -232,14 +267,8 @@ class SeedBank:
     """
 
     def __init__(self, seeds):
-        init_hi, init_lo, seq_hi, seq_lo = _generate_state(
-            _seed_pools([_uint64s(seeds).ravel()]), 4)
-        # PCG64's srandom: inc = 2 * seq + 1, then one step from inc + init.
-        self.inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-        self.inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-        hi, lo = _ahead(*_add128(init_hi, init_lo, self.inc_hi, self.inc_lo),
-                        self.inc_hi, self.inc_lo, 1)
-        self.state_hi, self.state_lo = hi[:, 0], lo[:, 0]
+        self.state_hi, self.state_lo, self.inc_hi, self.inc_lo = _pcg64_seed(
+            _uint64s(seeds).ravel())
         self.buf = np.empty((len(self.inc_lo), _UNIFORM_CHUNK))
         self.used = np.full(len(self.inc_lo), _UNIFORM_CHUNK)
 
@@ -265,16 +294,9 @@ class SeedBank:
             r = np.arange(len(s))
             self.state_hi[s] = hi[r, used - 1]
             self.state_lo[s] = lo[r, used - 1]
-            # XSL-RR in place: rotate hi ^ lo right by hi >> 58.
-            lo ^= hi
-            hi >>= 58
-            right = lo >> hi
-            np.subtract(64, hi, out=hi)
-            hi &= 63
-            lo <<= hi
-            lo |= right
-            lo >>= 11
-            fresh = np.multiply(lo, 1.0 / 9007199254740992.0, out=right.view(np.float64))
+            out = _xsl_rr(hi, lo)
+            out >>= 11
+            fresh = np.multiply(out, _TO_DOUBLE, out=hi.view(np.float64))
             if (used == _UNIFORM_CHUNK).all():  # no unread tail to keep
                 self.buf[s] = fresh
             else:
@@ -299,6 +321,62 @@ class SeedBank:
         for _ in range(_UNIFORM_CHUNK - int(self.used[stream])):
             s = (s - inc) * back & _MASK128
         return {"state": s, "inc": inc}
+
+
+def step_draws(base: int, steps: int, n: int):
+    """What ``make_rng(derive_seed(base, step))`` draws first, for step = 1..``steps``.
+
+    Yields, step after step, ``(index, coin, state)``: what ``integers(n)``
+    and then ``random()`` return, and the generator's state after both as
+    the uint64 words that :func:`pcg64_state` reads. The steps are seeded
+    and drawn ``_STEP_BLOCK`` at a time, by :class:`SeedBank`'s seeding and
+    output code. ``n`` must lie in [1, 2^32).
+
+    ``integers(n)`` is Lemire's 32-bit draw (arXiv 1805.10941) on the low
+    half of the first output: ``(low * n) >> 32``, with the high half
+    buffered in the generator (``has_uint32``, ``uinteger``). Where
+    ``(low * n) mod 2^32 < (2^32 - n) % n``, less often than once in
+    ``2^32 / n`` steps, numpy draws again; such a step is drawn by its own
+    generator. ``integers(1)`` draws nothing, so the coin is then the
+    first output and nothing is buffered.
+    """
+    if not 1 <= n < 1 << 32:
+        raise DomainError(f"step draws need 1 <= n < 2^32, got {n}")
+    for first in range(1, steps + 1, _STEP_BLOCK):
+        count = min(_STEP_BLOCK, steps + 1 - first)
+        hi, lo, inc_hi, inc_lo = _pcg64_seed(derive_seeds(base, np.arange(first, first + count)))
+        hi, lo = _ahead(hi, lo, inc_hi, inc_lo, 2)
+        draws = 1 if n == 1 else 2
+        words = np.zeros((count, 6), dtype=np.uint64)
+        words[:, 0], words[:, 1] = hi[:, draws - 1], lo[:, draws - 1]
+        words[:, 2], words[:, 3] = inc_hi, inc_lo
+        out = _xsl_rr(hi, lo)
+        coin = (out[:, draws - 1] >> 11) * _TO_DOUBLE
+        if n == 1:
+            index = np.zeros(count, dtype=np.int64)
+            redraw = ()
+        else:
+            m = (out[:, 0] & _M32) * np.uint64(n)
+            index = (m >> 32).astype(np.int64)
+            words[:, 4] = 1
+            words[:, 5] = out[:, 0] >> 32
+            redraw = np.flatnonzero(m & _M32 < ((1 << 32) - n) % n)
+        for j in redraw:
+            rng = make_rng(derive_seed(base, first + j))
+            index[j], coin[j] = rng.integers(n), rng.random()
+            state = rng.bit_generator.state
+            s, inc = state["state"]["state"], state["state"]["inc"]
+            words[j] = [s >> 64, s & _MASK64, inc >> 64, inc & _MASK64,
+                        state["has_uint32"], state["uinteger"]]
+        yield from zip(index.tolist(), coin.tolist(), words)
+
+
+def pcg64_state(words) -> dict:
+    """The ``bit_generator.state`` of a PCG64 held as :func:`step_draws`' state words."""
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = words.tolist()
+    return {"bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32, "uinteger": uinteger}
 
 
 def softmax_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:

@@ -21,9 +21,10 @@ residual of the two rows it met. With no draft the loop is the
 autoregressive baseline, and KD datasets are decoded that way.
 :func:`speculative_generate` is its one-stream form.
 :func:`generate_autoregressive` samples one prompt token by token, each
-row computed once per window the call visits, for code that draws one
-response at a time on one generator: on-policy training and held-out
-rollouts. :func:`verify_block` applies the rule to one block of explicit
+row computed once per window the call visits (or, for a small n-gram,
+its whole table at once), for code that draws one response at a time on
+one generator: on-policy training and held-out rollouts.
+:func:`verify_block` applies the rule to one block of explicit
 distributions.
 
 Randomness contract: a single generator drives one generation. Each
@@ -39,6 +40,7 @@ generator would.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,8 +163,12 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> lis
     drawn, is included as the final element. Each token is one
     :func:`draw` from the :func:`~speclab.sampling.cdf_row` of
     ``softmax_with_temperature(model.forward(context), config.tau)``,
-    computed once per context window this call visits.
+    computed once per context window this call visits; for an n-gram
+    that a :class:`RowTable` takes whole, the call computes its whole
+    table at once instead (see :func:`_generate_whole`).
     """
+    if _takes_whole(model):
+        return _generate_whole(model, prompt, config, rng)
     return _generate(model, prompt, config, rng, {})
 
 
@@ -192,6 +198,34 @@ def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[
     return out
 
 
+def _generate_whole(model, prompt, config: GenerationConfig, rng) -> list[int]:
+    """:func:`generate_autoregressive` of an n-gram that a :class:`RowTable` takes whole.
+
+    All its rows come from one :func:`softmax_rows_with_temperature` and
+    one ``np.cumsum`` over its table, bit-equal to the rows of
+    :func:`_generate`. The prompt's window is validated by
+    ``model.context_index``, as ``model.forward`` validates it, and each
+    drawn token moves the window index ``i`` to ``(i * size + t) % rows``.
+    A row's CDF becomes an ``array('d')`` on the first draw from it.
+    """
+    probs = softmax_rows_with_temperature(model.table, config.tau)
+    cdf = np.cumsum(probs, axis=1)
+    rows = [None] * len(probs)
+    size, eos = model.vocab.size, model.vocab.eos_id
+    idx = model.context_index(prompt)
+    out: list[int] = []
+    for _ in range(config.max_new_tokens):
+        row = rows[idx]
+        if row is None:
+            row = rows[idx] = (probs[idx], array("d", cdf[idx].tobytes()))
+        tok = draw(row, rng)
+        out.append(tok)
+        if tok == eos:
+            break
+        idx = (idx * size + tok) % len(rows)
+    return out
+
+
 def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
     """Draft-verify decoding of one continuation: :func:`decode_lockstep` on one stream.
 
@@ -210,6 +244,11 @@ def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):
 # and at about 0.5 KB a row (vocabulary 32, probabilities and CDF) some
 # 2 MB a table.
 MAX_CACHED_ROWS = 4096
+
+
+def _takes_whole(model) -> bool:
+    """Whether a :class:`RowTable` computes all the model's rows at once."""
+    return isinstance(model, NGramLogitLM) and len(model.table) <= MAX_CACHED_ROWS
 
 
 class RowTable:
@@ -243,7 +282,7 @@ class RowTable:
         if self.rows * self.size > np.iinfo(np.int64).max:
             raise DomainError(f"a window of {self.width} tokens over {self.size} "
                               "has too many rows to index")
-        self.whole = isinstance(model, NGramLogitLM) and self.rows <= MAX_CACHED_ROWS
+        self.whole = _takes_whole(model)
         if self.whole:
             self.probs = softmax_rows_with_temperature(model.table, tau)
         else:

@@ -8,11 +8,15 @@ independent routes to the same numbers, for the tests to compare with:
 * the per-position CE and FKL gradients, each written out as one
   context's forward and backward pass;
 * the law of the token emitted at one verified position, and its
-  acceptance probability.
+  acceptance probability;
+* token-by-token sampling, and the two trainers as per-step loops that
+  build each step's own ``make_rng(derive_seed(seed, step))``.
 """
 
 import numpy as np
 
+from speclab import distill
+from speclab.distill import TrainStep
 from speclab.errors import DomainError
 from speclab.lm import (
     FKL_PROB_FLOOR,
@@ -20,9 +24,11 @@ from speclab.lm import (
     TinyNeuralLM,
     _check_token,
     _stable_log_softmax_rows,
+    apply_update,
     fkl_value,
 )
-from speclab.specdec import _residual_rows
+from speclab.sampling import derive_seed, make_rng, sample, softmax_with_temperature
+from speclab.specdec import GenerationConfig, _residual_rows
 
 
 def parameter_vector(model) -> np.ndarray:
@@ -130,3 +136,52 @@ def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     overlap = np.minimum(p, q)
     return overlap + (1.0 - overlap.sum()) * _residual_rows(p[None], q[None])[0]
+
+
+def reference_generate_autoregressive(model, prompt, config, rng):
+    """One ``model.forward``, softmax and :func:`~speclab.sampling.sample` per token."""
+    eos = model.vocab.eos_id
+    seq = list(prompt)
+    out = []
+    for _ in range(config.max_new_tokens):
+        dist = softmax_with_temperature(model.forward(seq), config.tau)
+        tok = sample(dist, rng)
+        out.append(tok)
+        seq.append(tok)
+        if tok == eos:
+            break
+    return out
+
+
+def reference_train_offline(student, dataset, config):
+    """:func:`speclab.distill.train_offline` with one generator built per step."""
+    log = []
+    for step in range(1, config.steps + 1):
+        step_rng = make_rng(derive_seed(config.seed, step))
+        pair = dataset[int(step_rng.integers(len(dataset)))]
+        lm_loss, _, grads = distill._pair_step(student, None, pair.prompt, pair.response, 0.0)
+        apply_update(student, grads, config.learning_rate)
+        log.append(TrainStep(step=step, lm_loss=lm_loss))
+    return log
+
+
+def reference_train_online(student, teacher, fixed_dataset, config):
+    """:func:`speclab.distill.train_online` with one generator built per step.
+
+    An on-policy step samples its response token by token on that generator.
+    """
+    log = []
+    gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
+    for step in range(1, config.steps + 1):
+        step_rng = make_rng(derive_seed(config.seed, step))
+        pair = fixed_dataset[int(step_rng.integers(len(fixed_dataset)))]
+        if step_rng.random() <= config.on_policy_frac:
+            response = reference_generate_autoregressive(student, pair.prompt, gen_cfg, step_rng)
+        else:
+            response = pair.response
+        lm_loss, fkl, grads = distill._pair_step(
+            student, teacher, pair.prompt, response, config.loss_ratio
+        )
+        apply_update(student, grads, config.learning_rate)
+        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
+    return log

@@ -1,6 +1,7 @@
 """The summary that tools/bench_record.py writes from perfbench result files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,78 @@ def test_summarise_refuses_records_of_two_revisions():
 def test_summarise_refuses_no_records():
     with pytest.raises(SystemExit):
         load_tool().summarise("demo", [])
+
+
+def test_summarise_keeps_each_untraced_runs_values_by_seed():
+    records = [record("sweep_decode", 3, wall=30.0), record("sweep_decode", 1, wall=10.0),
+               record("sweep_decode", 9, trace=True, wall=999.0)]
+    by_seed = load_tool().summarise("demo", records)["workloads"]["sweep_decode"][
+        "end_to_end_by_seed"]
+    assert by_seed == {"3": {"wall_probes": 30.0, "peak_rss_mb": 70.0},
+                       "1": {"wall_probes": 10.0, "peak_rss_mb": 50.0}}
+
+
+METRICS = [{"name": "wall_probes", "better": "lower", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def summary_of(walls, first_seed=1):
+    records = [record("draft_distill", first_seed + k, wall=w) for k, w in enumerate(walls)]
+    return load_tool().summarise("demo", records)
+
+
+def test_compare_pairs_runs_by_seed_and_applies_the_gain_rule():
+    tool = load_tool()
+    parent = summary_of([100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 104.0, 96.0])
+    change = summary_of([80.0, 81.0, 79.0, 82.0, 78.0, 80.0, 81.0, 79.0, 80.0, 83.0])
+    wall, rss = tool.compare(parent, change, METRICS)[1:]
+    assert "change won 10/10" in wall and "ratio 0.8" in wall
+    assert "parent 100 [97.75, 102.25]" in wall and "change 80 [79, 81.25]" in wall
+    assert "gain rule holds (gap 20, parent IQR 4.5)" in wall and "bound 0.25 kept" in wall
+    # peak_rss_mb is 40 + wall in these records: 140 -> 120 MB.
+    assert "change won 10/10" in rss and "ratio 0.857" in rss
+
+
+def test_compare_gain_rule_needs_nine_in_ten_pairs_and_a_gap_past_the_iqr():
+    tool = load_tool()
+    parent = summary_of([100.0] * 8 + [90.0, 110.0])
+    # 8 of 10 pairs won: the rule fails, though the median falls.
+    eight = tool.compare(parent, summary_of([90.0] * 8 + [95.0, 115.0]), METRICS)[1]
+    assert "change won 8/10" in eight and "gain rule fails" in eight
+    # Every pair won, by less than the parent's interquartile range.
+    narrow = tool.compare(summary_of([100.0, 90.0, 110.0, 95.0, 105.0]),
+                          summary_of([99.0, 89.0, 109.0, 94.0, 104.0]), METRICS)[1]
+    assert "change won 5/5" in narrow and "gain rule fails" in narrow
+
+
+def test_compare_flags_a_change_past_its_bound_and_skips_unpaired_seeds():
+    tool = load_tool()
+    parent = summary_of([100.0, 100.0, 100.0])
+    change = summary_of([130.0, 130.0, 130.0, 1.0], first_seed=2)  # seeds 2-5
+    lines = tool.compare(parent, change, METRICS)
+    assert lines[0] == "draft_distill: 2 pairs by seed"
+    assert "change won 0/2" in lines[1] and "ratio 1.300" in lines[1]
+    assert "bound 0.25 BROKEN" in lines[1]
+
+
+def test_compare_refuses_a_file_without_per_seed_values():
+    tool = load_tool()
+    old = summary_of([100.0, 101.0])
+    del old["workloads"]["draft_distill"]["end_to_end_by_seed"]
+    with pytest.raises(SystemExit, match="parent file has no per-seed values for draft_distill"):
+        tool.compare(old, summary_of([90.0, 91.0]), METRICS)
+
+
+def test_compare_command_reads_the_bounds_of_benchmark_json(tmp_path, capsys):
+    tool = load_tool()
+    paths = []
+    for name, walls in (("parent", [100.0, 101.0]), ("change", [90.0, 91.0])):
+        summary = summary_of(walls)
+        for values in summary["workloads"]["draft_distill"]["end_to_end_by_seed"].values():
+            values["setup_s"] = 0.5
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(summary))
+    assert tool.main(["compare", *map(str, paths)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "draft_distill: 2 pairs by seed"
+    assert [line.split()[0] for line in out[1:]] == ["wall_probes", "setup_s", "peak_rss_mb"]

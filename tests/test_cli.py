@@ -380,6 +380,7 @@ def test_report_rejects_out_of_range_csv_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("artifact, text, named", [
     ("prompts_in.txt", "2,3\n3,4,\n", "prompts_in.txt line 2"),
+    ("prompts_in.txt", "2,3\n3,1", "prompts_in.txt line 2"),
     ("draft.ckpt", "[1, 2]\n", "not a model checkpoint"),
     ("teacher.ckpt", '{"format": "speclab-model", "version": 1}\n', "has no vocab"),
 ])

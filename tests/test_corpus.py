@@ -220,6 +220,17 @@ def test_load_prompts_rejects_bad_tokens_naming_path_and_line(tmp_path, text, li
         load_prompts(path)
 
 
+@pytest.mark.parametrize("text, lineno", [("3,17\n3,1", 2), ("3,1", 1), ("2,3\n\n4", 3)])
+def test_load_prompts_rejects_a_truncated_last_line_naming_path_and_line(tmp_path, text, lineno):
+    # save_prompts ends every line with a newline: without one the file was cut short.
+    path = tmp_path / "prompts.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"{path} line {lineno}: ") + ".*newline"):
+        load_prompts(path)
+    path.write_text(text + "\n\n")
+    assert load_prompts(path)
+
+
 def test_build_corpus_small_end_to_end():
     bundle = build_corpus(SMALL, pretrain_budget=400_000)
     assert isinstance(bundle, CorpusBundle)

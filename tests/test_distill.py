@@ -27,8 +27,15 @@ from speclab.lm import (
 )
 from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
 from speclab.specdec import GenerationConfig, generate_autoregressive
-from oracles import reference_ce_gradient, reference_fkl_gradient
-from test_specdec import reference_generate_autoregressive
+from oracles import (
+    gradient_vector,
+    reference_ce_gradient,
+    reference_fkl_gradient,
+    reference_generate_autoregressive,
+    reference_train_offline,
+    reference_train_online,
+)
+from test_acceptance import finite_difference_grad
 
 V8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -519,6 +526,20 @@ def test_dataset_load_rejects_a_bad_tau_naming_path_and_line(tmp_path, tau):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("tau=1.0 src=teacher prompt=2 response=3\ntau=1.0 src=teacher prompt=2 response=3,1", 2),
+    ("tau=1.0 src=teacher prompt=2 response=3", 1),
+])
+def test_dataset_load_rejects_a_truncated_last_line_naming_path_and_line(tmp_path, text, lineno):
+    # save_dataset ends every line with a newline: without one the file was cut short.
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"{path} line {lineno}: ") + ".*newline"):
+        load_dataset(path)
+    path.write_text(text + "\n")
+    assert len(load_dataset(path)) == lineno
+
+
 def test_train_log_rows_format():
     from speclab.distill import TrainStep
 
@@ -729,6 +750,17 @@ def test_neural_pair_step_bit_equals_per_position_loop(context_size, with_teache
                              reference_pair_step(student, teacher, prompt, resp, loss_ratio))
 
 
+def test_neural_pair_step_keeps_the_sign_of_a_zero_gradient():
+    # A certain student's CE gradient is +0.0 at the target logit, so a
+    # negative hidden unit gives a w2 entry of -0.0, as the loop keeps it.
+    vocab4 = Vocab(size=4, bos_id=0, eos_id=1)
+    student = TinyNeuralLM.create(vocab4, context_size=1, d_emb=1, d_hid=8, seed=0)
+    student.b2[[1, 2, 3]] = -40.0
+    got = distill._pair_step(student, None, [], [0], 0.0)
+    assert np.signbit(got[2]["w2"][:, 0]).any()
+    assert_same_step(got, reference_pair_step(student, None, [], [0], 0.0))
+
+
 @pytest.mark.parametrize("name", ["embedding", "w1", "b1", "w2", "b2"])
 def test_neural_pair_step_nan_parameter_error_texts_match_the_loop(name):
     _, teacher, prompt, response = step_case(7, 1, prompt_len=2)
@@ -782,3 +814,79 @@ def test_training_bit_equals_oracle_driven_loop(monkeypatch, order, mode, on_pol
         results.append((checkpoint_bytes(student), [(bits(e.lm_loss), bits(e.fkl)) for e in log],
                         train_log_rows(log)))
     assert results[0] == results[1]
+
+
+# --- Trainers against per-step generator loops ------------------------------
+
+
+def kd_pairs(count):
+    rng = make_rng(600 + count)
+    return [Pair(rng.integers(2, 16, size=1 + k % 3).tolist(),
+                 rng.integers(1, 16, size=1 + k % 5).tolist(), "teacher", 1.0)
+            for k in range(count)]
+
+
+TRAIN_STUDENTS = {
+    "ngram": lambda: NGramLogitLM.create(V16, 1, init_scale=1.5, init_seed=21),
+    "neural": lambda: TinyNeuralLM.create(V16, context_size=2, d_emb=4, d_hid=8, seed=21),
+}
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("pairs", [1, 2, 40])
+@pytest.mark.parametrize("steps", [0, 130])
+@pytest.mark.parametrize("mode, on_policy_frac", [
+    ("offline", 0.5), ("online", 0.0), ("online", 0.5), ("online", 1.0),
+])
+def test_trainers_bit_equal_a_generator_per_step(family, pairs, steps, mode, on_policy_frac):
+    # The trainers draw every step's pair index and coin in bulk; the
+    # oracles build each step's make_rng(derive_seed(seed, step)).
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=22)
+    data = kd_pairs(pairs)
+    cfg = KDConfig(mode=mode, on_policy_frac=on_policy_frac, loss_ratio=0.7, learning_rate=0.4,
+                   steps=steps, seed=23, gen_max_len=12)
+    got_student, want_student = TRAIN_STUDENTS[family](), TRAIN_STUDENTS[family]()
+    if mode == "offline":
+        got = train_offline(got_student, data, cfg)
+        want = reference_train_offline(want_student, data, cfg)
+    else:
+        got = train_online(got_student, teacher, data, cfg)
+        want = reference_train_online(want_student, teacher, data, cfg)
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
+    assert train_log_rows(got) == train_log_rows(want)
+    assert ([(e.step, bits(e.lm_loss), bits(e.fkl)) for e in got]
+            == [(e.step, bits(e.lm_loss), bits(e.fkl)) for e in want])
+    assert len(got) == steps
+
+
+# --- A whole pair step against central differences ---------------------------
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_pair_step_gradients_match_central_differences(family):
+    # Mean CE plus loss_ratio times mean FKL over a multi-position response,
+    # as one training step computes them.
+    vocab6 = Vocab(size=6, bos_id=0, eos_id=1)
+    rng = make_rng(700)
+    teacher = NGramLogitLM.create(vocab6, 2, init_scale=1.5, init_seed=701)
+    worst = 0.0
+    for point in range(4):
+        if family == "ngram":
+            student = NGramLogitLM.create(vocab6, 2, init_scale=1.0, init_seed=710 + point)
+        else:
+            student = TinyNeuralLM.create(vocab6, context_size=2, d_emb=4, d_hid=8,
+                                          seed=710 + point)
+        prompt = rng.integers(2, 6, size=3).tolist()
+        response = rng.integers(1, 6, size=9).tolist()
+        loss_ratio = (0.0, 0.7, 1.0, 2.5)[point]
+
+        def value(model):
+            lm_loss, fkl, _ = distill._pair_step(model, teacher, prompt, response, loss_ratio)
+            return lm_loss + (0.0 if fkl is None else loss_ratio * fkl)
+
+        _, _, grads = distill._pair_step(student, teacher, prompt, response, loss_ratio)
+        analytic = gradient_vector(student, grads)
+        numeric = finite_difference_grad(value, student)
+        tol = 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-9
+        worst = max(worst, float(np.max(np.abs(analytic - numeric) / tol)))
+    assert worst <= 1.0

@@ -18,8 +18,10 @@ from speclab.sampling import (
     derive_seeds,
     draw,
     make_rng,
+    pcg64_state,
     sample,
     softmax_with_temperature,
+    step_draws,
 )
 from speclab.specdec import (
     GenerationConfig,
@@ -31,10 +33,10 @@ from speclab.specdec import (
     verify_block,
 )
 
-from oracles import induced_distribution
+from oracles import induced_distribution, reference_generate_autoregressive
 from test_corpus import reference_wavefront, same_bits, wavefront_outcome
 from test_distill import assert_same_step, reference_pair_step
-from test_specdec import reference_generate_autoregressive, reference_speculative_generate
+from test_specdec import reference_speculative_generate
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -253,6 +255,19 @@ def test_seed_bank_equals_make_rng_and_derive_seed(data):
         gen = make_rng(seed)
         assert got[i] == gen.random(len(got[i])).tolist()
         assert bank.state(i) == gen.bit_generator.state["state"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 530),
+       st.one_of(st.integers(1, 64), st.integers(1, 2**32 - 1)))
+def test_step_draws_equal_make_rng_of_each_step(base, steps, n):
+    got = [(index, coin, pcg64_state(state)) for index, coin, state in step_draws(base, steps, n)]
+    assert len(got) == steps
+    for step, (index, coin, state) in enumerate(got, start=1):
+        rng = make_rng(derive_seed(base, step))
+        assert index == rng.integers(n)
+        assert coin == rng.random()
+        assert state == rng.bit_generator.state
 
 
 @SETTINGS

@@ -15,9 +15,11 @@ from speclab.sampling import (
     derive_seeds,
     draw,
     make_rng,
+    pcg64_state,
     sample,
     softmax_rows_with_temperature,
     softmax_with_temperature,
+    step_draws,
 )
 from speclab.specdec import GenerationConfig, generate_autoregressive
 
@@ -236,6 +238,51 @@ def test_seed_bank_reads_make_rng_uniforms_across_chunk_boundaries():
         gen = make_rng(seed)
         assert got[i] == gen.random(len(got[i])).tolist(), seed
         assert bank.state(i) == gen.bit_generator.state["state"], seed
+
+
+def reference_step_draws(base, steps, n):
+    """What each step's own generator draws: integers(n), random(), then its state."""
+    out = []
+    for step in range(1, steps + 1):
+        rng = make_rng(derive_seed(base, step))
+        out.append((int(rng.integers(n)), rng.random(), rng.bit_generator.state))
+    return out
+
+
+def assert_step_draws_match(base, steps, n, want):
+    got = [(index, coin, pcg64_state(state)) for index, coin, state in step_draws(base, steps, n)]
+    assert len(got) == steps
+    for step, (g, w) in enumerate(zip(got, want), start=1):
+        assert type(g[0]) is int and type(g[1]) is float
+        assert g == w, (base, n, step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("base", [0, 2**63 + 5, 2**64 - 1])
+def test_step_draws_equal_each_steps_make_rng(base, n):
+    # Counts around the 512-step block; at n = 2^31 + 1 about half the
+    # steps take numpy's Lemire redraw and their own generator.
+    want = reference_step_draws(base, 513, n)
+    for steps in (0, 1, 511, 512, 513):
+        assert_step_draws_match(base, steps, n, want)
+    if n == 2**31 + 1:
+        threshold = (2**32 - n) % n
+        redrawn = sum(int(make_rng(derive_seed(base, k)).integers(2**32)) * n % 2**32 < threshold
+                      for k in range(1, 101))
+        assert 25 < redrawn < 75
+
+
+def test_step_draws_of_one_index_draw_nothing_for_it():
+    # integers(1) reads no output: the coin is the first one, nothing is buffered.
+    (index, coin, state), = step_draws(9, 1, 1)
+    assert index == 0 and coin == make_rng(derive_seed(9, 1)).random()
+    assert pcg64_state(state)["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32])
+def test_step_draws_reject_an_index_range_outside_32_bits(n):
+    with pytest.raises(DomainError, match="1 <= n < 2"):
+        list(step_draws(0, 5, n))
 
 
 def test_seed_bank_of_1000_streams_peaks_below_1000_generators_and_their_chunks():

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from speclab import distill, specdec
-from speclab.distill import KDConfig, Pair, TrainStep, train_online
+from speclab import specdec
+from speclab.distill import KDConfig, Pair, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
-from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, apply_update, checkpoint_bytes
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, checkpoint_bytes
 from speclab.sampling import (
     SeedBank,
     cdf_row,
@@ -33,7 +33,12 @@ from speclab.specdec import (
     verify_block,
 )
 
-from oracles import acceptance_probability, induced_distribution
+from oracles import (
+    acceptance_probability,
+    induced_distribution,
+    reference_generate_autoregressive,
+    reference_train_online,
+)
 
 VOCAB8 = Vocab(size=8, bos_id=0, eos_id=1)
 
@@ -376,20 +381,6 @@ def test_verify_block_rejection_without_residual_mass_draws_from_target():
 # Per-token decoders as they were before rows were cached: one softmax and
 # one sample() per drafted or baseline token, and one batched target
 # softmax per round. They are the oracles for the cached-row decoders.
-
-
-def reference_generate_autoregressive(model, prompt, config, rng):
-    eos = model.vocab.eos_id
-    seq = list(prompt)
-    out = []
-    for _ in range(config.max_new_tokens):
-        dist = softmax_with_temperature(model.forward(seq), config.tau)
-        tok = sample(dist, rng)
-        out.append(tok)
-        seq.append(tok)
-        if tok == eos:
-            break
-    return out
 
 
 def reference_speculative_generate(target, draft, prompt, config, rng):
@@ -868,22 +859,57 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def reference_train_online(student, teacher, fixed_dataset, config):
-    log = []
-    gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
-    for step in range(1, config.steps + 1):
-        step_rng = make_rng(derive_seed(config.seed, step))
-        pair = fixed_dataset[int(step_rng.integers(len(fixed_dataset)))]
-        if step_rng.random() <= config.on_policy_frac:
-            response = reference_generate_autoregressive(student, pair.prompt, gen_cfg, step_rng)
+def test_generate_autoregressive_reads_a_small_ngram_from_one_table(monkeypatch):
+    # An n-gram that a RowTable takes whole gets one softmax over its whole
+    # table per call; above the row cap, one forward and softmax per window.
+    target = random_ngram(2, 160)
+    target.table[:, VOCAB8.eos_id] = -np.inf  # long responses revisit windows
+    calls = {"rows": 0, "row": 0, "forward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(specdec, "softmax_rows_with_temperature",
+                        counted("rows", softmax_rows_with_temperature))
+    monkeypatch.setattr(specdec, "softmax_with_temperature",
+                        counted("row", softmax_with_temperature))
+    monkeypatch.setattr(NGramLogitLM, "forward", counted("forward", NGramLogitLM.forward))
+    cfg = GenerationConfig(tau=0.8, max_new_tokens=50)
+    for cap, whole in ((specdec.MAX_CACHED_ROWS, True), (len(target.table) - 1, False)):
+        monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
+        for key in calls:
+            calls[key] = 0
+        got_rng, want_rng = make_rng(8), make_rng(8)
+        got = generate_autoregressive(target, [4, 3], cfg, got_rng)
+        counts = dict(calls)
+        want = reference_generate_autoregressive(target, [4, 3], cfg, want_rng)
+        assert got == want and len(got) == 50
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        windows = len({tuple(([4, 3] + got)[i - 2 : i]) for i in range(2, 2 + len(got))})
+        assert windows < len(got)
+        if whole:
+            assert counts == {"rows": 1, "row": 0, "forward": 0}
         else:
-            response = pair.response
-        lm_loss, fkl, grads = distill._pair_step(
-            student, teacher, pair.prompt, response, config.loss_ratio
-        )
-        apply_update(student, grads, config.learning_rate)
-        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
-    return log
+            assert counts == {"rows": 0, "row": windows, "forward": windows}
+
+
+@pytest.mark.parametrize("cap", [4096, 3])
+def test_generate_autoregressive_raises_the_reference_row_error(monkeypatch, cap):
+    monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
+    target = random_ngram(2, 161)
+    target.table[5 * 8 + 2] = np.nan  # the window (5, 2)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=8)
+    for prompt in ([4, 5, 2], [3, 5, 2, 9], [4, 5, -1]):
+        want_rng, got_rng = make_rng(9), make_rng(9)
+        with pytest.raises((NumericError, DomainError)) as want:
+            reference_generate_autoregressive(target, prompt, cfg, want_rng)
+        with pytest.raises(type(want.value)) as got:
+            generate_autoregressive(target, prompt, cfg, got_rng)
+        assert str(got.value) == str(want.value)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])

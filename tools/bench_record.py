@@ -1,8 +1,9 @@
-"""Summarise perfbench result files into one ``BENCH_<label>.json``.
+"""Summarise perfbench result files into one ``BENCH_<label>.json``, or compare two.
 
 Usage::
 
     python tools/bench_record.py LABEL [RESULT_DIR]
+    python tools/bench_record.py compare PARENT.json CHANGE.json
 
 Reads every ``result-*.json`` that ``perfbench/run.py`` wrote into
 RESULT_DIR (default: ``.perfbench`` at the repository root). The files
@@ -17,10 +18,20 @@ repository root with, per workload:
   third quartiles of the same runs, ``[q1, q3]`` as
   ``statistics.quantiles(values, n=4)`` gives them (as
   ``perfbench/spread.py`` does), or ``[v, v]`` for a single run;
+* ``end_to_end_by_seed``: each untraced run's end-to-end values, keyed by
+  its seed;
 * the seeds of the untraced and traced runs and the number of failed
   checks;
 
 plus the revision, the versions and the machine that the runs shared.
+
+``compare`` reads two such files, a parent's and a change's, and prints
+for each workload and end-to-end metric: the runs paired by seed and how
+many of them the change won; both medians and quartiles over those pairs
+and their ratio; whether the gain rule holds (at least 9 in 10 pairs won,
+and a median gap wider than the parent's interquartile range); and
+whether the change's median stays within the metric's no-regression
+bound, which it reads from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -68,13 +79,60 @@ def summarise(label: str, records: list[dict]) -> dict:
             "failed": sum(len(r["checks"]["failures"]) for r in runs),
         }
         entry["end_to_end"], entry["end_to_end_quartiles"] = spread(plain, "end_to_end")
+        entry["end_to_end_by_seed"] = {str(r["meta"]["seed"]): r["end_to_end"] for r in plain}
         if traced:
             entry["per_layer"], entry["per_layer_quartiles"] = spread(traced, "per_layer")
         workloads[name] = entry
     return {"label": label, **shared, "workloads": workloads}
 
 
+def compare(parent: dict, change: dict, metrics: list[dict]) -> list[str]:
+    """Report lines comparing two summaries, run by run over shared seeds.
+
+    ``metrics`` are ``BENCHMARK.json``'s end-to-end entries: a name, the
+    direction that is ``better`` and a relative ``bound``.
+    """
+    for name, summary in (("parent", parent), ("change", change)):
+        for workload, entry in summary["workloads"].items():
+            if "end_to_end_by_seed" not in entry:
+                raise SystemExit(f"bench_record: the {name} file has no per-seed values for "
+                                 f"{workload}; record it again with this tool")
+    lines = []
+    for workload in sorted(set(parent["workloads"]) & set(change["workloads"])):
+        old = parent["workloads"][workload]["end_to_end_by_seed"]
+        new = change["workloads"][workload]["end_to_end_by_seed"]
+        seeds = sorted(set(old) & set(new), key=int)
+        lines.append(f"{workload}: {len(seeds)} pairs by seed")
+        if not seeds:
+            continue
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            a = [old[s][name] for s in seeds]
+            b = [new[s][name] for s in seeds]
+            wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+            a_med, b_med = statistics.median(a), statistics.median(b)
+            a_q, b_q = quartiles(a), quartiles(b)
+            ratio = b_med / a_med
+            gap = (a_med - b_med) if lower else (b_med - a_med)
+            gain = wins >= 0.9 * len(seeds) and gap > a_q[1] - a_q[0]
+            worst = 1 + metric["bound"] if lower else 1 - metric["bound"]
+            within = ratio <= worst if lower else ratio >= worst
+            lines.append(
+                f"  {name} ({metric['better']} is better): change won {wins}/{len(seeds)}; "
+                f"parent {a_med:.6g} [{a_q[0]:.6g}, {a_q[1]:.6g}], "
+                f"change {b_med:.6g} [{b_q[0]:.6g}, {b_q[1]:.6g}], ratio {ratio:.3f}; "
+                f"gain rule {'holds' if gain else 'fails'} (gap {gap:.6g}, "
+                f"parent IQR {a_q[1] - a_q[0]:.6g}); "
+                f"bound {metric['bound']} {'kept' if within else 'BROKEN'}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "compare":
+        parent, change = (json.loads(Path(p).read_text()) for p in argv[1:])
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        print("\n".join(compare(parent, change, spec["end_to_end"])))
+        return 0
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
