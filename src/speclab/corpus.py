@@ -33,7 +33,7 @@ from .sampling import (
     softmax_rows_with_temperature,
     softmax_with_temperature,
 )
-from .specdec import GenerationConfig, _generate
+from .specdec import GenerationConfig, _rollouts
 
 BOS_ID = 0
 EOS_ID = 1
@@ -114,14 +114,15 @@ def collect_heldout_contexts(
 
     Every prefix of every rollout contributes one context (the empty
     prefix included, since generation starts there too). The rollouts
-    share one generator, so they run one after another, and one dict of
-    rows, so each context window's row is computed once.
+    share one generator, so they run one after another, and their rows
+    (:func:`~speclab.specdec._rollouts`): a chain that a
+    :class:`~speclab.specdec.RowTable` takes whole is one softmax and
+    CDF table, and any other model computes each window's row once.
     """
     contexts: list[tuple[int, ...]] = []
-    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
-    rows: dict = {}
+    rollout = _rollouts(model, GenerationConfig(tau=1.0, max_new_tokens=seq_len))
     for _ in range(n_sequences):
-        seq = _generate(model, [], cfg, rng, rows)
+        seq = rollout([], rng)
         prefix: list[int] = []
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:

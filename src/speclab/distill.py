@@ -27,15 +27,19 @@ all read from the parameters as they were before the step. The
 positions are batched for both model families: one forward over all the
 student's context windows, one row-wise log-softmax shared by the CE and
 FKL terms, and one gradient part per (position, term), CE before FKL at
-each position, as a per-position loop of CE and FKL gradients added by
-:func:`~speclab.lm.accumulate_gradients` would add them.
+each position, in the order that a per-position loop of CE and FKL
+gradients would add them with :func:`~speclab.lm.accumulate_gradients`.
 :func:`~speclab.lm.ce_gradient` and :func:`~speclab.lm.fkl_gradient` are
-this kernel at one position. An n-gram student adds the parts into its rows with one ``np.add.at``. A
-tiny-neural student backpropagates them with one matrix-vector product
-per part and adds the scaled parts left to right. Losses and divergences
-are summed left to right from 0.0, as that loop does, and the row
-arithmetic is its per-row arithmetic, so checkpoints, training logs and
-error texts are bit-identical to it.
+this kernel at one position. The teacher's rows come from one
+:class:`~speclab.specdec.RowTable` per :func:`train_online` call, at
+temperature 1, bit-equal to its softmax rows. An n-gram student adds a
+step's parts with one ``np.add.at`` into a zeroed table-shaped buffer
+that the run keeps, then moves only the rows they visit and zeroes them
+again. A tiny-neural student backpropagates them with one matrix-vector
+product per part and adds the scaled parts left to right. Losses and
+divergences are summed left to right from 0.0, as that loop does, and
+the row arithmetic is its per-row arithmetic, so checkpoints, training
+logs and error texts are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
+from .errors import DomainError, NumericError, TrainingError
 from .files import read_lines, write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
+    NGramLogitLM,
     _check_token,
     _fkl_logit_grads,
     _stable_log_softmax_rows,
@@ -60,7 +65,6 @@ from .sampling import (
     SeedBank,
     make_rng,
     pcg64_state,
-    softmax_rows_with_temperature,
     step_draws,
 )
 from .specdec import GenerationConfig, RowTable, decode_lockstep, generate_autoregressive
@@ -189,20 +193,23 @@ def make_kd_dataset(teacher: LanguageModel, prompts, tau_gen, rng, *,
             for i, out in enumerate(responses)]
 
 
-def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
-    """Mean gradients over one response; returns (lm_loss, fkl, grads).
+def _pair_step(student, teacher_rows, pair_prompt, response, loss_ratio):
+    """Mean losses over one response, and its gradient parts.
 
-    All positions at once, bit for bit as a per-position loop of CE and
-    FKL gradients added by :func:`~speclab.lm.accumulate_gradients` would
-    compute them (see the module docstring).
+    Returns ``(lm_loss, fkl, parts)``: ``fkl`` is None unless
+    ``teacher_rows``, a :class:`~speclab.specdec.RowTable` of the teacher
+    at temperature 1, is given and ``loss_ratio > 0``. ``parts`` is
+    ``(cache, positions, dlogits, scales)``, the logit-gradient rows of
+    every (position, term) with the scale of each, CE before FKL at each
+    position, as :func:`_sgd_update` takes them. All positions at once,
+    bit for bit as the per-position loop computes them (see the module
+    docstring).
     """
     tokens = list(pair_prompt) + list(response)
     start = len(pair_prompt)
     teacher_probs = None
-    if teacher is not None and loss_ratio > 0.0:
-        # One batched teacher sweep over all response positions.
-        logits, _ = teacher._forward_positions(tokens, start)
-        teacher_probs = softmax_rows_with_temperature(logits, 1.0)
+    if teacher_rows is not None and loss_ratio > 0.0:
+        teacher_probs = teacher_rows.rows_after(tokens, start)
     size = student.vocab.size
     n = len(response)
     # The per-position loop checks the first target before any context
@@ -226,7 +233,38 @@ def _pair_step(student, teacher, pair_prompt, response, loss_ratio):
                            axis=1).reshape(2 * n, size)
         scales = np.array([1.0 / n, loss_ratio / n] * n)
         positions = np.repeat(positions, 2)
-    return lm_loss, fkl, student._backprop_parts(cache, positions, dlogits, scales)
+    return lm_loss, fkl, (cache, positions, dlogits, scales)
+
+
+def _sgd_update(student, lr: float):
+    """The SGD step of one training run, as a function of a step's gradient parts.
+
+    A tiny-neural student's parts become one gradient bundle
+    (``_backprop_parts``) for :func:`~speclab.lm.apply_update`. An
+    n-gram student's are added, in part order, into one zeroed buffer
+    shaped like its table and kept for the run (``_add_parts``). The
+    rows they visit are checked: a non-finite one raises
+    :class:`NumericError` naming the first in part order, before any
+    parameter moves, as ``apply_update`` names the first row of the
+    bundle. Otherwise each row moves by ``lr`` times its sum and its
+    buffer row goes back to +0.0. A row that several parts visit is
+    gathered once per part before any write, so each write stores the
+    same value.
+    """
+    if not isinstance(student, NGramLogitLM):
+        return lambda parts: apply_update(student, student._backprop_parts(*parts), lr)
+    grads = np.zeros_like(student.table)
+
+    def update(parts):
+        rows = student._add_parts(grads, *parts)
+        g = grads[rows]
+        finite = np.isfinite(g).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite gradient for context row {rows[finite.argmin()]}")
+        student.table[rows] -= lr * g
+        grads[rows] = 0.0
+
+    return update
 
 
 def _position_sum(values: np.ndarray) -> float:
@@ -266,12 +304,13 @@ def train_offline(
     if not dataset:
         raise DomainError("dataset is empty")
     log: TrainingLog = []
+    update = _sgd_update(student, config.learning_rate)
     draws = step_draws(config.seed, config.steps, len(dataset))
     for step, (index, _, _) in enumerate(draws, start=1):
         pair = dataset[index]
-        lm_loss, _, grads = _pair_step(student, None, pair.prompt, pair.response, 0.0)
+        lm_loss, _, parts = _pair_step(student, None, pair.prompt, pair.response, 0.0)
         _check_finite(lm_loss, None, step, config)
-        apply_update(student, grads, config.learning_rate)
+        update(parts)
         log.append(TrainStep(step=step, lm_loss=lm_loss))
     return log
 
@@ -293,6 +332,8 @@ def train_online(
         raise DomainError("fixed_dataset is empty")
     log: TrainingLog = []
     gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
+    teacher_rows = RowTable(teacher, 1.0) if config.loss_ratio > 0.0 else None
+    update = _sgd_update(student, config.learning_rate)
     rng = make_rng(0)  # set to each on-policy step's own state
     draws = step_draws(config.seed, config.steps, len(fixed_dataset))
     for step, (index, coin, state) in enumerate(draws, start=1):
@@ -302,11 +343,11 @@ def train_online(
             response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
         else:
             response = pair.response
-        lm_loss, fkl, grads = _pair_step(
-            student, teacher, pair.prompt, response, config.loss_ratio
+        lm_loss, fkl, parts = _pair_step(
+            student, teacher_rows, pair.prompt, response, config.loss_ratio
         )
         _check_finite(lm_loss, fkl, step, config)
-        apply_update(student, grads, config.learning_rate)
+        update(parts)
         log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
     return log
 

@@ -10,10 +10,13 @@ plus gradient and update helpers):
 
 Gradients are computed analytically, by one batched kernel per family:
 ``_forward_positions`` over every position of a token sequence, then
-``_backprop_parts`` over per-position logit-gradient rows. Training runs
-it on whole responses; :func:`ce_gradient` and :func:`fkl_gradient` are
-its one-position views. ``tests/`` check these against central finite
-differences and against per-position formulas written out by hand
+per-position logit-gradient rows taken back to the parameters. Training
+runs it on whole responses: a tiny-neural model's ``_backprop_parts``
+returns the gradient bundle, and an n-gram model's ``_add_parts`` adds
+the rows into a table-shaped buffer that the trainer keeps.
+:func:`ce_gradient` and :func:`fkl_gradient` are its one-position views,
+through ``_backprop_parts``. ``tests/`` check these against central
+finite differences and against per-position formulas written out by hand
 (``tests/oracles.py``), so the routes stay independent.
 """
 
@@ -98,6 +101,23 @@ def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
     return padded
 
 
+def _window_indices(tokens, start: int, width: int, vocab: Vocab) -> np.ndarray:
+    """Indices of the windows after ``tokens[:i]``, ``start <= i < len(tokens)``.
+
+    A window is the last ``width`` bos-padded tokens, encoded base
+    ``vocab.size`` with the most recent token last, as
+    :meth:`NGramLogitLM.context_index` encodes it. The indices come from
+    one sliding window over the padded tokens, and the tokens those
+    windows read are validated once, in sequence order.
+    """
+    padded = _padded_tokens(tokens, start, width, vocab)
+    count = len(tokens) - start
+    idx = padded[:count]
+    for k in range(1, width):
+        idx = idx * vocab.size + padded[k : k + count]
+    return idx
+
+
 @dataclass
 class NGramLogitLM:
     """Logit-table model conditioning on the last ``order`` tokens.
@@ -166,33 +186,34 @@ class NGramLogitLM:
     def context_rows(self, tokens, start: int) -> np.ndarray:
         """Row indices of the contexts ``tokens[:i]``, ``start <= i < len(tokens)``.
 
-        Each equals :meth:`context_index` of its prefix. The rows come
-        from one sliding window over the bos-padded tokens, and the
-        tokens those windows read are validated once, in sequence order.
+        Each equals :meth:`context_index` of its prefix (see
+        :func:`_window_indices`).
         """
-        padded = _padded_tokens(tokens, start, self.order, self.vocab)
-        count = len(tokens) - start
-        rows = padded[:count]
-        for k in range(1, self.order):
-            rows = rows * self.vocab.size + padded[k : k + count]
-        return rows
+        return _window_indices(tokens, start, self.order, self.vocab)
 
     def _forward_positions(self, tokens, start: int):
         """Logits after each ``tokens[:i]``, ``start <= i < len(tokens)``, and their rows."""
         rows = self.context_rows(tokens, start)
         return self.table[rows], rows
 
-    def _backprop_parts(self, rows, positions, dlogits, scales) -> GradientBundle:
-        """``scales[k] * dlogits[k]`` added into row ``rows[positions[k]]``, k in order.
+    def _add_parts(self, grads, rows, positions, dlogits, scales) -> np.ndarray:
+        """Add ``scales[k] * dlogits[k]`` into ``grads[rows[positions[k]]]``, k in order.
 
-        Bit for bit the bundle that :func:`accumulate_gradients` builds from
-        the parts in that order: rows keyed in order of first appearance.
+        ``grads`` is shaped like the table. A row's parts are added in part
+        order onto what it holds, as :func:`accumulate_gradients` adds them
+        onto a row first keyed at +0.0. Returns the row of each part.
         """
-        slots: dict = {}
-        part_slots = [slots.setdefault(r, len(slots)) for r in rows[positions].tolist()]
-        total = np.zeros((len(slots), self.vocab.size))
-        np.add.at(total, part_slots, scales[:, None] * dlogits)
-        return dict(zip(slots, total))
+        at = rows[positions]
+        np.add.at(grads, at, scales[:, None] * dlogits)
+        return at
+
+    def _backprop_parts(self, rows, positions, dlogits, scales) -> GradientBundle:
+        """The bundle of one part, as :func:`ce_gradient` and :func:`fkl_gradient`
+        take it: ``scales[0] * dlogits[0]`` added onto +0.0 in row
+        ``rows[positions[0]]``, as :meth:`_add_parts` adds it into a zeroed row.
+        """
+        (row,) = rows[positions]
+        return {int(row): 0.0 + scales[0] * dlogits[0]}
 
 
 @dataclass
@@ -300,7 +321,8 @@ class TinyNeuralLM:
         those parts in order k: each part is scaled, then the parts are
         added left to right, every matrix-vector product is a vector
         product of its own, and the embedding rows sum each part's window
-        tokens from zero, in window order, before the part is scaled.
+        tokens from zero, in window order, before the part is scaled. When
+        every scale has the same bits the parts are multiplied by one float.
         """
         windows, x, h = cache
         windows, x, h = windows[positions], x[positions], h[positions]
@@ -311,6 +333,7 @@ class TinyNeuralLM:
         demb_parts = np.zeros((len(positions), len(tokens), self.d_emb))
         np.add.at(demb_parts, (np.arange(len(positions))[:, None], slots.reshape(windows.shape)),
                   dx)
+        scales = _one_scale(scales)
         demb = np.zeros_like(self.embedding)
         demb[tokens] = _scaled_sum(demb_parts, scales)
         return {"embedding": demb, "w1": _scaled_outer_sum(x, dpre, scales),
@@ -455,26 +478,37 @@ def _sum_parts(parts: np.ndarray) -> np.ndarray:
     return np.add.reduce(parts, axis=0, initial=-0.0)
 
 
-def _scaled_sum(parts: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """:func:`_sum_parts` of ``scales[k] * parts[k]``."""
-    return _sum_parts(scales.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts)
+def _one_scale(scales: np.ndarray):
+    """``scales`` as one Python float when every scale has the same bits, as
+    offline CE's ``1/n`` has, else unchanged. Each element meets the same
+    multiply either way; one float saves the broadcast."""
+    bits = scales.view(np.uint64)
+    return float(scales[0]) if (bits == bits[0]).all() else scales
 
 
-def _scaled_outer_sum(a: np.ndarray, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _scaled_sum(parts: np.ndarray, scales) -> np.ndarray:
+    """:func:`_sum_parts` of ``scales[k] * parts[k]``, or of ``scales * parts[k]``
+    for one float."""
+    if not isinstance(scales, float):
+        scales = scales.reshape((-1,) + (1,) * (parts.ndim - 1))
+    return _sum_parts(scales * parts)
+
+
+def _scaled_outer_sum(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
     """:func:`_scaled_sum` of the parts ``np.outer(a[k], b[k])``.
 
     The outer products are built :data:`_OUTER_CHUNK` at a time in one
     buffer whose first row carries the running sum, so memory does not
     grow with the number of parts.
     """
-    count = len(scales)
+    count = len(a)
     buf = np.empty((min(count, _OUTER_CHUNK) + 1, a.shape[1], b.shape[1]))
     total = None
     for lo in range(0, count, _OUTER_CHUNK):
         hi = min(lo + _OUTER_CHUNK, count)
         parts = buf[1 : 1 + hi - lo]
         np.multiply(a[lo:hi, :, None], b[lo:hi, None, :], out=parts)
-        parts *= scales[lo:hi, None, None]
+        parts *= scales if isinstance(scales, float) else scales[lo:hi, None, None]
         if total is None:
             total = _sum_parts(parts)
         else:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, VerificationError
-from .lm import NGramLogitLM, _check_token
+from .lm import NGramLogitLM, _check_token, _window_indices
 from .sampling import (
     _UNIFORM_CHUNK,
     SeedBank,
@@ -165,11 +165,25 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> lis
     ``softmax_with_temperature(model.forward(context), config.tau)``,
     computed once per context window this call visits; for an n-gram
     that a :class:`RowTable` takes whole, the call computes its whole
-    table at once instead (see :func:`_generate_whole`).
+    table at once instead (see :func:`_rollouts`).
+    """
+    return _rollouts(model, config)(prompt, rng)
+
+
+def _rollouts(model, config: GenerationConfig):
+    """:func:`generate_autoregressive` of ``model`` and ``config`` as a function of
+    ``(prompt, rng)``, whose calls share each row they compute.
+
+    An n-gram that a :class:`RowTable` takes whole gets one table, read by
+    :func:`_generate_whole`; any other model a ``rows`` dict, filled by
+    :func:`_generate`. The model must not change between calls.
     """
     if _takes_whole(model):
-        return _generate_whole(model, prompt, config, rng)
-    return _generate(model, prompt, config, rng, {})
+        table = RowTable(model, config.tau)
+        rows = [None] * table.rows
+        return lambda prompt, rng: _generate_whole(table, prompt, config, rng, rows)
+    rows = {}
+    return lambda prompt, rng: _generate(model, prompt, config, rng, rows)
 
 
 def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[int]:
@@ -198,31 +212,30 @@ def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[
     return out
 
 
-def _generate_whole(model, prompt, config: GenerationConfig, rng) -> list[int]:
-    """:func:`generate_autoregressive` of an n-gram that a :class:`RowTable` takes whole.
+def _generate_whole(table: RowTable, prompt, config: GenerationConfig, rng,
+                    rows: list) -> list[int]:
+    """:func:`generate_autoregressive` from a :class:`RowTable` that holds its whole model.
 
-    All its rows come from one :func:`softmax_rows_with_temperature` and
-    one ``np.cumsum`` over its table, bit-equal to the rows of
-    :func:`_generate`. The prompt's window is validated by
-    ``model.context_index``, as ``model.forward`` validates it, and each
-    drawn token moves the window index ``i`` to ``(i * size + t) % rows``.
-    A row's CDF becomes an ``array('d')`` on the first draw from it.
+    The table's rows are bit-equal to the rows of :func:`_generate`. The
+    prompt's window is validated by :meth:`RowTable.index`, with the text
+    of ``model.forward``'s error, and each drawn token moves the window
+    index ``i`` to ``(i * size + t) % rows``. ``rows[i]`` holds the
+    :func:`draw` pair of index ``i``, its CDF an ``array('d')`` made on
+    the first draw from it; calls that share ``rows`` share ``table``
+    and ``config.tau``.
     """
-    probs = softmax_rows_with_temperature(model.table, config.tau)
-    cdf = np.cumsum(probs, axis=1)
-    rows = [None] * len(probs)
-    size, eos = model.vocab.size, model.vocab.eos_id
-    idx = model.context_index(prompt)
+    size, eos = table.size, table.model.vocab.eos_id
+    idx = table.index(prompt)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
         row = rows[idx]
         if row is None:
-            row = rows[idx] = (probs[idx], array("d", cdf[idx].tobytes()))
+            row = rows[idx] = (table.probs[idx], array("d", table.cdf[idx].tobytes()))
         tok = draw(row, rng)
         out.append(tok)
         if tok == eos:
             break
-        idx = (idx * size + tok) % len(rows)
+        idx = (idx * size + tok) % table.rows
     return out
 
 
@@ -300,6 +313,15 @@ class RowTable:
         for t in self.model.context_key(context):
             idx = idx * self.size + _check_token(t, self.size)
         return idx
+
+    def rows_after(self, tokens, start: int) -> np.ndarray:
+        """New array of the rows after each ``tokens[:i]``, ``start <= i < len(tokens)``.
+
+        The tokens the windows read are validated once, in sequence order,
+        as the model's ``_forward_positions`` validates them.
+        """
+        slots = self.slots(_window_indices(tokens, start, self.width, self.model.vocab))
+        return self.probs[slots]  # slots() may move self.probs: read it after
 
     def slots(self, idx: np.ndarray) -> np.ndarray:
         """Slots of the rows at window indices ``idx``."""

@@ -9,25 +9,33 @@ independent routes to the same numbers, for the tests to compare with:
   context's forward and backward pass;
 * the law of the token emitted at one verified position, and its
   acceptance probability;
+* a training step as the per-position loop of those gradients, and its
+  update one row or parameter at a time;
 * token-by-token sampling, and the two trainers as per-step loops that
   build each step's own ``make_rng(derive_seed(seed, step))``.
 """
 
 import numpy as np
 
-from speclab import distill
 from speclab.distill import TrainStep
-from speclab.errors import DomainError
+from speclab.errors import DomainError, NumericError
 from speclab.lm import (
     FKL_PROB_FLOOR,
     NGramLogitLM,
     TinyNeuralLM,
     _check_token,
     _stable_log_softmax_rows,
+    accumulate_gradients,
     apply_update,
     fkl_value,
 )
-from speclab.sampling import derive_seed, make_rng, sample, softmax_with_temperature
+from speclab.sampling import (
+    derive_seed,
+    make_rng,
+    sample,
+    softmax_rows_with_temperature,
+    softmax_with_temperature,
+)
 from speclab.specdec import GenerationConfig, _residual_rows
 
 
@@ -153,20 +161,66 @@ def reference_generate_autoregressive(model, prompt, config, rng):
     return out
 
 
+def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
+    """The per-position loop that ``distill._pair_step`` batches, for either model family.
+
+    Returns ``(lm_loss, fkl, grads)``, ``grads`` one gradient bundle.
+    """
+    grads: dict = {}
+    n = len(response)
+    lm_loss = 0.0
+    fkl_sum = 0.0
+    with_fkl = teacher is not None and loss_ratio > 0.0
+    ctx = list(pair_prompt)
+    if with_fkl:
+        contexts = []
+        tail = list(pair_prompt)
+        for tok in response:
+            contexts.append(list(tail))
+            tail.append(tok)
+        teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
+    for i, tok in enumerate(response):
+        loss, g = reference_ce_gradient(student, ctx, tok)
+        lm_loss += loss
+        accumulate_gradients(grads, g, 1.0 / n)
+        if with_fkl:
+            div, gf = reference_fkl_gradient(student, ctx, teacher_probs[i])
+            fkl_sum += div
+            accumulate_gradients(grads, gf, loss_ratio / n)
+        ctx.append(tok)
+    return lm_loss / n, (fkl_sum / n if with_fkl else None), grads
+
+
+def reference_apply_update(model, grads, lr):
+    """One row at a time, as apply_update's n-gram branch did.
+
+    A tiny-neural model takes apply_update's own per-parameter branch.
+    """
+    if isinstance(model, TinyNeuralLM):
+        return apply_update(model, grads, lr)
+    for idx, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for context row {idx}")
+        model.table[idx] -= lr * g
+    return model
+
+
 def reference_train_offline(student, dataset, config):
-    """:func:`speclab.distill.train_offline` with one generator built per step."""
+    """:func:`speclab.distill.train_offline` as a per-position loop, with one
+    generator built per step."""
     log = []
     for step in range(1, config.steps + 1):
         step_rng = make_rng(derive_seed(config.seed, step))
         pair = dataset[int(step_rng.integers(len(dataset)))]
-        lm_loss, _, grads = distill._pair_step(student, None, pair.prompt, pair.response, 0.0)
-        apply_update(student, grads, config.learning_rate)
+        lm_loss, _, grads = reference_pair_step(student, None, pair.prompt, pair.response, 0.0)
+        reference_apply_update(student, grads, config.learning_rate)
         log.append(TrainStep(step=step, lm_loss=lm_loss))
     return log
 
 
 def reference_train_online(student, teacher, fixed_dataset, config):
-    """:func:`speclab.distill.train_online` with one generator built per step.
+    """:func:`speclab.distill.train_online` as a per-position loop, with one
+    generator built per step.
 
     An on-policy step samples its response token by token on that generator.
     """
@@ -179,9 +233,9 @@ def reference_train_online(student, teacher, fixed_dataset, config):
             response = reference_generate_autoregressive(student, pair.prompt, gen_cfg, step_rng)
         else:
             response = pair.response
-        lm_loss, fkl, grads = distill._pair_step(
+        lm_loss, fkl, grads = reference_pair_step(
             student, teacher, pair.prompt, response, config.loss_ratio
         )
-        apply_update(student, grads, config.learning_rate)
+        reference_apply_update(student, grads, config.learning_rate)
         log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
     return log

@@ -128,7 +128,7 @@ def test_compare_flags_a_change_past_its_bound_and_skips_unpaired_seeds():
     parent = summary_of([100.0, 100.0, 100.0])
     change = summary_of([130.0, 130.0, 130.0, 1.0], first_seed=2)  # seeds 2-5
     lines = tool.compare(parent, change, METRICS)
-    assert lines[0] == "draft_distill: 2 pairs by seed"
+    assert lines[0] == "draft_distill: 2 pairs by seed; failed checks: parent 0, change 0"
     assert "change won 0/2" in lines[1] and "ratio 1.300" in lines[1]
     assert "bound 0.25 BROKEN" in lines[1]
 
@@ -152,5 +152,29 @@ def test_compare_command_reads_the_bounds_of_benchmark_json(tmp_path, capsys):
         paths[-1].write_text(json.dumps(summary))
     assert tool.main(["compare", *map(str, paths)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "draft_distill: 2 pairs by seed"
+    assert out[0] == "draft_distill: 2 pairs by seed; failed checks: parent 0, change 0"
     assert [line.split()[0] for line in out[1:]] == ["wall_probes", "setup_s", "peak_rss_mb"]
+
+
+def test_compare_prints_each_sides_failed_checks():
+    tool = load_tool()
+    parent = tool.summarise("demo", [record("draft_distill", 1, failures=["a"]),
+                                     record("draft_distill", 2)])
+    change = tool.summarise("demo", [record("draft_distill", 1),
+                                     record("draft_distill", 2, failures=["b", "c"]),
+                                     record("draft_distill", 3, trace=True, failures=["d"])])
+    lines = tool.compare(parent, change, METRICS)
+    assert lines[0] == "draft_distill: 2 pairs by seed; failed checks: parent 1, change 3"
+
+
+def test_compare_names_the_workloads_of_one_file_only():
+    tool = load_tool()
+    parent = tool.summarise("demo", [record("draft_distill", 1), record("sweep_decode", 1),
+                                     record("teacher_pretrain", 1)])
+    change = tool.summarise("demo", [record("draft_distill", 1), record("alpha", 1)])
+    lines = tool.compare(parent, change, METRICS)
+    assert lines[:3] == ["alpha: only in the change file, not compared",
+                         "sweep_decode: only in the parent file, not compared",
+                         "teacher_pretrain: only in the parent file, not compared"]
+    assert lines[3] == "draft_distill: 1 pairs by seed; failed checks: parent 0, change 0"
+    assert len(lines) == 4 + len(METRICS)

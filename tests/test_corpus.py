@@ -23,9 +23,10 @@ from speclab.corpus import (
 from speclab.errors import DomainError, NumericError, TrainingError
 from speclab.lm import NGramLogitLM, Vocab, apply_update
 from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
+from speclab import specdec
 from speclab.specdec import GenerationConfig, generate_autoregressive
 
-from oracles import reference_ce_gradient
+from oracles import reference_ce_gradient, reference_generate_autoregressive
 
 # A small spec keeps the pretraining tests fast; the full-size corpus is
 # exercised by the acceptance suite.
@@ -116,6 +117,37 @@ def test_sample_prompt_deterministic_given_seed():
     a = [sample_prompt(gt, 5, make_rng(77)) for _ in range(3)]
     b = [sample_prompt(gt, 5, make_rng(77)) for _ in range(3)]
     assert a[0] == b[0]
+
+
+@pytest.mark.parametrize("order, cap", [(1, None), (2, None), (2, 3)])
+def test_heldout_contexts_equal_token_by_token_rollouts(monkeypatch, order, cap):
+    # A chain that a RowTable takes whole is one softmax table for all 48
+    # rollouts; above the row cap, each window's row is computed once.
+    if cap is not None:
+        monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
+    calls = {"rows": 0, "row": 0}
+    for name, attr in (("rows", "softmax_rows_with_temperature"),
+                       ("row", "softmax_with_temperature")):
+        real = getattr(specdec, attr)
+        monkeypatch.setattr(specdec, attr, lambda *args, name=name, real=real: (
+            calls.__setitem__(name, calls[name] + 1) or real(*args)))
+    gt = build_ground_truth(CorpusSpec(vocab_size=16, order=order, seed=4), make_rng(4))
+    got_rng, want_rng = make_rng(14), make_rng(14)
+    got = collect_heldout_contexts(gt, got_rng)
+    counts = dict(calls)
+    monkeypatch.undo()
+    want = []
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
+    for _ in range(48):
+        seq = reference_generate_autoregressive(gt, [], cfg, want_rng)
+        want += [tuple(seq[:i][-8:]) for i in range(len(seq))]
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    windows = len({gt.context_key(c) for c in got})
+    if cap is None:
+        assert counts == {"rows": 1, "row": 0}
+    else:
+        assert counts == {"rows": 0, "row": windows}
 
 
 def test_heldout_scores_satisfy_gibbs_bound():

@@ -15,23 +15,22 @@ from speclab.distill import (
     train_offline,
     train_online,
 )
-from speclab import distill
+from speclab import distill, specdec
 from speclab.errors import DomainError, NumericError, TrainingError
 from speclab.lm import (
     NGramLogitLM,
     TinyNeuralLM,
     Vocab,
-    accumulate_gradients,
     apply_update,
     checkpoint_bytes,
 )
 from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
-from speclab.specdec import GenerationConfig, generate_autoregressive
+from speclab.specdec import GenerationConfig, RowTable, generate_autoregressive
 from oracles import (
     gradient_vector,
-    reference_ce_gradient,
-    reference_fkl_gradient,
+    reference_apply_update,
     reference_generate_autoregressive,
+    reference_pair_step,
     reference_train_offline,
     reference_train_online,
 )
@@ -555,45 +554,20 @@ def test_train_log_rows_format():
 # --- Batched pair steps against the per-position loop ----------------------
 
 
-def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
-    """The per-position loop that distill._pair_step batches, for either model family."""
-    grads: dict = {}
-    n = len(response)
-    lm_loss = 0.0
-    fkl_sum = 0.0
-    with_fkl = teacher is not None and loss_ratio > 0.0
-    ctx = list(pair_prompt)
-    if with_fkl:
-        contexts = []
-        tail = list(pair_prompt)
-        for tok in response:
-            contexts.append(list(tail))
-            tail.append(tok)
-        teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
-    for i, tok in enumerate(response):
-        loss, g = reference_ce_gradient(student, ctx, tok)
-        lm_loss += loss
-        accumulate_gradients(grads, g, 1.0 / n)
-        if with_fkl:
-            div, gf = reference_fkl_gradient(student, ctx, teacher_probs[i])
-            fkl_sum += div
-            accumulate_gradients(grads, gf, loss_ratio / n)
-        ctx.append(tok)
-    return lm_loss / n, (fkl_sum / n if with_fkl else None), grads
+def pair_step(student, teacher, prompt, response, loss_ratio):
+    """``distill._pair_step`` on a teacher model, its parts summed into one bundle.
 
-
-def reference_apply_update(model, grads, lr):
-    """One row at a time, as apply_update's n-gram branch did.
-
-    A tiny-neural model takes apply_update's own per-parameter branch.
+    The parts are summed as a training step sums them: a tiny-neural
+    student's by ``_backprop_parts``, an n-gram student's by ``_add_parts``
+    into a zeroed table, keyed by row in order of first appearance.
     """
-    if isinstance(model, TinyNeuralLM):
-        return apply_update(model, grads, lr)
-    for idx, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for context row {idx}")
-        model.table[idx] -= lr * g
-    return model
+    rows = None if teacher is None else RowTable(teacher, 1.0)
+    lm_loss, fkl, parts = distill._pair_step(student, rows, prompt, response, loss_ratio)
+    if isinstance(student, TinyNeuralLM):
+        return lm_loss, fkl, student._backprop_parts(*parts)
+    grads = np.zeros_like(student.table)
+    at = student._add_parts(grads, *parts)
+    return lm_loss, fkl, {row: grads[row] for row in dict.fromkeys(at.tolist())}
 
 
 def bits(x):
@@ -640,14 +614,14 @@ def test_pair_step_bit_equals_per_position_loop(order, with_teacher, loss_ratio)
         student, teacher, prompt, response = step_case(seed, order, teacher_order=4 - order,
                                                        prompt_len=seed)
         teacher = teacher if with_teacher else None
-        assert_same_step(distill._pair_step(student, teacher, prompt, response, loss_ratio),
+        assert_same_step(pair_step(student, teacher, prompt, response, loss_ratio),
                          reference_pair_step(student, teacher, prompt, response, loss_ratio))
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_pair_step_bit_equal_with_zero_teacher_probabilities(order):
     student, teacher, prompt, response = step_case(5, order, zero_teacher_tokens=(0, 7, 8))
-    got = distill._pair_step(student, teacher, prompt, response, 1.0)
+    got = pair_step(student, teacher, prompt, response, 1.0)
     assert_same_step(got, reference_pair_step(student, teacher, prompt, response, 1.0))
     assert np.isfinite(got[1])
 
@@ -658,7 +632,7 @@ def test_pair_step_bit_equal_with_floored_student(order):
     student, teacher, prompt, response = step_case(6, order, student_scale=40.0)
     probs = softmax_rows_with_temperature(student.table, 1.0)
     assert (probs < distill.FKL_PROB_FLOOR).mean() > 0.5
-    assert_same_step(distill._pair_step(student, teacher, prompt, response, 1.0),
+    assert_same_step(pair_step(student, teacher, prompt, response, 1.0),
                      reference_pair_step(student, teacher, prompt, response, 1.0))
 
 
@@ -669,7 +643,7 @@ def test_pair_step_bit_equal_on_one_token_responses(order, prompt_len):
         student, teacher, prompt, response = step_case(seed, order, prompt_len=prompt_len,
                                                        response_len=1)
         for t, ratio in ((None, 0.0), (teacher, 1.0)):
-            assert_same_step(distill._pair_step(student, t, prompt, response, ratio),
+            assert_same_step(pair_step(student, t, prompt, response, ratio),
                              reference_pair_step(student, t, prompt, response, ratio))
 
 
@@ -679,7 +653,7 @@ def test_pair_step_certain_student_loss_is_positive_zero():
     student = NGramLogitLM.create(V16, 1)
     student.table[3] = -100.0
     student.table[3, 4] = 0.0
-    got = distill._pair_step(student, None, [3], [4], 0.0)
+    got = pair_step(student, None, [3], [4], 0.0)
     assert_same_step(got, reference_pair_step(student, None, [3], [4], 0.0))
     assert train_log_rows([distill.TrainStep(step=1, lm_loss=got[0])])[1] == "1,0.000000,"
 
@@ -706,7 +680,7 @@ def test_pair_step_token_errors_match_the_loop(prompt, response, student_order):
     teacher = NGramLogitLM.create(V16, 2, init_scale=1.0, init_seed=4)
     for t, ratio in ((None, 0.0), (teacher, 1.0)):
         outcomes = []
-        for fn in (distill._pair_step, reference_pair_step):
+        for fn in (pair_step, reference_pair_step):
             try:
                 outcomes.append(fn(student, t, prompt, response, ratio))
             except DomainError as exc:
@@ -722,7 +696,7 @@ def test_pair_step_nan_table_error_texts_match_the_loop():
     # Poison the row of the second distinct context, so the first row is fine.
     student.table[response[0]] = np.nan
     messages = []
-    for step_fn, update_fn in ((distill._pair_step, apply_update),
+    for step_fn, update_fn in ((pair_step, apply_update),
                                (reference_pair_step, reference_apply_update)):
         for t, ratio in ((None, 0.0), (teacher, 1.0)):
             model = NGramLogitLM(V16, 1, student.table.copy())
@@ -746,7 +720,7 @@ def test_neural_pair_step_bit_equals_per_position_loop(context_size, with_teache
         student = neural_student(seed, context_size, floored=seed >= 2)
         teacher = teacher if with_teacher else None
         for resp in (response, response[:1]):
-            assert_same_step(distill._pair_step(student, teacher, prompt, resp, loss_ratio),
+            assert_same_step(pair_step(student, teacher, prompt, resp, loss_ratio),
                              reference_pair_step(student, teacher, prompt, resp, loss_ratio))
 
 
@@ -756,7 +730,7 @@ def test_neural_pair_step_keeps_the_sign_of_a_zero_gradient():
     vocab4 = Vocab(size=4, bos_id=0, eos_id=1)
     student = TinyNeuralLM.create(vocab4, context_size=1, d_emb=1, d_hid=8, seed=0)
     student.b2[[1, 2, 3]] = -40.0
-    got = distill._pair_step(student, None, [], [0], 0.0)
+    got = pair_step(student, None, [], [0], 0.0)
     assert np.signbit(got[2]["w2"][:, 0]).any()
     assert_same_step(got, reference_pair_step(student, None, [], [0], 0.0))
 
@@ -765,7 +739,7 @@ def test_neural_pair_step_keeps_the_sign_of_a_zero_gradient():
 def test_neural_pair_step_nan_parameter_error_texts_match_the_loop(name):
     _, teacher, prompt, response = step_case(7, 1, prompt_len=2)
     messages = []
-    for step_fn, update_fn in ((distill._pair_step, apply_update),
+    for step_fn, update_fn in ((pair_step, apply_update),
                                (reference_pair_step, reference_apply_update)):
         for t, ratio in ((None, 0.0), (teacher, 1.0)):
             model = neural_student(7, 2)
@@ -782,8 +756,12 @@ def test_neural_pair_step_nan_parameter_error_texts_match_the_loop(name):
 
 def _train(monkeypatch, oracle, mode, student, teacher, data, cfg):
     if oracle:
-        monkeypatch.setattr(distill, "_pair_step", reference_pair_step)
-        monkeypatch.setattr(distill, "apply_update", reference_apply_update)
+        # The per-position loop on the teacher model behind the trainer's
+        # rows, and its bundle applied one row or parameter at a time.
+        monkeypatch.setattr(distill, "_pair_step", lambda s, rows, *args: reference_pair_step(
+            s, None if rows is None else rows.model, *args))
+        monkeypatch.setattr(distill, "_sgd_update",
+                            lambda s, lr: lambda grads: reference_apply_update(s, grads, lr))
     try:
         if mode == "offline":
             return distill.train_offline(student, data, cfg)
@@ -881,12 +859,107 @@ def test_pair_step_gradients_match_central_differences(family):
         loss_ratio = (0.0, 0.7, 1.0, 2.5)[point]
 
         def value(model):
-            lm_loss, fkl, _ = distill._pair_step(model, teacher, prompt, response, loss_ratio)
+            lm_loss, fkl, _ = pair_step(model, teacher, prompt, response, loss_ratio)
             return lm_loss + (0.0 if fkl is None else loss_ratio * fkl)
 
-        _, _, grads = distill._pair_step(student, teacher, prompt, response, loss_ratio)
+        _, _, grads = pair_step(student, teacher, prompt, response, loss_ratio)
         analytic = gradient_vector(student, grads)
         numeric = finite_difference_grad(value, student)
         tol = 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-9
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / tol)))
     assert worst <= 1.0
+
+
+# --- The n-gram trainers' table buffer and the teacher's row table ----------
+
+V20 = Vocab(size=20, bos_id=0, eos_id=1)  # an order-3 n-gram has 8,000 rows
+
+
+def repeating_pairs(count, seed):
+    # Responses over three content tokens and eos, so a step visits few rows many times.
+    rng = make_rng(seed)
+    return [Pair(rng.integers(2, 20, size=1 + k % 3).tolist(),
+                 rng.choice([1, 2, 3, 4], size=4 + k % 17, p=[0.04, 0.32, 0.32, 0.32]).tolist(),
+                 "teacher", 1.0)
+            for k in range(count)]
+
+
+def fkl_teacher(kind):
+    if kind == "neural":
+        return TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=31)
+    teacher = NGramLogitLM.create(V20, 3 if kind == "ngram3" else 2, init_scale=2.0,
+                                  init_seed=32)
+    if kind == "zero":  # rows with zero-probability tokens take _fkl_rows' fallback
+        teacher.table[:, [0, 5, 6]] = -np.inf
+    return teacher
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("mode, teacher_kind, cap", [
+    ("offline", None, None),
+    ("online", "ngram2", None),  # a RowTable takes it whole
+    ("online", "zero", None),
+    ("online", "ngram3", None),  # filled lazily
+    ("online", "neural", None),
+    ("online", "neural", 3),  # most rows built again at every lookup
+])
+def test_ngram_trainers_bit_equal_the_reference_trainers(monkeypatch, order, mode, teacher_kind,
+                                                        cap):
+    if cap is not None:
+        monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
+    teacher = None if teacher_kind is None else fkl_teacher(teacher_kind)
+    if teacher_kind in ("ngram3", "neural"):
+        assert not RowTable(teacher, 1.0).whole
+    data = repeating_pairs(12, 40 + order)
+    cfg = KDConfig(mode=mode, on_policy_frac=0.3, loss_ratio=0.7, learning_rate=0.4, steps=70,
+                   seed=41, gen_max_len=16)
+    got_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=42)
+    want_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=42)
+    if mode == "offline":
+        got = train_offline(got_student, data, cfg)
+        want = reference_train_offline(want_student, data, cfg)
+    else:
+        got = train_online(got_student, teacher, data, cfg)
+        want = reference_train_online(want_student, teacher, data, cfg)
+        assert all(np.isfinite(e.fkl) for e in got)
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
+    assert ([(e.step, bits(e.lm_loss), bits(e.fkl)) for e in got]
+            == [(e.step, bits(e.lm_loss), bits(e.fkl)) for e in want])
+
+
+def test_train_online_reads_the_teacher_from_one_row_table(monkeypatch):
+    calls = []
+    real = specdec.softmax_rows_with_temperature
+    monkeypatch.setattr(specdec, "softmax_rows_with_temperature",
+                        lambda logits, tau: calls.append(len(logits)) or real(logits, tau))
+    teacher = fkl_teacher("ngram2")
+    student = TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=43)
+    cfg = KDConfig(mode="online", on_policy_frac=0.0, loss_ratio=1.0, steps=30, seed=44)
+    train_online(student, teacher, repeating_pairs(5, 45), cfg)
+    assert calls == [len(teacher.table)]
+    calls.clear()
+    train_online(student, teacher, repeating_pairs(5, 45), KDConfig(
+        mode="online", on_policy_frac=0.0, loss_ratio=0.0, steps=30, seed=44))
+    assert calls == []
+
+
+@pytest.mark.parametrize("with_teacher", [False, True])
+def test_sgd_update_names_the_first_bad_row_in_part_order_and_moves_nothing(with_teacher):
+    # Order 1: the rows visited are 4, 5, 3, 5, 2; rows 5 and 3 are poisoned,
+    # so the first bad row in part order is 5, not the smallest bad row.
+    student = NGramLogitLM.create(V16, 1, init_scale=1.0, init_seed=46)
+    student.table[[5, 3]] = np.nan
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=47) if with_teacher else None
+    prompt, response = [4], [5, 3, 5, 2, 6]
+    rows = None if teacher is None else RowTable(teacher, 1.0)
+    before = student.table.tobytes()
+    with np.errstate(invalid="ignore"):
+        _, _, parts = distill._pair_step(student, rows, prompt, response, 1.0)
+        update = distill._sgd_update(student, 0.3)
+        with pytest.raises(NumericError, match="^non-finite gradient for context row 5$"):
+            update(parts)
+        assert student.table.tobytes() == before
+        # The loop names the same row, though it moves row 4 first.
+        _, _, grads = reference_pair_step(student, teacher, prompt, response, 1.0)
+        with pytest.raises(NumericError, match="^non-finite gradient for context row 5$"):
+            reference_apply_update(student, grads, 0.3)

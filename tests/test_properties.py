@@ -4,10 +4,9 @@ The examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab import distill
 from speclab.corpus import _apply_wavefront
 from speclab.errors import DomainError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
@@ -33,9 +32,13 @@ from speclab.specdec import (
     verify_block,
 )
 
-from oracles import induced_distribution, reference_generate_autoregressive
+from oracles import (
+    induced_distribution,
+    reference_generate_autoregressive,
+    reference_pair_step,
+)
 from test_corpus import reference_wavefront, same_bits, wavefront_outcome
-from test_distill import assert_same_step, reference_pair_step
+from test_distill import assert_same_step, pair_step
 from test_specdec import reference_speculative_generate
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -270,33 +273,54 @@ def test_step_draws_equal_make_rng_of_each_step(base, steps, n):
         assert state == rng.bit_generator.state
 
 
-@SETTINGS
-@given(st.data())
-def test_neural_pair_step_bit_equals_the_per_position_loop(data):
-    size = data.draw(st.sampled_from([4, 8, 16, 32]))
-    vocab = Vocab(size=size, bos_id=0, eos_id=1)
+@st.composite
+def neural_steps(draw_from):
+    """Plain values of one tiny-neural pair step, as :func:`neural_step` builds it."""
+    size = draw_from(st.sampled_from([4, 8, 16, 32]))
     token = st.integers(0, size - 1)
-    seed = data.draw(st.integers(0, 2**16))
-    student = TinyNeuralLM.create(vocab, context_size=data.draw(st.integers(1, 4)),
-                                  d_emb=data.draw(st.integers(1, 16)),
-                                  d_hid=data.draw(st.integers(1, 64)), seed=seed)
-    # Logits 40 below the rest floor those tokens' probabilities in the FKL term.
-    student.b2[data.draw(st.lists(token, max_size=size - 1))] = -40.0
-    zero = data.draw(st.lists(token, max_size=size - 1))
-    if data.draw(st.booleans()):
-        teacher = NGramLogitLM.create(vocab, data.draw(st.integers(1, 2)), init_scale=2.0,
-                                      init_seed=seed)
-        teacher.table[:, zero] = -np.inf
-    else:
+    return {
+        "size": size, "seed": draw_from(st.integers(0, 2**16)),
+        "context_size": draw_from(st.integers(1, 4)), "d_emb": draw_from(st.integers(1, 16)),
+        "d_hid": draw_from(st.integers(1, 64)),
+        # Logits 40 below the rest floor those tokens' probabilities in the FKL term.
+        "floored": draw_from(st.lists(token, max_size=size - 1)),
+        "zero": draw_from(st.lists(token, max_size=size - 1)),
+        # An n-gram teacher of that order, or with None a tiny-neural one.
+        "teacher_order": draw_from(st.sampled_from([1, 2, None])),
+        "prompt": draw_from(st.lists(token, max_size=6)),
+        "response": draw_from(st.lists(token, min_size=1, max_size=64)),
+        # None trains without a teacher.
+        "loss_ratio": draw_from(st.one_of(st.none(), st.sampled_from([0.0, 0.37, 1.0, 2.5]))),
+    }
+
+
+def neural_step(case):
+    """``(student, teacher, prompt, response, loss_ratio)`` of a :func:`neural_steps` case."""
+    vocab = Vocab(size=case["size"], bos_id=0, eos_id=1)
+    seed = case["seed"]
+    student = TinyNeuralLM.create(vocab, context_size=case["context_size"], d_emb=case["d_emb"],
+                                  d_hid=case["d_hid"], seed=seed)
+    student.b2[case["floored"]] = -40.0
+    if case["loss_ratio"] is None:
+        return student, None, case["prompt"], case["response"], 0.0
+    if case["teacher_order"] is None:
         teacher = TinyNeuralLM.create(vocab, context_size=2, d_emb=4, d_hid=8, seed=seed + 1)
-        teacher.b2[zero] = -np.inf
-    prompt = data.draw(st.lists(token, max_size=6))
-    response = data.draw(st.lists(token, min_size=1, max_size=64))
-    if data.draw(st.booleans()):
-        teacher, loss_ratio = None, 0.0
+        teacher.b2[case["zero"]] = -np.inf
     else:
-        loss_ratio = data.draw(st.sampled_from([0.0, 0.37, 1.0, 2.5]))
-    assert_same_step(distill._pair_step(student, teacher, prompt, response, loss_ratio),
+        teacher = NGramLogitLM.create(vocab, case["teacher_order"], init_scale=2.0,
+                                      init_seed=seed)
+        teacher.table[:, case["zero"]] = -np.inf
+    return student, teacher, case["prompt"], case["response"], case["loss_ratio"]
+
+
+@SETTINGS
+@given(neural_steps())
+# A one-token step whose first w2 part holds -0.0, which a sum from +0.0 loses.
+@example({"size": 4, "seed": 0, "context_size": 1, "d_emb": 1, "d_hid": 8, "floored": [1, 2, 3],
+          "zero": [], "teacher_order": None, "prompt": [], "response": [0], "loss_ratio": None})
+def test_neural_pair_step_bit_equals_the_per_position_loop(case):
+    student, teacher, prompt, response, loss_ratio = neural_step(case)
+    assert_same_step(pair_step(student, teacher, prompt, response, loss_ratio),
                      reference_pair_step(student, teacher, prompt, response, loss_ratio))
 
 

@@ -25,9 +25,10 @@ repository root with, per workload:
 
 plus the revision, the versions and the machine that the runs shared.
 
-``compare`` reads two such files, a parent's and a change's, and prints
-for each workload and end-to-end metric: the runs paired by seed and how
-many of them the change won; both medians and quartiles over those pairs
+``compare`` reads two such files, a parent's and a change's. It names
+each workload that only one of them holds, then prints for each shared
+workload both sides' failed checks, and for each end-to-end metric: the
+runs paired by seed and how many of them the change won; both medians and quartiles over those pairs
 and their ratio; whether the gain rule holds (at least 9 in 10 pairs won,
 and a median gap wider than the parent's interquartile range); and
 whether the change's median stays within the metric's no-regression
@@ -98,11 +99,15 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> list[str]:
                 raise SystemExit(f"bench_record: the {name} file has no per-seed values for "
                                  f"{workload}; record it again with this tool")
     lines = []
+    for workload in sorted(set(parent["workloads"]) ^ set(change["workloads"])):
+        side = "parent" if workload in parent["workloads"] else "change"
+        lines.append(f"{workload}: only in the {side} file, not compared")
     for workload in sorted(set(parent["workloads"]) & set(change["workloads"])):
-        old = parent["workloads"][workload]["end_to_end_by_seed"]
-        new = change["workloads"][workload]["end_to_end_by_seed"]
+        old_entry, new_entry = parent["workloads"][workload], change["workloads"][workload]
+        old, new = old_entry["end_to_end_by_seed"], new_entry["end_to_end_by_seed"]
         seeds = sorted(set(old) & set(new), key=int)
-        lines.append(f"{workload}: {len(seeds)} pairs by seed")
+        lines.append(f"{workload}: {len(seeds)} pairs by seed; failed checks: "
+                     f"parent {old_entry['failed']}, change {new_entry['failed']}")
         if not seeds:
             continue
         for metric in metrics:
