@@ -327,6 +327,8 @@ def train_online(
     its pair index and then a coin; a coin at most ``on_policy_frac`` makes
     the step on-policy, and its response is sampled from the student on
     that generator's state after both draws (see the module docstring).
+    With ``loss_ratio > 0``, a teacher window too wide for a
+    :class:`~speclab.specdec.RowTable` to index raises :class:`DomainError`.
     """
     if not fixed_dataset:
         raise DomainError("fixed_dataset is empty")

@@ -224,18 +224,19 @@ def _generate_whole(table: RowTable, prompt, config: GenerationConfig, rng,
     the first draw from it; calls that share ``rows`` share ``table``
     and ``config.tau``.
     """
-    size, eos = table.size, table.model.vocab.eos_id
+    probs, cdf, size, n_rows = table.probs, table.cdf, table.size, table.rows
+    eos = table.model.vocab.eos_id
     idx = table.index(prompt)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
         row = rows[idx]
         if row is None:
-            row = rows[idx] = (table.probs[idx], array("d", table.cdf[idx].tobytes()))
+            row = rows[idx] = (probs[idx], array("d", cdf[idx].tobytes()))
         tok = draw(row, rng)
         out.append(tok)
         if tok == eos:
             break
-        idx = (idx * size + tok) % table.rows
+        idx = (idx * size + tok) % n_rows
     return out
 
 

@@ -963,3 +963,14 @@ def test_sgd_update_names_the_first_bad_row_in_part_order_and_moves_nothing(with
         _, _, grads = reference_pair_step(student, teacher, prompt, response, 1.0)
         with pytest.raises(NumericError, match="^non-finite gradient for context row 5$"):
             reference_apply_update(student, grads, 0.3)
+
+
+def test_train_online_rejects_a_teacher_window_too_wide_to_index():
+    vocab = Vocab(size=32, bos_id=0, eos_id=1)
+    teacher = TinyNeuralLM.create(vocab, context_size=13, d_emb=2, d_hid=2)
+    student = NGramLogitLM.create(vocab, 1)
+    data = [Pair([2], [3, 1], "teacher", 1.0)]
+    with pytest.raises(DomainError, match="too many rows to index"):
+        train_online(student, teacher, data, KDConfig(mode="online", steps=2))
+    # Without an FKL term the teacher is not read.
+    train_online(student, teacher, data, KDConfig(mode="online", steps=2, loss_ratio=0.0))
