@@ -15,8 +15,7 @@ only. The ground truth for a spec is always built from
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +23,8 @@ import numpy as np
 from .errors import DomainError, NumericError, TrainingError
 from .files import read_lines, write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
-from .sampling import (
-    _UNIFORM_CHUNK,
-    STREAM_HELDOUT,
-    derive_seed,
-    make_rng,
-    sample,
-    softmax_rows_with_temperature,
-    softmax_with_temperature,
-)
-from .specdec import GenerationConfig, _rollouts
+from .sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_rows_with_temperature
+from .specdec import GenerationConfig, _rollouts, _table_rollouts
 
 BOS_ID = 0
 EOS_ID = 1
@@ -85,28 +76,6 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
     return model
 
 
-def sample_prompt(model: LanguageModel, prompt_len: int, rng) -> list[int]:
-    """Prompt of content tokens from the model's own process.
-
-    The begin and end markers are masked out of each step's distribution
-    (renormalized), so prompts never terminate early.
-    """
-    vocab = model.vocab
-    seq: list[int] = []
-    for _ in range(prompt_len):
-        dist = softmax_with_temperature(model.forward(seq), 1.0)
-        dist[vocab.bos_id] = 0.0
-        dist[vocab.eos_id] = 0.0
-        mass = dist.sum()
-        if mass <= 0.0:
-            dist = np.ones(vocab.size)
-            dist[vocab.bos_id] = 0.0
-            dist[vocab.eos_id] = 0.0
-            mass = dist.sum()
-        seq.append(sample(dist / mass, rng))
-    return seq
-
-
 def collect_heldout_contexts(
     model: LanguageModel, rng, n_sequences: int = 48, seq_len: int = 40
 ) -> list[tuple[int, ...]]:
@@ -117,12 +86,14 @@ def collect_heldout_contexts(
     share one generator, so they run one after another, and their rows
     (:func:`~speclab.specdec._rollouts`): a chain that a
     :class:`~speclab.specdec.RowTable` takes whole is one softmax and
-    CDF table, and any other model computes each window's row once.
+    CDF table, rolled out by :func:`~speclab.specdec._table_rollouts`,
+    and any other model computes each window's row once.
     """
     contexts: list[tuple[int, ...]] = []
-    rollout = _rollouts(model, GenerationConfig(tau=1.0, max_new_tokens=seq_len))
-    for _ in range(n_sequences):
-        seq = rollout([], rng)
+    config = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
+    with closing(_rollouts(model, config, [], rng)) as rollouts:
+        seqs = [next(rollouts) for _ in range(n_sequences)]
+    for seq in seqs:
         prefix: list[int] = []
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:
@@ -189,28 +160,24 @@ def pretrain_teacher(
     :class:`TrainingError` with the final gap.
 
     Schedule. Rollouts are tau=1 samples of length at most ``seq_len``,
-    each ending at the end marker. The convergence check runs after the
-    first rollout that brings the tokens since the last check to
-    ``check_every``, and once more when the budget is spent. Training
-    runs in chunks that end at those points. A chunk first rolls out its
-    sequences, buffering one ``(teacher row, token, lr)`` update per
-    token and reading uniforms 64 at a time; however the rollouts stop,
-    the uniforms drawn but not read go back to ``rng``. It then applies
-    the buffer as a wavefront: step k updates, in one batched gather,
-    log-softmax and scatter, every row that has at least k + 1 buffered
-    updates, with its k-th one. Once a step holds one row (the start
-    row, in practice), the rest run as a 1-D loop on that row.
+    each ending at the end marker, drawn from the chain's whole tau=1
+    table by :func:`~speclab.specdec._table_rollouts`. The convergence
+    check runs after the first rollout that brings the tokens since the
+    last check to ``check_every``, and once more when the budget is
+    spent. Training runs in chunks that end at those points. A chunk
+    first rolls out its sequences and takes every token's teacher row in
+    one array pass. It then applies its updates as a wavefront: step k
+    updates, in one batched gather, log-softmax and scatter, every row
+    that has at least k + 1 updates, with its k-th one. Once a step holds
+    one row (the start row, in practice), the rest run as a 1-D loop on
+    that row.
 
     Exactness. The result is bit-identical to applying
     :func:`ce_gradient` and :func:`apply_update` token by token in
-    rollout order. Rollouts never read the teacher, and each token
-    reads one uniform, by inverse CDF on the chain's precomputed tau=1
-    table as :func:`sample` does. ``rng.random(out=...)`` fills a chunk
-    with what as many ``rng.random()`` calls return, and
-    ``rng.bit_generator.advance`` hands the unread ones back, so the
-    draws and the final generator state are those of token-by-token
-    sampling. As for the decoders in :mod:`speclab.specdec`, ``rng``
-    must be a :func:`make_rng` (PCG64) generator. A CE step on an n-gram
+    rollout order. Rollouts never read the teacher; they draw the tokens
+    that token-by-token :func:`sample` calls would and leave ``rng``
+    where those calls would, however training stops, so ``rng`` must be
+    a :func:`make_rng` (PCG64) generator. A CE step on an n-gram
     table reads and writes only its own context row, so only the order
     of updates within one row matters, and the wavefront keeps it; the
     row-wise and 1-D arithmetic are the per-row arithmetic. A non-finite
@@ -219,9 +186,9 @@ def pretrain_teacher(
     """
     if seq_len < 1:
         raise DomainError(f"seq_len must be >= 1, got {seq_len}")
+    if check_every < 1:
+        raise DomainError(f"check_every must be >= 1, got {check_every}")
     vocab = spec.vocab()
-    size = vocab.size
-    eos = vocab.eos_id
     teacher = NGramLogitLM.create(vocab, order if order is not None else ground_truth.order)
     heldout = collect_heldout_contexts(
         ground_truth, make_rng(derive_seed(spec.seed, STREAM_HELDOUT))
@@ -233,67 +200,35 @@ def pretrain_teacher(
     entropy = _entropy(heldout_p)
     target_ce = (1.0 + tolerance) * entropy
     probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
-    cdf = np.cumsum(probs, axis=1)
-    # CDF rows of visited contexts as compact arrays: bisect_right finds
-    # the index of sample()'s searchsorted without numpy's call overhead.
-    n_chain_rows = len(cdf)
-    chain_rows: list = [None] * n_chain_rows
-    chain_start = ground_truth.context_index(())
-    n_teacher_rows = len(teacher.table)
-    teacher_start = teacher.context_index(())
-    buf = np.empty(_UNIFORM_CHUNK)
     used = 0
     since_check = 0
-    while used < steps:
-        first = used
-        rows: list[int] = []
-        tokens: list[int] = []
-        uniforms: list[float] = []
-        read = drawn = 0
-        try:
-            while True:
-                ctx = chain_start
-                row = teacher_start
-                for _ in range(seq_len):
-                    cdf_row = chain_rows[ctx]
-                    if cdf_row is None:
-                        if not abs(cdf[ctx, -1] - 1.0) <= 1e-9:
-                            raise NumericError(
-                                f"cannot sample: chain row {ctx} totals {cdf[ctx, -1]}")
-                        cdf_row = chain_rows[ctx] = array("d", cdf[ctx])
-                    if read == drawn:
-                        uniforms = rng.random(out=buf).tolist()
-                        drawn += _UNIFORM_CHUNK
-                    # read - drawn counts back from the end of the chunk.
-                    tok = bisect_right(cdf_row, uniforms[read - drawn])
-                    read += 1
-                    # draw()'s search, clamp and zero-probability guard, inline.
-                    if tok >= size:
-                        tok = size - 1
-                        while tok > 0 and probs[ctx, tok] <= 0.0:
-                            tok -= 1
-                    if used < steps:
-                        rows.append(row)
-                        tokens.append(tok)
-                        used += 1
-                        since_check += 1
-                    if tok == eos:
-                        break
-                    ctx = (ctx * size + tok) % n_chain_rows
-                    row = (row * size + tok) % n_teacher_rows
-                if used >= steps or since_check >= check_every:
-                    break
-        finally:
-            # Hand the unread uniforms back, as specdec._Uniforms.rewind does.
-            rng.bit_generator.advance(read - drawn)
-        lrs = lr_start * 0.5 ** (lr_stages * np.arange(first, used) / steps).astype(np.int64)
-        _apply_wavefront(teacher, np.array(rows, dtype=np.int64),
-                         np.array(tokens, dtype=np.int64), lrs)
-        if since_check >= check_every:
-            since_check = 0
-            ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
-            if ce <= target_ce:
-                return teacher, heldout, ce, entropy
+    with closing(_table_rollouts(probs, np.cumsum(probs, axis=1), ground_truth.context_index(()),
+                                 seq_len, vocab.eos_id, rng)) as rollouts:
+        while used < steps:
+            take = min(steps - used, check_every - since_check)
+            tokens: list[int] = []
+            pos: list[int] = []  # each token's position in its rollout
+            while len(tokens) < take:
+                seq = next(rollouts)
+                tokens += seq
+                pos += range(len(seq))
+            count = min(len(tokens), steps - used)
+            toks, at = np.array(tokens[:count]), np.array(pos[:count])
+            # Each token's teacher row: its window of the previous order
+            # tokens, bos-padded at its rollout's start.
+            rows = np.zeros(count, dtype=np.int64)
+            for k in range(teacher.order, 0, -1):
+                rows = rows * vocab.size + np.where(at >= k, np.roll(toks, k), vocab.bos_id)
+            lrs = lr_start * 0.5 ** (lr_stages * np.arange(used, used + count)
+                                     / steps).astype(np.int64)
+            _apply_wavefront(teacher, rows, toks, lrs)
+            used += count
+            since_check += count
+            if since_check >= check_every:
+                since_check = 0
+                ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
+                if ce <= target_ce:
+                    return teacher, heldout, ce, entropy
     ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
     if ce <= target_ce:
         return teacher, heldout, ce, entropy
@@ -388,9 +323,28 @@ _TAG_PROMPTS = 12
 
 
 def canonical_prompts(ground_truth: NGramLogitLM, spec: CorpusSpec) -> list[list[int]]:
-    """The prompt set :func:`build_corpus` would sample for this spec."""
+    """The prompt set :func:`build_corpus` would sample for this spec.
+
+    Prompts are ``spec.prompt_len`` content tokens from the chain's own
+    tau=1 process. The begin and end markers are masked out of every row
+    and the rest renormalized, so prompts never terminate early; a row
+    with no content mass becomes uniform over the content tokens. The
+    masked table is built once and rolled out by
+    :func:`~speclab.specdec._table_rollouts`, one prompt after another on
+    one generator.
+    """
+    vocab = spec.vocab()
+    probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
+    markers = [vocab.bos_id, vocab.eos_id]
+    probs[:, markers] = 0.0
+    probs[probs.sum(axis=1) <= 0.0] = 1.0
+    probs[:, markers] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
     rng = make_rng(derive_seed(spec.seed, _TAG_PROMPTS))
-    return [sample_prompt(ground_truth, spec.prompt_len, rng) for _ in range(spec.n_prompts)]
+    start = ground_truth.context_index(())
+    with closing(_table_rollouts(probs, np.cumsum(probs, axis=1), start, spec.prompt_len,
+                                 vocab.eos_id, rng)) as rollouts:
+        return [next(rollouts) for _ in range(spec.n_prompts)]
 
 
 def build_corpus(

@@ -12,8 +12,9 @@ context window it visits. ``sample`` calls ``draw``, so for the same
 distribution both give the same token, consume exactly one uniform, and
 raise the same :class:`NumericError` before drawing. The lockstep
 decoder draws from :class:`~speclab.specdec.RowTable` rows by the same
-inverse-CDF rule, and teacher pretraining does it inline on the chain's
-own CDF table.
+inverse-CDF rule, and :func:`~speclab.specdec._table_rollouts` rolls out
+whole CDF tables with it: a small n-gram's responses, teacher
+pretraining's samples and the prompt set.
 
 :func:`make_rng` and :func:`derive_seed` define every random stream.
 :func:`derive_seeds` and :class:`SeedBank` compute the same seeds and
@@ -446,8 +447,8 @@ def draw(row, rng: np.random.Generator) -> int:
     :func:`cdf_row` builds it. The total is checked here, not when
     the row is built, so a bad row raises before any uniform is used.
 
-    Teacher pretraining repeats this search inline on chain rows whose
-    totals it checks once per row.
+    :func:`~speclab.specdec._table_rollouts` repeats this search on the
+    rows of a whole table, checking a row's total before its first draw.
     """
     probs, cdf = row
     total = cdf[-1]

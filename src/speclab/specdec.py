@@ -21,9 +21,11 @@ residual of the two rows it met. With no draft the loop is the
 autoregressive baseline, and KD datasets are decoded that way.
 :func:`speculative_generate` is its one-stream form.
 :func:`generate_autoregressive` samples one prompt token by token, each
-row computed once per window the call visits (or, for a small n-gram,
-its whole table at once), for code that draws one response at a time on
-one generator: on-policy training and held-out rollouts.
+row computed once per window the call visits, for code that draws one
+response at a time on one generator: on-policy training and held-out
+rollouts. A small n-gram's rollouts, and any other rollouts from a
+whole CDF table of a fixed model (teacher pretraining's and the prompt
+set's), run on one kernel, :func:`_table_rollouts`.
 :func:`verify_block` applies the rule to one block of explicit
 distributions.
 
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,23 +171,29 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> lis
     that a :class:`RowTable` takes whole, the call computes its whole
     table at once instead (see :func:`_rollouts`).
     """
-    return _rollouts(model, config)(prompt, rng)
+    with closing(_rollouts(model, config, prompt, rng)) as rollouts:
+        return next(rollouts)
 
 
-def _rollouts(model, config: GenerationConfig):
-    """:func:`generate_autoregressive` of ``model`` and ``config`` as a function of
-    ``(prompt, rng)``, whose calls share each row they compute.
+def _rollouts(model, config: GenerationConfig, prompt, rng):
+    """Generator of :func:`generate_autoregressive` rollouts of ``prompt``, one per ``next()``.
 
-    An n-gram that a :class:`RowTable` takes whole gets one table, read by
-    :func:`_generate_whole`; any other model a ``rows`` dict, filled by
-    :func:`_generate`. The model must not change between calls.
+    The rollouts share each row they compute. An n-gram that a
+    :class:`RowTable` takes whole gets one table, read by
+    :func:`_table_rollouts`; any other model a ``rows`` dict, filled by
+    :func:`_generate`. The model must not change while the generator is
+    open, and ``rng`` must be drawn from only through it: close it, as
+    ``contextlib.closing`` does, to leave ``rng`` where token-by-token
+    draws would.
     """
     if _takes_whole(model):
         table = RowTable(model, config.tau)
-        rows = [None] * table.rows
-        return lambda prompt, rng: _generate_whole(table, prompt, config, rng, rows)
-    rows = {}
-    return lambda prompt, rng: _generate(model, prompt, config, rng, rows)
+        yield from _table_rollouts(table.probs, table.cdf, table.index(prompt),
+                                   config.max_new_tokens, model.vocab.eos_id, rng)
+    else:
+        rows = {}
+        while True:
+            yield _generate(model, prompt, config, rng, rows)
 
 
 def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[int]:
@@ -212,32 +222,59 @@ def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[
     return out
 
 
-def _generate_whole(table: RowTable, prompt, config: GenerationConfig, rng,
-                    rows: list) -> list[int]:
-    """:func:`generate_autoregressive` from a :class:`RowTable` that holds its whole model.
+def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int, eos: int,
+                    rng):
+    """Generator of rollouts from window index ``start`` of a whole table, one per ``next()``.
 
-    The table's rows are bit-equal to the rows of :func:`_generate`. The
-    prompt's window is validated by :meth:`RowTable.index`, with the text
-    of ``model.forward``'s error, and each drawn token moves the window
-    index ``i`` to ``(i * size + t) % rows``. ``rows[i]`` holds the
-    :func:`draw` pair of index ``i``, its CDF an ``array('d')`` made on
-    the first draw from it; calls that share ``rows`` share ``table``
-    and ``config.tau``.
+    ``probs`` and ``cdf``, its ``np.cumsum`` along each row, hold one row
+    per window index, as a :class:`RowTable` that takes its model whole
+    does; token ``t`` moves index ``i`` to ``(i * size + t) % rows``. A
+    rollout stops after ``eos`` or ``max_len`` tokens. Each token is a
+    :func:`draw`: the same total check and error text (before a row's
+    first draw, as its CDF becomes an ``array('d')``), search, clamp and
+    zero-probability guard.
+
+    Uniforms are drawn 64 at a time, and when the generator is closed or
+    raises, ``rng.bit_generator.advance`` hands the unread ones back, so
+    the tokens and the final state of ``rng`` are those of token-by-token
+    draws. ``rng`` must be a :func:`~speclab.sampling.make_rng` (PCG64)
+    generator that nothing else draws from while the generator is open.
     """
-    probs, cdf, size, n_rows = table.probs, table.cdf, table.size, table.rows
-    eos = table.model.vocab.eos_id
-    idx = table.index(prompt)
-    out: list[int] = []
-    for _ in range(config.max_new_tokens):
-        row = rows[idx]
-        if row is None:
-            row = rows[idx] = (probs[idx], array("d", cdf[idx].tobytes()))
-        tok = draw(row, rng)
-        out.append(tok)
-        if tok == eos:
-            break
-        idx = (idx * size + tok) % n_rows
-    return out
+    n_rows, size = probs.shape
+    rows: list = [None] * n_rows
+    buf = np.empty(_UNIFORM_CHUNK)
+    uniforms: list[float] = []
+    read = drawn = 0
+    try:
+        while True:
+            idx = start
+            out: list[int] = []
+            for _ in range(max_len):
+                row = rows[idx]
+                if row is None:
+                    row = array("d", cdf[idx].tobytes())
+                    total = row[-1]
+                    if not abs(total - 1.0) <= 1e-9:
+                        raise NumericError(
+                            f"cannot sample: distribution total is {total}, not 1")
+                    rows[idx] = row
+                if read == drawn:
+                    uniforms = rng.random(out=buf).tolist()
+                    drawn += _UNIFORM_CHUNK
+                # read - drawn counts back from the end of the chunk.
+                tok = bisect_right(row, uniforms[read - drawn])
+                read += 1
+                if tok >= size:
+                    tok = size - 1
+                    while tok > 0 and probs[idx, tok] <= 0.0:
+                        tok -= 1
+                out.append(tok)
+                if tok == eos:
+                    break
+                idx = (idx * size + tok) % n_rows
+            yield out
+    finally:
+        rng.bit_generator.advance(read - drawn)
 
 
 def speculative_generate(target, draft, prompt, config: GenerationConfig, rng):

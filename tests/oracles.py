@@ -11,8 +11,9 @@ independent routes to the same numbers, for the tests to compare with:
   acceptance probability;
 * a training step as the per-position loop of those gradients, and its
   update one row or parameter at a time;
-* token-by-token sampling, and the two trainers as per-step loops that
-  build each step's own ``make_rng(derive_seed(seed, step))``.
+* token-by-token sampling of responses and of masked prompts, and the
+  two trainers as per-step loops that build each step's own
+  ``make_rng(derive_seed(seed, step))``.
 """
 
 import numpy as np
@@ -159,6 +160,29 @@ def reference_generate_autoregressive(model, prompt, config, rng):
         if tok == eos:
             break
     return out
+
+
+def reference_prompt(model, prompt_len, rng):
+    """A prompt of content tokens, one ``model.forward``, softmax and sample() per token.
+
+    The begin and end markers are masked out of each step's distribution
+    and the rest renormalized; a step with no content mass is uniform
+    over the content tokens.
+    """
+    vocab = model.vocab
+    seq = []
+    for _ in range(prompt_len):
+        dist = softmax_with_temperature(model.forward(seq), 1.0)
+        dist[vocab.bos_id] = 0.0
+        dist[vocab.eos_id] = 0.0
+        mass = dist.sum()
+        if mass <= 0.0:
+            dist = np.ones(vocab.size)
+            dist[vocab.bos_id] = 0.0
+            dist[vocab.eos_id] = 0.0
+            mass = dist.sum()
+        seq.append(sample(dist / mass, rng))
+    return seq
 
 
 def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -17,16 +18,15 @@ from speclab.corpus import (
     heldout_scores,
     load_prompts,
     pretrain_teacher,
-    sample_prompt,
     save_prompts,
 )
 from speclab.errors import DomainError, NumericError, TrainingError
 from speclab.lm import NGramLogitLM, Vocab, apply_update
 from speclab.sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
-from speclab import specdec
+from speclab import corpus, specdec
 from speclab.specdec import GenerationConfig, generate_autoregressive
 
-from oracles import reference_ce_gradient, reference_generate_autoregressive
+from oracles import reference_ce_gradient, reference_generate_autoregressive, reference_prompt
 
 # A small spec keeps the pretraining tests fast; the full-size corpus is
 # exercised by the acceptance suite.
@@ -102,21 +102,54 @@ def test_sample_sequence_tokens_in_vocab_and_stops_at_eos():
         assert EOS_ID not in seq[:-1]
 
 
-def test_sample_prompt_contains_only_content_tokens():
+def test_canonical_prompts_contain_only_content_tokens():
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    rng = make_rng(9)
-    for _ in range(50):
-        prompt = sample_prompt(gt, 7, rng)
+    for prompt in canonical_prompts(gt, dataclasses.replace(SMALL, n_prompts=50, prompt_len=7)):
         assert len(prompt) == 7
         assert BOS_ID not in prompt
         assert EOS_ID not in prompt
 
 
-def test_sample_prompt_deterministic_given_seed():
+def test_canonical_prompts_deterministic_given_seed():
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    a = [sample_prompt(gt, 5, make_rng(77)) for _ in range(3)]
-    b = [sample_prompt(gt, 5, make_rng(77)) for _ in range(3)]
+    spec = dataclasses.replace(SMALL, n_prompts=3, prompt_len=5, seed=77)
+    a = canonical_prompts(gt, spec)
+    b = canonical_prompts(gt, spec)
     assert a[0] == b[0]
+
+
+def _masked_rows(case):
+    """A spec and its chain for the prompt cases; some rows lose all content mass."""
+    spec = {"order1": SMALL,
+            "zero-prob-content": dataclasses.replace(ORDER2, n_prompts=40, prompt_len=9),
+            "no-content-row": CorpusSpec(vocab_size=6, order=1, n_prompts=30, prompt_len=12,
+                                         seed=9),
+            "order3": CorpusSpec(vocab_size=5, order=3, concentration=0.3, n_prompts=25,
+                                 prompt_len=7, seed=2)}[case]
+    gt = build_ground_truth(spec, make_rng(spec.seed))
+    # exp(-1000) underflows to 0, so these tokens have probability exactly 0.
+    if case == "zero-prob-content":
+        gt.table[:, [2, 5]] = -1000.0
+        gt.table[::3, 7] = -1000.0
+    if case == "no-content-row":
+        gt.table[[0, 3], 2:] = -1000.0  # the start row, and the row after token 3
+    return spec, gt
+
+
+@pytest.mark.parametrize("case", ["order1", "zero-prob-content", "no-content-row", "order3"])
+def test_canonical_prompts_equal_token_by_token_prompts(monkeypatch, case):
+    # The masked tau=1 table, built once, against one softmax, mask and
+    # sample() per token: the same prompts and the same generator state.
+    spec, gt = _masked_rows(case)
+    rngs = []
+    monkeypatch.setattr(corpus, "make_rng", lambda seed: rngs.append(make_rng(seed)) or rngs[-1])
+    got = canonical_prompts(gt, spec)
+    want_rng = make_rng(derive_seed(spec.seed, corpus._TAG_PROMPTS))
+    want = [reference_prompt(gt, spec.prompt_len, want_rng) for _ in range(spec.n_prompts)]
+    assert got == want
+    assert rngs[0].bit_generator.state == want_rng.bit_generator.state
+    if case == "no-content-row":  # the uniform fallback ran, after the start and after 3
+        assert any(p[i] == 3 for p in got for i in range(len(p) - 1))
 
 
 @pytest.mark.parametrize("order, cap", [(1, None), (2, None), (2, 3)])
@@ -330,7 +363,7 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
     since_check = 0
     cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
     while used < steps:
-        seq = generate_autoregressive(ground_truth, [], cfg, rng)
+        seq = reference_generate_autoregressive(ground_truth, [], cfg, rng)
         prefix = []
         for tok in seq:
             lr = lr_start * 0.5 ** int(lr_stages * used / steps)
@@ -446,6 +479,13 @@ def test_pretrain_rejects_empty_rollouts():
         pretrain_teacher(gt, SMALL, 100, make_rng(2), seq_len=0)
 
 
+@pytest.mark.parametrize("check_every", [0, -5])
+def test_pretrain_rejects_a_check_interval_below_one(check_every):
+    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
+    with pytest.raises(DomainError, match=f"check_every must be >= 1, got {check_every}"):
+        pretrain_teacher(gt, SMALL, 100, make_rng(2), check_every=check_every)
+
+
 def test_pretrain_rewinds_the_generator_when_a_chain_row_fails_mid_rollout():
     gt = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
     heldout = {gt.context_index(c) for c in collect_heldout_contexts(
@@ -460,13 +500,16 @@ def test_pretrain_rewinds_the_generator_when_a_chain_row_fails_mid_rollout():
         bad = next((gt.context_index(seq[:i]) for i in range(1, len(seq))
                     if gt.context_index(seq[:i]) not in heldout), None)
     gt.table[bad, 3] = np.inf  # its tau=1 row is NaN, so it does not total 1
-    afters = []
+    afters, messages = [], []
     for fn in (pretrain_teacher, reference_pretrain):
         rng = make_rng(2)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="cannot sample"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="cannot sample") as info:
             fn(gt, ORDER2, 50_000, rng)
         afters.append(rng.random())
+        messages.append(str(info.value))
     assert afters[0] == afters[1]
+    assert messages[0] == messages[1]
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
