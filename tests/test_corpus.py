@@ -451,7 +451,7 @@ def test_pretrain_reference_cases_cover_both_outcomes():
     lengths = []
     cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     while sum(lengths) < 4_001:
-        lengths.append(len(generate_autoregressive(gt, [], cfg, rng)))
+        lengths.append(len(reference_generate_autoregressive(gt, [], cfg, rng)))
     assert sum(lengths) - lengths[-1] < 4_001 < sum(lengths)
 
 
@@ -496,7 +496,7 @@ def test_pretrain_rewinds_the_generator_when_a_chain_row_fails_mid_rollout():
     cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     bad = None
     while bad is None:
-        seq = generate_autoregressive(gt, [], cfg, rng)
+        seq = reference_generate_autoregressive(gt, [], cfg, rng)
         bad = next((gt.context_index(seq[:i]) for i in range(1, len(seq))
                     if gt.context_index(seq[:i]) not in heldout), None)
     gt.table[bad, 3] = np.inf  # its tau=1 row is NaN, so it does not total 1
