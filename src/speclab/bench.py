@@ -21,10 +21,10 @@ from time import perf_counter
 import numpy as np
 
 from .corpus import CorpusBundle
-from .distill import KDConfig, make_kd_dataset, train_offline, train_online
+from .distill import KDConfig, train_draft
 from .errors import DomainError, TrainingError
-from .lm import NGramLogitLM, load_checkpoint, save_checkpoint
-from .sampling import STREAM_EVAL, SeedBank, derive_seed, derive_seeds, make_rng
+from .lm import load_checkpoint, save_checkpoint
+from .sampling import STREAM_EVAL, SeedBank, derive_seed, derive_seeds
 from .specdec import GenerationConfig, RowTable, decode_lockstep, dump_trace, parse_trace
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -187,44 +187,29 @@ def _corpus_label(spec) -> str:
     )
 
 
-def train_sweep_draft(corpus: CorpusBundle, kd_mode: str, kd_tau: float,
-                      template: KDConfig, kd_index: int = 0,
-                      cache_dir=None, draft_factory=None):
-    """Train (or load from cache) the draft for one distillation tau.
+def _draft_file(kd_mode: str, kd_tau: float) -> str:
+    return f"draft_{kd_mode}_tau{kd_tau:.2f}.ckpt"
 
-    The cache file name keys on mode and temperature only; reuse a
-    cache directory across different step counts or learning rates and
-    it will serve stale drafts, so give each sweep configuration its
-    own directory.
+
+def train_sweep_draft(corpus: CorpusBundle, kd_mode: str, kd_tau: float,
+                      template: KDConfig, kd_index: int, cache_dir, draft_factory):
+    """Train (or load from ``cache_dir``, when not None) the draft for one distillation tau.
+
+    The cache file name keys on mode and temperature (to two decimals)
+    only; reuse a cache directory across different step counts, learning
+    rates, draft models or corpora and it will serve stale drafts, so
+    give each sweep configuration its own directory.
     """
     path = None
     if cache_dir is not None:
-        path = Path(cache_dir) / f"draft_{kd_mode}_tau{kd_tau:.2f}.ckpt"
+        path = Path(cache_dir) / _draft_file(kd_mode, kd_tau)
         if path.exists():
             return load_checkpoint(path)
-    if draft_factory is None:
-        student = NGramLogitLM.create(corpus.vocab, 1)
-    else:
-        student = draft_factory()
-    data_rng = make_rng(derive_seed(template.seed, _TAG_SWEEP_DATA, kd_index))
-    dataset = make_kd_dataset(
-        corpus.teacher,
-        corpus.prompts,
-        kd_tau,
-        data_rng,
-        repeats=template.data_repeats,
-        max_len=template.gen_max_len,
-    )
-    cfg = replace(
-        template,
-        mode=kd_mode,
-        tau_gen=kd_tau,
-        seed=derive_seed(template.seed, _TAG_SWEEP_TRAIN, kd_index),
-    )
-    if kd_mode == "offline":
-        train_offline(student, dataset, cfg)
-    else:
-        train_online(student, corpus.teacher, dataset, cfg)
+    student = draft_factory()
+    cfg = replace(template, mode=kd_mode, tau_gen=kd_tau,
+                  seed=derive_seed(template.seed, _TAG_SWEEP_TRAIN, kd_index))
+    train_draft(student, corpus.teacher, corpus.prompts, cfg,
+                derive_seed(template.seed, _TAG_SWEEP_DATA, kd_index))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(student, path)
@@ -232,9 +217,9 @@ def train_sweep_draft(corpus: CorpusBundle, kd_mode: str, kd_tau: float,
 
 
 def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
-              base_config: GenerationConfig, seeds, *, kd_template: KDConfig | None = None,
+              base_config: GenerationConfig, seeds, *, kd_template: KDConfig,
               runs_per_seed: int = 1, cache_dir=None, jobs: int = 1,
-              draft_factory=None, trace_sink=None) -> SweepResult:
+              draft_factory, trace_sink=None) -> SweepResult:
     """Train one draft per distillation tau, then measure every cell.
 
     Every (cell, seed) evaluation uses the child seed
@@ -244,7 +229,9 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
     that pass it and must be 1; a thread pool over the cells made sweeps
     slower, not faster.
     ``trace_sink(kd_tau, decode_tau, seed, text)``, when given, receives
-    the concatenated traces of each evaluation.
+    the concatenated traces of each evaluation. With a ``cache_dir``, two
+    ``kd_taus`` that would share a cache file name raise
+    :class:`DomainError` before any draft trains.
     """
     kd_taus = tuple(sorted(float(t) for t in kd_taus))
     decode_taus = tuple(sorted(float(t) for t in decode_taus))
@@ -259,8 +246,13 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         raise DomainError(f"jobs must be 1 (sweeps run serially), got {jobs}")
     if kd_mode not in ("offline", "online"):
         raise DomainError(f"unknown distillation mode '{kd_mode}'")
-    if kd_template is None:
-        kd_template = KDConfig(mode=kd_mode)
+    if cache_dir is not None:
+        names = [_draft_file(kd_mode, kd_tau) for kd_tau in kd_taus]
+        for ki, name in enumerate(names):
+            first = names.index(name)
+            if first != ki:
+                raise DomainError(f"kd_taus {kd_taus[first]!r} and {kd_taus[ki]!r} share the "
+                                  f"cached draft {name}; give each a distinct two-decimal value")
 
     drafts = []
     for ki, kd_tau in enumerate(kd_taus):

@@ -35,14 +35,7 @@ from .corpus import (
     load_prompts,
     save_prompts,
 )
-from .distill import (
-    KDConfig,
-    make_kd_dataset,
-    save_dataset,
-    train_log_rows,
-    train_offline,
-    train_online,
-)
+from .distill import KDConfig, save_dataset, train_draft, train_log_rows
 from .errors import ConfigError, DomainError, NumericError, TrainingError, VerificationError
 from .files import write_atomic
 from .lm import (
@@ -53,7 +46,7 @@ from .lm import (
     load_checkpoint,
     save_checkpoint,
 )
-from .sampling import derive_seed, make_rng
+from .sampling import derive_seed
 from .specdec import GenerationConfig, dump_trace
 
 _TAG_DRAFT_INIT = 31
@@ -298,20 +291,9 @@ def cmd_distill(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
     student = _draft_factory(config)()
-    data_rng = make_rng(derive_seed(config.kd.seed, _TAG_DATA))
-    dataset = make_kd_dataset(
-        bundle.teacher,
-        bundle.prompts,
-        config.kd.tau_gen,
-        data_rng,
-        repeats=config.kd.data_repeats,
-        max_len=config.kd.gen_max_len,
-    )
+    dataset, log = train_draft(student, bundle.teacher, bundle.prompts, config.kd,
+                               derive_seed(config.kd.seed, _TAG_DATA))
     save_dataset(dataset, out / "kd_dataset.txt")
-    if config.kd.mode == "offline":
-        log = train_offline(student, dataset, config.kd)
-    else:
-        log = train_online(student, bundle.teacher, dataset, config.kd)
     save_checkpoint(student, out / "draft.ckpt")
     write_atomic(out / "train_log.csv", "".join(row + "\n" for row in train_log_rows(log)))
     load_checkpoint(out / "draft.ckpt")
@@ -405,24 +387,15 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
     factory = _draft_factory(config)
 
     def train_pair(seed: int):
-        data_seed = derive_seed(config.kd.seed, _TAG_DATA, seed)
-        kd_cfg = replace(config.kd, mode="offline", seed=derive_seed(config.kd.seed, seed))
         # Both arms see the same data volume; the default single pass keeps
         # per-transition estimates noisy enough that the mixture's cleaner
         # low-temperature samples can show up in the comparison.
-        pair = []
-        for taus in (values["compose.single_tau"], values["compose.tau_set"]):
-            draft = factory()
-            dataset = make_kd_dataset(
-                bundle.teacher,
-                bundle.prompts,
-                taus,
-                make_rng(data_seed),
-                repeats=values["compose.data_repeats"],
-                max_len=config.kd.gen_max_len,
-            )
-            train_offline(draft, dataset, kd_cfg)
-            pair.append(draft)
+        kd_cfg = replace(config.kd, mode="offline", seed=derive_seed(config.kd.seed, seed),
+                         data_repeats=values["compose.data_repeats"])
+        pair = (factory(), factory())
+        for draft, taus in zip(pair, (values["compose.single_tau"], values["compose.tau_set"])):
+            train_draft(draft, bundle.teacher, bundle.prompts, kd_cfg,
+                        derive_seed(config.kd.seed, _TAG_DATA, seed), taus)
         return pair
 
     drafts = {seed: train_pair(seed) for seed in values["compose.seeds"]}

@@ -1,6 +1,8 @@
 """Teacher-student distillation for draft models.
 
-Two regimes over the same gradient machinery:
+:func:`train_draft` is how every command trains a draft: it makes the KD
+dataset with :func:`make_kd_dataset`, then trains in one of two regimes
+over the same gradient machinery, chosen by ``KDConfig.mode``:
 
 * offline: the teacher samples one response per prompt at a chosen
   generation temperature, and the student is trained with plain
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TrainingError
+from .errors import ConfigError, DomainError, NumericError, TrainingError
 from .files import read_lines, write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
@@ -329,7 +331,11 @@ def train_online(
     that generator's state after both draws (see the module docstring).
     With ``loss_ratio > 0``, a teacher window too wide for a
     :class:`~speclab.specdec.RowTable` to index raises :class:`DomainError`.
+    A teacher and student with different vocabularies raise
+    :class:`ConfigError` before any step.
     """
+    if teacher.vocab != student.vocab:
+        raise ConfigError("teacher and student must share a vocabulary")
     if not fixed_dataset:
         raise DomainError("fixed_dataset is empty")
     log: TrainingLog = []
@@ -352,6 +358,27 @@ def train_online(
         update(parts)
         log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
     return log
+
+
+def train_draft(student: LanguageModel, teacher: LanguageModel, prompts, config: KDConfig,
+                data_seed: int, taus=None) -> tuple[Dataset, TrainingLog]:
+    """Distill ``student`` from ``teacher`` in place; return the dataset and the log.
+
+    The dataset is :func:`make_kd_dataset` of ``prompts`` at ``taus``
+    (``config.tau_gen`` when None) on ``make_rng(data_seed)``, with
+    ``config.data_repeats`` passes and ``config.gen_max_len`` tokens at
+    most a response. ``config.mode`` then picks :func:`train_offline` or
+    :func:`train_online`. A teacher and student with different
+    vocabularies raise :class:`ConfigError` before any decoding.
+    """
+    if teacher.vocab != student.vocab:
+        raise ConfigError("teacher and student must share a vocabulary")
+    dataset = make_kd_dataset(teacher, prompts, config.tau_gen if taus is None else taus,
+                              make_rng(data_seed), repeats=config.data_repeats,
+                              max_len=config.gen_max_len)
+    if config.mode == "offline":
+        return dataset, train_offline(student, dataset, config)
+    return dataset, train_online(student, teacher, dataset, config)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

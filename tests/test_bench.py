@@ -246,17 +246,38 @@ def test_parse_sweep_csv_rejects_out_of_range_values(field, value):
 def test_run_sweep_validation():
     bundle = tiny_bundle()
     cfg = small_config()
+    training = {"kd_template": KDConfig(mode="offline", steps=10, seed=1),
+                "draft_factory": lambda: random_lm(seed=77)}
     with pytest.raises(DomainError):
-        run_sweep((), (1.0,), "offline", bundle, cfg, (1,))
+        run_sweep((), (1.0,), "offline", bundle, cfg, (1,), **training)
     with pytest.raises(DomainError):
-        run_sweep((0.5,), (1.0,), "offline", bundle, cfg, ())
+        run_sweep((0.5,), (1.0,), "offline", bundle, cfg, (), **training)
     with pytest.raises(DomainError):
-        run_sweep((0.5,), (1.0,), "offline", bundle, cfg, (1, 1))
+        run_sweep((0.5,), (1.0,), "offline", bundle, cfg, (1, 1), **training)
     with pytest.raises(DomainError):
-        run_sweep((0.5,), (1.0,), "hybrid", bundle, cfg, (1,))
+        run_sweep((0.5,), (1.0,), "hybrid", bundle, cfg, (1,), **training)
     for jobs in (0, 2):
         with pytest.raises(DomainError, match=f"jobs must be 1 .*got {jobs}"):
-            run_sweep((0.5,), (1.0,), "offline", bundle, cfg, (1,), jobs=jobs)
+            run_sweep((0.5,), (1.0,), "offline", bundle, cfg, (1,), jobs=jobs, **training)
+
+
+@pytest.mark.parametrize("kd_taus, named", [
+    ((0.124, 0.5, 0.121), r"kd_taus 0\.121 and 0\.124 share the cached draft "
+                          r"draft_offline_tau0\.12\.ckpt"),
+    ((0.5, 0.5), r"kd_taus 0\.5 and 0\.5 share"),
+], ids=["close", "equal"])
+def test_run_sweep_rejects_kd_taus_that_share_a_cache_file(tmp_path, kd_taus, named):
+    bundle = tiny_bundle()
+    with pytest.raises(DomainError, match=named):
+        run_sweep(kd_taus, (1.0,), "offline", bundle, small_config(), (1,),
+                  kd_template=KDConfig(mode="offline", steps=10, seed=1), cache_dir=tmp_path,
+                  draft_factory=lambda: random_lm(seed=77))
+    assert list(tmp_path.iterdir()) == []
+    # Without a cache each temperature trains its own draft.
+    result = run_sweep(kd_taus, (1.0,), "offline", bundle, small_config(), (1,),
+                       kd_template=KDConfig(mode="offline", steps=10, seed=1),
+                       draft_factory=lambda: random_lm(seed=77))
+    assert result.kd_taus == tuple(sorted(kd_taus))
 
 
 @pytest.fixture(scope="module")

@@ -306,6 +306,21 @@ def test_online_with_both_weights_zero_matches_offline(ws, tmp_path):
     assert results["offline"] == results["online"]
 
 
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_distill_rejects_a_draft_vocabulary_unlike_the_teachers(ws, tmp_path, capsys, mode):
+    _, run, _ = ws
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("teacher.ckpt", "prompts_in.txt"):
+        shutil.copy(run / name, out / name)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASE.replace("corpus.vocab_size = 12", "corpus.vocab_size = 16")
+                   + f"kd.mode = {mode}\nio.output_dir = {out}\n")
+    assert main(["distill", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: teacher and student must share a vocabulary\n"
+    assert sorted(path.name for path in out.iterdir()) == ["prompts_in.txt", "teacher.ckpt"]
+
+
 REPORT_CSV = "kd_tau,decode_tau,seed,alpha,speedup,tokens_out,wall_spec_s,wall_base_s\n" + "".join(
     f"{kd:.6f},{dec:.6f},{seed},{alpha:.6f},{alpha + 1.0:.6f},10,1.000000,1.000000\n"
     for (kd, dec), cell in {

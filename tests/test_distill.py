@@ -12,11 +12,12 @@ from speclab.distill import (
     make_kd_dataset,
     save_dataset,
     train_log_rows,
+    train_draft,
     train_offline,
     train_online,
 )
 from speclab import distill, specdec
-from speclab.errors import DomainError, NumericError, TrainingError
+from speclab.errors import ConfigError, DomainError, NumericError, TrainingError
 from speclab.lm import (
     NGramLogitLM,
     TinyNeuralLM,
@@ -974,3 +975,49 @@ def test_train_online_rejects_a_teacher_window_too_wide_to_index():
         train_online(student, teacher, data, KDConfig(mode="online", steps=2))
     # Without an FKL term the teacher is not read.
     train_online(student, teacher, data, KDConfig(mode="online", steps=2, loss_ratio=0.0))
+
+
+# --- One draft-training function --------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+@pytest.mark.parametrize("mode", ["offline", "online"])
+@pytest.mark.parametrize("taus", [None, 0.6, (1.0, 0.0, 0.8)])
+def test_train_draft_equals_make_kd_dataset_then_the_trainer(family, mode, taus):
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=51)
+    prompts = [[k, k + 1] for k in range(2, 9)]
+    cfg = KDConfig(mode=mode, tau_gen=0.7, on_policy_frac=0.4, loss_ratio=0.8, learning_rate=0.4,
+                   steps=90, seed=52, gen_max_len=14, data_repeats=2)
+    got_student, want_student = TRAIN_STUDENTS[family](), TRAIN_STUDENTS[family]()
+    got_data, got_log = train_draft(got_student, teacher, prompts, cfg, 53, taus)
+    want_data = make_kd_dataset(teacher, prompts, cfg.tau_gen if taus is None else taus,
+                                make_rng(53), repeats=2, max_len=14)
+    if mode == "offline":
+        want_log = train_offline(want_student, want_data, cfg)
+    else:
+        want_log = train_online(want_student, teacher, want_data, cfg)
+    assert got_data == want_data
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
+    assert ([(e.step, bits(e.lm_loss), bits(e.fkl)) for e in got_log]
+            == [(e.step, bits(e.lm_loss), bits(e.fkl)) for e in want_log])
+    assert train_log_rows(got_log) == train_log_rows(want_log)
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_train_draft_rejects_a_student_of_another_vocabulary_before_decoding(monkeypatch, mode):
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=54)
+    student = NGramLogitLM.create(V20, 1, init_scale=1.0, init_seed=55)
+    monkeypatch.setattr(distill, "make_kd_dataset",
+                        lambda *args, **kwargs: pytest.fail("decoded a dataset"))
+    before = student.table.tobytes()
+    with pytest.raises(ConfigError, match="^teacher and student must share a vocabulary$"):
+        train_draft(student, teacher, [[2]], KDConfig(mode=mode, steps=5), 56)
+    assert student.table.tobytes() == before
+
+
+def test_train_online_rejects_a_student_of_another_vocabulary():
+    teacher = NGramLogitLM.create(V16, 2, init_scale=2.0, init_seed=57)
+    student = TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=58)
+    with pytest.raises(ConfigError, match="^teacher and student must share a vocabulary$"):
+        train_online(student, teacher, [Pair([2], [3, 1], "teacher", 1.0)],
+                     KDConfig(mode="online", steps=5, loss_ratio=0.0))
