@@ -14,6 +14,7 @@ non-deterministic output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -71,29 +72,6 @@ class DecodeStats:
             raise DomainError("accepted count exceeds proposed count")
 
 
-def merge_decode_stats(parts) -> DecodeStats:
-    """Pool several DecodeStats into one; counts add, walls add."""
-    parts = list(parts)
-    if not parts:
-        raise DomainError("nothing to merge")
-    proposed = sum(p.draft_proposed for p in parts)
-    accepted = sum(p.draft_accepted for p in parts)
-    if proposed == 0:
-        raise DomainError("no draft proposals recorded")
-    wall_spec = sum(p.wall_time_spec for p in parts)
-    wall_base = sum(p.wall_time_base for p in parts)
-    return DecodeStats(
-        alpha=accepted / proposed,
-        speedup=wall_base / wall_spec,
-        tokens_out=sum(p.tokens_out for p in parts),
-        wall_time_spec=wall_spec,
-        wall_time_base=wall_base,
-        runs=sum(p.runs for p in parts),
-        draft_proposed=proposed,
-        draft_accepted=accepted,
-    )
-
-
 def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int = 5,
                    *, on_trace=None) -> DecodeStats:
     """Decode every prompt ``runs`` times speculatively and plainly.
@@ -101,7 +79,10 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
     Each (run, prompt) pair gets its own child seed derived from
     ``config.seed``, so results are independent of evaluation order.
     ``on_trace(run, prompt_index, trace)``, when given, observes every
-    speculative trace in (run, prompt) order, outside the timed regions.
+    speculative trace in (run, prompt) order, after both timed decodes;
+    the per-round records of those traces are built during the
+    speculative decode, inside ``wall_time_spec``. The ``decode`` command
+    always passes it.
 
     All (run, prompt) pairs decode together as the streams of one
     :func:`~speclab.specdec.decode_lockstep` call, speculatively and then
@@ -159,25 +140,16 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid of decode metrics over (distillation tau, decoding tau).
+    """Decode metrics over (distillation tau, decoding tau, seed).
 
-    ``cells[i][j]`` pools every seed for ``kd_taus[i]`` ×
-    ``decode_taus[j]``; ``seed_stats`` keeps the per-seed breakdown as
-    ``(kd_tau, decode_tau, seed, stats)`` rows sorted in that key order.
+    ``seed_stats`` holds one ``(kd_tau, decode_tau, seed, stats)`` row per
+    evaluation, sorted in that key order.
     """
 
     kd_taus: tuple
     decode_taus: tuple
-    cells: tuple
     seed_stats: tuple
     metadata: dict
-
-    def __post_init__(self):
-        if len(self.cells) != len(self.kd_taus):
-            raise DomainError("cell matrix row count mismatch")
-        for row in self.cells:
-            if len(row) != len(self.decode_taus):
-                raise DomainError("cell matrix column count mismatch")
 
 
 def _corpus_label(spec) -> str:
@@ -216,6 +188,16 @@ def train_sweep_draft(corpus: CorpusBundle, kd_mode: str, kd_tau: float,
     return student
 
 
+def _grid_taus(name: str, taus) -> tuple:
+    """Sorted temperatures of one grid axis; empty or repeated ones raise :class:`DomainError`."""
+    taus = tuple(sorted(float(t) for t in taus))
+    if not taus:
+        raise DomainError("temperature lists must be non-empty")
+    if len(set(taus)) != len(taus):
+        raise DomainError(f"{name} repeat a value: {taus}")
+    return taus
+
+
 def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
               base_config: GenerationConfig, seeds, *, kd_template: KDConfig,
               runs_per_seed: int = 1, cache_dir=None, jobs: int = 1,
@@ -233,11 +215,9 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
     ``kd_taus`` that would share a cache file name raise
     :class:`DomainError` before any draft trains.
     """
-    kd_taus = tuple(sorted(float(t) for t in kd_taus))
-    decode_taus = tuple(sorted(float(t) for t in decode_taus))
+    kd_taus = _grid_taus("kd_taus", kd_taus)
+    decode_taus = _grid_taus("decode_taus", decode_taus)
     seeds = tuple(int(s) for s in seeds)
-    if not kd_taus or not decode_taus:
-        raise DomainError("temperature lists must be non-empty")
     if not seeds:
         raise DomainError("seed list must be non-empty")
     if len(set(seeds)) != len(seeds):
@@ -290,15 +270,6 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
     ]
     results = {key: eval_cell(*key) for key in keys}
 
-    cells = tuple(
-        tuple(
-            merge_decode_stats(
-                results[(ki, di, seed)] for seed in sorted(seeds)
-            )
-            for di in range(len(decode_taus))
-        )
-        for ki in range(len(kd_taus))
-    )
     seed_stats = tuple(
         (kd_taus[ki], decode_taus[di], seed, results[(ki, di, seed)])
         for ki in range(len(kd_taus))
@@ -313,22 +284,21 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         "corpus": _corpus_label(corpus.spec),
         "kd_mode": kd_mode,
     }
-    return SweepResult(kd_taus, decode_taus, cells, seed_stats, metadata)
+    return SweepResult(kd_taus, decode_taus, seed_stats, metadata)
 
 
 def best_kd_per_decode(result: SweepResult) -> list[tuple[float, float]]:
-    """Distillation tau with the highest pooled alpha, per decode tau.
+    """Distillation tau with the highest alpha, pooled over seeds, per decode tau.
 
-    Ties resolve to the lowest temperature.
+    A cell's pooled alpha is its seeds' accepted over proposed draft
+    tokens. Ties resolve to the lowest temperature.
     """
-    out = []
-    for di, decode_tau in enumerate(result.decode_taus):
-        best = max(
-            range(len(result.kd_taus)),
-            key=lambda ki: (result.cells[ki][di].alpha, -ki),
-        )
-        out.append((decode_tau, result.kd_taus[best]))
-    return out
+    accepted, proposed = Counter(), Counter()
+    for kd_tau, decode_tau, _, stats in result.seed_stats:
+        accepted[kd_tau, decode_tau] += stats.draft_accepted
+        proposed[kd_tau, decode_tau] += stats.draft_proposed
+    return [(dec, max(result.kd_taus, key=lambda kd: (accepted[kd, dec] / proposed[kd, dec], -kd)))
+            for dec in result.decode_taus]
 
 
 def sweep_csv_text(result: SweepResult, *, no_timing: bool = False) -> str:
@@ -399,10 +369,10 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
     does not depend on the draft, so the drafts compare pairwise.
     """
     prompts = list(prompts)
-    decode_taus = sorted(float(t) for t in decode_taus)
+    decode_taus = _grid_taus("decode_taus", decode_taus)
     seeds = sorted(int(s) for s in seeds)
-    if not decode_taus or not seeds:
-        raise DomainError("decode temperatures and seeds must be non-empty")
+    if not seeds:
+        raise DomainError("seeds must be non-empty")
     rows = []
     for di, decode_tau in enumerate(decode_taus):
         for seed in seeds:

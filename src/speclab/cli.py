@@ -79,6 +79,9 @@ _AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
 _FINITE_NONNEG = (_finite_nonneg, "finite and >= 0")
 _TAUS = (lambda taus: len(taus) > 0 and all(map(_finite_nonneg, taus)),
          "one or more finite temperatures >= 0")
+# A grid's axis: a repeat would key two row sets alike (a mixture's repeat is a weight).
+_GRID_TAUS = (lambda taus: _TAUS[0](taus) and len(set(taus)) == len(taus),
+              _TAUS[1] + ", none repeated")
 _SEEDS = (lambda seeds: 0 < len(seeds) == len(set(seeds)), "one or more distinct seeds")
 _FAMILY = (lambda name: name in (FAMILY_NGRAM, FAMILY_NEURAL),
            f"'{FAMILY_NGRAM}' or '{FAMILY_NEURAL}'")
@@ -116,14 +119,14 @@ _SCHEMA = {
     "decode.max_new_tokens": (int, 64, None),
     "decode.seed": (int, 0, None),
     "decode.runs": (int, 5, _AT_LEAST_1),
-    "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS, _TAUS),
-    "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS, _TAUS),
+    "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS, _GRID_TAUS),
+    "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS, _GRID_TAUS),
     "sweep.seeds": (_parse_int_list, (1, 2, 3, 4, 5), _SEEDS),
     "sweep.runs_per_seed": (int, 1, _AT_LEAST_1),
     "sweep.traces": (_parse_bool, False, None),
     "compose.tau_set": (_parse_float_list, (1.0, 0.9, 0.8), _TAUS),
     "compose.single_tau": (float, 1.0, _FINITE_NONNEG),
-    "compose.decode_taus": (_parse_float_list, (1.0,), _TAUS),
+    "compose.decode_taus": (_parse_float_list, (1.0,), _GRID_TAUS),
     "compose.seeds": (_parse_int_list, (1, 2, 3, 4, 5), _SEEDS),
     "compose.data_repeats": (int, 1, _AT_LEAST_1),
     "io.output_dir": (str, "runs/default", None),

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, NumericError, TrainingError
 from .files import read_lines, write_atomic
 from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
-from .sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_rows_with_temperature
+from .sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
 from .specdec import GenerationConfig, _rollouts, _table_rollouts
 
 BOS_ID = 0
@@ -83,11 +83,11 @@ def collect_heldout_contexts(
 
     Every prefix of every rollout contributes one context (the empty
     prefix included, since generation starts there too). The rollouts
-    share one generator, so they run one after another, and their rows
-    (:func:`~speclab.specdec._rollouts`): a chain that a
-    :class:`~speclab.specdec.RowTable` takes whole is one softmax and
-    CDF table, rolled out by :func:`~speclab.specdec._table_rollouts`,
-    and any other model computes each window's row once.
+    share one generator, so they run one after another, and their rows:
+    they run on :func:`~speclab.specdec._table_rollouts`, which reads a
+    chain that a :class:`~speclab.specdec.RowTable` takes whole from one
+    softmax and CDF table and computes any other model's rows once per
+    window (:func:`~speclab.specdec._rollouts`).
     """
     contexts: list[tuple[int, ...]] = []
     config = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
@@ -118,7 +118,7 @@ def heldout_scores(
     not sampled tokens, so repeated evaluation is deterministic and the
     Gibbs bound cross_entropy >= entropy holds exactly.
     """
-    p = softmax_rows_with_temperature(reference.forward_batch(contexts), 1.0)
+    p = softmax_with_temperature(reference.forward_batch(contexts), 1.0)
     return _cross_entropy(p, model.forward_batch(contexts)), _entropy(p)
 
 
@@ -195,11 +195,11 @@ def pretrain_teacher(
     )
     # heldout_scores(ground_truth, teacher, heldout), with everything but
     # the teacher's log-softmax computed once.
-    heldout_p = softmax_rows_with_temperature(ground_truth.forward_batch(heldout), 1.0)
+    heldout_p = softmax_with_temperature(ground_truth.forward_batch(heldout), 1.0)
     heldout_rows = np.array([teacher.context_index(c) for c in heldout], dtype=np.int64)
     entropy = _entropy(heldout_p)
     target_ce = (1.0 + tolerance) * entropy
-    probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
+    probs = softmax_with_temperature(ground_truth.table, 1.0)
     used = 0
     since_check = 0
     with closing(_table_rollouts(probs, np.cumsum(probs, axis=1), ground_truth.context_index(()),
@@ -334,7 +334,7 @@ def canonical_prompts(ground_truth: NGramLogitLM, spec: CorpusSpec) -> list[list
     one generator.
     """
     vocab = spec.vocab()
-    probs = softmax_rows_with_temperature(ground_truth.table, 1.0)
+    probs = softmax_with_temperature(ground_truth.table, 1.0)
     markers = [vocab.bos_id, vocab.eos_id]
     probs[:, markers] = 0.0
     probs[probs.sum(axis=1) <= 0.0] = 1.0

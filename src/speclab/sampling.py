@@ -1,20 +1,17 @@
 """Temperature-scaled softmax and seeded categorical sampling.
 
 Logits become probabilities through :func:`softmax_with_temperature`,
-or :func:`softmax_rows_with_temperature` for a 2-D batch, whose rows
-are bit-equal to the 1-D calls.
+one row or a batch of rows, each row bit-equal to its own call.
 
 A categorical draw has two entry points: :func:`sample` takes any
 distribution and computes its CDF, and :func:`draw` takes a row whose
-CDF is already computed (:func:`cdf_row`), such as the rows that
-:func:`~speclab.specdec.generate_autoregressive` computes once per
-context window it visits. ``sample`` calls ``draw``, so for the same
-distribution both give the same token, consume exactly one uniform, and
-raise the same :class:`NumericError` before drawing. The lockstep
-decoder draws from :class:`~speclab.specdec.RowTable` rows by the same
-inverse-CDF rule, and :func:`~speclab.specdec._table_rollouts` rolls out
-whole CDF tables with it: a small n-gram's responses, teacher
-pretraining's samples and the prompt set.
+CDF is already computed (:func:`cdf_row`). ``sample`` calls ``draw``,
+so for the same distribution both give the same token, consume exactly
+one uniform, and raise the same :class:`NumericError` before drawing.
+The lockstep decoder draws from :class:`~speclab.specdec.RowTable` rows
+by the same inverse-CDF rule, and :func:`~speclab.specdec._table_rollouts`
+rolls out responses, held-out contexts, teacher pretraining's samples
+and the prompt set with it.
 
 :func:`make_rng` and :func:`derive_seed` define every random stream.
 :func:`derive_seeds` and :class:`SeedBank` compute the same seeds and
@@ -381,40 +378,30 @@ def pcg64_state(words) -> dict:
 
 
 def softmax_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Probabilities exp(l_i / tau) / sum_j exp(l_j / tau).
+    """Probabilities exp(l_i / tau) / sum_j exp(l_j / tau) along the last axis.
 
-    tau == 0 is the greedy limit: a one-hot distribution on the argmax,
-    ties broken toward the lowest token id. Subtracts the max before
-    exponentiating so large logits never overflow.
+    A 2-D batch gives, row by row, what each row's 1-D call gives, bit
+    for bit. tau == 0 is the greedy limit: a one-hot distribution on the
+    argmax, ties broken toward the lowest token id. Subtracts the max
+    before exponentiating so large logits never overflow.
     """
     if tau < 0:
         raise DomainError(f"temperature must be >= 0, got {tau}")
     if tau == 0:
-        out = np.zeros(len(logits))
-        out[int(np.argmax(logits))] = 1.0
+        out = np.zeros(np.shape(logits))
+        np.put_along_axis(out, np.argmax(logits, axis=-1)[..., None], 1.0, axis=-1)
         return out
     # In place, through the ufunc reductions that .max() and .sum() wrap:
     # bit-equal to the out-of-place form.
     z = logits / tau
-    z -= np.maximum.reduce(z)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
-def softmax_rows_with_temperature(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise version of :func:`softmax_with_temperature` for a 2-D batch."""
-    if tau < 0:
-        raise DomainError(f"temperature must be >= 0, got {tau}")
-    if tau == 0:
-        out = np.zeros_like(logits, dtype=float)
-        out[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
-        return out
-    z = logits / tau
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+# The batch name, kept for code that imports it.
+softmax_rows_with_temperature = softmax_with_temperature
 
 
 def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -448,18 +435,24 @@ def draw(row, rng: np.random.Generator) -> int:
     the row is built, so a bad row raises before any uniform is used.
 
     :func:`~speclab.specdec._table_rollouts` repeats this search on the
-    rows of a whole table, checking a row's total before its first draw.
+    rows it visits, checking a row's total before its first draw.
     """
     probs, cdf = row
     total = cdf[-1]
     if not abs(total - 1.0) <= 1e-9:
         raise NumericError(f"cannot sample: distribution total is {total}, not 1")
     idx = bisect_right(cdf, rng.random())
-    # The CDF may end just below 1 in floating point: clamp, then step
-    # back over zero-probability tokens. An unclamped index has
-    # cdf[idx] > cdf[idx - 1], so probs[idx] > 0 there.
-    if idx >= len(cdf):
-        idx = len(cdf) - 1
-        while idx > 0 and probs[idx] <= 0.0:
-            idx -= 1
-    return idx
+    # An unclamped index has cdf[idx] > cdf[idx - 1], so probs[idx] > 0 there.
+    return idx if idx < len(cdf) else _last_with_mass(probs)
+
+
+def _last_with_mass(probs) -> int:
+    """Where a draw past a CDF that ends just below 1 lands: the last token with mass.
+
+    The CDF may end just below 1 in floating point. The draw is clamped
+    to the last token, then steps back over zero-probability tokens.
+    """
+    tok = len(probs) - 1
+    while tok > 0 and probs[tok] <= 0.0:
+        tok -= 1
+    return tok

@@ -20,12 +20,11 @@ the streams still decoding. A rejection's correction is drawn from the
 residual of the two rows it met. With no draft the loop is the
 autoregressive baseline, and KD datasets are decoded that way.
 :func:`speculative_generate` is its one-stream form.
-:func:`generate_autoregressive` samples one prompt token by token, each
-row computed once per window the call visits, for code that draws one
-response at a time on one generator: on-policy training and held-out
-rollouts. A small n-gram's rollouts, and any other rollouts from a
-whole CDF table of a fixed model (teacher pretraining's and the prompt
-set's), run on one kernel, :func:`_table_rollouts`.
+Code that draws one response at a time on one generator runs on one
+scalar loop, :func:`_table_rollouts`: :func:`generate_autoregressive`
+(on-policy training), held-out rollouts, teacher pretraining and the
+prompt set. It reads rows from a whole CDF table, or computes each
+window's row from the model on its first visit.
 :func:`verify_block` applies the rule to one block of explicit
 distributions.
 
@@ -44,6 +43,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -54,9 +54,9 @@ from .lm import NGramLogitLM, _check_token, _window_indices
 from .sampling import (
     _UNIFORM_CHUNK,
     SeedBank,
+    _last_with_mass,
     cdf_row,
     draw,
-    softmax_rows_with_temperature,
     softmax_with_temperature,
 )
 
@@ -178,58 +178,30 @@ def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> lis
 def _rollouts(model, config: GenerationConfig, prompt, rng):
     """Generator of :func:`generate_autoregressive` rollouts of ``prompt``, one per ``next()``.
 
-    The rollouts share each row they compute. An n-gram that a
-    :class:`RowTable` takes whole gets one table, read by
-    :func:`_table_rollouts`; any other model a ``rows`` dict, filled by
-    :func:`_generate`. The model must not change while the generator is
-    open, and ``rng`` must be drawn from only through it: close it, as
-    ``contextlib.closing`` does, to leave ``rng`` where token-by-token
-    draws would.
+    The prompt's window is validated here, and the rollouts share each
+    row they compute: they run on :func:`_table_rollouts` over a
+    :class:`RowTable` of ``model`` at ``config.tau``. The model must not
+    change while the generator is open, and ``rng`` must be drawn from
+    only through it: close it, as ``contextlib.closing`` does, to leave
+    ``rng`` where token-by-token draws would.
     """
-    if _takes_whole(model):
-        table = RowTable(model, config.tau)
-        yield from _table_rollouts(table.probs, table.cdf, table.index(prompt),
-                                   config.max_new_tokens, model.vocab.eos_id, rng)
-    else:
-        rows = {}
-        while True:
-            yield _generate(model, prompt, config, rng, rows)
-
-
-def _generate(model, prompt, config: GenerationConfig, rng, rows: dict) -> list[int]:
-    """:func:`generate_autoregressive` with the rows in ``rows``, which it fills.
-
-    Rows are keyed by ``model.context_key``, the unvalidated window of the
-    tokens the model reads, so a hit costs one window and one dict lookup.
-    Only a miss calls ``model.forward``, which validates the tokens: a row
-    is stored only under a key that passed, and a key holding a bad token
-    misses and raises every time. Calls that share ``rows`` must share the
-    model, unchanged, and ``config.tau``.
-    """
-    eos = model.vocab.eos_id
-    seq = list(prompt)
-    out: list[int] = []
-    for _ in range(config.max_new_tokens):
-        key = model.context_key(seq)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = cdf_row(softmax_with_temperature(model.forward(seq), config.tau))
-        tok = draw(row, rng)
-        out.append(tok)
-        seq.append(tok)
-        if tok == eos:
-            break
-    return out
+    table = RowTable(model, config.tau)
+    return _table_rollouts(table.probs, table.cdf, table.index(prompt), config.max_new_tokens,
+                           model.vocab.eos_id, rng, table)
 
 
 def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int, eos: int,
-                    rng):
-    """Generator of rollouts from window index ``start`` of a whole table, one per ``next()``.
+                    rng, table: RowTable | None = None):
+    """Generator of rollouts from window index ``start`` of a table, one per ``next()``.
 
     ``probs`` and ``cdf``, its ``np.cumsum`` along each row, hold one row
     per window index, as a :class:`RowTable` that takes its model whole
-    does; token ``t`` moves index ``i`` to ``(i * size + t) % rows``. A
-    rollout stops after ``eos`` or ``max_len`` tokens. Each token is a
+    does; token ``t`` moves index ``i`` to ``(i * size + t) % rows``. For
+    a ``table`` that does not take its model whole, they hold no rows:
+    a row is computed on its index's first visit, from ``model.forward``
+    of the window the index encodes, as
+    ``cdf_row(softmax_with_temperature(logits, table.tau))``. A rollout
+    stops after ``eos`` or ``max_len`` tokens. Each token is a
     :func:`draw`: the same total check and error text (before a row's
     first draw, as its CDF becomes an ``array('d')``), search, clamp and
     zero-probability guard.
@@ -240,8 +212,15 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
     draws. ``rng`` must be a :func:`~speclab.sampling.make_rng` (PCG64)
     generator that nothing else draws from while the generator is open.
     """
-    n_rows, size = probs.shape
-    rows: list = [None] * n_rows
+    lazy = table is not None and not table.whole
+    if lazy:
+        n_rows, size = table.rows, table.size
+        powers = [size**k for k in range(table.width - 1, -1, -1)]
+        rows: list | dict = defaultdict(lambda: None)  # None until the index's first visit
+        probs = {}
+    else:
+        n_rows, size = probs.shape
+        rows = [None] * n_rows
     buf = np.empty(_UNIFORM_CHUNK)
     uniforms: list[float] = []
     read = drawn = 0
@@ -252,7 +231,12 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
             for _ in range(max_len):
                 row = rows[idx]
                 if row is None:
-                    row = array("d", cdf[idx].tobytes())
+                    if lazy:
+                        logits = table.model.forward([idx // w % size for w in powers])
+                        p = probs[idx] = softmax_with_temperature(logits, table.tau)
+                        row = array("d", p.cumsum().tobytes())
+                    else:
+                        row = array("d", cdf[idx].tobytes())
                     total = row[-1]
                     if not abs(total - 1.0) <= 1e-9:
                         raise NumericError(
@@ -265,9 +249,7 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
                 tok = bisect_right(row, uniforms[read - drawn])
                 read += 1
                 if tok >= size:
-                    tok = size - 1
-                    while tok > 0 and probs[idx, tok] <= 0.0:
-                        tok -= 1
+                    tok = _last_with_mass(probs[idx])
                 out.append(tok)
                 if tok == eos:
                     break
@@ -316,7 +298,7 @@ class RowTable:
     :func:`draw`'s check.
 
     An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
-    table at once from :func:`softmax_rows_with_temperature`, and a row's
+    table at once from :func:`softmax_with_temperature`, and a row's
     slot is its index. Any other model (a tiny-neural draft, an order-3
     n-gram) gets the row of each index from ``model.forward`` on its first
     lookup. The first ``MAX_CACHED_ROWS`` indices looked up keep their
@@ -335,7 +317,7 @@ class RowTable:
                               "has too many rows to index")
         self.whole = _takes_whole(model)
         if self.whole:
-            self.probs = softmax_rows_with_temperature(model.table, tau)
+            self.probs = softmax_with_temperature(model.table, tau)
         else:
             # Kept indices in sorted order, ending at a sentinel no index reaches.
             self._keys = np.array([self.rows])
@@ -397,7 +379,7 @@ class RowTable:
         powers = self.size ** np.arange(self.width - 1, -1, -1)
         windows = (idx[:, None] // powers) % self.size
         logits = np.array([self.model.forward(w.tolist()) for w in windows])
-        return softmax_rows_with_temperature(logits, self.tau)
+        return softmax_with_temperature(logits, self.tau)
 
 
 class _Uniforms:
@@ -453,12 +435,7 @@ def _draw_slots(probs: np.ndarray, cdf: np.ndarray, ok: np.ndarray, slots: np.nd
     rows = cdf[slots]
     tok = (rows <= uniforms.take(streams)[:, None]).sum(axis=1)
     for i in (tok == rows.shape[1]).nonzero()[0]:
-        # Past a CDF that ends below 1: the last token with mass, as draw.
-        row = probs[slots[i]]
-        t = len(row) - 1
-        while t > 0 and row[t] <= 0.0:
-            t -= 1
-        tok[i] = t
+        tok[i] = _last_with_mass(probs[slots[i]])
     return tok
 
 

@@ -34,7 +34,6 @@ from speclab.sampling import (
     derive_seed,
     make_rng,
     sample,
-    softmax_rows_with_temperature,
     softmax_with_temperature,
 )
 from speclab.specdec import GenerationConfig, _residual_rows
@@ -202,7 +201,7 @@ def reference_pair_step(student, teacher, pair_prompt, response, loss_ratio):
         for tok in response:
             contexts.append(list(tail))
             tail.append(tok)
-        teacher_probs = softmax_rows_with_temperature(teacher.forward_batch(contexts), 1.0)
+        teacher_probs = softmax_with_temperature(teacher.forward_batch(contexts), 1.0)
     for i, tok in enumerate(response):
         loss, g = reference_ce_gradient(student, ctx, tok)
         lm_loss += loss

@@ -10,7 +10,6 @@ from speclab.bench import (
     best_kd_per_decode,
     compare_drafts,
     measure_decode,
-    merge_decode_stats,
     parse_sweep_csv,
     recount_alpha,
     run_sweep,
@@ -68,24 +67,6 @@ def test_decode_stats_validation():
     with pytest.raises(DomainError):
         DecodeStats(alpha=0.5, speedup=1.0, tokens_out=1, wall_time_spec=1.0,
                     wall_time_base=1.0, draft_proposed=5, draft_accepted=6)
-
-
-def test_merge_decode_stats_pools_counts_exactly():
-    a = DecodeStats(alpha=0.25, speedup=2.0, tokens_out=10, wall_time_spec=1.0,
-                    wall_time_base=2.0, runs=1, draft_proposed=40, draft_accepted=10)
-    b = DecodeStats(alpha=0.75, speedup=0.5, tokens_out=30, wall_time_spec=2.0,
-                    wall_time_base=1.0, runs=2, draft_proposed=40, draft_accepted=30)
-    merged = merge_decode_stats([a, b])
-    assert merged.alpha == 40 / 80
-    assert merged.speedup == 3.0 / 3.0
-    assert merged.tokens_out == 40
-    assert merged.runs == 3
-    assert merged.draft_proposed == 80 and merged.draft_accepted == 40
-
-
-def test_merge_decode_stats_rejects_empty():
-    with pytest.raises(DomainError):
-        merge_decode_stats([])
 
 
 def test_measure_decode_draft_equal_to_target_gives_alpha_one():
@@ -172,16 +153,12 @@ def test_recount_alpha_rejects_empty_text():
 
 
 def make_result(alphas, kd_taus, decode_taus):
-    cells = tuple(
-        tuple(stats_with(alphas[ki][di]) for di in range(len(decode_taus)))
-        for ki in range(len(kd_taus))
-    )
     seed_stats = tuple(
-        (kd_taus[ki], decode_taus[di], 1, cells[ki][di])
+        (kd_taus[ki], decode_taus[di], 1, stats_with(alphas[ki][di]))
         for ki in range(len(kd_taus))
         for di in range(len(decode_taus))
     )
-    return SweepResult(kd_taus, decode_taus, cells, seed_stats, {})
+    return SweepResult(kd_taus, decode_taus, seed_stats, {})
 
 
 def test_best_kd_per_decode_picks_column_max():
@@ -194,12 +171,12 @@ def test_best_kd_per_decode_tie_goes_to_lowest_kd():
     assert best_kd_per_decode(result) == [(1.0, 0.1)]
 
 
-def test_sweep_result_dimension_validation():
-    cell = stats_with(0.5)
-    with pytest.raises(DomainError, match="row count"):
-        SweepResult((0.0, 1.0), (1.0,), ((cell,),), (), {})
-    with pytest.raises(DomainError, match="column count"):
-        SweepResult((0.0,), (1.0,), ((cell, cell),), (), {})
+def test_best_kd_per_decode_pools_counts_over_seeds():
+    # kd 0.0: 10/100 and 90/100 accepted, pooled 0.50 (mean of alphas 0.50);
+    # kd 0.5: 45/100 and 6/10, pooled 51/110 = 0.464 (mean of alphas 0.525).
+    rows = [(0.0, 1.0, 1, stats_with(0.1)), (0.0, 1.0, 2, stats_with(0.9)),
+            (0.5, 1.0, 1, stats_with(0.45)), (0.5, 1.0, 2, stats_with(0.6, proposed=10))]
+    assert best_kd_per_decode(SweepResult((0.0, 0.5), (1.0,), tuple(rows), {})) == [(1.0, 0.0)]
 
 
 def test_sweep_csv_round_trip_and_formatting():
@@ -264,8 +241,7 @@ def test_run_sweep_validation():
 @pytest.mark.parametrize("kd_taus, named", [
     ((0.124, 0.5, 0.121), r"kd_taus 0\.121 and 0\.124 share the cached draft "
                           r"draft_offline_tau0\.12\.ckpt"),
-    ((0.5, 0.5), r"kd_taus 0\.5 and 0\.5 share"),
-], ids=["close", "equal"])
+], ids=["close"])
 def test_run_sweep_rejects_kd_taus_that_share_a_cache_file(tmp_path, kd_taus, named):
     bundle = tiny_bundle()
     with pytest.raises(DomainError, match=named):
@@ -278,6 +254,21 @@ def test_run_sweep_rejects_kd_taus_that_share_a_cache_file(tmp_path, kd_taus, na
                        kd_template=KDConfig(mode="offline", steps=10, seed=1),
                        draft_factory=lambda: random_lm(seed=77))
     assert result.kd_taus == tuple(sorted(kd_taus))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("kd_taus, decode_taus, named", [
+    ((0.5, 0.5), (1.0,), r"kd_taus repeat a value: \(0\.5, 0\.5\)"),
+    ((0.5,), (1.0, 0.0, 1.0), r"decode_taus repeat a value: \(0\.0, 1\.0, 1\.0\)"),
+], ids=["kd", "decode"])
+def test_run_sweep_rejects_repeated_temperatures(tmp_path, cached, kd_taus, decode_taus, named):
+    # A repeat would write two row sets with one (kd_tau, decode_tau, seed) key.
+    with pytest.raises(DomainError, match=named):
+        run_sweep(kd_taus, decode_taus, "offline", tiny_bundle(), small_config(), (1,),
+                  kd_template=KDConfig(mode="offline", steps=10, seed=1),
+                  cache_dir=tmp_path if cached else None,
+                  draft_factory=lambda: random_lm(seed=77))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -298,18 +289,6 @@ def test_run_sweep_shapes_and_metadata(small_sweep):
     assert result.metadata["kd_mode"] == "offline"
     assert result.metadata["seeds"] == (1, 2)
     assert result.metadata["corpus"] == "vocab8-order1-c1-seed5"
-
-
-def test_run_sweep_cells_pool_their_seed_stats(small_sweep):
-    _, _, result = small_sweep
-    for ki, kd in enumerate(result.kd_taus):
-        for di, dec in enumerate(result.decode_taus):
-            parts = [s for k, d, _, s in result.seed_stats if k == kd and d == dec]
-            pooled = merge_decode_stats(parts)
-            cell = result.cells[ki][di]
-            assert cell.alpha == pooled.alpha
-            assert cell.draft_proposed == pooled.draft_proposed
-            assert cell.runs == pooled.runs
 
 
 def test_run_sweep_rerun_is_byte_identical(small_sweep):
@@ -381,6 +360,14 @@ def test_compare_drafts_same_draft_all_deltas_zero():
     with pytest.raises(DomainError, match="seeds"):
         compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0,),
                        small_config(seed=4), ())
+
+
+def test_compare_drafts_rejects_repeated_decode_temperatures():
+    bundle = tiny_bundle()
+    draft = random_lm(seed=12)
+    with pytest.raises(DomainError, match=r"decode_taus repeat a value: \(0\.5, 1\.0, 1\.0\)"):
+        compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0, 0.5, 1.0),
+                       small_config(seed=4), (1,))
 
 
 def test_spearman_known_values():

@@ -237,6 +237,22 @@ def test_compose_writes_comparison_rows(ws, capsys):
         assert float(d_speedup) == 0.0
 
 
+@pytest.mark.parametrize("key", ["sweep.kd_taus", "sweep.decode_taus", "compose.decode_taus"])
+def test_repeated_temperatures_are_rejected_on_load(tmp_path, key):
+    # A repeat would give two row sets with one key, which report averages.
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text(f"{key} = 0.5,1.0,0.5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be one or more finite "
+                                                    "temperatures >= 0, none repeated, got")):
+        load_config(cfg)
+
+
+def test_a_repeated_mixture_temperature_weights_the_mixture(tmp_path):
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text("compose.tau_set = 1.0,1.0,0.8\n")
+    assert load_config(cfg).values["compose.tau_set"] == (1.0, 1.0, 0.8)
+
+
 @pytest.mark.parametrize("key, value", [
     ("sweep.kd_taus", "1.0,-0.5"),
     ("sweep.kd_taus", ""),

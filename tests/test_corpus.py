@@ -155,15 +155,17 @@ def test_canonical_prompts_equal_token_by_token_prompts(monkeypatch, case):
 @pytest.mark.parametrize("order, cap", [(1, None), (2, None), (2, 3)])
 def test_heldout_contexts_equal_token_by_token_rollouts(monkeypatch, order, cap):
     # A chain that a RowTable takes whole is one softmax table for all 48
-    # rollouts; above the row cap, each window's row is computed once.
+    # rollouts; above the row cap, each window's row is computed once, by a
+    # one-row softmax. One function computes both, told apart by rank.
     if cap is not None:
         monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
     calls = {"rows": 0, "row": 0}
-    for name, attr in (("rows", "softmax_rows_with_temperature"),
-                       ("row", "softmax_with_temperature")):
-        real = getattr(specdec, attr)
-        monkeypatch.setattr(specdec, attr, lambda *args, name=name, real=real: (
-            calls.__setitem__(name, calls[name] + 1) or real(*args)))
+
+    def softmax(logits, tau):
+        calls["rows" if np.ndim(logits) == 2 else "row"] += 1
+        return softmax_with_temperature(logits, tau)
+
+    monkeypatch.setattr(specdec, "softmax_with_temperature", softmax)
     gt = build_ground_truth(CorpusSpec(vocab_size=16, order=order, seed=4), make_rng(4))
     got_rng, want_rng = make_rng(14), make_rng(14)
     got = collect_heldout_contexts(gt, got_rng)

@@ -25,7 +25,7 @@ from speclab.lm import (
     apply_update,
     checkpoint_bytes,
 )
-from speclab.sampling import make_rng, softmax_rows_with_temperature, softmax_with_temperature
+from speclab.sampling import make_rng, softmax_with_temperature
 from speclab.specdec import GenerationConfig, RowTable, generate_autoregressive
 from oracles import (
     gradient_vector,
@@ -631,7 +631,7 @@ def test_pair_step_bit_equal_with_zero_teacher_probabilities(order):
 def test_pair_step_bit_equal_with_floored_student(order):
     # Logits this spread starve most tokens below FKL_PROB_FLOOR.
     student, teacher, prompt, response = step_case(6, order, student_scale=40.0)
-    probs = softmax_rows_with_temperature(student.table, 1.0)
+    probs = softmax_with_temperature(student.table, 1.0)
     assert (probs < distill.FKL_PROB_FLOOR).mean() > 0.5
     assert_same_step(pair_step(student, teacher, prompt, response, 1.0),
                      reference_pair_step(student, teacher, prompt, response, 1.0))
@@ -929,10 +929,10 @@ def test_ngram_trainers_bit_equal_the_reference_trainers(monkeypatch, order, mod
 
 
 def test_train_online_reads_the_teacher_from_one_row_table(monkeypatch):
-    calls = []
-    real = specdec.softmax_rows_with_temperature
-    monkeypatch.setattr(specdec, "softmax_rows_with_temperature",
-                        lambda logits, tau: calls.append(len(logits)) or real(logits, tau))
+    calls = []  # the rows of each softmax call
+    monkeypatch.setattr(specdec, "softmax_with_temperature", lambda logits, tau: (
+        calls.append(len(logits) if np.ndim(logits) == 2 else 1)
+        or softmax_with_temperature(logits, tau)))
     teacher = fkl_teacher("ngram2")
     student = TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=43)
     cfg = KDConfig(mode="online", on_policy_frac=0.0, loss_ratio=1.0, steps=30, seed=44)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from array import array
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -99,12 +100,16 @@ def test_softmax_shift_invariance():
 
 
 def test_softmax_rows_matches_single_row_calls():
+    # One function serves rows and batches; the batch name is an alias.
+    assert softmax_rows_with_temperature is softmax_with_temperature
     rng = make_rng(105)
     logits = rng.normal(0, 2, size=(6, 10))
+    logits[2, [1, 4]] = logits[2].max() + 1.0  # a tie for the argmax
+    logits[4, 3] = -np.inf
     for tau in (0.0, 0.3, 1.0, 2.0):
-        rows = softmax_rows_with_temperature(logits, tau)
+        rows = softmax_with_temperature(logits, tau)
         for i in range(6):
-            assert np.allclose(rows[i], softmax_with_temperature(logits[i], tau), atol=1e-15)
+            assert np.array_equal(rows[i], softmax_with_temperature(logits[i], tau))
 
 
 def test_sample_one_hot_always_returns_that_token():
@@ -452,7 +457,7 @@ def test_row_sampler_rows_bit_equal_batched_rows(tau):
     model = NGramLogitLM.create(V8, 2, init_scale=2.0, init_seed=4)
     model.table[:, 5] = -np.inf  # a zero-probability token in every row
     contexts = [[], [2], [3, 4], [7, 7, 6], [1, 0]]
-    batched = softmax_rows_with_temperature(model.forward_batch(contexts), tau)
+    batched = softmax_with_temperature(model.forward_batch(contexts), tau)
     for i, context in enumerate(contexts):
         probs, cdf = cdf_row(softmax_with_temperature(model.forward(context), tau))
         assert np.array_equal(probs, batched[i])
@@ -500,22 +505,20 @@ def test_context_keys_are_unvalidated_bos_padded_windows():
 @pytest.mark.parametrize("family", ["ngram", "neural"])
 @pytest.mark.parametrize("bad", [9, 8, -1])
 def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
-    # Rows shared across calls, as held-out rollouts share them: a row is
-    # stored only under a key that passed, so a bad key misses every time.
+    # Rollouts that share their rows, as held-out rollouts share them, and
+    # then a prompt whose window holds a bad token: its window is validated
+    # before any row is computed or any uniform drawn, on every call.
     model = counting_model(family, 6)
-    cfg = GenerationConfig(tau=0.8, max_new_tokens=1)
-    rows = {}
-    for a in range(V8.size):
-        for b in range(V8.size):
-            specdec._generate(model, [a, b], cfg, make_rng(0), rows)  # every valid key
-    assert len(rows) == V8.size**2
+    cfg = GenerationConfig(tau=0.8, max_new_tokens=12)
+    with closing(specdec._rollouts(model, cfg, [4, 3], make_rng(0))) as rollouts:
+        seqs = [next(rollouts) for _ in range(20)]
+    windows = {model.context_key(([4, 3] + seq)[:i]) for seq in seqs for i in range(2, 2 + len(seq))}
     calls = model.calls
-    for share in (rows, rows, None):
+    assert calls == len(windows)  # one row per window, across all 20 rollouts
+    for _ in range(3):
+        rng = make_rng(0)
         with pytest.raises(DomainError) as err:
-            if share is None:
-                generate_autoregressive(model, [4, 3, bad], cfg, make_rng(0))
-            else:
-                specdec._generate(model, [4, 3, bad], cfg, make_rng(0), share)
+            generate_autoregressive(model, [4, 3, bad], cfg, rng)
         assert str(err.value) == f"token id {bad} outside vocab of size {V8.size}"
-    assert model.calls == calls + 3
-    assert len(rows) == V8.size**2
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+    assert model.calls == calls

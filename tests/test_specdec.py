@@ -1,11 +1,13 @@
 import itertools
 import math
+from contextlib import closing
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from speclab import specdec
+from speclab.corpus import collect_heldout_contexts
 from speclab.distill import KDConfig, Pair, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, checkpoint_bytes
@@ -16,7 +18,6 @@ from speclab.sampling import (
     derive_seeds,
     make_rng,
     sample,
-    softmax_rows_with_temperature,
     softmax_with_temperature,
 )
 from speclab.specdec import (
@@ -407,7 +408,7 @@ def reference_speculative_generate(target, draft, prompt, config, rng):
                 break
         m = len(proposed)
         contexts = [seq[: base + i] for i in range(m + 1)]
-        target_dists = softmax_rows_with_temperature(target.forward_batch(contexts), tau)
+        target_dists = softmax_with_temperature(target.forward_batch(contexts), tau)
         if proposed[-1] == eos:
             target_dists = target_dists[:m]
         accepted, correction, kind = verify_block(target_dists, draft_dists, proposed, rng)
@@ -447,7 +448,6 @@ def oracle_target(order, seed, zero_tokens=False):
 
 
 def assert_decoders_match_oracle(target, draft, config, prompts, seed):
-    shared_rows = {}  # one row dict across prompts, as held-out rollouts share it
     for j, prompt in enumerate(prompts):
         s = derive_seed(seed, j)
         want_rng, got_rng = make_rng(s), make_rng(s)
@@ -456,13 +456,16 @@ def assert_decoders_match_oracle(target, draft, config, prompts, seed):
         assert got[0] == want[0]
         assert dump_trace(got[1]) == dump_trace(want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        for shared in (False, True):
+        # One rollout, and three that share their rows, as held-out rollouts do.
+        for count in (1, 3):
             want_rng, got_rng = make_rng(s), make_rng(s)
-            want = reference_generate_autoregressive(target, prompt, config, want_rng)
-            if shared:
-                got = specdec._generate(target, prompt, config, got_rng, shared_rows)
+            want = [reference_generate_autoregressive(target, prompt, config, want_rng)
+                    for _ in range(count)]
+            if count == 1:
+                got = [generate_autoregressive(target, prompt, config, got_rng)]
             else:
-                got = generate_autoregressive(target, prompt, config, got_rng)
+                with closing(specdec._rollouts(target, config, prompt, got_rng)) as rollouts:
+                    got = [next(rollouts) for _ in range(count)]
             assert got == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -832,9 +835,6 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
     target = oracle_target(2, 190)
     draft = oracle_draft("ngram", 290)
     cfg = GenerationConfig(tau=1.0, block_size=4, max_new_tokens=12)
-    target_rows = {}
-    for j in range(20):  # warm the rows, as held-out rollouts share them
-        specdec._generate(target, [2 + j % 6], cfg, make_rng(j), target_rows)
     want_rng, got_rng = make_rng(7), make_rng(7)
     with pytest.raises(DomainError) as want:
         reference_speculative_generate(target, draft, prompt, cfg, want_rng)
@@ -850,7 +850,7 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
     with pytest.raises(DomainError) as want:
         reference_generate_autoregressive(target, prompt, cfg, want_rng)
     for decode in (generate_autoregressive,
-                   lambda *args: specdec._generate(*args, target_rows)):
+                   lambda model, prompt, cfg, rng: specdec._rollouts(model, cfg, prompt, rng)):
         got_rng = make_rng(7)
         with pytest.raises(DomainError) as got:
             decode(target, prompt, cfg, got_rng)
@@ -861,7 +861,8 @@ def test_bad_prompt_token_raises_the_oracle_error_on_warm_samplers(prompt):
 
 def test_generate_autoregressive_reads_a_small_ngram_from_one_table(monkeypatch):
     # An n-gram that a RowTable takes whole gets one softmax over its whole
-    # table per call; above the row cap, one forward and softmax per window.
+    # table per call; above the row cap, one forward and one-row softmax per
+    # window. One function computes both, told apart here by the logits' rank.
     target = random_ngram(2, 160)
     target.table[:, VOCAB8.eos_id] = -np.inf  # long responses revisit windows
     calls = {"rows": 0, "row": 0, "forward": 0}
@@ -872,10 +873,11 @@ def test_generate_autoregressive_reads_a_small_ngram_from_one_table(monkeypatch)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(specdec, "softmax_rows_with_temperature",
-                        counted("rows", softmax_rows_with_temperature))
-    monkeypatch.setattr(specdec, "softmax_with_temperature",
-                        counted("row", softmax_with_temperature))
+    def softmax(logits, tau):
+        calls["rows" if np.ndim(logits) == 2 else "row"] += 1
+        return softmax_with_temperature(logits, tau)
+
+    monkeypatch.setattr(specdec, "softmax_with_temperature", softmax)
     monkeypatch.setattr(NGramLogitLM, "forward", counted("forward", NGramLogitLM.forward))
     cfg = GenerationConfig(tau=0.8, max_new_tokens=50)
     for cap, whole in ((specdec.MAX_CACHED_ROWS, True), (len(target.table) - 1, False)):
@@ -910,6 +912,89 @@ def test_generate_autoregressive_raises_the_reference_row_error(monkeypatch, cap
             generate_autoregressive(target, prompt, cfg, got_rng)
         assert str(got.value) == str(want.value)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+V17 = Vocab(size=17, bos_id=0, eos_id=1)
+
+
+def lazy_model(family, poison=False):
+    """A model whose rows a RowTable computes on first visit: 17^3 n-gram rows, or tiny-neural.
+
+    With ``poison``, every row after a window holding token 5 is NaN.
+    """
+    if family == "ngram":
+        model = random_ngram(3, 150, scale=1.5, vocab=V17)
+        if poison:
+            model.table[np.arange(len(model.table)) % V17.size == 5] = np.nan
+    else:
+        model = TinyNeuralLM.create(V17, context_size=2, d_emb=3, d_hid=6, seed=151)
+        if poison:
+            model.embedding[5] = np.nan
+    assert not RowTable(model, 1.0).whole
+    return model
+
+
+def reference_heldout(model, rng, n_sequences, seq_len):
+    """collect_heldout_contexts as token-by-token reference rollouts."""
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
+    contexts = []
+    for _ in range(n_sequences):
+        seq = reference_generate_autoregressive(model, [], cfg, rng)
+        contexts += [tuple(seq[:i][-8:]) for i in range(len(seq))]
+    return contexts
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_lazy_rows_roll_out_as_the_per_token_oracle(family):
+    # Rows computed on first visit: the tokens and the final generator state
+    # of token-by-token draws, after a normal end and after a close between
+    # rollouts, which hands back the unread uniforms of a 64-uniform chunk.
+    model = lazy_model(family)
+    cfg = GenerationConfig(tau=0.9, max_new_tokens=30)
+    for seed in range(20):
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        got = generate_autoregressive(model, [2, 3], cfg, got_rng)
+        assert got == reference_generate_autoregressive(model, [2, 3], cfg, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for count in (1, 2, 5):
+        got_rng, want_rng = make_rng(30 + count), make_rng(30 + count)
+        with closing(specdec._rollouts(model, cfg, [4], got_rng)) as rollouts:
+            got = [next(rollouts) for _ in range(count)]
+        want = [reference_generate_autoregressive(model, [4], cfg, want_rng)
+                for _ in range(count)]
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    got_rng, want_rng = make_rng(40), make_rng(40)
+    got = collect_heldout_contexts(model, got_rng, n_sequences=12, seq_len=20)
+    assert got == reference_heldout(model, want_rng, 12, 20)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_a_lazy_row_failing_its_total_check_raises_and_rewinds(family):
+    # A NaN row met mid-rollout raises draw's error before its uniform is
+    # read, and the generator stands where token-by-token draws leave it.
+    model = lazy_model(family, poison=True)
+    cfg = GenerationConfig(tau=0.9, max_new_tokens=30)
+    runs = [(lambda rng: generate_autoregressive(model, [2, 3], cfg, rng),
+             lambda rng: reference_generate_autoregressive(model, [2, 3], cfg, rng)),
+            (lambda rng: collect_heldout_contexts(model, rng, n_sequences=12, seq_len=20),
+             lambda rng: reference_heldout(model, rng, 12, 20))]
+    for run, reference in runs:
+        raised = 0
+        for seed in range(12):
+            got_rng, want_rng = make_rng(seed), make_rng(seed)
+            try:
+                want = reference(want_rng)
+            except NumericError as exc:
+                with pytest.raises(NumericError) as got:
+                    run(got_rng)
+                assert str(got.value) == str(exc) == "cannot sample: distribution total is nan, not 1"
+                raised += want_rng.bit_generator.state != make_rng(seed).bit_generator.state
+            else:
+                assert run(got_rng) == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert raised >= 3  # mid-rollout, after some uniforms were read
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])
