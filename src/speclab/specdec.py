@@ -198,10 +198,11 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
     per window index, as a :class:`RowTable` that takes its model whole
     does; token ``t`` moves index ``i`` to ``(i * size + t) % rows``. For
     a ``table`` that does not take its model whole, they hold no rows:
-    a row is computed on its index's first visit, from ``model.forward``
-    of the window the index encodes, as
-    ``cdf_row(softmax_with_temperature(logits, table.tau))``. A rollout
-    stops after ``eos`` or ``max_len`` tokens. Each token is a
+    a row is computed on its index's first visit, as the table computes
+    a row it does not keep (``model.forward`` of the window the index
+    encodes, then the tempered softmax), and its CDF as
+    :func:`~speclab.sampling.cdf_row` builds it. A rollout stops after
+    ``eos`` or ``max_len`` tokens. Each token is a
     :func:`draw`: the same total check and error text (before a row's
     first draw, as its CDF becomes an ``array('d')``), search, clamp and
     zero-probability guard.
@@ -215,7 +216,6 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
     lazy = table is not None and not table.whole
     if lazy:
         n_rows, size = table.rows, table.size
-        powers = [size**k for k in range(table.width - 1, -1, -1)]
         rows: list | dict = defaultdict(lambda: None)  # None until the index's first visit
         probs = {}
     else:
@@ -232,8 +232,7 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
                 row = rows[idx]
                 if row is None:
                     if lazy:
-                        logits = table.model.forward([idx // w % size for w in powers])
-                        p = probs[idx] = softmax_with_temperature(logits, table.tau)
+                        p = probs[idx] = table._forward(np.array([idx]))[0]
                         row = array("d", p.cumsum().tobytes())
                     else:
                         row = array("d", cdf[idx].tobytes())

@@ -291,6 +291,21 @@ def test_run_sweep_shapes_and_metadata(small_sweep):
     assert result.metadata["corpus"] == "vocab8-order1-c1-seed5"
 
 
+def test_run_sweep_cells_pool_their_seed_stats(small_sweep):
+    # The best kd per decode tau reads each cell's counts pooled over its seeds.
+    _, _, result = small_sweep
+    pooled = {}
+    for kd in result.kd_taus:
+        for dec in result.decode_taus:
+            parts = [s for k, d, _, s in result.seed_stats if k == kd and d == dec]
+            assert len(parts) == 2
+            pooled[kd, dec] = (sum(p.draft_accepted for p in parts)
+                               / sum(p.draft_proposed for p in parts))
+    assert best_kd_per_decode(result) == [
+        (dec, max(result.kd_taus, key=lambda kd: (pooled[kd, dec], -kd)))
+        for dec in result.decode_taus]
+
+
 def test_run_sweep_rerun_is_byte_identical(small_sweep):
     bundle, template, result = small_sweep
     again = run_sweep((0.0, 1.0), (0.0, 1.0), "offline", bundle, small_config(seed=6),

@@ -156,13 +156,13 @@ def test_canonical_prompts_equal_token_by_token_prompts(monkeypatch, case):
 def test_heldout_contexts_equal_token_by_token_rollouts(monkeypatch, order, cap):
     # A chain that a RowTable takes whole is one softmax table for all 48
     # rollouts; above the row cap, each window's row is computed once, by a
-    # one-row softmax. One function computes both, told apart by rank.
+    # one-row softmax. One function computes both, told apart by row count.
     if cap is not None:
         monkeypatch.setattr(specdec, "MAX_CACHED_ROWS", cap)
     calls = {"rows": 0, "row": 0}
 
     def softmax(logits, tau):
-        calls["rows" if np.ndim(logits) == 2 else "row"] += 1
+        calls["rows" if len(logits) > 1 else "row"] += 1
         return softmax_with_temperature(logits, tau)
 
     monkeypatch.setattr(specdec, "softmax_with_temperature", softmax)

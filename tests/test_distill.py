@@ -930,9 +930,9 @@ def test_ngram_trainers_bit_equal_the_reference_trainers(monkeypatch, order, mod
 
 def test_train_online_reads_the_teacher_from_one_row_table(monkeypatch):
     calls = []  # the rows of each softmax call
-    monkeypatch.setattr(specdec, "softmax_with_temperature", lambda logits, tau: (
-        calls.append(len(logits) if np.ndim(logits) == 2 else 1)
-        or softmax_with_temperature(logits, tau)))
+    monkeypatch.setattr(specdec, "softmax_with_temperature",
+                        lambda logits, tau: calls.append(len(logits))
+                        or softmax_with_temperature(logits, tau))
     teacher = fkl_teacher("ngram2")
     student = TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=43)
     cfg = KDConfig(mode="online", on_policy_frac=0.0, loss_ratio=1.0, steps=30, seed=44)

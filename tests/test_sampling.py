@@ -512,7 +512,8 @@ def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
     cfg = GenerationConfig(tau=0.8, max_new_tokens=12)
     with closing(specdec._rollouts(model, cfg, [4, 3], make_rng(0))) as rollouts:
         seqs = [next(rollouts) for _ in range(20)]
-    windows = {model.context_key(([4, 3] + seq)[:i]) for seq in seqs for i in range(2, 2 + len(seq))}
+    windows = {model.context_key(([4, 3] + seq)[:i])
+               for seq in seqs for i in range(2, 2 + len(seq))}
     calls = model.calls
     assert calls == len(windows)  # one row per window, across all 20 rollouts
     for _ in range(3):
