@@ -920,7 +920,7 @@ V17 = Vocab(size=17, bos_id=0, eos_id=1)
 def lazy_model(family, poison=False):
     """A model whose rows a RowTable computes on first visit: 17^3 n-gram rows, or tiny-neural.
 
-    With ``poison``, every row after a window holding token 5 is NaN.
+    With ``poison``, every row read right after token 5 is NaN.
     """
     if family == "ngram":
         model = random_ngram(3, 150, scale=1.5, vocab=V17)
