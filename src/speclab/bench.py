@@ -25,7 +25,7 @@ from .corpus import CorpusBundle
 from .distill import KDConfig, train_draft
 from .errors import DomainError, TrainingError
 from .lm import load_checkpoint, save_checkpoint
-from .sampling import STREAM_EVAL, SeedBank, derive_seed, derive_seeds
+from .sampling import STREAM_BASELINE, STREAM_EVAL, SeedBank, derive_seed, derive_seeds
 from .specdec import GenerationConfig, RowTable, decode_lockstep, dump_trace, parse_trace
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -97,7 +97,7 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
 
     Stream ``s = run * len(prompts) + j`` decodes speculatively on
     ``make_rng(derive_seed(config.seed, STREAM_EVAL, run, j))`` and as the
-    baseline on ``make_rng(derive_seed(that seed, 1))``. Each side's
+    baseline on ``make_rng(derive_seed(that seed, STREAM_BASELINE))``. Each side's
     streams are derived, seeded and drawn in bulk by one
     :class:`~speclab.sampling.SeedBank`, bit-equal to those generators;
     seeding stays outside the timings.
@@ -116,7 +116,7 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
         target_rows, RowTable(draft, config.tau), prompts * runs, config, bank,
         traces=on_trace is not None)
     wall_spec = perf_counter() - start
-    bank = SeedBank(derive_seeds(seeds, 1))
+    bank = SeedBank(derive_seeds(seeds, STREAM_BASELINE))
     start = perf_counter()
     decode_lockstep(target_rows, None, prompts * runs, config, bank)
     wall_base = perf_counter() - start
@@ -262,18 +262,10 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
             trace_sink(kd_taus[ki], decode_taus[di], seed, "\n".join(blocks))
         return stats
 
-    keys = [
-        (ki, di, seed)
-        for ki in range(len(kd_taus))
-        for di in range(len(decode_taus))
-        for seed in sorted(seeds)
-    ]
-    results = {key: eval_cell(*key) for key in keys}
-
     seed_stats = tuple(
-        (kd_taus[ki], decode_taus[di], seed, results[(ki, di, seed)])
-        for ki in range(len(kd_taus))
-        for di in range(len(decode_taus))
+        (kd_tau, decode_tau, seed, eval_cell(ki, di, seed))
+        for ki, kd_tau in enumerate(kd_taus)
+        for di, decode_tau in enumerate(decode_taus)
         for seed in sorted(seeds)
     )
     metadata = {
@@ -291,7 +283,11 @@ def best_kd_per_decode(result: SweepResult) -> list[tuple[float, float]]:
     """Distillation tau with the highest alpha, pooled over seeds, per decode tau.
 
     A cell's pooled alpha is its seeds' accepted over proposed draft
-    tokens. Ties resolve to the lowest temperature.
+    tokens. Ties resolve to the lowest temperature. The scorecard's
+    "kd-decode temperature matching" claim reads this. ``speclab report``
+    picks by another rule, the highest mean of the per-seed alphas,
+    because ``sweep.csv`` holds no counts; seeds with unequal proposal
+    counts can make the two differ.
     """
     accepted, proposed = Counter(), Counter()
     for kd_tau, decode_tau, _, stats in result.seed_stats:

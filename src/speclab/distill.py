@@ -1,8 +1,9 @@
 """Teacher-student distillation for draft models.
 
 :func:`train_draft` is how every command trains a draft: it makes the KD
-dataset with :func:`make_kd_dataset`, then trains in one of two regimes
-over the same gradient machinery, chosen by ``KDConfig.mode``:
+dataset with :func:`make_kd_dataset`, then trains in one of two regimes,
+chosen by ``KDConfig.mode``, on one step loop over the same gradient
+machinery (offline is that loop without a teacher):
 
 * offline: the teacher samples one response per prompt at a chosen
   generation temperature, and the student is trained with plain
@@ -292,37 +293,49 @@ def _check_finite(lm_loss: float, fkl: float | None, step: int, config: KDConfig
         )
 
 
-def train_offline(
-    student: LanguageModel,
-    dataset: Dataset,
-    config: KDConfig,
-) -> TrainingLog:
+def _train(student: LanguageModel, teacher: LanguageModel | None, dataset: Dataset,
+           config: KDConfig) -> TrainingLog:
+    """The step loop of both trainers; ``teacher=None`` trains offline.
+
+    Offline, the on-policy threshold is -1, which no coin in [0, 1)
+    meets, so an offline step does no on-policy or teacher work.
+    """
+    if not dataset:
+        raise DomainError(("dataset" if teacher is None else "fixed_dataset") + " is empty")
+    on_policy_frac, loss_ratio = -1.0, 0.0
+    if teacher is not None:
+        on_policy_frac, loss_ratio = config.on_policy_frac, config.loss_ratio
+    log: TrainingLog = []
+    gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
+    teacher_rows = RowTable(teacher, 1.0) if loss_ratio > 0.0 else None
+    update = _sgd_update(student, config.learning_rate)
+    rng = make_rng(0)  # set to each on-policy step's own state
+    draws = step_draws(config.seed, config.steps, len(dataset))
+    for step, (index, coin, state) in enumerate(draws, start=1):
+        pair = dataset[index]
+        response = pair.response
+        if coin <= on_policy_frac:
+            rng.bit_generator.state = pcg64_state(state)
+            response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
+        lm_loss, fkl, parts = _pair_step(student, teacher_rows, pair.prompt, response, loss_ratio)
+        _check_finite(lm_loss, fkl, step, config)
+        update(parts)
+        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
+    return log
+
+
+def train_offline(student: LanguageModel, dataset: Dataset, config: KDConfig) -> TrainingLog:
     """Cross-entropy SGD on a fixed dataset; one pair per step.
 
     Step ``k`` trains on the pair that
     ``make_rng(derive_seed(config.seed, k)).integers(len(dataset))`` picks,
     computed in bulk (see the module docstring).
     """
-    if not dataset:
-        raise DomainError("dataset is empty")
-    log: TrainingLog = []
-    update = _sgd_update(student, config.learning_rate)
-    draws = step_draws(config.seed, config.steps, len(dataset))
-    for step, (index, _, _) in enumerate(draws, start=1):
-        pair = dataset[index]
-        lm_loss, _, parts = _pair_step(student, None, pair.prompt, pair.response, 0.0)
-        _check_finite(lm_loss, None, step, config)
-        update(parts)
-        log.append(TrainStep(step=step, lm_loss=lm_loss))
-    return log
+    return _train(student, None, dataset, config)
 
 
-def train_online(
-    student: LanguageModel,
-    teacher: LanguageModel,
-    fixed_dataset: Dataset,
-    config: KDConfig,
-) -> TrainingLog:
+def train_online(student: LanguageModel, teacher: LanguageModel, fixed_dataset: Dataset,
+                 config: KDConfig) -> TrainingLog:
     """Mixed fixed/on-policy distillation with a forward KL term.
 
     Step ``k`` draws, as ``make_rng(derive_seed(config.seed, k))`` would,
@@ -336,28 +349,7 @@ def train_online(
     """
     if teacher.vocab != student.vocab:
         raise ConfigError("teacher and student must share a vocabulary")
-    if not fixed_dataset:
-        raise DomainError("fixed_dataset is empty")
-    log: TrainingLog = []
-    gen_cfg = GenerationConfig(tau=config.tau_gen, max_new_tokens=config.gen_max_len)
-    teacher_rows = RowTable(teacher, 1.0) if config.loss_ratio > 0.0 else None
-    update = _sgd_update(student, config.learning_rate)
-    rng = make_rng(0)  # set to each on-policy step's own state
-    draws = step_draws(config.seed, config.steps, len(fixed_dataset))
-    for step, (index, coin, state) in enumerate(draws, start=1):
-        pair = fixed_dataset[index]
-        if coin <= config.on_policy_frac:
-            rng.bit_generator.state = pcg64_state(state)
-            response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
-        else:
-            response = pair.response
-        lm_loss, fkl, parts = _pair_step(
-            student, teacher_rows, pair.prompt, response, config.loss_ratio
-        )
-        _check_finite(lm_loss, fkl, step, config)
-        update(parts)
-        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
-    return log
+    return _train(student, teacher, fixed_dataset, config)
 
 
 def train_draft(student: LanguageModel, teacher: LanguageModel, prompts, config: KDConfig,
@@ -367,18 +359,17 @@ def train_draft(student: LanguageModel, teacher: LanguageModel, prompts, config:
     The dataset is :func:`make_kd_dataset` of ``prompts`` at ``taus``
     (``config.tau_gen`` when None) on ``make_rng(data_seed)``, with
     ``config.data_repeats`` passes and ``config.gen_max_len`` tokens at
-    most a response. ``config.mode`` then picks :func:`train_offline` or
-    :func:`train_online`. A teacher and student with different
-    vocabularies raise :class:`ConfigError` before any decoding.
+    most a response. It is trained as :func:`train_offline` or
+    :func:`train_online` trains it, by ``config.mode``. A teacher and
+    student with different vocabularies raise :class:`ConfigError`
+    before any decoding.
     """
     if teacher.vocab != student.vocab:
         raise ConfigError("teacher and student must share a vocabulary")
     dataset = make_kd_dataset(teacher, prompts, config.tau_gen if taus is None else taus,
                               make_rng(data_seed), repeats=config.data_repeats,
                               max_len=config.gen_max_len)
-    if config.mode == "offline":
-        return dataset, train_offline(student, dataset, config)
-    return dataset, train_online(student, teacher, dataset, config)
+    return dataset, _train(student, teacher if config.mode == "online" else None, dataset, config)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -3,15 +3,13 @@
 Logits become probabilities through :func:`softmax_with_temperature`,
 one row or a batch of rows, each row bit-equal to its own call.
 
-A categorical draw has two entry points: :func:`sample` takes any
-distribution and computes its CDF, and :func:`draw` takes a row whose
-CDF is already computed (:func:`cdf_row`). ``sample`` calls ``draw``,
-so for the same distribution both give the same token, consume exactly
-one uniform, and raise the same :class:`NumericError` before drawing.
-The lockstep decoder draws from :class:`~speclab.specdec.RowTable` rows
-by the same inverse-CDF rule, and :func:`~speclab.specdec._table_rollouts`
-rolls out responses, held-out contexts, teacher pretraining's samples
-and the prompt set with it.
+A categorical draw has one entry point, :func:`sample`: an inverse-CDF
+search of one uniform. The lockstep decoder draws from
+:class:`~speclab.specdec.RowTable` rows by the same rule, and
+:func:`~speclab.specdec._table_rollouts` rolls out responses, held-out
+contexts, teacher pretraining's samples and the prompt set with it.
+Every draw checks its row's total by :func:`_sums_to_one` and raises
+:func:`_check_total`'s :class:`NumericError` before reading a uniform.
 
 :func:`make_rng` and :func:`derive_seed` define every random stream.
 :func:`derive_seeds` and :class:`SeedBank` compute the same seeds and
@@ -408,42 +406,30 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
     """One categorical draw by inverse CDF; consumes exactly one uniform.
 
     The returned token always has positive probability under ``dist``.
-    Raises :class:`NumericError` unless the entries sum to 1 within
-    1e-9; NaN and infinity propagate into that total. An empty
-    distribution raises it too.
+    Raises :class:`NumericError` before drawing unless the entries sum
+    to 1 (:func:`_check_total`); NaN and infinity propagate into that
+    total. An empty distribution raises it too. ``bisect_right`` searches
+    the CDF as an ``array('d')``, without numpy's per-call overhead.
     """
-    row = cdf_row(np.asarray(dist, dtype=float))
-    if not row[1]:
+    probs = np.asarray(dist, dtype=float)
+    cdf = array("d", probs.cumsum().tobytes())
+    if not cdf:
         raise NumericError("cannot sample: empty distribution")
-    return draw(row, rng)
-
-
-def cdf_row(probs: np.ndarray) -> tuple:
-    """The ``(probs, cdf)`` pair :func:`draw` reads, for a float array.
-
-    ``cdf`` is ``np.cumsum(probs)`` as an ``array('d')``, which
-    ``bisect_right`` searches without numpy's per-call overhead.
-    """
-    return probs, array("d", probs.cumsum().tobytes())
-
-
-def draw(row, rng: np.random.Generator) -> int:
-    """:func:`sample` on a ``(probs, cdf)`` pair whose CDF is computed.
-
-    ``cdf`` is the ``np.cumsum`` of ``probs`` as an ``array('d')``, as
-    :func:`cdf_row` builds it. The total is checked here, not when
-    the row is built, so a bad row raises before any uniform is used.
-
-    :func:`~speclab.specdec._table_rollouts` repeats this search on the
-    rows it visits, checking a row's total before its first draw.
-    """
-    probs, cdf = row
-    total = cdf[-1]
-    if not abs(total - 1.0) <= 1e-9:
-        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
+    _check_total(cdf[-1])
     idx = bisect_right(cdf, rng.random())
     # An unclamped index has cdf[idx] > cdf[idx - 1], so probs[idx] > 0 there.
     return idx if idx < len(cdf) else _last_with_mass(probs)
+
+
+def _sums_to_one(totals):
+    """Whether each total (one, or an array) is 1 closely enough to draw from; NaN fails."""
+    return abs(totals - 1.0) <= 1e-9
+
+
+def _check_total(total) -> None:
+    """Raise :class:`NumericError` unless ``total`` passes :func:`_sums_to_one`."""
+    if not _sums_to_one(total):
+        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
 
 
 def _last_with_mass(probs) -> int:

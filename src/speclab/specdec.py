@@ -49,14 +49,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, VerificationError
+from .errors import ConfigError, DomainError, VerificationError
 from .lm import NGramLogitLM, _check_token, _window_indices
 from .sampling import (
     _UNIFORM_CHUNK,
     SeedBank,
+    _check_total,
     _last_with_mass,
-    cdf_row,
-    draw,
+    _sums_to_one,
+    sample,
     softmax_with_temperature,
 )
 
@@ -134,11 +135,11 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
     extra entry a fully accepted block returns ``(m, None, None)``.
 
     Returns ``(accepted_count, correction_token, correction_kind)``.
-    Consumes one uniform per verified position, then one draw for the
-    correction sample if any. The correction is drawn from the row that
-    :func:`decode_lockstep` draws it from, :func:`_residual_rows` of the
-    target and draft rows, which is the target row where the residual
-    has no mass.
+    Consumes one uniform per verified position, then one
+    :func:`~speclab.sampling.sample` for the correction if any. The
+    correction is drawn from the row that :func:`decode_lockstep` draws
+    it from, :func:`_residual_rows` of the target and draft rows, which
+    is the target row where the residual has no mass.
     """
     m = len(proposed)
     if len(draft_dists) != m or len(target_dists) not in (m, m + 1):
@@ -154,22 +155,22 @@ def verify_block(target_dists, draft_dists, proposed, rng) -> tuple[int, int | N
         ratio = p_x / q_x
         if not rng.random() < (1.0 if ratio >= 1.0 else ratio):
             residual = _residual_rows(target_dists[i][None], draft_dists[i][None])[0]
-            return i, draw(cdf_row(residual), rng), "resample"
+            return i, sample(residual, rng), "resample"
     if len(target_dists) == m:
         return m, None, None
-    return m, draw(cdf_row(target_dists[m]), rng), "bonus"
+    return m, sample(target_dists[m], rng), "bonus"
 
 
 def generate_autoregressive(model, prompt, config: GenerationConfig, rng) -> list[int]:
     """Plain temperature sampling from one model, one token at a time.
 
     Returns the continuation only. The end-of-sequence token, when
-    drawn, is included as the final element. Each token is one
-    :func:`draw` from the :func:`~speclab.sampling.cdf_row` of
-    ``softmax_with_temperature(model.forward(context), config.tau)``,
-    computed once per context window this call visits; for an n-gram
-    that a :class:`RowTable` takes whole, the call computes its whole
-    table at once instead (see :func:`_rollouts`).
+    drawn, is included as the final element. Each token is the
+    :func:`~speclab.sampling.sample` of
+    ``softmax_with_temperature(model.forward(context), config.tau)``, its
+    row and CDF computed once per context window this call visits; for an
+    n-gram that a :class:`RowTable` takes whole, the call computes its
+    whole table at once instead (see :func:`_rollouts`).
     """
     with closing(_rollouts(model, config, prompt, rng)) as rollouts:
         return next(rollouts)
@@ -200,12 +201,12 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
     a ``table`` that does not take its model whole, they hold no rows:
     a row is computed on its index's first visit, as the table computes
     a row it does not keep (``model.forward`` of the window the index
-    encodes, then the tempered softmax), and its CDF as
-    :func:`~speclab.sampling.cdf_row` builds it. A rollout stops after
-    ``eos`` or ``max_len`` tokens. Each token is a
-    :func:`draw`: the same total check and error text (before a row's
-    first draw, as its CDF becomes an ``array('d')``), search, clamp and
-    zero-probability guard.
+    encodes, then the tempered softmax), and its ``np.cumsum``. A
+    rollout stops after ``eos`` or ``max_len`` tokens. Each token is a
+    :func:`~speclab.sampling.sample` of its row: the same total check
+    and error text (:func:`~speclab.sampling._check_total`, before a
+    row's first draw, as its CDF becomes an ``array('d')``), search,
+    clamp and zero-probability guard.
 
     Uniforms are drawn 64 at a time, and when the generator is closed or
     raises, ``rng.bit_generator.advance`` hands the unread ones back, so
@@ -236,10 +237,7 @@ def _table_rollouts(probs: np.ndarray, cdf: np.ndarray, start: int, max_len: int
                         row = array("d", p.cumsum().tobytes())
                     else:
                         row = array("d", cdf[idx].tobytes())
-                    total = row[-1]
-                    if not abs(total - 1.0) <= 1e-9:
-                        raise NumericError(
-                            f"cannot sample: distribution total is {total}, not 1")
+                    _check_total(row[-1])
                     rows[idx] = row
                 if read == drawn:
                     uniforms = rng.random(out=buf).tolist()
@@ -292,9 +290,9 @@ class RowTable:
     ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row is
     ``softmax_with_temperature(model.forward(window), tau)`` and its CDF
     the ``np.cumsum`` of that row, bit for bit as
-    :func:`~speclab.sampling.cdf_row` builds them. ``probs``, ``cdf`` and
+    :func:`~speclab.sampling.sample` builds them. ``probs``, ``cdf`` and
     ``ok`` hold, per slot, a row, its CDF and whether its total passes
-    :func:`draw`'s check.
+    the draw's check (:func:`~speclab.sampling._sums_to_one`).
 
     An n-gram model with at most ``MAX_CACHED_ROWS`` rows gets its whole
     table at once from :func:`softmax_with_temperature`, and a row's
@@ -324,7 +322,7 @@ class RowTable:
             self.kept = 0
             self.probs = np.empty((0, self.size))
         self.cdf = np.cumsum(self.probs, axis=1)
-        self.ok = _sums_to_one(self.cdf)
+        self.ok = _sums_to_one(self.cdf[:, -1])
 
     def index(self, context) -> int:
         """Window index after ``context``, validating the tokens the model reads."""
@@ -357,7 +355,7 @@ class RowTable:
             self._grow(max(end, 2 * len(self.probs)))
         self.probs[start:end] = self._forward(new)
         np.cumsum(self.probs[start:end], axis=1, out=self.cdf[start:end])
-        self.ok[start:end] = _sums_to_one(self.cdf[start:end])
+        self.ok[start:end] = _sums_to_one(self.cdf[start:end, -1])
         slots[miss] = start + inverse
         keep = min(len(new), MAX_CACHED_ROWS - self.kept)
         if keep > 0:
@@ -415,22 +413,16 @@ class _Uniforms:
             self.rngs[s].bit_generator.advance(int(self.used[s]) - _UNIFORM_CHUNK)
 
 
-def _sums_to_one(cdf: np.ndarray) -> np.ndarray:
-    """:func:`draw`'s total check on each CDF row."""
-    return np.abs(cdf[:, -1] - 1.0) <= 1e-9
-
-
 def _draw_slots(probs: np.ndarray, cdf: np.ndarray, ok: np.ndarray, slots: np.ndarray,
                 uniforms: _Uniforms, streams: np.ndarray) -> np.ndarray:
-    """:func:`draw` from row ``slots[i]`` of ``probs`` with the next uniform of ``streams[i]``.
+    """:func:`~speclab.sampling.sample` of row ``slots[i]`` on the next uniform of ``streams[i]``.
 
     ``cdf`` and ``ok`` hold the rows' CDFs and total checks. As in
-    :func:`draw`, the rows are checked before any uniform is taken.
+    ``sample``, the rows are checked before any uniform is taken.
     """
     ok = ok[slots]
     if not ok.all():
-        total = float(cdf[slots[ok.argmin()], -1])
-        raise NumericError(f"cannot sample: distribution total is {total}, not 1")
+        _check_total(float(cdf[slots[ok.argmin()], -1]))
     rows = cdf[slots]
     tok = (rows <= uniforms.take(streams)[:, None]).sum(axis=1)
     for i in (tok == rows.shape[1]).nonzero()[0]:
@@ -462,8 +454,9 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     would. ``rngs`` is a list of generators, or a
     :class:`~speclab.sampling.SeedBank` whose stream ``i`` stands for
     ``make_rng(seeds[i])`` and decodes as that generator would; either
-    holds one stream per prompt, or :class:`DomainError` is raised. It reads the same uniforms in the same order: a round is a
-    block of zero proposals and a bonus token. Rows come from the tables,
+    holds one stream per prompt, or :class:`DomainError` is raised. It
+    reads the same uniforms in the same order: a round is a block of zero
+    proposals and a bonus token. Rows come from the tables,
     which must hold ``config.tau``; a rejection's correction row is the
     residual of its target and draft rows, built for that draw. Each
     stream carries its window indices into both tables, and every draw,
@@ -495,7 +488,8 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     size = target.size
     eos = target.model.vocab.eos_id
     cap = config.max_new_tokens
-    block = 0 if draft is None else config.block_size
+    # No stream proposes more than cap tokens, so no round array needs more columns.
+    block = 0 if draft is None else min(config.block_size, cap)
     if len(rngs) != n:
         raise DomainError(f"{len(rngs)} random streams for {n} prompts")
     uniforms = rngs if isinstance(rngs, SeedBank) else _Uniforms(rngs)
@@ -557,7 +551,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
                 q_slot = draft.slots(d_at[rej, acc[rej]])  # may move draft.probs: read it after
                 res = _residual_rows(p, draft.probs[q_slot])
                 cdf = np.cumsum(res, axis=1)
-                corr[rej] = _draw_slots(res, cdf, _sums_to_one(cdf), np.arange(rej.size),
+                corr[rej] = _draw_slots(res, cdf, _sums_to_one(cdf[:, -1]), np.arange(rej.size),
                                         uniforms, live[rej])
             if records is not None:
                 for s, toks, mm, a, c in zip(live.tolist(), tokens.tolist(), m.tolist(),

@@ -11,9 +11,9 @@ independent routes to the same numbers, for the tests to compare with:
   acceptance probability;
 * a training step as the per-position loop of those gradients, and its
   update one row or parameter at a time;
-* token-by-token sampling of responses and of masked prompts, and the
-  two trainers as per-step loops that build each step's own
-  ``make_rng(derive_seed(seed, step))``.
+* the row and CDF of one context, token-by-token sampling of responses
+  and of masked prompts, and the two trainers as per-step loops that
+  build each step's own ``make_rng(derive_seed(seed, step))``.
 """
 
 import numpy as np
@@ -144,6 +144,12 @@ def induced_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     overlap = np.minimum(p, q)
     return overlap + (1.0 - overlap.sum()) * _residual_rows(p[None], q[None])[0]
+
+
+def reference_row(model, context, tau):
+    """The ``(probs, cdf)`` row that generate_autoregressive draws from after ``context``."""
+    probs = softmax_with_temperature(model.forward(context), tau)
+    return probs, np.cumsum(probs)
 
 
 def reference_generate_autoregressive(model, prompt, config, rng):

@@ -12,10 +12,8 @@ from speclab.errors import DomainError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import (
     SeedBank,
-    cdf_row,
     derive_seed,
     derive_seeds,
-    draw,
     make_rng,
     pcg64_state,
     sample,
@@ -114,11 +112,8 @@ class StubRng:
 @given(st.integers(2, 12).flatmap(positive_weights), st.floats(0.0, 1.0, exclude_max=True))
 def test_sample_and_draw_never_return_a_zero_probability_token(w, u):
     dist = normalized(w)
-    row = cdf_row(dist)
-    for v in [u] + boundary_uniforms(row[1]):
-        tok = sample(dist, StubRng(v))
-        assert dist[tok] > 0.0
-        assert draw(row, StubRng(v)) == tok
+    for v in [u] + boundary_uniforms(np.cumsum(dist)):
+        assert dist[sample(dist, StubRng(v))] > 0.0
 
 
 class ListRng:

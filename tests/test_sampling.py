@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from array import array
 from contextlib import closing
 
 import numpy as np
@@ -11,10 +10,8 @@ from speclab.errors import DomainError, NumericError
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab
 from speclab.sampling import (
     SeedBank,
-    cdf_row,
     derive_seed,
     derive_seeds,
-    draw,
     make_rng,
     pcg64_state,
     sample,
@@ -23,6 +20,8 @@ from speclab.sampling import (
     step_draws,
 )
 from speclab.specdec import GenerationConfig, generate_autoregressive
+
+from oracles import reference_row
 
 
 def test_softmax_tau_one_known_values():
@@ -337,7 +336,7 @@ class StubRng:
 
 
 def reference_sample(dist, rng):
-    """The numpy inverse-CDF draw that sample() and draw() must equal."""
+    """The numpy inverse-CDF draw that sample() must equal."""
     cdf = np.cumsum(dist)
     total = cdf[-1]
     if not abs(total - 1.0) <= 1e-9:
@@ -348,12 +347,6 @@ def reference_sample(dist, rng):
     while idx > 0 and dist[idx] <= 0.0:
         idx -= 1
     return idx
-
-
-def cached(dist):
-    """A row as cdf_row builds it: the probabilities and their CDF."""
-    dist = np.asarray(dist, dtype=float)
-    return dist, array("d", np.cumsum(dist).tobytes())
 
 
 @pytest.mark.parametrize("dist", [
@@ -370,7 +363,6 @@ def test_draw_and_sample_equal_the_reference_at_every_boundary(dist):
     for u in uniforms:
         if 0.0 <= u < 1.0:
             want = reference_sample(np.array(dist), StubRng(u))
-            assert draw(cached(dist), StubRng(u)) == want
             assert sample(np.array(dist), StubRng(u)) == want
 
 
@@ -380,9 +372,8 @@ def test_draw_and_sample_equal_the_reference_on_seeded_streams():
         dist = softmax_with_temperature(rng.normal(0, 3, size=12), float(rng.uniform(0.1, 3)))
         dist[rng.integers(12, size=3)] = 0.0
         dist /= dist.sum()
-        a, b, c = make_rng(107), make_rng(107), make_rng(107)
+        b, c = make_rng(107), make_rng(107)
         want = [reference_sample(dist, c) for _ in range(30)]
-        assert [draw(cached(dist), a) for _ in range(30)] == want
         assert [sample(dist, b) for _ in range(30)] == want
 
 
@@ -390,12 +381,11 @@ def test_draw_and_sample_equal_the_reference_on_seeded_streams():
 def test_draw_and_sample_raise_the_reference_error_before_using_a_uniform(dist):
     with pytest.raises(NumericError) as want:
         reference_sample(np.array(dist), make_rng(0))
-    for got_fn in (lambda rng: draw(cached(dist), rng), lambda rng: sample(np.array(dist), rng)):
-        rng = make_rng(0)
-        with pytest.raises(NumericError) as got:
-            got_fn(rng)
-        assert str(got.value) == str(want.value)
-        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+    rng = make_rng(0)
+    with pytest.raises(NumericError) as got:
+        sample(np.array(dist), rng)
+    assert str(got.value) == str(want.value)
+    assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
 class CountingLM:
@@ -424,10 +414,10 @@ def counting_model(family, seed):
 
 
 def reference_rows_generate(model, prompt, tau, max_new_tokens, rng):
-    """One draw per token from the cdf_row of the model's tau-scaled softmax."""
+    """One sample() per token from the model's tau-scaled softmax."""
     seq, out = list(prompt), []
     for _ in range(max_new_tokens):
-        out.append(draw(cdf_row(softmax_with_temperature(model.forward(seq), tau)), rng))
+        out.append(sample(softmax_with_temperature(model.forward(seq), tau), rng))
         seq.append(out[-1])
         if out[-1] == V8.eos_id:
             break
@@ -459,9 +449,9 @@ def test_row_sampler_rows_bit_equal_batched_rows(tau):
     contexts = [[], [2], [3, 4], [7, 7, 6], [1, 0]]
     batched = softmax_with_temperature(model.forward_batch(contexts), tau)
     for i, context in enumerate(contexts):
-        probs, cdf = cdf_row(softmax_with_temperature(model.forward(context), tau))
+        probs, cdf = reference_row(model, context, tau)
         assert np.array_equal(probs, batched[i])
-        assert np.array_equal(np.array(cdf), np.cumsum(batched, axis=1)[i])
+        assert np.array_equal(cdf, np.cumsum(batched, axis=1)[i])
 
 
 def test_generate_autoregressive_propagates_token_errors():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from contextlib import closing
 from types import SimpleNamespace
 
@@ -13,7 +14,6 @@ from speclab.errors import ConfigError, DomainError, NumericError, VerificationE
 from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, checkpoint_bytes
 from speclab.sampling import (
     SeedBank,
-    cdf_row,
     derive_seed,
     derive_seeds,
     make_rng,
@@ -38,6 +38,7 @@ from oracles import (
     acceptance_probability,
     induced_distribution,
     reference_generate_autoregressive,
+    reference_row,
     reference_train_online,
 )
 
@@ -695,6 +696,31 @@ def test_lockstep_with_a_seed_bank_raises_the_generator_errors(spec):
             decode_lockstep(RowTable(target, 1.0), draft_rows, [[2]] * 3, cfg, source)
 
 
+def test_lockstep_round_memory_does_not_grow_with_block_size():
+    # No stream proposes more than max_new_tokens, so a huge block decodes
+    # what a block of that size does, in the same memory.
+    target_rows = RowTable(oracle_target(2, 125), 1.0)
+    draft_rows = RowTable(oracle_draft("ngram", 225), 1.0)
+    prompts = [[2], [5, 3]]
+
+    def decode(block_size):
+        cfg = GenerationConfig(tau=1.0, block_size=block_size, max_new_tokens=4)
+        return decode_lockstep(target_rows, draft_rows, prompts, cfg,
+                               SeedBank(derive_seeds(8, np.arange(2))), traces=True)
+
+    want = decode(4)
+    tracemalloc.start()
+    try:
+        got = decode(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == want[0]
+    assert [dump_trace(t) for t in got[3]] == [dump_trace(t) for t in want[3]]
+    # Measured: about 9.8 MB when the round arrays took block_size columns.
+    assert peak < 1e6, peak
+
+
 def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():
     target = random_ngram(2, 130)
     cfg = GenerationConfig(tau=0.5)
@@ -706,11 +732,6 @@ def test_lockstep_rejects_tables_of_another_tau_or_vocabulary():
     other = random_ngram(1, 132, vocab=Vocab(size=9, bos_id=0, eos_id=1))
     with pytest.raises(ConfigError, match="vocabulary"):
         decode_lockstep(RowTable(target, 0.5), RowTable(other, 0.5), [[2]], cfg, [make_rng(0)])
-
-
-def reference_row(model, context, tau):
-    """The (probs, cdf) row that generate_autoregressive draws from after ``context``."""
-    return cdf_row(softmax_with_temperature(model.forward(context), tau))
 
 
 def test_row_table_rows_equal_reference_rows(monkeypatch):
@@ -728,7 +749,7 @@ def test_row_table_rows_equal_reference_rows(monkeypatch):
                 for context, slot in zip(contexts, slots):
                     probs, cdf = reference_row(model, context, tau)
                     assert np.array_equal(table.probs[slot], probs)
-                    assert np.array_equal(table.cdf[slot], np.array(cdf))
+                    assert np.array_equal(table.cdf[slot], cdf)
                     assert table.ok[slot]
                 assert table.whole or table.kept == min(cap, len(set(idx.tolist())))
 
@@ -972,7 +993,7 @@ def test_lazy_rows_roll_out_as_the_per_token_oracle(family):
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])
 def test_a_lazy_row_failing_its_total_check_raises_and_rewinds(family):
-    # A NaN row met mid-rollout raises draw's error before its uniform is
+    # A NaN row met mid-rollout raises sample()'s error before its uniform is
     # read, and the generator stands where token-by-token draws leave it.
     model = lazy_model(family, poison=True)
     cfg = GenerationConfig(tau=0.9, max_new_tokens=30)
