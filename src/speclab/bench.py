@@ -149,14 +149,6 @@ class SweepResult:
     kd_taus: tuple
     decode_taus: tuple
     seed_stats: tuple
-    metadata: dict
-
-
-def _corpus_label(spec) -> str:
-    return (
-        f"vocab{spec.vocab_size}-order{spec.order}"
-        f"-c{spec.concentration:g}-seed{spec.seed}"
-    )
 
 
 def _draft_file(kd_mode: str, kd_tau: float) -> str:
@@ -268,15 +260,7 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         for di, decode_tau in enumerate(decode_taus)
         for seed in sorted(seeds)
     )
-    metadata = {
-        "block_size": base_config.block_size,
-        "max_new_tokens": base_config.max_new_tokens,
-        "seeds": seeds,
-        "runs_per_seed": runs_per_seed,
-        "corpus": _corpus_label(corpus.spec),
-        "kd_mode": kd_mode,
-    }
-    return SweepResult(kd_taus, decode_taus, seed_stats, metadata)
+    return SweepResult(kd_taus, decode_taus, seed_stats)
 
 
 def best_kd_per_decode(result: SweepResult) -> list[tuple[float, float]]:

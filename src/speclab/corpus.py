@@ -81,9 +81,11 @@ def collect_heldout_contexts(
 ) -> list[tuple[int, ...]]:
     """Contexts visited by fresh rollouts, for exact evaluation.
 
-    Every prefix of every rollout contributes one context (the empty
-    prefix included, since generation starts there too). The rollouts
-    share one generator, so they run one after another, and their rows:
+    Every prefix of every rollout contributes one context, kept whole,
+    so at most ``seq_len`` tokens long (the empty prefix included, since
+    generation starts there too): a model of any order reads its full
+    window. The rollouts share one generator, so they run one after
+    another, and their rows:
     they run on :func:`~speclab.specdec._table_rollouts`, which reads a
     chain that a :class:`~speclab.specdec.RowTable` takes whole from one
     softmax and CDF table and computes any other model's rows once per
@@ -98,7 +100,7 @@ def collect_heldout_contexts(
         contexts.append(tuple(prefix))
         for tok in seq[:-1]:
             prefix.append(tok)
-            contexts.append(tuple(prefix[-8:]))
+            contexts.append(tuple(prefix))
     return contexts
 
 

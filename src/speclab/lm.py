@@ -82,6 +82,19 @@ def _padded_window(context, n: int, bos: int) -> tuple:
     return (bos,) * (n - end) + tuple(context)
 
 
+def _window_index(context, width: int, vocab: Vocab) -> int:
+    """Index of the window after ``context``, validating every token it reads.
+
+    The window is the last ``width`` tokens, left-padded with bos, encoded
+    base ``vocab.size`` with the most recent token last.
+    """
+    size = vocab.size
+    idx = 0
+    for t in _padded_window(context, width, vocab.bos_id):
+        idx = idx * size + _check_token(t, size)
+    return idx
+
+
 def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
     """The tokens that the windows after ``tokens[:i]``, ``start <= i < len(tokens)``, read.
 
@@ -104,9 +117,7 @@ def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
 def _window_indices(tokens, start: int, width: int, vocab: Vocab) -> np.ndarray:
     """Indices of the windows after ``tokens[:i]``, ``start <= i < len(tokens)``.
 
-    A window is the last ``width`` bos-padded tokens, encoded base
-    ``vocab.size`` with the most recent token last, as
-    :meth:`NGramLogitLM.context_index` encodes it. The indices come from
+    Each equals :func:`_window_index` of its prefix. The indices come from
     one sliding window over the padded tokens, and the tokens those
     windows read are validated once, in sequence order.
     """
@@ -156,21 +167,14 @@ class NGramLogitLM:
     def family(self) -> str:
         return FAMILY_NGRAM
 
+    @property
+    def width(self) -> int:
+        """Tokens of context that the logits read."""
+        return self.order
+
     def context_index(self, context) -> int:
         """Row index for a context, validating every token id."""
-        size = self.vocab.size
-        idx = 0
-        for t in _padded_window(context, self.order, self.vocab.bos_id):
-            idx = idx * size + _check_token(t, size)
-        return idx
-
-    def context_key(self, context) -> tuple:
-        """Key of the contexts that share the logits after ``context``.
-
-        The bos-padded window of the last ``order`` tokens, not validated:
-        :meth:`forward` validates them.
-        """
-        return _padded_window(context, self.order, self.vocab.bos_id)
+        return _window_index(context, self.order, self.vocab)
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a copy."""
@@ -183,17 +187,9 @@ class NGramLogitLM:
         )
         return self.table[idx]
 
-    def context_rows(self, tokens, start: int) -> np.ndarray:
-        """Row indices of the contexts ``tokens[:i]``, ``start <= i < len(tokens)``.
-
-        Each equals :meth:`context_index` of its prefix (see
-        :func:`_window_indices`).
-        """
-        return _window_indices(tokens, start, self.order, self.vocab)
-
     def _forward_positions(self, tokens, start: int):
         """Logits after each ``tokens[:i]``, ``start <= i < len(tokens)``, and their rows."""
-        rows = self.context_rows(tokens, start)
+        rows = _window_indices(tokens, start, self.order, self.vocab)
         return self.table[rows], rows
 
     def _add_parts(self, grads, rows, positions, dlogits, scales) -> np.ndarray:
@@ -268,18 +264,15 @@ class TinyNeuralLM:
     def family(self) -> str:
         return FAMILY_NEURAL
 
+    @property
+    def width(self) -> int:
+        """Tokens of context that the logits read."""
+        return self.context_size
+
     def _window(self, context) -> list[int]:
         size = self.vocab.size
         return [_check_token(t, size)
                 for t in _padded_window(context, self.context_size, self.vocab.bos_id)]
-
-    def context_key(self, context) -> tuple:
-        """Key of the contexts that share the logits after ``context``.
-
-        The bos-padded window of the last ``context_size`` tokens, not
-        validated: :meth:`forward` validates them.
-        """
-        return _padded_window(context, self.context_size, self.vocab.bos_id)
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a fresh array."""

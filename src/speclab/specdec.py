@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, VerificationError
-from .lm import NGramLogitLM, _check_token, _window_indices
+from .lm import NGramLogitLM, _window_index, _window_indices
 from .sampling import (
     _UNIFORM_CHUNK,
     SeedBank,
@@ -284,9 +284,8 @@ def _takes_whole(model) -> bool:
 class RowTable:
     """Tau-scaled next-token rows of one read-only model and their CDFs, by window index.
 
-    The index of a context encodes the bos-padded window of the last
-    ``width`` tokens the model reads, most recent token last, as
-    :meth:`~speclab.lm.NGramLogitLM.context_index` does; appending token
+    The index of a context is :func:`~speclab.lm._window_index` of it over
+    the model's ``width``, the tokens its logits read; appending token
     ``t`` moves index ``i`` to ``(i * size + t) % rows``. A row is
     ``softmax_with_temperature(model.forward(window), tau)`` and its CDF
     the ``np.cumsum`` of that row, bit for bit as
@@ -307,7 +306,7 @@ class RowTable:
         self.model = model
         self.tau = tau
         self.size = model.vocab.size
-        self.width = len(model.context_key(()))
+        self.width = model.width
         self.rows = self.size ** self.width
         if self.rows * self.size > np.iinfo(np.int64).max:
             raise DomainError(f"a window of {self.width} tokens over {self.size} "
@@ -326,10 +325,7 @@ class RowTable:
 
     def index(self, context) -> int:
         """Window index after ``context``, validating the tokens the model reads."""
-        idx = 0
-        for t in self.model.context_key(context):
-            idx = idx * self.size + _check_token(t, self.size)
-        return idx
+        return _window_index(context, self.width, self.model.vocab)
 
     def rows_after(self, tokens, start: int) -> np.ndarray:
         """New array of the rows after each ``tokens[:i]``, ``start <= i < len(tokens)``.
@@ -497,7 +493,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     n_out = np.zeros(n, dtype=np.int64)
     proposed = np.zeros(n, dtype=np.int64)
     accepted = np.zeros(n, dtype=np.int64)
-    records = [[] for _ in range(n)] if traces and draft is not None else None
+    records = [SpeculationTrace() for _ in range(n)] if traces and draft is not None else None
     cols = np.arange(block + 1)
     live = np.arange(n)
     try:
@@ -557,7 +553,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
                 for s, toks, mm, a, c in zip(live.tolist(), tokens.tolist(), m.tolist(),
                                              acc.tolist(), corr.tolist()):
                     kind = "resample" if a < mm else "bonus" if c >= 0 else None
-                    records[s].append(RoundRecord(toks[:mm], a, c if c >= 0 else None, kind))
+                    records[s].record(RoundRecord(toks[:mm], a, c if c >= 0 else None, kind))
             proposed[live] += m
             accepted[live] += acc
             has = corr >= 0
@@ -574,17 +570,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
             live = live[go]
     finally:
         uniforms.rewind()
-    outs = [out[s, : n_out[s]].tolist() for s in range(n)]
-    if records is None:
-        return outs, proposed, accepted, None
-    return outs, proposed, accepted, [_trace_of(rounds) for rounds in records]
-
-
-def _trace_of(rounds) -> SpeculationTrace:
-    trace = SpeculationTrace()
-    for rnd in rounds:
-        trace.record(rnd)
-    return trace
+    return [out[s, : n_out[s]].tolist() for s in range(n)], proposed, accepted, records
 
 
 def dump_trace(trace: SpeculationTrace) -> str:

@@ -158,7 +158,7 @@ def make_result(alphas, kd_taus, decode_taus):
         for ki in range(len(kd_taus))
         for di in range(len(decode_taus))
     )
-    return SweepResult(kd_taus, decode_taus, seed_stats, {})
+    return SweepResult(kd_taus, decode_taus, seed_stats)
 
 
 def test_best_kd_per_decode_picks_column_max():
@@ -176,7 +176,7 @@ def test_best_kd_per_decode_pools_counts_over_seeds():
     # kd 0.5: 45/100 and 6/10, pooled 51/110 = 0.464 (mean of alphas 0.525).
     rows = [(0.0, 1.0, 1, stats_with(0.1)), (0.0, 1.0, 2, stats_with(0.9)),
             (0.5, 1.0, 1, stats_with(0.45)), (0.5, 1.0, 2, stats_with(0.6, proposed=10))]
-    assert best_kd_per_decode(SweepResult((0.0, 0.5), (1.0,), tuple(rows), {})) == [(1.0, 0.0)]
+    assert best_kd_per_decode(SweepResult((0.0, 0.5), (1.0,), tuple(rows))) == [(1.0, 0.0)]
 
 
 def test_sweep_csv_round_trip_and_formatting():
@@ -286,9 +286,6 @@ def test_run_sweep_shapes_and_metadata(small_sweep):
     assert result.kd_taus == (0.0, 1.0)
     assert result.decode_taus == (0.0, 1.0)
     assert len(result.seed_stats) == 2 * 2 * 2
-    assert result.metadata["kd_mode"] == "offline"
-    assert result.metadata["seeds"] == (1, 2)
-    assert result.metadata["corpus"] == "vocab8-order1-c1-seed5"
 
 
 def test_run_sweep_cells_pool_their_seed_stats(small_sweep):

@@ -175,14 +175,31 @@ def test_heldout_contexts_equal_token_by_token_rollouts(monkeypatch, order, cap)
     cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     for _ in range(48):
         seq = reference_generate_autoregressive(gt, [], cfg, want_rng)
-        want += [tuple(seq[:i][-8:]) for i in range(len(seq))]
+        want += [tuple(seq[:i]) for i in range(len(seq))]
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    windows = len({gt.context_key(c) for c in got})
+    windows = len({gt.context_index(c) for c in got})
     if cap is None:
         assert counts == {"rows": 1, "row": 0}
     else:
         assert counts == {"rows": 0, "row": windows}
+
+
+def test_heldout_contexts_index_the_rows_of_their_full_prefixes():
+    # An order-9 chain reads 9 tokens of context; with eos made rare its
+    # rollouts run long enough that a context cut to fewer tokens would
+    # index another row, and held-out scoring would read it.
+    gt = build_ground_truth(CorpusSpec(vocab_size=4, order=9, seed=2), make_rng(2))
+    gt.table[:, EOS_ID] -= 5.0
+    got = collect_heldout_contexts(gt, make_rng(15))
+    want_rng = make_rng(15)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
+    prefixes = []
+    for _ in range(48):
+        seq = reference_generate_autoregressive(gt, [], cfg, want_rng)
+        prefixes += [seq[:i] for i in range(len(seq))]
+    assert max(map(len, prefixes)) > 9
+    assert [gt.context_index(c) for c in got] == [gt.context_index(p) for p in prefixes]
 
 
 def test_heldout_scores_satisfy_gibbs_bound():

@@ -132,15 +132,17 @@ def test_ngram_forward_batch_matches_forward():
 def test_ngram_context_rows_match_context_index(order):
     model = NGramLogitLM.create(VOCAB8, order)
     tokens = [2, 3, 4, 5, 6, 7, 2, 1]
+
+    def rows(tokens, start):
+        return model._forward_positions(tokens, start)[1].tolist()
+
     for start in range(len(tokens)):
-        rows = model.context_rows(tokens, start)
-        assert rows.tolist() == [model.context_index(tokens[:i])
-                                 for i in range(start, len(tokens))]
+        assert rows(tokens, start) == [model.context_index(tokens[:i])
+                                       for i in range(start, len(tokens))]
     # Tokens outside every window are not read; the first bad one read is named.
-    assert model.context_rows([99] + tokens, 1 + order).tolist() == \
-        model.context_rows(tokens, order).tolist()
+    assert rows([99] + tokens, 1 + order) == rows(tokens, order)
     with pytest.raises(DomainError, match="token id 9 outside vocab of size 8"):
-        model.context_rows([2, 9, 3, 12, 4], 2)
+        rows([2, 9, 3, 12, 4], 2)
 
 
 def test_neural_zero_weights_output_equals_bias():

@@ -394,10 +394,8 @@ class CountingLM:
     def __init__(self, model):
         self.model = model
         self.vocab = model.vocab
+        self.width = model.width
         self.calls = 0
-
-    def context_key(self, context):
-        return self.model.context_key(context)
 
     def forward(self, context):
         self.calls += 1
@@ -435,7 +433,7 @@ def test_generate_autoregressive_computes_each_window_row_once_per_call(family):
     out = generate_autoregressive(model, [5, 2, 3], cfg, make_rng(11))
     assert out == reference_rows_generate(model.model, [5, 2, 3], 0.7, 60, make_rng(11))
     seq = [5, 2, 3] + out
-    windows = {model.context_key(seq[:i]) for i in range(3, 3 + len(out))}
+    windows = {tuple(seq[i - 2 : i]) for i in range(3, 3 + len(out))}
     assert model.calls == len(windows) < len(out)  # windows repeat, rows do not
     generate_autoregressive(model, [5, 2, 3], cfg, make_rng(11))
     assert model.calls == 2 * len(windows)  # a new call computes its rows anew
@@ -481,17 +479,6 @@ def test_softmax_equals_the_out_of_place_reference_bit_for_bit():
         assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_context_keys_are_unvalidated_bos_padded_windows():
-    ngram = NGramLogitLM.create(V8, 2)
-    neural = TinyNeuralLM.create(V8, context_size=3, d_emb=2, d_hid=2)
-    seq = [5, 2, 3, 9, -1]
-    assert ngram.context_key(seq) == (9, -1)  # no DomainError: not validated
-    assert ngram.context_key([3]) == (0, 3)
-    assert ngram.context_key([]) == (0, 0)
-    assert neural.context_key(seq) == (3, 9, -1)
-    assert neural.context_key([4]) == (0, 0, 4)
-
-
 @pytest.mark.parametrize("family", ["ngram", "neural"])
 @pytest.mark.parametrize("bad", [9, 8, -1])
 def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
@@ -502,7 +489,7 @@ def test_warm_row_sampler_raises_the_token_error_on_every_visit(family, bad):
     cfg = GenerationConfig(tau=0.8, max_new_tokens=12)
     with closing(specdec._rollouts(model, cfg, [4, 3], make_rng(0))) as rollouts:
         seqs = [next(rollouts) for _ in range(20)]
-    windows = {model.context_key(([4, 3] + seq)[:i])
+    windows = {tuple(([4, 3] + seq)[i - 2 : i])
                for seq in seqs for i in range(2, 2 + len(seq))}
     calls = model.calls
     assert calls == len(windows)  # one row per window, across all 20 rollouts

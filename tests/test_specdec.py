@@ -11,7 +11,7 @@ from speclab import specdec
 from speclab.corpus import collect_heldout_contexts
 from speclab.distill import KDConfig, Pair, train_online
 from speclab.errors import ConfigError, DomainError, NumericError, VerificationError
-from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, checkpoint_bytes
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, _window_index, checkpoint_bytes
 from speclab.sampling import (
     SeedBank,
     derive_seed,
@@ -756,6 +756,28 @@ def test_row_table_rows_equal_reference_rows(monkeypatch):
                 assert table.whole or table.kept == min(cap, len(set(idx.tolist())))
 
 
+@pytest.mark.parametrize("family, width", [("ngram", 1), ("ngram", 2), ("ngram", 3),
+                                           ("neural", 3)])
+def test_row_table_index_is_the_window_index_of_lm(family, width):
+    # One encoder gives the window index of a table, of lm and of an n-gram
+    # row, and the same error for a token outside the vocabulary.
+    if family == "ngram":
+        model = NGramLogitLM.create(VOCAB8, width)
+        encoders = [model.context_index]
+    else:
+        model = TinyNeuralLM.create(VOCAB8, context_size=width, d_emb=2, d_hid=2)
+        encoders = []
+    table = RowTable(model, 1.0)
+    encoders += [table.index, lambda c: _window_index(c, model.width, model.vocab)]
+    for context in ([], [3], [2, 5], [7, 1, 4], [6, 6, 6, 2], [9, 9, 9, 0, 1, 2]):
+        assert len({encode(context) for encode in encoders}) == 1
+    for context, bad in (([9], 9), ([2, 3, -1], -1), ([12] + [4] * (width - 1), 12)):
+        for encode in encoders + [model.forward]:
+            with pytest.raises(DomainError) as err:
+                encode(context)
+            assert str(err.value) == f"token id {bad} outside vocab of size 8"
+
+
 def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order():
     # Both drafts are order-1 n-grams over one vocabulary, so they meet the
     # same (target row, draft row) pairs; one target table serves both, in
@@ -963,7 +985,7 @@ def reference_heldout(model, rng, n_sequences, seq_len):
     contexts = []
     for _ in range(n_sequences):
         seq = reference_generate_autoregressive(model, [], cfg, rng)
-        contexts += [tuple(seq[:i][-8:]) for i in range(len(seq))]
+        contexts += [tuple(seq[:i]) for i in range(len(seq))]
     return contexts
 
 
