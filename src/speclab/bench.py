@@ -5,10 +5,14 @@ measures every (distillation temperature, decoding temperature) cell
 with per-seed decoding runs. :func:`compare_drafts` measures several
 drafts of each seed, such as the single- and mixed-temperature drafts of
 the composition experiment, on every (decoding temperature, seed) cell,
-each draft with the same decoding seeds. Acceptance counts are pooled
-exactly, so an alpha recomputed from dumped traces matches the reported
-one bit for bit; wall times come from a monotonic clock and are the only
-non-deterministic output.
+each draft with the same decoding seeds. Both measure all cells of one
+decoding temperature with one :func:`measure_cells` call: when the
+drafts stack, that is one speculative and one baseline lockstep decode
+over one target table, whose wall times are split among the cells by
+their share of its streams, so the cells share one speedup. Acceptance
+counts are pooled exactly, so an alpha recomputed from dumped traces
+matches the reported one bit for bit; wall times come from a monotonic
+clock and are the only non-deterministic output.
 """
 
 from __future__ import annotations
@@ -76,66 +80,97 @@ def measure_decode(target, draft, prompts, config: GenerationConfig, runs: int =
                    *, on_trace=None) -> DecodeStats:
     """Decode every prompt ``runs`` times speculatively and plainly.
 
-    Each (run, prompt) pair gets its own child seed derived from
-    ``config.seed``, so results are independent of evaluation order.
+    This is :func:`measure_cells` of the one cell ``(draft, config)``.
     ``on_trace(run, prompt_index, trace)``, when given, observes every
-    speculative trace in (run, prompt) order, after both timed decodes;
-    the per-round records of those traces are built during the
-    speculative decode, inside ``wall_time_spec``. The ``decode`` command
-    always passes it.
+    speculative trace in (run, prompt) order, after both timed decodes.
+    The ``decode`` command always passes it. ``wall_time_spec`` and
+    ``wall_time_base`` time this cell's own two decodes.
+    """
+    sink = None if on_trace is None else lambda _, run, j, trace: on_trace(run, j, trace)
+    return measure_cells(target, [(draft, config)], prompts, runs, on_trace=sink)[0]
 
-    All (run, prompt) pairs decode together as the streams of one
-    :func:`~speclab.specdec.decode_lockstep` call, speculatively and then
-    as the autoregressive baseline, with the tokens and traces the
-    one-prompt decoders give. ``wall_time_spec`` (``wall_spec_s`` in the
-    CSV) times the batched speculative decode of all prompts of all runs,
-    and ``wall_time_base`` the batched baseline, so ``speedup`` compares
-    two lockstep decoders. Both models are read-only here, so one
-    :class:`~speclab.specdec.RowTable` per model serves the call: the
-    target table, built inside the speculative timing, is read warm by
-    the baseline, which biases ``speedup`` against speculation.
 
-    Stream ``s = run * len(prompts) + j`` decodes speculatively on
+def measure_cells(target, cells, prompts, runs: int = 5, *, on_trace=None) -> list[DecodeStats]:
+    """Decode every prompt ``runs`` times for each cell ``(draft, config)``; one stats per cell.
+
+    The cells' configs share ``tau``, ``block_size`` and
+    ``max_new_tokens``; their seeds may differ. Stream
+    ``s = run * len(prompts) + j`` of a cell decodes speculatively on
     ``make_rng(derive_seed(config.seed, STREAM_EVAL, run, j))`` and as the
-    baseline on ``make_rng(derive_seed(that seed, STREAM_BASELINE))``. Each side's
-    streams are derived, seeded and drawn in bulk by one
+    baseline on ``make_rng(derive_seed(that seed, STREAM_BASELINE))``, so a
+    cell's results do not depend on the other cells or on their order.
+    Each side's streams are derived, seeded and drawn in bulk by one
     :class:`~speclab.sampling.SeedBank`, bit-equal to those generators;
-    seeding stays outside the timings.
+    seeding stays outside the timings. ``on_trace(cell_index, run,
+    prompt_index, trace)``, when given, observes every speculative trace
+    in (cell, run, prompt) order after the timed decodes; the traces'
+    records are built inside ``wall_time_spec``.
+
+    When the cells' distinct drafts stack
+    (:meth:`~speclab.specdec.RowTable.stacks`), all streams of all cells
+    decode in one :func:`~speclab.specdec.decode_lockstep` call on a
+    :meth:`~speclab.specdec.RowTable.stack` of the drafts' tables, then in
+    one baseline call. One target table, built inside the speculative
+    timing, serves both; the baseline reads it warm, which biases
+    ``speedup`` against speculation. The two wall times are split among
+    the cells by their share of the streams, ``runs * len(prompts)``
+    each, so the cells share one ``speedup``; one cell is timed exactly.
+    Drafts that do not stack (distinct tiny-neural drafts, drafts of
+    different widths) are measured one cell at a time. Either way a
+    cell's tokens, counts and traces are those it gets alone, bit for bit.
     """
     if runs < 1:
         raise DomainError("runs must be >= 1")
     prompts = list(prompts)
     if not prompts:
         raise DomainError("prompt list is empty")
-    run, j = np.divmod(np.arange(runs * len(prompts)), len(prompts))
-    seeds = derive_seeds(config.seed, STREAM_EVAL, run, j)
+    if not cells:
+        raise DomainError("cell list is empty")
+    config = cells[0][1]
+    if any((c.tau, c.block_size, c.max_new_tokens)
+           != (config.tau, config.block_size, config.max_new_tokens) for _, c in cells):
+        raise DomainError("cells measured together must share tau, block_size and max_new_tokens")
+    drafts = {id(draft): draft for draft, _ in cells}  # the distinct drafts, in order
+    if not RowTable.stacks(list(drafts.values())):
+        stats = []
+        for c, cell in enumerate(cells):
+            sink = None if on_trace is None else (
+                lambda _, run, j, trace, c=c: on_trace(c, run, j, trace))
+            stats += measure_cells(target, [cell], prompts, runs, on_trace=sink)
+        return stats
+    member = {key: k for k, key in enumerate(drafts)}
+    per = runs * len(prompts)
+    run, j = np.divmod(np.arange(per), len(prompts))
+    seeds = derive_seeds(np.array([c.seed for _, c in cells], dtype=object)[:, None],
+                         STREAM_EVAL, run, j)
+    members = np.repeat([member[id(draft)] for draft, _ in cells], per)
+    streams = prompts * runs * len(cells)
     bank = SeedBank(seeds)
     start = perf_counter()
     target_rows = RowTable(target, config.tau)
+    draft_rows = RowTable.stack([RowTable(draft, config.tau) for draft in drafts.values()])
     outs, proposed, accepted, traces = decode_lockstep(
-        target_rows, RowTable(draft, config.tau), prompts * runs, config, bank,
-        traces=on_trace is not None)
+        target_rows, draft_rows, streams, config, bank, traces=on_trace is not None,
+        members=members)
     wall_spec = perf_counter() - start
     bank = SeedBank(derive_seeds(seeds, STREAM_BASELINE))
     start = perf_counter()
-    decode_lockstep(target_rows, None, prompts * runs, config, bank)
+    decode_lockstep(target_rows, None, streams, config, bank)
     wall_base = perf_counter() - start
     if on_trace is not None:
         for s, trace in enumerate(traces):
-            on_trace(*divmod(s, len(prompts)), trace)
-    proposed, accepted = int(proposed.sum()), int(accepted.sum())
-    if proposed == 0:
-        raise DomainError("no draft proposals recorded")
-    return DecodeStats(
-        alpha=accepted / proposed,
-        speedup=wall_base / wall_spec,
-        tokens_out=sum(len(out) for out in outs),
-        wall_time_spec=wall_spec,
-        wall_time_base=wall_base,
-        runs=runs,
-        draft_proposed=proposed,
-        draft_accepted=accepted,
-    )
+            on_trace(s // per, *divmod(s % per, len(prompts)), trace)
+    tokens = np.array([len(out) for out in outs]).reshape(len(cells), per).sum(axis=1)
+    stats = []
+    for p, a, n in zip(proposed.reshape(len(cells), per).sum(axis=1).tolist(),
+                       accepted.reshape(len(cells), per).sum(axis=1).tolist(), tokens.tolist()):
+        if p == 0:
+            raise DomainError("no draft proposals recorded")
+        stats.append(DecodeStats(alpha=a / p, speedup=wall_base / wall_spec, tokens_out=n,
+                                 wall_time_spec=wall_spec / len(cells),
+                                 wall_time_base=wall_base / len(cells), runs=runs,
+                                 draft_proposed=p, draft_accepted=a))
+    return stats
 
 
 @dataclass(frozen=True)
@@ -199,11 +234,14 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
     Every (cell, seed) evaluation uses the child seed
     ``derive_seed(base_config.seed, tag, kd_index, decode_index, seed)``
     so cells are independent and reruns reproduce bit for bit. Drafts
-    train and cells decode one after another. ``jobs`` stays for callers
-    that pass it and must be 1; a thread pool over the cells made sweeps
-    slower, not faster.
+    train one after another; then the cells of each decode tau are
+    measured together by one :func:`measure_cells` call, whose cell
+    results equal those of measuring each alone. ``jobs`` stays for
+    callers that pass it and must be 1; a thread pool over the cells made
+    sweeps slower, not faster.
     ``trace_sink(kd_tau, decode_tau, seed, text)``, when given, receives
-    the concatenated traces of each evaluation. With a ``cache_dir``, two
+    the concatenated traces of each evaluation, a decode tau's cells after
+    that tau's decodes. With a ``cache_dir``, two
     ``kd_taus`` that would share a cache file name raise
     :class:`DomainError` before any draft trains.
     """
@@ -237,25 +275,24 @@ def run_sweep(kd_taus, decode_taus, kd_mode, corpus: CorpusBundle,
         except TrainingError as exc:
             raise TrainingError(f"sweep aborted at kd_tau={kd_tau:g}: {exc}") from exc
 
-    def eval_cell(ki: int, di: int, seed: int):
-        cfg = replace(
-            base_config,
-            tau=decode_taus[di],
-            seed=derive_seed(base_config.seed, _TAG_SWEEP_CELL, ki, di, seed),
-        )
-        blocks: list[str] = []
+    keys = [(ki, seed) for ki in range(len(kd_taus)) for seed in sorted(seeds)]
+    stats = {}
+    for di, decode_tau in enumerate(decode_taus):
+        cells = [(drafts[ki], replace(base_config, tau=decode_tau, seed=derive_seed(
+                     base_config.seed, _TAG_SWEEP_CELL, ki, di, seed))) for ki, seed in keys]
+        blocks: list[list[str]] = [[] for _ in keys]
         sink = None
         if trace_sink is not None:
-            sink = lambda run, j, trace: blocks.append(dump_trace(trace))
-        stats = measure_decode(
-            corpus.teacher, drafts[ki], corpus.prompts, cfg, runs_per_seed, on_trace=sink
-        )
-        if trace_sink is not None:
-            trace_sink(kd_taus[ki], decode_taus[di], seed, "\n".join(blocks))
-        return stats
+            sink = lambda c, run, j, trace: blocks[c].append(dump_trace(trace))
+        column = measure_cells(corpus.teacher, cells, corpus.prompts, runs_per_seed,
+                               on_trace=sink)
+        for (ki, seed), cell_stats, block in zip(keys, column, blocks):
+            if trace_sink is not None:
+                trace_sink(kd_taus[ki], decode_tau, seed, "\n".join(block))
+            stats[ki, di, seed] = cell_stats
 
     seed_stats = tuple(
-        (kd_tau, decode_tau, seed, eval_cell(ki, di, seed))
+        (kd_tau, decode_tau, seed, stats[ki, di, seed])
         for ki, kd_tau in enumerate(kd_taus)
         for di, decode_tau in enumerate(decode_taus)
         for seed in sorted(seeds)
@@ -346,7 +383,10 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
     ``(decode_tau, seed, stats_per_draft...)`` row per cell, sorted by
     (decode_tau, seed). Every draft of a cell decodes with the child seed
     ``derive_seed(base_config.seed, tag, decode_index, seed)``, which
-    does not depend on the draft, so the drafts compare pairwise.
+    does not depend on the draft, so the drafts compare pairwise. All
+    drafts of all seeds at one decode tau are measured by one
+    :func:`measure_cells` call, so they share one ``speedup`` when they
+    stack.
     """
     prompts = list(prompts)
     decode_taus = _grid_taus("decode_taus", decode_taus)
@@ -355,15 +395,13 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
         raise DomainError("seeds must be non-empty")
     rows = []
     for di, decode_tau in enumerate(decode_taus):
-        for seed in seeds:
-            cfg = replace(
-                base_config,
-                tau=decode_tau,
-                seed=derive_seed(base_config.seed, _TAG_ARM_CELL, di, seed),
-            )
-            stats = [measure_decode(target, draft, prompts, cfg, runs_per_seed)
-                     for draft in drafts_for(seed)]
-            rows.append((decode_tau, seed, *stats))
+        arms = [tuple(drafts_for(seed)) for seed in seeds]
+        cells = [(draft, replace(base_config, tau=decode_tau,
+                                 seed=derive_seed(base_config.seed, _TAG_ARM_CELL, di, seed)))
+                 for seed, drafts in zip(seeds, arms) for draft in drafts]
+        stats = iter(measure_cells(target, cells, prompts, runs_per_seed))
+        rows += [(decode_tau, seed, *(next(stats) for _ in drafts))
+                 for seed, drafts in zip(seeds, arms)]
     return rows
 
 

@@ -74,24 +74,22 @@ def _check_token(tid: int, size: int) -> int:
     return t
 
 
-def _padded_window(context, n: int, bos: int) -> tuple:
-    """The last ``n`` tokens of ``context``, left-padded with bos; not validated."""
+def _window_tokens(context, width: int, vocab: Vocab) -> list[int]:
+    """The last ``width`` tokens of ``context``, left-padded with bos, each validated in order."""
     end = len(context)
-    if end >= n:
-        return tuple(context[end - n : end])
-    return (bos,) * (n - end) + tuple(context)
+    window = context[end - width : end] if end >= width else (
+        [vocab.bos_id] * (width - end) + list(context))
+    return [_check_token(t, vocab.size) for t in window]
 
 
 def _window_index(context, width: int, vocab: Vocab) -> int:
-    """Index of the window after ``context``, validating every token it reads.
+    """Index of the window after ``context``: its :func:`_window_tokens`, encoded.
 
-    The window is the last ``width`` tokens, left-padded with bos, encoded
-    base ``vocab.size`` with the most recent token last.
+    The encoding is base ``vocab.size`` with the most recent token last.
     """
-    size = vocab.size
     idx = 0
-    for t in _padded_window(context, width, vocab.bos_id):
-        idx = idx * size + _check_token(t, size)
+    for t in _window_tokens(context, width, vocab):
+        idx = idx * vocab.size + t
     return idx
 
 
@@ -99,7 +97,7 @@ def _padded_tokens(tokens, start: int, n: int, vocab: Vocab) -> np.ndarray:
     """The tokens that the windows after ``tokens[:i]``, ``start <= i < len(tokens)``, read.
 
     Bos-padded on the left, so that ``padded[i - start : i - start + n]`` is
-    the :func:`_padded_window` of ``tokens[:i]``. They are validated in
+    the :func:`_window_tokens` of ``tokens[:i]``. They are validated in
     sequence order.
     """
     lo = max(0, start - n)
@@ -270,9 +268,7 @@ class TinyNeuralLM:
         return self.context_size
 
     def _window(self, context) -> list[int]:
-        size = self.vocab.size
-        return [_check_token(t, size)
-                for t in _padded_window(context, self.context_size, self.vocab.bos_id)]
+        return _window_tokens(context, self.context_size, self.vocab)
 
     def forward(self, context) -> np.ndarray:
         """Next-token logits after ``context``. Pure; returns a fresh array."""

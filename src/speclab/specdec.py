@@ -17,8 +17,11 @@ stream of a :class:`~speclab.sampling.SeedBank`, each stream carries the
 window index of its rows in each model's :class:`RowTable`,
 and every draw, acceptance test and commit is one array operation over
 the streams still decoding. A rejection's correction is drawn from the
-residual of the two rows it met. With no draft the loop is the
-autoregressive baseline, and KD datasets are decoded that way.
+residual of the two rows it met. Streams may read different drafts
+from one stack of whole draft tables (:meth:`RowTable.stack`), so a
+sweep decodes all cells of one temperature in one call. With no draft
+the loop is the autoregressive baseline, and KD datasets are decoded
+that way.
 :func:`speculative_generate` is its one-stream form.
 Code that draws one response at a time on one generator runs on one
 scalar loop, :func:`_table_rollouts`: :func:`generate_autoregressive`
@@ -45,6 +48,7 @@ from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from contextlib import closing
+from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,6 +304,12 @@ class RowTable:
     lookup. The first ``MAX_CACHED_ROWS`` indices looked up keep their
     rows; the row of a later index is built again on every lookup, into a
     slot past the kept ones that stays valid only until the next lookup.
+
+    :meth:`stack` joins whole tables of one width, vocabulary and tau
+    along the row axis, so that one decode can read several drafts:
+    index ``i`` of member ``k`` sits at slot ``k * rows + i``, and a
+    token moves slot ``g`` to :func:`_step` of it, within its member.
+    ``members`` counts the tables a table holds.
     """
 
     def __init__(self, model, tau: float):
@@ -312,6 +322,7 @@ class RowTable:
             raise DomainError(f"a window of {self.width} tokens over {self.size} "
                               "has too many rows to index")
         self.whole = _takes_whole(model)
+        self.members = 1
         if self.whole:
             self.probs = softmax_with_temperature(model.table, tau)
         else:
@@ -322,6 +333,34 @@ class RowTable:
             self.probs = np.empty((0, self.size))
         self.cdf = np.cumsum(self.probs, axis=1)
         self.ok = _sums_to_one(self.cdf[:, -1])
+
+    @staticmethod
+    def stacks(models) -> bool:
+        """Whether the models' tables stack: one model, or whole n-grams of one width and vocab."""
+        first = models[0]
+        return len(models) == 1 or all(_takes_whole(m) and m.width == first.width
+                                       and m.vocab == first.vocab for m in models)
+
+    @staticmethod
+    def stack(tables) -> RowTable:
+        """One table of ``tables``' rows, member after member; a single table stacks as itself.
+
+        The tables must be of one tau and their models :meth:`stacks`, or
+        :class:`DomainError` is raised. Member ``k``'s rows are bit for bit
+        those of ``tables[k]``; the stack's ``model``, which gives its
+        vocabulary and window, is the first member's.
+        """
+        first = tables[0]
+        if len(tables) == 1:
+            return first
+        if (not RowTable.stacks([t.model for t in tables])
+                or any(t.tau != first.tau for t in tables)):
+            raise DomainError("only whole tables of one width, vocabulary and tau stack")
+        out = copy(first)
+        out.members = len(tables)
+        for name in ("probs", "cdf", "ok"):
+            setattr(out, name, np.concatenate([getattr(t, name) for t in tables]))
+        return out
 
     def index(self, context) -> int:
         """Window index after ``context``, validating the tokens the model reads."""
@@ -440,8 +479,16 @@ def _residual_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step(g: np.ndarray, tok: np.ndarray, size: int, rows: int) -> np.ndarray:
+    """Slot after token ``tok`` from slot ``g`` of a :meth:`RowTable.stack`, in g's member.
+
+    Below ``rows``, as in a table of one member, it is ``(g * size + tok) % rows``.
+    """
+    return g - g % rows + (g * size + tok) % rows
+
+
 def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
-                    config: GenerationConfig, rngs, *, traces: bool = False):
+                    config: GenerationConfig, rngs, *, traces: bool = False, members=None):
     """Decode every prompt as one stream, all streams a round at a time.
 
     Stream ``i`` decodes ``prompts[i]`` with generator ``rngs[i]`` and
@@ -458,6 +505,13 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     stream carries its window indices into both tables, and every draw,
     acceptance test and commit is one array operation over the streams
     still decoding.
+
+    The draft may be a :meth:`RowTable.stack` of several drafts' tables;
+    ``members[i]``, when given, is the stack member that stream ``i``
+    reads (0 for every stream when not), and any other value raises
+    :class:`DomainError`. The target is one table that every stream
+    reads. Streams do not interact, so each stream's tokens, trace and
+    uniforms are those it gets when decoded alone with its member's table.
 
     Prompt tokens are validated up front, stream by stream, draft window
     first; the first error raised is that of the first failing stream.
@@ -488,6 +542,12 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
     block = 0 if draft is None else min(config.block_size, cap)
     if len(rngs) != n:
         raise DomainError(f"{len(rngs)} random streams for {n} prompts")
+    if members is not None:
+        members = np.asarray(members, dtype=np.int64)
+        if (draft is None or members.shape != (n,)
+                or ((members < 0) | (members >= draft.members)).any()):
+            raise DomainError("members must name one member of the draft table per prompt")
+        di += members * draft.rows
     uniforms = rngs if isinstance(rngs, SeedBank) else _Uniforms(rngs)
     out = np.empty((n, cap), dtype=np.int64)
     n_out = np.zeros(n, dtype=np.int64)
@@ -518,7 +578,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
                 tokens[go, j] = tok
                 q_x[go, j] = draft.probs[slots, tok]
                 m[go] = j + 1
-                d_at[go, j + 1] = (d_at[go, j] * size + tok) % draft.rows
+                d_at[go, j + 1] = _step(d_at[go, j], tok, size, draft.rows)
                 t_at[go, j + 1] = (t_at[go, j] * size + tok) % target.rows
                 go = go[tok != eos]
             # Target rows at the block prefixes, plus the bonus position unless
@@ -566,7 +626,7 @@ def decode_lockstep(target: RowTable, draft: RowTable | None, prompts,
             a, c = acc[go], corr[go]
             ti[live[go]] = (t_at[go, a] * size + c) % target.rows
             if draft is not None:
-                di[live[go]] = (d_at[go, a] * size + c) % draft.rows
+                di[live[go]] = _step(d_at[go, a], c, size, draft.rows)
             live = live[go]
     finally:
         uniforms.rewind()

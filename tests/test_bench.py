@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speclab import bench
 from speclab.bench import (
     DEFAULT_DECODE_TAUS,
     DEFAULT_KD_TAUS,
@@ -9,6 +10,7 @@ from speclab.bench import (
     SweepResult,
     best_kd_per_decode,
     compare_drafts,
+    measure_cells,
     measure_decode,
     parse_sweep_csv,
     recount_alpha,
@@ -19,7 +21,7 @@ from speclab.bench import (
 from speclab.corpus import CorpusBundle, CorpusSpec, build_ground_truth
 from speclab.distill import KDConfig
 from speclab.errors import DomainError, TrainingError
-from speclab.lm import NGramLogitLM, Vocab
+from speclab.lm import NGramLogitLM, TinyNeuralLM, Vocab, load_checkpoint
 from speclab.sampling import STREAM_EVAL, derive_seed, make_rng
 from speclab.specdec import GenerationConfig, dump_trace, speculative_generate
 
@@ -145,6 +147,157 @@ def test_measure_decode_equals_the_one_prompt_decoders(tau):
     assert (stats.draft_proposed, stats.draft_accepted, stats.tokens_out) == (
         proposed, accepted, tokens)
     assert stats.alpha == accepted / proposed
+
+
+def one_cell(target, draft, prompts, cfg, runs):
+    """``measure_decode`` of one cell: its stats and its dumped traces in (run, prompt) order."""
+    blocks = []
+    stats = measure_decode(target, draft, prompts, cfg, runs,
+                           on_trace=lambda run, j, trace: blocks.append(dump_trace(trace)))
+    return stats, "\n".join(blocks)
+
+
+def same_decode(a: DecodeStats, b: DecodeStats) -> bool:
+    return ((a.alpha, a.draft_proposed, a.draft_accepted, a.tokens_out, a.runs)
+            == (b.alpha, b.draft_proposed, b.draft_accepted, b.tokens_out, b.runs))
+
+
+def neural_draft(seed: int) -> TinyNeuralLM:
+    return TinyNeuralLM.create(V8, context_size=2, d_emb=4, d_hid=8, seed=seed)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("drafts", ["order1", "order2", "neural", "one_neural", "mixed"])
+def test_measure_cells_equal_one_cell_at_a_time(tau, drafts):
+    # Whole n-grams of one width stack into one decode, as does one draft of
+    # any kind; distinct tiny-neural drafts, or drafts of two widths, fall
+    # back to one group per cell.
+    target = random_lm(seed=11, order=2)
+    models = {"order1": [random_lm(seed=s) for s in (12, 13, 14)],
+              "order2": [random_lm(seed=s, order=2) for s in (12, 13, 14)],
+              "neural": [neural_draft(s) for s in (12, 13, 14)],
+              "one_neural": [neural_draft(12)] * 3,
+              "mixed": [random_lm(seed=12), random_lm(seed=13, order=2), neural_draft(14)]}[drafts]
+    prompts = [[2], [3, 4], [5, 6, 7], []]
+    cells = [(models[k], small_config(tau=tau, seed=seed))
+             for k, seed in ((0, 3), (1, 3), (2, 5), (0, 6))]
+    blocks = [[] for _ in cells]
+    got = measure_cells(target, cells, prompts, runs=2,
+                        on_trace=lambda c, run, j, tr: blocks[c].append(dump_trace(tr)))
+    assert len(got) == len(cells)
+    for (draft, cfg), stats, block in zip(cells, got, blocks):
+        want, text = one_cell(target, draft, prompts, cfg, 2)
+        assert same_decode(stats, want)
+        assert "\n".join(block) == text
+
+
+def count_decodes(monkeypatch) -> list:
+    """Patch ``bench.decode_lockstep`` to record, per call, whether it had a draft."""
+    calls = []
+    real = bench.decode_lockstep
+
+    def counting(target, draft, *args, **kwargs):
+        calls.append(draft is not None)
+        return real(target, draft, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "decode_lockstep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_run_sweep_cells_equal_one_cell_at_a_time(tmp_path, monkeypatch, order):
+    bundle = tiny_bundle()
+    base = small_config(seed=6)
+    decode_taus = (0.0, 0.6, 1.0)
+    traces = {}
+    calls = count_decodes(monkeypatch)
+    result = run_sweep((0.0, 1.0), decode_taus, "offline", bundle, base, (1, 2),
+                       kd_template=KDConfig(mode="offline", learning_rate=0.4, steps=60, seed=2),
+                       cache_dir=tmp_path, draft_factory=lambda: random_lm(seed=77, order=order),
+                       trace_sink=lambda kd, dec, seed, text: traces.__setitem__((kd, dec, seed),
+                                                                                  text))
+    # One speculative and one baseline decode per decode tau.
+    assert calls == [True, False] * len(decode_taus)
+    monkeypatch.undo()
+    for kd_tau, decode_tau, seed, stats in result.seed_stats:
+        ki, di = result.kd_taus.index(kd_tau), decode_taus.index(decode_tau)
+        draft = load_checkpoint(tmp_path / f"draft_offline_tau{kd_tau:.2f}.ckpt")
+        cfg = small_config(tau=decode_tau,
+                           seed=derive_seed(base.seed, bench._TAG_SWEEP_CELL, ki, di, seed))
+        want, text = one_cell(bundle.teacher, draft, bundle.prompts, cfg, 1)
+        assert same_decode(stats, want)
+        assert traces[kd_tau, decode_tau, seed] == text
+
+
+@pytest.mark.parametrize("family", ["ngram", "neural"])
+def test_compare_drafts_cells_equal_one_cell_at_a_time(monkeypatch, family):
+    bundle = tiny_bundle()
+    base = small_config(seed=4)
+    decode_taus = (0.0, 0.6, 1.0)
+    make = random_lm if family == "ngram" else neural_draft
+    drafts = {seed: (make(10 + seed), make(20 + seed)) for seed in (1, 2)}
+    calls = count_decodes(monkeypatch)
+    rows = compare_drafts(bundle.teacher, drafts.get, bundle.prompts, decode_taus, base, (2, 1))
+    # Stacked n-grams decode once per side and tau; tiny-neural drafts once per cell.
+    per_tau = 1 if family == "ngram" else 4
+    assert calls == [True, False] * per_tau * len(decode_taus)
+    monkeypatch.undo()
+    assert [(tau, seed) for tau, seed, *_ in rows] == [
+        (tau, seed) for tau in decode_taus for seed in (1, 2)]
+    for tau, seed, *stats in rows:
+        cfg = small_config(tau=tau, seed=derive_seed(base.seed, bench._TAG_ARM_CELL,
+                                                     decode_taus.index(tau), seed))
+        for draft, got in zip(drafts[seed], stats):
+            assert same_decode(got, one_cell(bundle.teacher, draft, bundle.prompts, cfg, 1)[0])
+
+
+def fake_clock(monkeypatch, ticks):
+    """Make ``bench.perf_counter`` return ``ticks`` one call after another."""
+    ticks = iter(ticks)
+    monkeypatch.setattr(bench, "perf_counter", lambda: next(ticks))
+
+
+def test_measure_cells_split_the_group_wall_times_by_stream_share(monkeypatch):
+    target = random_lm(seed=11)
+    cells = [(random_lm(seed=s), small_config(seed=s)) for s in (12, 13, 14, 15)]
+    # Speculative decode from 10 to 18 s, baseline from 20 to 22 s.
+    fake_clock(monkeypatch, [10.0, 18.0, 20.0, 22.0])
+    got = measure_cells(target, cells, [[2], [3]], runs=3)
+    assert [(s.wall_time_spec, s.wall_time_base, s.speedup) for s in got] == [(2.0, 0.5, 0.25)] * 4
+    # One cell keeps its whole timed decodes and their ratio.
+    fake_clock(monkeypatch, [10.0, 18.0, 20.0, 22.0])
+    one = measure_decode(target, cells[0][0], [[2], [3]], cells[0][1], runs=3)
+    assert (one.wall_time_spec, one.wall_time_base, one.speedup, one.runs) == (8.0, 2.0, 0.25, 3)
+    assert same_decode(one, got[0])
+
+
+def test_measure_cells_fall_back_to_timing_each_cell_alone(monkeypatch):
+    target = random_lm(seed=11)
+    cells = [(neural_draft(12), small_config(seed=1)), (neural_draft(13), small_config(seed=2))]
+    fake_clock(monkeypatch, [0.0, 4.0, 4.0, 5.0, 10.0, 12.0, 12.0, 18.0])
+    got = measure_cells(target, cells, [[2], [3]], runs=1)
+    assert [(s.wall_time_spec, s.wall_time_base, s.speedup) for s in got] == [
+        (4.0, 1.0, 0.25), (2.0, 6.0, 3.0)]
+
+
+def test_sweep_cells_of_one_decode_tau_share_speedup_and_wall_times(small_sweep):
+    _, _, result = small_sweep
+    for decode_tau in result.decode_taus:
+        column = [s for _, d, _, s in result.seed_stats if d == decode_tau]
+        assert len(column) == 4
+        assert len({(s.speedup, s.wall_time_spec, s.wall_time_base) for s in column}) == 1
+
+
+def test_measure_cells_validation():
+    model = random_lm(seed=9)
+    with pytest.raises(DomainError, match="cell list is empty"):
+        measure_cells(model, [], [[2]], runs=1)
+    with pytest.raises(DomainError, match="share tau, block_size and max_new_tokens"):
+        measure_cells(model, [(model, small_config(tau=1.0)), (model, small_config(tau=0.5))],
+                      [[2]], runs=1)
+    other = GenerationConfig(tau=1.0, block_size=2, max_new_tokens=12)
+    with pytest.raises(DomainError, match="share tau, block_size and max_new_tokens"):
+        measure_cells(model, [(model, small_config()), (model, other)], [[2]], runs=1)
 
 
 def test_recount_alpha_rejects_empty_text():
@@ -281,7 +434,7 @@ def small_sweep():
     return bundle, template, result
 
 
-def test_run_sweep_shapes_and_metadata(small_sweep):
+def test_run_sweep_shapes(small_sweep):
     bundle, template, result = small_sweep
     assert result.kd_taus == (0.0, 1.0)
     assert result.decode_taus == (0.0, 1.0)

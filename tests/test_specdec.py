@@ -778,6 +778,74 @@ def test_row_table_index_is_the_window_index_of_lm(family, width):
             assert str(err.value) == f"token id {bad} outside vocab of size 8"
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, 0.7])
+def test_row_table_stack_members_are_the_models_own_tables(order, tau):
+    models = [random_ngram(order, seed) for seed in (170, 171, 172)]
+    tables = [RowTable(m, tau) for m in models]
+    stack = RowTable.stack(tables)
+    assert stack.members == 3 and stack.rows == 8 ** order and stack.whole
+    assert [len(stack.probs), len(stack.cdf), len(stack.ok)] == [3 * stack.rows] * 3
+    for k, model in enumerate(models):
+        own = RowTable(model, tau)
+        member = slice(k * own.rows, (k + 1) * own.rows)
+        for name in ("probs", "cdf", "ok"):
+            assert getattr(stack, name)[member].tobytes() == getattr(own, name).tobytes()
+    assert RowTable.stack(tables[:1]) is tables[0]
+
+
+def test_row_table_stack_rejects_tables_that_do_not_stack():
+    ngram = random_ngram(1, 173)
+    neural = TinyNeuralLM.create(VOCAB8, context_size=1, d_emb=2, d_hid=2)
+    other_vocab = random_ngram(1, 174, vocab=Vocab(size=9, bos_id=0, eos_id=1))
+    assert RowTable.stacks([neural]) and RowTable.stacks([ngram, random_ngram(1, 175)])
+    for models, taus in (([ngram, neural], (1.0, 1.0)),
+                         ([ngram, random_ngram(2, 176)], (1.0, 1.0)),
+                         ([ngram, other_vocab], (1.0, 1.0)), ([ngram, ngram], (1.0, 0.5))):
+        with pytest.raises(DomainError, match="only whole tables of one width, vocabulary"):
+            RowTable.stack([RowTable(m, tau) for m, tau in zip(models, taus)])
+    assert not RowTable.stacks([ngram, neural])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_lockstep_on_a_stack_equals_each_member_alone(order, tau):
+    # Streams that read three stacked drafts give the tokens, counts, traces
+    # and generator states that each gets from its own draft's table.
+    target = oracle_target(2, 177)
+    drafts = [random_ngram(order, seed, scale=1.5) for seed in (178, 179, 180)]
+    cfg = GenerationConfig(tau=tau, block_size=3, max_new_tokens=12)
+    prompts = [[], [2], [5, 3, 7], [4, 4, 2, 6, 5], [6, 1]] * 3
+    members = [k % 3 for k in range(len(prompts))]
+    target_rows = RowTable(target, tau)
+    rngs = [make_rng(derive_seed(181, i)) for i in range(len(prompts))]
+    outs, proposed, accepted, traces = decode_lockstep(
+        target_rows, RowTable.stack([RowTable(d, tau) for d in drafts]), prompts, cfg, rngs,
+        traces=True, members=members)
+    for k, draft in enumerate(drafts):
+        mine = [i for i in range(len(prompts)) if members[i] == k]
+        alone = [make_rng(derive_seed(181, i)) for i in mine]
+        want = decode_lockstep(target_rows, RowTable(draft, tau), [prompts[i] for i in mine],
+                               cfg, alone, traces=True)
+        assert [outs[i] for i in mine] == want[0]
+        assert proposed[mine].tolist() == want[1].tolist()
+        assert accepted[mine].tolist() == want[2].tolist()
+        assert [dump_trace(traces[i]) for i in mine] == [dump_trace(t) for t in want[3]]
+        assert [rngs[i].bit_generator.state for i in mine] == [
+            r.bit_generator.state for r in alone]
+
+
+def test_lockstep_rejects_members_outside_the_draft_stack():
+    target = random_ngram(1, 182)
+    stack = RowTable.stack([RowTable(random_ngram(1, s), 1.0) for s in (183, 184)])
+    cfg = GenerationConfig(tau=1.0)
+    for draft, members in ((None, [0, 0]), (stack, [0]), (stack, [0, 2]), (stack, [-1, 0]),
+                           (RowTable(random_ngram(1, 185), 1.0), [0, 1])):
+        with pytest.raises(DomainError, match="members must name one member"):
+            decode_lockstep(RowTable(target, 1.0), draft, [[2], [3]], cfg,
+                            [make_rng(0), make_rng(1)], members=members)
+
+
 def test_target_sampler_shared_by_two_drafts_equals_the_oracle_in_either_order():
     # Both drafts are order-1 n-grams over one vocabulary, so they meet the
     # same (target row, draft row) pairs; one target table serves both, in
