@@ -376,14 +376,15 @@ def recount_alpha(trace_text: str) -> float:
 
 
 def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: GenerationConfig,
-                   seeds, runs_per_seed: int = 1) -> list[tuple]:
+                   seeds) -> list[tuple]:
     """Measure several drafts per seed on shared decoding randomness.
 
     ``drafts_for(seed)`` returns that seed's drafts. Returns one
     ``(decode_tau, seed, stats_per_draft...)`` row per cell, sorted by
-    (decode_tau, seed). Every draft of a cell decodes with the child seed
-    ``derive_seed(base_config.seed, tag, decode_index, seed)``, which
-    does not depend on the draft, so the drafts compare pairwise. All
+    (decode_tau, seed). Every draft of a cell decodes each prompt once,
+    with the child seed ``derive_seed(base_config.seed, tag,
+    decode_index, seed)``, which does not depend on the draft, so the
+    drafts compare pairwise. All
     drafts of all seeds at one decode tau are measured by one
     :func:`measure_cells` call, so they share one ``speedup`` when they
     stack.
@@ -399,36 +400,7 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
         cells = [(draft, replace(base_config, tau=decode_tau,
                                  seed=derive_seed(base_config.seed, _TAG_ARM_CELL, di, seed)))
                  for seed, drafts in zip(seeds, arms) for draft in drafts]
-        stats = iter(measure_cells(target, cells, prompts, runs_per_seed))
+        stats = iter(measure_cells(target, cells, prompts, runs=1))
         rows += [(decode_tau, seed, *(next(stats) for _ in drafts))
                  for seed, drafts in zip(seeds, arms)]
     return rows
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman(xs, ys) -> float:
-    """Rank correlation with average ranks on ties."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise DomainError("need two equal-length sequences of at least 2 points")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = float(np.sqrt((rx ** 2).sum() * (ry ** 2).sum()))
-    if denom == 0.0:
-        raise DomainError("rank correlation undefined for constant input")
-    return float((rx * ry).sum() / denom)

@@ -25,7 +25,6 @@ from .bench import (
     parse_sweep_csv,
     recount_alpha,
     run_sweep,
-    spearman,
     sweep_csv_text,
 )
 from .corpus import (
@@ -433,13 +432,11 @@ def _report_section(path: Path) -> str:
     decode_taus = sorted({r["decode_tau"] for r in rows})
     seeds = sorted({r["seed"] for r in rows})
     cell_alpha: dict = {}
-    cell_speedup: dict = {}
     for kd in kd_taus:
         for dec in decode_taus:
             group = [r for r in rows if r["kd_tau"] == kd and r["decode_tau"] == dec]
             if group:
                 cell_alpha[(kd, dec)] = sum(r["alpha"] for r in group) / len(group)
-                cell_speedup[(kd, dec)] = sum(r["speedup"] for r in group) / len(group)
     lines = [f"# sweep report: {path}"]
     lines.append(
         f"rows: {len(rows)}  seeds: {len(seeds)}  cells: {len(cell_alpha)}  "
@@ -477,14 +474,6 @@ def _report_section(path: Path) -> str:
                 f"  kd {a:.2f} / decode {b:.2f}: {cell_alpha[(a, b)]:.6f}  vs  "
                 f"kd {b:.2f} / decode {a:.2f}: {cell_alpha[(b, a)]:.6f}"
             )
-    if any(r["speedup"] != 0.0 for r in rows) and len(rows) >= 2:
-        try:
-            corr = spearman([r["alpha"] for r in rows], [r["speedup"] for r in rows])
-            lines.append(f"spearman(alpha, speedup) over rows = {corr:.4f}")
-        except DomainError:
-            lines.append("spearman(alpha, speedup): undefined (constant input)")
-    else:
-        lines.append("spearman(alpha, speedup): omitted (timings zeroed)")
     return "".join(line + "\n" for line in lines)
 
 
@@ -506,8 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="path to a run config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a run config file")
         p.add_argument("--seed", type=int, default=None, help="override corpus/kd/decode seeds")
         p.add_argument("--no-timing", action="store_true", help="zero wall-clock fields")
 

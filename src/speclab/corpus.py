@@ -33,6 +33,15 @@ EOS_ID = 1
 # ground-truth logit rows stay finite even when a coordinate underflows.
 _ROW_FLOOR = 1e-300
 
+# Teacher pretraining: tau=1 rollouts of at most _ROLLOUT_LEN tokens, the
+# held-out contexts from _HELDOUT_ROLLOUTS more, a convergence check every
+# _CHECK_EVERY trained tokens, a rate from _LR_START halved _LR_STAGES times.
+_ROLLOUT_LEN = 40
+_HELDOUT_ROLLOUTS = 48
+_CHECK_EVERY = 8192
+_LR_START = 0.8
+_LR_STAGES = 6
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -76,32 +85,23 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
     return model
 
 
-def collect_heldout_contexts(
-    model: LanguageModel, rng, n_sequences: int = 48, seq_len: int = 40
-) -> list[tuple[int, ...]]:
+def collect_heldout_contexts(model: LanguageModel, rng) -> list[tuple[int, ...]]:
     """Contexts visited by fresh rollouts, for exact evaluation.
 
-    Every prefix of every rollout contributes one context, kept whole,
-    so at most ``seq_len`` tokens long (the empty prefix included, since
-    generation starts there too): a model of any order reads its full
-    window. The rollouts share one generator, so they run one after
-    another, and their rows:
-    they run on :func:`~speclab.specdec._table_rollouts`, which reads a
-    chain that a :class:`~speclab.specdec.RowTable` takes whole from one
-    softmax and CDF table and computes any other model's rows once per
-    window (:func:`~speclab.specdec._rollouts`).
+    Every prefix of each of ``_HELDOUT_ROLLOUTS`` tau=1 rollouts
+    contributes one context, kept whole, so at most ``_ROLLOUT_LEN``
+    tokens long (the empty prefix included, since generation starts there
+    too): a model of any order reads its full window. The rollouts share
+    one generator, so they run one after another, on
+    :func:`~speclab.specdec._rollouts`: a chain that a
+    :class:`~speclab.specdec.RowTable` takes whole is read from one
+    softmax and CDF table, any other model's rows are computed once per
+    window.
     """
-    contexts: list[tuple[int, ...]] = []
-    config = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
+    config = GenerationConfig(tau=1.0, max_new_tokens=_ROLLOUT_LEN)
     with closing(_rollouts(model, config, [], rng)) as rollouts:
-        seqs = [next(rollouts) for _ in range(n_sequences)]
-    for seq in seqs:
-        prefix: list[int] = []
-        contexts.append(tuple(prefix))
-        for tok in seq[:-1]:
-            prefix.append(tok)
-            contexts.append(tuple(prefix))
-    return contexts
+        seqs = [tuple(next(rollouts)) for _ in range(_HELDOUT_ROLLOUTS)]
+    return [seq[:i] for seq in seqs for i in range(len(seq))]
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -140,10 +140,6 @@ def pretrain_teacher(
     *,
     order: int | None = None,
     tolerance: float = 0.05,
-    seq_len: int = 40,
-    check_every: int = 8192,
-    lr_start: float = 0.8,
-    lr_stages: int = 6,
 ):
     """Fit a teacher to the ground truth by cross entropy on its samples.
 
@@ -154,18 +150,18 @@ def pretrain_teacher(
     ``order`` defaults to the ground truth's order.
 
     ``steps`` is a token budget. Each sampled token applies one SGD
-    update; the learning rate starts at ``lr_start`` and halves at each
-    of ``lr_stages`` equal slices of the budget, which lets the rows
+    update; the learning rate starts at ``_LR_START`` and halves at each
+    of ``_LR_STAGES`` equal slices of the budget, which lets the rows
     travel fast early and settle tightly late. Training stops once the
     exact held-out cross entropy is within ``tolerance`` of the held-out
     entropy rate; exhausting the budget first raises
     :class:`TrainingError` with the final gap.
 
-    Schedule. Rollouts are tau=1 samples of length at most ``seq_len``,
+    Schedule. Rollouts are tau=1 samples of length at most ``_ROLLOUT_LEN``,
     each ending at the end marker, drawn from the chain's whole tau=1
     table by :func:`~speclab.specdec._table_rollouts`. The convergence
     check runs after the first rollout that brings the tokens since the
-    last check to ``check_every``, and once more when the budget is
+    last check to ``_CHECK_EVERY``, and once more when the budget is
     spent. Training runs in chunks that end at those points. A chunk
     first rolls out its sequences and takes every token's teacher row in
     one array pass. It then applies its updates as a wavefront: step k
@@ -186,10 +182,6 @@ def pretrain_teacher(
     gradient raises :class:`NumericError` naming the row of the first
     one in token order.
     """
-    if seq_len < 1:
-        raise DomainError(f"seq_len must be >= 1, got {seq_len}")
-    if check_every < 1:
-        raise DomainError(f"check_every must be >= 1, got {check_every}")
     vocab = spec.vocab()
     teacher = NGramLogitLM.create(vocab, order if order is not None else ground_truth.order)
     heldout = collect_heldout_contexts(
@@ -205,9 +197,9 @@ def pretrain_teacher(
     used = 0
     since_check = 0
     with closing(_table_rollouts(probs, np.cumsum(probs, axis=1), ground_truth.context_index(()),
-                                 seq_len, vocab.eos_id, rng)) as rollouts:
+                                 _ROLLOUT_LEN, vocab.eos_id, rng)) as rollouts:
         while used < steps:
-            take = min(steps - used, check_every - since_check)
+            take = min(steps - used, _CHECK_EVERY - since_check)
             tokens: list[int] = []
             pos: list[int] = []  # each token's position in its rollout
             while len(tokens) < take:
@@ -221,12 +213,12 @@ def pretrain_teacher(
             rows = np.zeros(count, dtype=np.int64)
             for k in range(teacher.order, 0, -1):
                 rows = rows * vocab.size + np.where(at >= k, np.roll(toks, k), vocab.bos_id)
-            lrs = lr_start * 0.5 ** (lr_stages * np.arange(used, used + count)
-                                     / steps).astype(np.int64)
+            lrs = _LR_START * 0.5 ** (_LR_STAGES * np.arange(used, used + count)
+                                      / steps).astype(np.int64)
             _apply_wavefront(teacher, rows, toks, lrs)
             used += count
             since_check += count
-            if since_check >= check_every:
+            if since_check >= _CHECK_EVERY:
                 since_check = 0
                 ce = _cross_entropy(heldout_p, teacher.table[heldout_rows])
                 if ce <= target_ce:

@@ -52,14 +52,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, TrainingError
-from .files import read_lines, write_atomic
+from .errors import ConfigError, DomainError, TrainingError
+from .files import line_fields, read_lines, write_atomic
 from .lm import (
     FKL_PROB_FLOOR,
     LanguageModel,
     NGramLogitLM,
     _check_token,
     _fkl_logit_grads,
+    _sgd_rows,
     _stable_log_softmax_rows,
     apply_update,
     fkl_value,
@@ -246,11 +247,11 @@ def _sgd_update(student, lr: float):
     (``_backprop_parts``) for :func:`~speclab.lm.apply_update`. An
     n-gram student's are added, in part order, into one zeroed buffer
     shaped like its table and kept for the run (``_add_parts``). The
-    rows they visit are checked: a non-finite one raises
-    :class:`NumericError` naming the first in part order, before any
-    parameter moves, as ``apply_update`` names the first row of the
-    bundle. Otherwise each row moves by ``lr`` times its sum and its
-    buffer row goes back to +0.0. A row that several parts visit is
+    rows they visit take one :func:`~speclab.lm._sgd_rows` step, as
+    ``apply_update``'s do: a non-finite one raises :class:`NumericError`
+    naming the first in part order, before any parameter moves.
+    Otherwise each row moves by ``lr`` times its sum and its buffer row
+    goes back to +0.0. A row that several parts visit is
     gathered once per part before any write, so each write stores the
     same value.
     """
@@ -260,11 +261,7 @@ def _sgd_update(student, lr: float):
 
     def update(parts):
         rows = student._add_parts(grads, *parts)
-        g = grads[rows]
-        finite = np.isfinite(g).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"non-finite gradient for context row {rows[finite.argmin()]}")
-        student.table[rows] -= lr * g
+        _sgd_rows(student, rows, grads[rows], lr)
         grads[rows] = 0.0
 
     return update
@@ -392,12 +389,7 @@ def load_dataset(path) -> Dataset:
     data: Dataset = []
     for lineno, line in read_lines(path):
         where = f"{path} line {lineno}"
-        parts = [part.split("=", 1) for part in line.split()]
-        if any(len(part) != 2 for part in parts):
-            raise DomainError(f"{where}: a field without '='")
-        fields = dict(parts)
-        if set(fields) != {"tau", "src", "prompt", "response"}:
-            raise DomainError(f"{where}: unexpected fields")
+        fields = line_fields(line, ("tau", "src", "prompt", "response"), where)
         try:
             prompt, response = ([int(t) for t in fields[k].split(",")] if fields[k] else []
                                 for k in ("prompt", "response"))

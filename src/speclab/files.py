@@ -48,3 +48,22 @@ def read_lines(path):
                 raise DomainError(f"{path} line {lineno}: no newline at the end of the file, "
                                   "which may be truncated")
             yield lineno, line
+
+
+def line_fields(line: str, keys, where: str) -> dict[str, str]:
+    """The ``key=value`` fields of one line, whose keys must be ``keys``, each once.
+
+    A field without '=', a repeated field or another set of keys raises
+    :class:`DomainError` starting with ``where``, which names the line.
+    """
+    parts = [part.split("=", 1) for part in line.split()]
+    if any(len(part) != 2 for part in parts):
+        raise DomainError(f"{where}: a field without '='")
+    fields = dict(parts)
+    if len(fields) < len(parts):
+        names = [key for key, _ in parts]
+        repeated = next(key for i, key in enumerate(names) if key in names[:i])
+        raise DomainError(f"{where}: repeated field '{repeated}'")
+    if set(fields) != set(keys):
+        raise DomainError(f"{where}: unexpected fields")
+    return fields

@@ -418,6 +418,18 @@ def fkl_gradient(model: LanguageModel, context, teacher_probs: np.ndarray):
     return fkl_value(teacher_probs, p_s[0]), model._backprop_parts(cache, [0], dlogits, np.ones(1))
 
 
+def _sgd_rows(model: NGramLogitLM, rows: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """In-place SGD step on n-gram table rows: ``table[rows] -= lr * g``.
+
+    A non-finite row of ``g`` raises :class:`NumericError` naming the
+    first such entry of ``rows``, before anything moves.
+    """
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite gradient for context row {rows[finite.argmin()]}")
+    model.table[rows] -= lr * g
+
+
 def apply_update(model: LanguageModel, grads: GradientBundle, lr: float) -> LanguageModel:
     """In-place SGD step: parameter <- parameter - lr * gradient.
 
@@ -425,14 +437,9 @@ def apply_update(model: LanguageModel, grads: GradientBundle, lr: float) -> Lang
     such n-gram row or parameter in ``grads`` order, before anything moves.
     """
     if isinstance(model, NGramLogitLM):
-        if not grads:
-            return model
-        g = np.array(list(grads.values()))
-        finite = np.isfinite(g).all(axis=1)
-        if not finite.all():
-            bad_row = list(grads)[finite.argmin()]
-            raise NumericError(f"non-finite gradient for context row {bad_row}")
-        model.table[np.fromiter(grads, dtype=np.int64, count=len(grads))] -= lr * g
+        if grads:
+            _sgd_rows(model, np.fromiter(grads, dtype=np.int64, count=len(grads)),
+                      np.array(list(grads.values())), lr)
         return model
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

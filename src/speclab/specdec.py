@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, VerificationError
+from .files import line_fields
 from .lm import NGramLogitLM, _window_index, _window_indices
 from .sampling import (
     _UNIFORM_CHUNK,
@@ -109,15 +110,6 @@ class SpeculationTrace:
         self.rounds.append(rnd)
         self.draft_proposed += len(rnd.proposed)
         self.draft_accepted += rnd.accepted_count
-
-    def alpha(self) -> float:
-        """Accepted draft tokens over proposed draft tokens.
-
-        Correction tokens (resampled or bonus) count toward neither side.
-        """
-        if self.draft_proposed == 0:
-            raise DomainError("no proposed tokens: alpha undefined")
-        return self.draft_accepted / self.draft_proposed
 
 
 def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -653,12 +645,7 @@ def parse_trace(text: str) -> SpeculationTrace:
     trace = SpeculationTrace()
     for lineno, line in enumerate(text.splitlines()):
         where = f"trace line {lineno}"
-        parts = [part.split("=", 1) for part in line.split()]
-        if any(len(part) != 2 for part in parts):
-            raise DomainError(f"{where}: a field without '='")
-        fields = dict(parts)
-        if set(fields) != {"round", "proposed", "accepted", "correction", "kind"}:
-            raise DomainError(f"{where}: unexpected fields")
+        fields = line_fields(line, ("round", "proposed", "accepted", "correction", "kind"), where)
         try:
             index, accepted = int(fields["round"]), int(fields["accepted"])
             proposed = [int(t) for t in fields["proposed"].split(",") if t != ""]

@@ -15,7 +15,6 @@ from speclab.bench import (
     parse_sweep_csv,
     recount_alpha,
     run_sweep,
-    spearman,
     sweep_csv_text,
 )
 from speclab.corpus import CorpusBundle, CorpusSpec, build_ground_truth
@@ -533,29 +532,6 @@ def test_compare_drafts_rejects_repeated_decode_temperatures():
     with pytest.raises(DomainError, match=r"decode_taus repeat a value: \(0\.5, 1\.0, 1\.0\)"):
         compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0, 0.5, 1.0),
                        small_config(seed=4), (1,))
-
-
-def test_spearman_known_values():
-    assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
-    assert spearman([1, 2, 3, 4], [8, 6, 4, 2]) == -1.0
-    # Hand value: ranks x = (1,2,3), ranks y = (2,1,3) -> rho = 1 - 6*2/(3*8) = 0.5
-    assert abs(spearman([1, 2, 3], [5, 4, 9]) - 0.5) < 1e-12
-
-
-def test_spearman_ties_use_average_ranks():
-    # x ranks: (1.5, 1.5, 3); y ranks: (1, 2, 3). Centered rank products sum
-    # to 1.5; the norms multiply to sqrt(1.5 * 2), so rho = sqrt(3)/2.
-    got = spearman([7, 7, 9], [1, 2, 3])
-    assert abs(got - 1.5 / (1.5 * 2.0) ** 0.5) < 1e-12
-
-
-def test_spearman_validation():
-    with pytest.raises(DomainError):
-        spearman([1.0], [2.0])
-    with pytest.raises(DomainError):
-        spearman([1, 2], [3, 4, 5])
-    with pytest.raises(DomainError):
-        spearman([2, 2, 2], [1, 2, 3])
 
 
 def test_default_grids():

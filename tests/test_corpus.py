@@ -206,7 +206,7 @@ def test_heldout_scores_satisfy_gibbs_bound():
     # Cross entropy of any model can never undercut the reference entropy;
     # both sides are computed from full rows, so the bound is exact.
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    contexts = collect_heldout_contexts(gt, make_rng(13), n_sequences=8)
+    contexts = collect_heldout_contexts(gt, make_rng(13))
     rng = make_rng(14)
     for _ in range(10):
         other = NGramLogitLM.create(SMALL.vocab(), 1)
@@ -222,7 +222,7 @@ def test_pretrain_reaches_small_fkl_to_ground_truth():
     # ratio pins it below 0.05 nats per token.
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
     teacher, *_ = pretrain_teacher(gt, SMALL, 400_000, make_rng(2), tolerance=0.015)
-    contexts = collect_heldout_contexts(gt, make_rng(13), n_sequences=16)
+    contexts = collect_heldout_contexts(gt, make_rng(13))
     ce, ent = heldout_scores(gt, teacher, contexts)
     assert ce - ent < 0.05
     assert ce >= ent - 1e-9
@@ -360,18 +360,20 @@ def test_entropy_rate_tracks_concentration():
                                          seed=8), make_rng(8))
     peaky = build_ground_truth(CorpusSpec(vocab_size=16, order=1, concentration=0.05,
                                           seed=8), make_rng(8))
-    ctx_flat = collect_heldout_contexts(flat, make_rng(1), n_sequences=12)
-    ctx_peaky = collect_heldout_contexts(peaky, make_rng(1), n_sequences=12)
+    ctx_flat = collect_heldout_contexts(flat, make_rng(1))
+    ctx_peaky = collect_heldout_contexts(peaky, make_rng(1))
     _, ent_flat = heldout_scores(flat, flat, ctx_flat)
     _, ent_peaky = heldout_scores(peaky, peaky, ctx_peaky)
     assert ent_peaky < ent_flat < math.log(16)
 
 
-def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=0.05,
-                       seq_len=40, check_every=8192, lr_start=0.8, lr_stages=6):
+def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=0.05):
     """The token-by-token pretraining loop: one rollout, then one SGD step per token.
 
-    Returns ``(teacher, heldout, ce, entropy)``, as :func:`pretrain_teacher` does.
+    Rollouts of at most 40 tokens, a check after the first rollout that
+    brings the tokens since the last one to 8192, a learning rate of 0.8
+    halved at each sixth of the budget. Returns ``(teacher, heldout, ce,
+    entropy)``, as :func:`pretrain_teacher` does.
     """
     teacher = NGramLogitLM.create(spec.vocab(), order if order is not None else ground_truth.order)
     heldout = collect_heldout_contexts(
@@ -380,12 +382,12 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
     target_ce = (1.0 + tolerance) * entropy
     used = 0
     since_check = 0
-    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     while used < steps:
         seq = reference_generate_autoregressive(ground_truth, [], cfg, rng)
         prefix = []
         for tok in seq:
-            lr = lr_start * 0.5 ** int(lr_stages * used / steps)
+            lr = 0.8 * 0.5 ** int(6 * used / steps)
             _, grads = reference_ce_gradient(teacher, prefix, tok)
             apply_update(teacher, grads, lr)
             prefix.append(tok)
@@ -393,7 +395,7 @@ def reference_pretrain(ground_truth, spec, steps, rng, *, order=None, tolerance=
             since_check += 1
             if used >= steps:
                 break
-        if since_check >= check_every:
+        if since_check >= 8192:
             since_check = 0
             ce, _ = heldout_scores(ground_truth, teacher, heldout)
             if ce <= target_ce:
@@ -422,21 +424,22 @@ ORDER2 = CorpusSpec(vocab_size=12, order=2, concentration=0.5, seed=4)
     (SMALL, 50_000, {}),
     (ORDER2, 50_000, {}),
     (SMALL, 50_000, {"order": 3}),
-    (SMALL, 4_001, {"check_every": 1000, "tolerance": 0.002}),
-    (ORDER2, 1_500, {"check_every": 1}),
+    (SMALL, 4_001, {"tolerance": 0.002}),
+    (ORDER2, 8_292, {}),
     (SMALL, 0, {}),
     (SMALL, 50, {}),
     (SMALL, 63, {}),
     (SMALL, 64, {}),
     (SMALL, 65, {}),
-], ids=["small", "order2", "order1-teacher3", "mid-sequence", "check-every-1",
+], ids=["small", "order2", "order1-teacher3", "mid-sequence", "past-first-check",
         "budget0", "budget50", "budget63", "budget64", "budget65"])
 def test_pretrain_matches_token_by_token_reference(spec, steps, kwargs):
     # Same teacher table bit for bit, same error text, and the same
     # generator state afterwards, as the per-token loop. Uniforms are
     # drawn 64 at a time: the rollouts of budgets 63 and 64 read exactly
-    # one chunk, those of budget 65 one uniform of the next; with a check
-    # after every rollout, each rollout hands its unread uniforms back.
+    # one chunk, those of budget 65 one uniform of the next. A budget of
+    # 8,292 tokens is more than a rollout (at most 40) past the first
+    # check, which the order-2 teacher fails, so a second chunk follows it.
     gt = build_ground_truth(spec, make_rng(spec.seed))
     table, err, after = _outcome(pretrain_teacher, gt, spec, steps, 2, **kwargs)
     ref_table, ref_err, ref_after = _outcome(reference_pretrain, gt, spec, steps, 2, **kwargs)
@@ -462,9 +465,12 @@ def test_pretrain_reference_cases_cover_both_outcomes():
     gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
     _, err, _ = _outcome(reference_pretrain, gt, SMALL, 50_000, 2)
     assert err is None
-    _, err, _ = _outcome(reference_pretrain, gt, SMALL, 4_001, 2, check_every=1000,
-                         tolerance=0.002)
+    _, err, _ = _outcome(reference_pretrain, gt, SMALL, 4_001, 2, tolerance=0.002)
     assert err is not None and "not converged in 4001 tokens" in err
+    # The order-2 teacher fails its check at 8,192 tokens and trains on.
+    gt2 = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
+    _, err, _ = _outcome(reference_pretrain, gt2, ORDER2, 8_292, 2)
+    assert err is not None and "not converged in 8292 tokens" in err
     # The 4001-token budget runs out part-way through a rollout.
     rng = make_rng(2)
     lengths = []
@@ -474,35 +480,34 @@ def test_pretrain_reference_cases_cover_both_outcomes():
     assert sum(lengths) - lengths[-1] < 4_001 < sum(lengths)
 
 
+def _infinite_rate_updates(spec, n_rollouts):
+    """Pretraining's rows and tokens over ``n_rollouts`` rollouts, at an infinite rate.
+
+    Returns ``(teacher, rows, tokens, lrs)`` for :func:`_apply_wavefront`.
+    """
+    gt = build_ground_truth(spec, make_rng(spec.seed))
+    teacher = NGramLogitLM.create(spec.vocab(), spec.order)
+    rng = make_rng(2)
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
+    rows, tokens = [], []
+    for _ in range(n_rollouts):
+        seq = reference_generate_autoregressive(gt, [], cfg, rng)
+        rows += [teacher.context_index(seq[:i]) for i in range(len(seq))]
+        tokens += seq
+    return teacher, rows, tokens, [np.inf] * len(rows)
+
+
 def test_pretrain_non_finite_update_raises_numeric_error():
-    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericError, match=r"non-finite gradient for context row \d+"):
-            pretrain_teacher(gt, SMALL, 5_000, make_rng(2), lr_start=float("inf"))
+    teacher, rows, tokens, lrs = _infinite_rate_updates(SMALL, 20)
+    _, err = wavefront_outcome(_apply_wavefront, teacher, rows, tokens, lrs)
+    assert re.fullmatch(r"non-finite gradient for context row \d+", err)
 
 
 def test_pretrain_non_finite_update_names_the_reference_row():
-    gt = build_ground_truth(ORDER2, make_rng(ORDER2.seed))
-    messages = []
-    for fn in (pretrain_teacher, reference_pretrain):
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericError) as info:
-                fn(gt, ORDER2, 5_000, make_rng(2), lr_start=float("inf"))
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-
-
-def test_pretrain_rejects_empty_rollouts():
-    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    with pytest.raises(DomainError, match="seq_len"):
-        pretrain_teacher(gt, SMALL, 100, make_rng(2), seq_len=0)
-
-
-@pytest.mark.parametrize("check_every", [0, -5])
-def test_pretrain_rejects_a_check_interval_below_one(check_every):
-    gt = build_ground_truth(SMALL, make_rng(SMALL.seed))
-    with pytest.raises(DomainError, match=f"check_every must be >= 1, got {check_every}"):
-        pretrain_teacher(gt, SMALL, 100, make_rng(2), check_every=check_every)
+    teacher, rows, tokens, lrs = _infinite_rate_updates(ORDER2, 20)
+    _, err = wavefront_outcome(_apply_wavefront, teacher, rows, tokens, lrs)
+    _, ref_err = wavefront_outcome(reference_wavefront, teacher, rows, tokens, lrs)
+    assert err is not None and err == ref_err
 
 
 def test_pretrain_rewinds_the_generator_when_a_chain_row_fails_mid_rollout():

@@ -504,6 +504,15 @@ def test_dataset_load_rejects_unknown_fields(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_load_rejects_a_repeated_field_naming_path_and_line(tmp_path):
+    # The last copy must not silently win: this line would load with tau 9.0.
+    path = tmp_path / "bad.txt"
+    path.write_text("tau=1.0 src=teacher prompt=2 response=3\n"
+                    "tau=1.0 src=teacher prompt=2 response=3 tau=9.0\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 2: repeated field 'tau'")):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("line", [
     "tau=1.0 src=teacher prompt=3,4, response=3",
     "tau=1.0 src=teacher prompt=2,x response=3",

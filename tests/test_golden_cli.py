@@ -78,7 +78,7 @@ GOLDEN = {
         "ngram/prompts_in.txt":
             "92151b4f89e473d3e2466aa92ffb18fbc1e9db7fe5339ebe0e22a560cd38a223",
         "ngram/report.txt":
-            "1bdd4e7eb7144fc778b7a1f2cdf377fd07647d6152ec4a9f01d9964ae2464466",
+            "7b7faf06d833d17d547b972142d763294318277561880170e0805748ecf2b2d8",
         "ngram/sweep.csv":
             "2574aef57fdc6824ff6e30ca3557cf8c2e63fa6a27b5738db41bec7e9d897953",
         "ngram/teacher.ckpt":

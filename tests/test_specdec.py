@@ -175,7 +175,7 @@ def test_speculative_identical_models_accept_every_token():
     for i in range(20):
         out, trace = speculative_generate(target, draft, [2, 3], cfg, make_rng(i))
         assert trace.draft_accepted == trace.draft_proposed
-        assert trace.alpha() == 1.0
+        assert trace.draft_accepted / trace.draft_proposed == 1.0
         assert 1 <= len(out) <= 48
 
 
@@ -324,6 +324,13 @@ def test_trace_round_trip_preserves_totals():
     ]
 
 
+def test_parse_trace_rejects_a_repeated_field_naming_the_line():
+    # The last copy must not silently win: this round would record 2 accepted.
+    text = "round=0 proposed=2,3 accepted=1 correction=4 kind=resample accepted=2\n"
+    with pytest.raises(DomainError, match="trace line 0: repeated field 'accepted'"):
+        parse_trace(text)
+
+
 def test_parse_trace_rejects_malformed_lines():
     with pytest.raises(DomainError):
         parse_trace("round=0 proposed=1 accepted=1\n")
@@ -346,11 +353,6 @@ def test_parse_trace_rejects_a_bad_field_naming_the_line(line):
     text = "round=0 proposed=3,7 accepted=1 correction=5 kind=resample\n" + line + "\n"
     with pytest.raises(DomainError, match="trace line 1: "):
         parse_trace(text)
-
-
-def test_alpha_undefined_without_proposals():
-    with pytest.raises(DomainError):
-        SpeculationTrace().alpha()
 
 
 class StubRng:
@@ -1047,11 +1049,11 @@ def lazy_model(family, poison=False):
     return model
 
 
-def reference_heldout(model, rng, n_sequences, seq_len):
-    """collect_heldout_contexts as token-by-token reference rollouts."""
-    cfg = GenerationConfig(tau=1.0, max_new_tokens=seq_len)
+def reference_heldout(model, rng):
+    """collect_heldout_contexts as token-by-token reference rollouts: 48 of at most 40 tokens."""
+    cfg = GenerationConfig(tau=1.0, max_new_tokens=40)
     contexts = []
-    for _ in range(n_sequences):
+    for _ in range(48):
         seq = reference_generate_autoregressive(model, [], cfg, rng)
         contexts += [tuple(seq[:i]) for i in range(len(seq))]
     return contexts
@@ -1078,8 +1080,8 @@ def test_lazy_rows_roll_out_as_the_per_token_oracle(family):
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
     got_rng, want_rng = make_rng(40), make_rng(40)
-    got = collect_heldout_contexts(model, got_rng, n_sequences=12, seq_len=20)
-    assert got == reference_heldout(model, want_rng, 12, 20)
+    got = collect_heldout_contexts(model, got_rng)
+    assert got == reference_heldout(model, want_rng)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -1091,8 +1093,8 @@ def test_a_lazy_row_failing_its_total_check_raises_and_rewinds(family):
     cfg = GenerationConfig(tau=0.9, max_new_tokens=30)
     runs = [(lambda rng: generate_autoregressive(model, [2, 3], cfg, rng),
              lambda rng: reference_generate_autoregressive(model, [2, 3], cfg, rng)),
-            (lambda rng: collect_heldout_contexts(model, rng, n_sequences=12, seq_len=20),
-             lambda rng: reference_heldout(model, rng, 12, 20))]
+            (lambda rng: collect_heldout_contexts(model, rng),
+             lambda rng: reference_heldout(model, rng))]
     for run, reference in runs:
         raised = 0
         for seed in range(12):
