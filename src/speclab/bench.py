@@ -384,10 +384,9 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
     (decode_tau, seed). Every draft of a cell decodes each prompt once,
     with the child seed ``derive_seed(base_config.seed, tag,
     decode_index, seed)``, which does not depend on the draft, so the
-    drafts compare pairwise. All
-    drafts of all seeds at one decode tau are measured by one
-    :func:`measure_cells` call, so they share one ``speedup`` when they
-    stack.
+    drafts compare pairwise. All drafts of all seeds at one decode tau
+    are measured by one :func:`measure_cells` call, so they share one
+    ``speedup`` when they stack.
     """
     prompts = list(prompts)
     decode_taus = _grid_taus("decode_taus", decode_taus)

@@ -88,9 +88,9 @@ def build_ground_truth(spec: CorpusSpec, rng: np.random.Generator) -> NGramLogit
 def collect_heldout_contexts(model: LanguageModel, rng) -> list[tuple[int, ...]]:
     """Contexts visited by fresh rollouts, for exact evaluation.
 
-    Every prefix of each of ``_HELDOUT_ROLLOUTS`` tau=1 rollouts
-    contributes one context, kept whole, so at most ``_ROLLOUT_LEN``
-    tokens long (the empty prefix included, since generation starts there
+    Every proper prefix of each of ``_HELDOUT_ROLLOUTS`` tau=1 rollouts
+    contributes one context, kept whole, so shorter than ``_ROLLOUT_LEN``
+    tokens (the empty prefix included, since generation starts there
     too): a model of any order reads its full window. The rollouts share
     one generator, so they run one after another, on
     :func:`~speclab.specdec._rollouts`: a chain that a
