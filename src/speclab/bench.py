@@ -30,7 +30,7 @@ from .distill import KDConfig, train_draft
 from .errors import DomainError, TrainingError
 from .lm import load_checkpoint, save_checkpoint
 from .sampling import STREAM_BASELINE, STREAM_EVAL, SeedBank, derive_seed, derive_seeds
-from .specdec import GenerationConfig, RowTable, decode_lockstep, dump_trace, parse_trace
+from .specdec import GenerationConfig, RowTable, _parse_trace, decode_lockstep, dump_trace
 
 DEFAULT_KD_TAUS = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_DECODE_TAUS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -361,25 +361,29 @@ def recount_alpha(trace_text: str) -> float:
     """Pooled acceptance recomputed from dumped traces.
 
     ``trace_text`` holds one or more dumped traces separated by blank
-    lines, as written by the sweep and decode trace sinks.
+    lines, as written by the sweep and decode trace sinks. A malformed
+    line raises :class:`DomainError` naming its block (1-based) and its
+    1-based line number in ``trace_text``.
     """
     proposed = accepted = 0
+    first_line, number = 1, 0
     for block in trace_text.split("\n\n"):
-        if not block.strip():
-            continue
-        trace = parse_trace(block)
-        proposed += trace.draft_proposed
-        accepted += trace.draft_accepted
+        if block.strip():
+            number += 1
+            trace = _parse_trace(block, f"trace block {number},", first_line)
+            proposed += trace.draft_proposed
+            accepted += trace.draft_accepted
+        first_line += block.count("\n") + 2
     if proposed == 0:
         raise DomainError("no draft proposals recorded")
     return accepted / proposed
 
 
-def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: GenerationConfig,
-                   seeds) -> list[tuple]:
+def compare_drafts(target, drafts, prompts, decode_taus,
+                   base_config: GenerationConfig) -> list[tuple]:
     """Measure several drafts per seed on shared decoding randomness.
 
-    ``drafts_for(seed)`` returns that seed's drafts. Returns one
+    ``drafts`` maps each seed to that seed's drafts. Returns one
     ``(decode_tau, seed, stats_per_draft...)`` row per cell, sorted by
     (decode_tau, seed). Every draft of a cell decodes each prompt once,
     with the child seed ``derive_seed(base_config.seed, tag,
@@ -390,16 +394,14 @@ def compare_drafts(target, drafts_for, prompts, decode_taus, base_config: Genera
     """
     prompts = list(prompts)
     decode_taus = _grid_taus("decode_taus", decode_taus)
-    seeds = sorted(int(s) for s in seeds)
-    if not seeds:
-        raise DomainError("seeds must be non-empty")
+    if not drafts:
+        raise DomainError("drafts must map one or more seeds")
+    arms = [(seed, tuple(drafts[seed])) for seed in sorted(drafts)]
     rows = []
     for di, decode_tau in enumerate(decode_taus):
-        arms = [tuple(drafts_for(seed)) for seed in seeds]
         cells = [(draft, replace(base_config, tau=decode_tau,
                                  seed=derive_seed(base_config.seed, _TAG_ARM_CELL, di, seed)))
-                 for seed, drafts in zip(seeds, arms) for draft in drafts]
+                 for seed, arm in arms for draft in arm]
         stats = iter(measure_cells(target, cells, prompts, runs=1))
-        rows += [(decode_tau, seed, *(next(stats) for _ in drafts))
-                 for seed, drafts in zip(seeds, arms)]
+        rows += [(decode_tau, seed, *(next(stats) for _ in arm)) for seed, arm in arms]
     return rows

@@ -85,16 +85,30 @@ _SEEDS = (lambda seeds: 0 < len(seeds) == len(set(seeds)), "one or more distinct
 _FAMILY = (lambda name: name in (FAMILY_NGRAM, FAMILY_NEURAL),
            f"'{FAMILY_NGRAM}' or '{FAMILY_NEURAL}'")
 
+# Sections built into a dataclass, field by field, whose constructor
+# checks the fields' ranges. Each starts its DomainError with the field
+# name, so the section prefix makes the message name the key.
+_SECTIONS = (("corpus", CorpusSpec), ("kd", KDConfig), ("decode", GenerationConfig))
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def _section_rows() -> dict:
+    """A `section.field` row per dataclass field: its annotation's parser and its default."""
+    rows = {}
+    for section, cls in _SECTIONS:
+        for f in fields(cls):  # f.type is the annotation's text: the modules defer annotations
+            if f.type not in _FIELD_PARSERS:
+                raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {f.type!r}")
+            rows[f"{section}.{f.name}"] = (_FIELD_PARSERS[f.type], f.default, None)
+    return rows
+
+
 # Flat `section.key = value` schema: parser, default and range check per
 # key. A check of None means any parsed value is in range, or that the
-# section's dataclass (_SECTIONS) checks it when it is built.
+# section's dataclass (_SECTIONS) checks it when it is built. Explicit
+# rows are the keys that no dataclass field holds.
 _SCHEMA = {
-    "corpus.vocab_size": (int, 32, None),
-    "corpus.order": (int, 2, None),
-    "corpus.concentration": (float, 0.5, None),
-    "corpus.n_prompts": (int, 200, None),
-    "corpus.prompt_len": (int, 8, None),
-    "corpus.seed": (int, 0, None),
+    **_section_rows(),
     "corpus.pretrain_budget": (int, 800_000, _AT_LEAST_1),
     "corpus.tolerance": (float, 0.05, _FINITE_NONNEG),
     "models.teacher_order": (int, 2, _AT_LEAST_1),
@@ -104,19 +118,6 @@ _SCHEMA = {
     "models.draft_context_size": (int, 3, _AT_LEAST_1),
     "models.draft_d_emb": (int, 16, _AT_LEAST_1),
     "models.draft_d_hid": (int, 64, _AT_LEAST_1),
-    "kd.mode": (str, "offline", None),
-    "kd.tau_gen": (float, 1.0, None),
-    "kd.on_policy_frac": (float, 0.5, None),
-    "kd.loss_ratio": (float, 1.0, None),
-    "kd.learning_rate": (float, 0.3, None),
-    "kd.steps": (int, 3000, None),
-    "kd.seed": (int, 0, None),
-    "kd.gen_max_len": (int, 64, None),
-    "kd.data_repeats": (int, 5, None),
-    "decode.tau": (float, 1.0, None),
-    "decode.block_size": (int, 4, None),
-    "decode.max_new_tokens": (int, 64, None),
-    "decode.seed": (int, 0, None),
     "decode.runs": (int, 5, _AT_LEAST_1),
     "sweep.kd_taus": (_parse_float_list, DEFAULT_KD_TAUS, _GRID_TAUS),
     "sweep.decode_taus": (_parse_float_list, DEFAULT_DECODE_TAUS, _GRID_TAUS),
@@ -130,11 +131,6 @@ _SCHEMA = {
     "compose.data_repeats": (int, 1, _AT_LEAST_1),
     "io.output_dir": (str, "runs/default", None),
 }
-
-# Sections built into a dataclass, field by field, whose constructor
-# checks the fields' ranges. Each starts its DomainError with the field
-# name, so the section prefix makes the message name the key.
-_SECTIONS = (("corpus", CorpusSpec), ("kd", KDConfig), ("decode", GenerationConfig))
 
 
 @dataclass
@@ -181,8 +177,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def _build_run_config(values: dict, seed_override: int | None) -> RunConfig:
     if seed_override is not None:
-        values = {**values, "corpus.seed": seed_override, "kd.seed": seed_override,
-                  "decode.seed": seed_override}
+        values = {**values, **{f"{section}.seed": seed_override for section, _ in _SECTIONS}}
     for key, (_, _, check) in _SCHEMA.items():
         if check is not None and not check[0](values[key]):
             raise ConfigError(f"{key} must be {check[1]}, got {values[key]!r}")
@@ -251,9 +246,8 @@ def _load_eval_bundle(config: RunConfig) -> CorpusBundle:
     )
 
 
-def cmd_corpus(config: RunConfig) -> int:
+def cmd_corpus(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     budget = config.values["corpus.pretrain_budget"]
     try:
         bundle = build_corpus(
@@ -288,9 +282,8 @@ def cmd_corpus(config: RunConfig) -> int:
     return 0
 
 
-def cmd_distill(config: RunConfig) -> int:
+def cmd_distill(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
     student = _draft_factory(config)()
     dataset, log = train_draft(student, bundle.teacher, bundle.prompts, config.kd,
@@ -308,7 +301,6 @@ def cmd_distill(config: RunConfig) -> int:
 
 def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
     draft = load_checkpoint(_require_artifact(out / "draft.ckpt", "distill"))
     blocks: list[str] = []
@@ -346,7 +338,6 @@ def cmd_decode(config: RunConfig, no_timing: bool = False) -> int:
 
 def cmd_sweep(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
     values = config.values
     trace_sink = None
@@ -383,7 +374,6 @@ def cmd_sweep(config: RunConfig, no_timing: bool = False) -> int:
 
 def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _load_eval_bundle(config)
     values = config.values
     factory = _draft_factory(config)
@@ -401,14 +391,8 @@ def cmd_compose(config: RunConfig, no_timing: bool = False) -> int:
         return pair
 
     drafts = {seed: train_pair(seed) for seed in values["compose.seeds"]}
-    rows = compare_drafts(
-        bundle.teacher,
-        lambda seed: drafts[seed],
-        bundle.prompts,
-        values["compose.decode_taus"],
-        config.decode,
-        values["compose.seeds"],
-    )
+    rows = compare_drafts(bundle.teacher, drafts, bundle.prompts, values["compose.decode_taus"],
+                          config.decode)
     lines = ["decode_tau,seed,delta_alpha,delta_speedup"]
     wins = 0
     for decode_tau, seed, single, composed in rows:
@@ -488,20 +472,23 @@ def cmd_report(paths, out_path=None) -> int:
     return 0
 
 
+# The config-driven commands; `report` reads CSVs instead of a config.
+_COMMANDS = {"corpus": cmd_corpus, "distill": cmd_distill, "decode": cmd_decode,
+             "sweep": cmd_sweep, "compose": cmd_compose}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speclab",
         description="Desk-scale speculative decoding and distillation lab.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to a run config file")
-        p.add_argument("--seed", type=int, default=None, help="override corpus/kd/decode seeds")
-        p.add_argument("--no-timing", action="store_true", help="zero wall-clock fields")
-
-    for name in ("corpus", "distill", "decode", "sweep", "compose"):
-        add_common(sub.add_parser(name, help=f"run the {name} stage"))
+    for name in _COMMANDS:
+        command = sub.add_parser(name, help=f"run the {name} stage")
+        command.add_argument("--config", required=True, help="path to a run config file")
+        command.add_argument("--seed", type=int, default=None,
+                             help="override corpus/kd/decode seeds")
+        command.add_argument("--no-timing", action="store_true", help="zero wall-clock fields")
     report = sub.add_parser("report", help="summarize sweep CSVs as text")
     report.add_argument("csvs", nargs="+", help="sweep CSV paths")
     report.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -514,17 +501,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.csvs, args.out)
         config = load_config(args.config, seed_override=args.seed)
-        if args.command == "corpus":
-            return cmd_corpus(config)
-        if args.command == "distill":
-            return cmd_distill(config)
-        if args.command == "decode":
-            return cmd_decode(config, no_timing=args.no_timing)
-        if args.command == "sweep":
-            return cmd_sweep(config, no_timing=args.no_timing)
-        if args.command == "compose":
-            return cmd_compose(config, no_timing=args.no_timing)
-        raise ConfigError(f"unknown command '{args.command}'")
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](config, no_timing=args.no_timing)
     except (
         ConfigError,
         DomainError,

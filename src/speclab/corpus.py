@@ -49,7 +49,7 @@ class CorpusSpec:
 
     vocab_size: int = 32
     order: int = 2
-    concentration: float = 1.0
+    concentration: float = 0.5
     n_prompts: int = 200
     prompt_len: int = 8
     seed: int = 0

@@ -642,9 +642,14 @@ def dump_trace(trace: SpeculationTrace) -> str:
 
 def parse_trace(text: str) -> SpeculationTrace:
     """Inverse of :func:`dump_trace`; a malformed line raises :class:`DomainError` naming it."""
+    return _parse_trace(text, "trace", 0)
+
+
+def _parse_trace(text: str, label: str, first_line: int) -> SpeculationTrace:
+    """:func:`parse_trace` of a text whose first line is named ``<label> line <first_line>``."""
     trace = SpeculationTrace()
     for lineno, line in enumerate(text.splitlines()):
-        where = f"trace line {lineno}"
+        where = f"{label} line {first_line + lineno}"
         fields = line_fields(line, ("round", "proposed", "accepted", "correction", "kind"), where)
         try:
             index, accepted = int(fields["round"]), int(fields["accepted"])

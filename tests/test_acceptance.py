@@ -345,7 +345,7 @@ def test_mixed_temperature_data_matches_single_at_hot_decode(canon, verdict):
         )
         train_offline(composed, composed_data, kd_cfg)
         pairs[s] = (single, composed)
-    rows = compare_drafts(canon.teacher, lambda s: pairs[s], canon.prompts, (1.0,), gen, SEEDS)
+    rows = compare_drafts(canon.teacher, pairs, canon.prompts, (1.0,), gen)
     delta_alphas = [composed.alpha - single.alpha for _, _, single, composed in rows]
     wins = sum(1 for d in delta_alphas if d >= 0)
     deltas = " ".join(f"{d:+.4f}" for d in delta_alphas)

@@ -234,9 +234,9 @@ def test_compare_drafts_cells_equal_one_cell_at_a_time(monkeypatch, family):
     base = small_config(seed=4)
     decode_taus = (0.0, 0.6, 1.0)
     make = random_lm if family == "ngram" else neural_draft
-    drafts = {seed: (make(10 + seed), make(20 + seed)) for seed in (1, 2)}
+    drafts = {seed: (make(10 + seed), make(20 + seed)) for seed in (2, 1)}
     calls = count_decodes(monkeypatch)
-    rows = compare_drafts(bundle.teacher, drafts.get, bundle.prompts, decode_taus, base, (2, 1))
+    rows = compare_drafts(bundle.teacher, drafts, bundle.prompts, decode_taus, base)
     # Stacked n-grams decode once per side and tau; tiny-neural drafts once per cell.
     per_tau = 1 if family == "ngram" else 4
     assert calls == [True, False] * per_tau * len(decode_taus)
@@ -302,6 +302,15 @@ def test_measure_cells_validation():
 def test_recount_alpha_rejects_empty_text():
     with pytest.raises(DomainError):
         recount_alpha("\n\n")
+
+
+def test_recount_alpha_names_the_block_and_the_line_of_a_bad_round():
+    text = ("round=0 proposed=2,3 accepted=2 correction=4 kind=bonus\n"
+            "\n"
+            "round=0 proposed=2,3 accepted=1 correction=4 kind=resample\n"
+            "round=1 proposed=2 accepted=9 correction=4 kind=resample\n")
+    with pytest.raises(DomainError, match=r"^trace block 2, line 4: accepted 9 of 1 proposed$"):
+        recount_alpha(text)
 
 
 def make_result(alphas, kd_taus, decode_taus):
@@ -515,23 +524,22 @@ def test_run_sweep_training_failure_names_the_cell():
 def test_compare_drafts_same_draft_all_deltas_zero():
     bundle = tiny_bundle()
     draft = random_lm(seed=12)
-    rows = compare_drafts(bundle.teacher, lambda seed: (draft, draft), bundle.prompts,
-                          (1.0, 0.5), small_config(seed=4), (3, 1, 2))
+    rows = compare_drafts(bundle.teacher, {seed: (draft, draft) for seed in (3, 1, 2)},
+                          bundle.prompts, (1.0, 0.5), small_config(seed=4))
     assert [(tau, seed) for tau, seed, _, _ in rows] == [
         (0.5, 1), (0.5, 2), (0.5, 3), (1.0, 1), (1.0, 2), (1.0, 3)
     ]
     assert all(a.alpha == b.alpha and a.tokens_out == b.tokens_out for _, _, a, b in rows)
-    with pytest.raises(DomainError, match="seeds"):
-        compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0,),
-                       small_config(seed=4), ())
+    with pytest.raises(DomainError, match="drafts must map one or more seeds"):
+        compare_drafts(bundle.teacher, {}, bundle.prompts, (1.0,), small_config(seed=4))
 
 
 def test_compare_drafts_rejects_repeated_decode_temperatures():
     bundle = tiny_bundle()
     draft = random_lm(seed=12)
     with pytest.raises(DomainError, match=r"decode_taus repeat a value: \(0\.5, 1\.0, 1\.0\)"):
-        compare_drafts(bundle.teacher, lambda seed: (draft,), bundle.prompts, (1.0, 0.5, 1.0),
-                       small_config(seed=4), (1,))
+        compare_drafts(bundle.teacher, {1: (draft,)}, bundle.prompts, (1.0, 0.5, 1.0),
+                       small_config(seed=4))
 
 
 def test_default_grids():

@@ -3,10 +3,17 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speclab import cli
 from speclab.bench import parse_sweep_csv, recount_alpha
 from speclab.cli import load_config, main, parse_config_text
+from speclab.corpus import CorpusSpec
+from speclab.distill import KDConfig
 from speclab.errors import ConfigError
+from speclab.lm import FAMILY_NEURAL, FAMILY_NGRAM
+from speclab.specdec import GenerationConfig
 
 BASE = """\
 corpus.vocab_size = 12
@@ -104,6 +111,54 @@ def test_load_config_seed_override(tmp_path):
     assert config.decode.seed == 9
     untouched = load_config(path)
     assert (untouched.corpus.seed, untouched.kd.seed, untouched.decode.seed) == (3, 4, 5)
+
+
+def test_library_defaults_are_the_empty_configs(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    config = load_config(path)
+    assert config.corpus == CorpusSpec()
+    assert config.kd == KDConfig()
+    assert config.decode == GenerationConfig()
+
+
+_INTS = st.integers(4, 2**40)  # corpus.vocab_size is the highest lower bound
+_FLOATS = st.floats(min_value=0.0, allow_infinity=False)
+# An in-range value per parser, and per key where a key's range is narrower.
+_VALUES_BY_PARSER = {
+    int: _INTS,
+    float: _FLOATS,
+    str: st.text("abz09_-./", min_size=1, max_size=12),
+    cli._parse_bool: st.booleans(),
+    cli._parse_int_list: st.lists(_INTS, min_size=1, max_size=4, unique=True).map(tuple),
+    cli._parse_float_list: st.lists(_FLOATS, min_size=1, max_size=4, unique=True).map(tuple),
+}
+_VALUES_BY_KEY = {
+    "corpus.concentration": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "kd.on_policy_frac": st.floats(0.0, 1.0),
+    "kd.mode": st.sampled_from(("offline", "online")),
+    "models.draft_family": st.sampled_from((FAMILY_NGRAM, FAMILY_NEURAL)),
+}
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_render, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({key: _VALUES_BY_KEY.get(key, _VALUES_BY_PARSER[parse])
+                              for key, (parse, _, _) in cli._SCHEMA.items()}))
+def test_config_text_round_trips_every_key(values):
+    text = "".join(f"{key} = {_render(value)}\n" for key, value in values.items())
+    parsed = parse_config_text(text)
+    assert parsed == values
+    types = {key: type(value) for key, value in values.items()}
+    assert {key: type(value) for key, value in parsed.items()} == types
+    cli._build_run_config(parsed, None)  # every drawn value is in range
 
 
 def test_canonical_config_sets_every_key_once_at_its_default():
