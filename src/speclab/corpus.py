@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, TrainingError
 from .files import read_lines, write_atomic
-from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows
+from .lm import LanguageModel, NGramLogitLM, Vocab, _ce_step_rows, _wavefront_order
 from .sampling import STREAM_HELDOUT, derive_seed, make_rng, softmax_with_temperature
 from .specdec import GenerationConfig, _rollouts, _table_rollouts
 
@@ -244,12 +244,7 @@ def _apply_wavefront(teacher: NGramLogitLM, rows, tokens, lrs) -> None:
     updates the same row. That tail runs as a 1-D loop on a copy of the
     row with the operations of :func:`~speclab.lm._ce_step_rows`.
     """
-    by_row = np.argsort(rows, kind="stable")
-    sorted_rows = rows[by_row]
-    starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
-    rank = np.arange(len(rows)) - np.repeat(starts, np.diff(np.r_[starts, len(rows)]))
-    order = by_row[np.argsort(rank, kind="stable")]
-    counts = np.bincount(rank)
+    order, counts = _wavefront_order(rows)
     bounds = np.cumsum(counts[counts > 1])
     step_rows, step_tokens, step_lrs = rows[order], tokens[order], lrs[order]
     first_bad = len(rows)

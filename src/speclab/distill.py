@@ -3,7 +3,8 @@
 :func:`train_draft` is how every command trains a draft: it makes the KD
 dataset with :func:`make_kd_dataset`, then trains in one of two regimes,
 chosen by ``KDConfig.mode``, on one step loop over the same gradient
-machinery (offline is that loop without a teacher):
+machinery (offline is that loop without a teacher; an offline n-gram
+student runs it as a row wavefront, see below):
 
 * offline: the teacher samples one response per prompt at a chosen
   generation temperature, and the student is trained with plain
@@ -36,19 +37,32 @@ gradients would add them with :func:`~speclab.lm.accumulate_gradients`.
 this kernel at one position. The teacher's rows come from one
 :class:`~speclab.specdec.RowTable` per :func:`train_online` call, at
 temperature 1, bit-equal to its softmax rows. An n-gram student adds a
-step's parts with one ``np.add.at`` into a zeroed table-shaped buffer
-that the run keeps, then moves only the rows they visit and zeroes them
-again. A tiny-neural student backpropagates them with one matrix-vector
-product per part and adds the scaled parts left to right. Losses and
-divergences are summed left to right from 0.0, as that loop does, and
-the row arithmetic is its per-row arithmetic, so checkpoints, training
-logs and error texts are bit-identical to it.
+step's parts, in part order, into a zeroed table-shaped buffer that the
+run keeps, by one flat ``np.add.at``, then moves only the rows they
+visit and zeroes them again. A tiny-neural student backpropagates them
+with one matrix-vector product per part and adds the scaled parts left
+to right. Losses and divergences are summed left to right from 0.0, as
+that loop does, and the row arithmetic is its per-row arithmetic, so
+checkpoints, training logs and error texts are bit-identical to it.
+
+Offline, an n-gram step reads and writes only the rows its response
+visits, so offline n-gram training runs 512 steps at a time as a row
+wavefront: wave k moves, in one batched pass, every row that at least
+k + 1 of the block's steps visit, by the update of the (k + 1)-th such
+step, with the same per-row arithmetic (see ``_wavefront_block``), and
+each step's loss is summed afterwards, left to right. A block that
+would raise (a bad token, a non-finite loss or gradient) or warn (a
+floating-point overflow, invalid value or division by zero) puts back
+the rows it moved and runs again through the step loop, which raises or
+warns as it always has, with the same text, at the same step, leaving
+the same student.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -60,12 +74,15 @@ from .lm import (
     NGramLogitLM,
     _check_token,
     _fkl_logit_grads,
+    _scatter_rows,
     _sgd_rows,
     _stable_log_softmax_rows,
+    _wavefront_order,
     apply_update,
     fkl_value,
 )
 from .sampling import (
+    _STEP_BLOCK,
     SeedBank,
     make_rng,
     pcg64_state,
@@ -216,12 +233,7 @@ def _pair_step(student, teacher_rows, pair_prompt, response, loss_ratio):
         teacher_probs = teacher_rows.rows_after(tokens, start)
     size = student.vocab.size
     n = len(response)
-    # The per-position loop checks the first target before any context
-    # token, so a bad first target is the one it names.
-    _check_token(response[0], size)
-    logits, cache = student._forward_positions(tokens, start)
-    _check_token(response[-1], size)
-    targets = np.array(response, dtype=np.int64)
+    logits, cache, targets = _response_positions(student, tokens, start)
     log_p, _ = _stable_log_softmax_rows(logits)
     p_s = np.exp(log_p)
     positions = np.arange(n)
@@ -238,6 +250,18 @@ def _pair_step(student, teacher_rows, pair_prompt, response, loss_ratio):
         scales = np.array([1.0 / n, loss_ratio / n] * n)
         positions = np.repeat(positions, 2)
     return lm_loss, fkl, (cache, positions, dlogits, scales)
+
+
+def _response_positions(student, tokens, start: int):
+    """The logits and cache of :meth:`_forward_positions` after ``tokens[:start]``, and the
+    targets ``tokens[start:]``, every token validated as the per-position loop meets it."""
+    size = student.vocab.size
+    # The per-position loop checks the first target before any context
+    # token, so a bad first target is the one it names.
+    _check_token(tokens[start], size)
+    logits, cache = student._forward_positions(tokens, start)
+    _check_token(tokens[-1], size)
+    return logits, cache, np.array(tokens[start:], dtype=np.int64)
 
 
 def _sgd_update(student, lr: float):
@@ -295,7 +319,11 @@ def _train(student: LanguageModel, teacher: LanguageModel | None, dataset: Datas
     """The step loop of both trainers; ``teacher=None`` trains offline.
 
     Offline, the on-policy threshold is -1, which no coin in [0, 1)
-    meets, so an offline step does no on-policy or teacher work.
+    meets, so an offline step does no on-policy or teacher work. An
+    offline n-gram student trains a block of steps at a time as a row
+    wavefront (:func:`_wavefront_block`); a block that it hands back
+    untrained is trained by the step loop, which raises or warns as it
+    would have.
     """
     if not dataset:
         raise DomainError(("dataset" if teacher is None else "fixed_dataset") + " is empty")
@@ -307,18 +335,128 @@ def _train(student: LanguageModel, teacher: LanguageModel | None, dataset: Datas
     teacher_rows = RowTable(teacher, 1.0) if loss_ratio > 0.0 else None
     update = _sgd_update(student, config.learning_rate)
     rng = make_rng(0)  # set to each on-policy step's own state
+
+    def run_steps(draws, first: int) -> None:
+        for step, (index, coin, state) in enumerate(draws, start=first):
+            pair = dataset[index]
+            response = pair.response
+            if coin <= on_policy_frac:
+                rng.bit_generator.state = pcg64_state(state)
+                response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
+            lm_loss, fkl, parts = _pair_step(student, teacher_rows, pair.prompt, response,
+                                             loss_ratio)
+            _check_finite(lm_loss, fkl, step, config)
+            update(parts)
+            log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
+
     draws = step_draws(config.seed, config.steps, len(dataset))
-    for step, (index, coin, state) in enumerate(draws, start=1):
-        pair = dataset[index]
-        response = pair.response
-        if coin <= on_policy_frac:
-            rng.bit_generator.state = pcg64_state(state)
-            response = generate_autoregressive(student, pair.prompt, gen_cfg, rng)
-        lm_loss, fkl, parts = _pair_step(student, teacher_rows, pair.prompt, response, loss_ratio)
-        _check_finite(lm_loss, fkl, step, config)
-        update(parts)
-        log.append(TrainStep(step=step, lm_loss=lm_loss, fkl=fkl))
+    if teacher is not None or not isinstance(student, NGramLogitLM):
+        run_steps(draws, 1)
+        return log
+    pair_events: list = [None] * len(dataset)
+    for first in range(1, config.steps + 1, _STEP_BLOCK):
+        block = list(islice(draws, _STEP_BLOCK))
+        losses = _wavefront_block(student, dataset, pair_events,
+                                  [index for index, _, _ in block], config.learning_rate)
+        if losses is None:
+            run_steps(block, first)
+        else:
+            log += [TrainStep(step=step, lm_loss=loss) for step, loss in enumerate(losses, first)]
     return log
+
+
+def _wavefront_block(student: NGramLogitLM, dataset: Dataset, pair_events: list, indices,
+                     lr: float) -> list[float] | None:
+    """Offline CE steps on ``dataset[indices]`` in turn, as a row wavefront; each step's loss.
+
+    A step reads each row that its positions visit as it was before the
+    step and moves it once, by the sum of their parts, and touches no
+    other row. So the (step, row) events of one row must run in step
+    order, and events on different rows commute. The events are grouped
+    by rank within their row (:func:`~speclab.lm._wavefront_order`), and
+    each wave takes one pass: it gathers its rows, takes one row-wise
+    log-softmax, builds one part per position, adds the scaled parts in
+    part order into a zeroed buffer (:func:`~speclab.lm._scatter_rows`),
+    checks it finite and moves its rows. Each step's ``lm_loss`` is its
+    positions' losses summed left to right, as :func:`_position_sum` sums.
+
+    ``pair_events[i]`` caches pair i's events: the rows its windows visit,
+    in order of first visit, and the event of each position. Its tokens
+    are validated on first use, as :func:`_pair_step` validates them. A
+    bad token, a non-finite loss or gradient, or a floating-point
+    overflow, invalid value or division by zero (which the step loop
+    would warn of) returns None with every row as it was before the block.
+    """
+    table = student.table
+    try:
+        for i in indices:
+            if pair_events[i] is None:
+                pair = dataset[i]
+                rows = _response_positions(student, list(pair.prompt) + list(pair.response),
+                                           len(pair.prompt))[1]
+                first_visit: dict = {}
+                of = [first_visit.setdefault(row, len(first_visit)) for row in rows.tolist()]
+                pair_events[i] = np.array(list(first_visit)), np.array(of)
+    except DomainError:
+        return None
+    steps = len(indices)
+    events = [pair_events[i] for i in indices]
+    lengths = np.array([len(of) for _, of in events])
+    event_counts = np.array([len(rows) for rows, _ in events])
+    event_rows = np.concatenate([rows for rows, _ in events])
+    order, counts = _wavefront_order(event_rows)
+    wave_rows = event_rows[order]
+    event_of = np.concatenate([of for _, of in events])
+    event_of += np.repeat(np.cumsum(event_counts) - event_counts, lengths)
+    # Each event's wave and slot in it; then the positions, wave by wave.
+    ends = np.cumsum(counts)
+    wave, slot = np.empty((2, len(order)), dtype=np.int64)
+    wave[order] = np.repeat(np.arange(len(counts)), counts)
+    slot[order] = np.arange(len(order)) - np.repeat(ends - counts, counts)
+    # A block's index arrays are its peak memory: drop each once it is read.
+    del event_rows, order
+    wave = wave[event_of]
+    by_wave = np.argsort(wave, kind="stable")
+    position_ends = np.cumsum(np.bincount(wave))
+    slots = slot[event_of[by_wave]]
+    del wave, slot, event_of
+    targets = np.fromiter(chain.from_iterable(dataset[i].response for i in indices), np.int64,
+                          len(by_wave))[by_wave]
+    scales = np.repeat(1.0 / lengths, lengths)[by_wave, None]
+    log_p_target = np.empty(len(by_wave))
+    touched = wave_rows[: counts[0]]  # wave 0 holds every row once
+    saved = table[touched]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            lo = plo = 0
+            for hi, phi in zip(ends.tolist(), position_ends.tolist()):
+                rows, at, tgt = wave_rows[lo:hi], slots[plo:phi], targets[plo:phi]
+                logits = table[rows]
+                log_p, _ = _stable_log_softmax_rows(logits)
+                log_p_target[plo:phi] = log_p[at, tgt]
+                parts = np.exp(log_p)[at]
+                parts[np.arange(phi - plo), tgt] -= 1.0
+                parts *= scales[plo:phi]
+                g = np.zeros_like(logits)
+                _scatter_rows(g, at, parts)
+                if not np.isfinite(g).all():
+                    break
+                table[rows] = logits - lr * g
+                lo, plo = hi, phi
+            else:
+                del slots, targets, scales
+                # Each step's losses, left-aligned in one row each, summed left to right.
+                log_p_target[by_wave] = -log_p_target
+                losses = np.zeros((steps, lengths.max()))
+                losses[np.arange(losses.shape[1]) < lengths[:, None]] = log_p_target
+                np.cumsum(losses, axis=1, out=losses)
+                lm_loss = (losses[np.arange(steps), lengths - 1] + 0.0) / lengths
+                if np.isfinite(lm_loss).all():
+                    return lm_loss.tolist()
+    except FloatingPointError:
+        pass
+    table[touched] = saved
+    return None
 
 
 def train_offline(student: LanguageModel, dataset: Dataset, config: KDConfig) -> TrainingLog:

@@ -198,7 +198,7 @@ class NGramLogitLM:
         onto a row first keyed at +0.0. Returns the row of each part.
         """
         at = rows[positions]
-        np.add.at(grads, at, scales[:, None] * dlogits)
+        _scatter_rows(grads, at, scales[:, None] * dlogits)
         return at
 
     def _backprop_parts(self, rows, positions, dlogits, scales) -> GradientBundle:
@@ -320,8 +320,9 @@ class TinyNeuralLM:
                                                               self.d_emb)
         tokens, slots = np.unique(windows, return_inverse=True)
         demb_parts = np.zeros((len(positions), len(tokens), self.d_emb))
-        np.add.at(demb_parts, (np.arange(len(positions))[:, None], slots.reshape(windows.shape)),
-                  dx)
+        _scatter_rows(demb_parts.reshape(-1, self.d_emb),
+                      np.arange(len(positions))[:, None] * len(tokens)
+                      + slots.reshape(windows.shape), dx)
         scales = _one_scale(scales)
         demb = np.zeros_like(self.embedding)
         demb[tokens] = _scaled_sum(demb_parts, scales)
@@ -358,6 +359,37 @@ def ce_gradient(model: LanguageModel, context, target: int):
     g = np.exp(log_p)
     g[0, target] -= 1.0
     return float(-log_p[0, target]), model._backprop_parts(cache, [0], g, np.ones(1))
+
+
+def _scatter_rows(grads: np.ndarray, at: np.ndarray, parts: np.ndarray) -> None:
+    """Add each row of ``parts`` into ``grads[at]``, in part order, by one flat ``np.add.at``.
+
+    ``grads`` is a contiguous 2-D buffer; ``at`` holds one row index per
+    part, in any shape whose flattening matches the parts' rows. Every
+    element of a row receives its parts in part order, as a 2-D
+    ``np.add.at(grads, at, parts)`` adds them, at a fraction of its cost.
+    """
+    width = grads.shape[1]
+    flat = (np.ravel(at)[:, None] * width + np.arange(width)).ravel()
+    np.add.at(grads.reshape(-1), flat, parts.reshape(-1))
+
+
+def _wavefront_order(rows: np.ndarray):
+    """The updates of ``rows`` grouped by their rank within their row.
+
+    Update i has rank k when it is the k-th update of ``rows[i]`` in index
+    order. Returns ``(order, counts)``: the update indices sorted by rank,
+    stably, and the number of updates of each rank, so wave k is
+    ``order[sum(counts[:k]) : sum(counts[:k + 1])]``. A wave holds each of
+    its rows once, and each row's updates fall in waves 0, 1, ... in index
+    order, so applying the waves in turn applies every row's updates in
+    index order.
+    """
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+    rank = np.arange(len(rows)) - np.repeat(starts, np.diff(np.r_[starts, len(rows)]))
+    return by_row[np.argsort(rank, kind="stable")], np.bincount(rank)
 
 
 def _ce_step_rows(model: NGramLogitLM, rows, targets, lrs) -> np.ndarray:

@@ -16,12 +16,16 @@ def load_tool():
     return module
 
 
-def record(workload, seed, *, trace=False, wall=1.0, layer=0.0, failures=(), git_rev="abc"):
+def record(workload, seed, *, trace=False, wall=1.0, layer=0.0, failures=(), git_rev="abc",
+           raw=None):
+    """A result file's record; ``raw`` is ``(wall_s, probe_s)`` when it holds them."""
     meta = {"git_rev": git_rev, "python": "3.11.7", "numpy": "2.4.6", "speclab": "0.1",
             "cpu_model": "cpu", "nproc": 2, "workload": workload, "seed": seed,
             "trace": trace}
-    return {"meta": meta, "checks": {"failures": list(failures)},
-            "end_to_end": {"wall_probes": wall, "peak_rss_mb": 40.0 + wall},
+    end_to_end = {"wall_probes": wall, "peak_rss_mb": 40.0 + wall}
+    if raw is not None:
+        end_to_end["wall_s"], end_to_end["probe_s"] = raw
+    return {"meta": meta, "checks": {"failures": list(failures)}, "end_to_end": end_to_end,
             "per_layer": {"specdec.rounds": layer}}
 
 
@@ -178,3 +182,25 @@ def test_compare_names_the_workloads_of_one_file_only():
                          "teacher_pretrain: only in the parent file, not compared"]
     assert lines[3] == "draft_distill: 1 pairs by seed; failed checks: parent 0, change 0"
     assert len(lines) == 4 + len(METRICS)
+
+
+def test_compare_prints_the_raw_timings_beside_wall_probes():
+    tool = load_tool()
+
+    def summary(raws):  # (wall_s, probe_s) of seeds 1, 2, 3
+        return tool.summarise("demo", [record("draft_distill", seed, wall=w / p, raw=(w, p))
+                                       for seed, (w, p) in enumerate(raws, start=1)])
+
+    parent = summary([(1.0, 0.001), (2.0, 0.002), (1.0, 0.001)])
+    change = summary([(0.5, 0.001), (2.0, 0.001), (1.5, 0.0005)])
+    lines = tool.compare(parent, change, METRICS)
+    # wall_probes 1000, 1000, 1000 -> 500, 2000, 3000: its rule reads it alone.
+    assert "change won 1/3" in lines[1] and "ratio 2.000" in lines[1]
+    assert lines[2] == ("    wall_s (printed only): change lower in 1/3; "
+                        "ratio by seed 1: 0.500, 2: 1.000, 3: 1.500")
+    assert lines[3] == ("    probe_s (printed only): change lower in 2/3; "
+                        "ratio by seed 1: 1.000, 2: 0.500, 3: 0.500")
+    assert lines[4].startswith("  peak_rss_mb (lower is better): change won 1/3;")
+    # A side whose runs lack them prints neither line.
+    lines = tool.compare(summary_of([1.0, 2.0, 3.0]), change, METRICS)
+    assert [line.split()[0] for line in lines[1:]] == ["wall_probes", "peak_rss_mb"]

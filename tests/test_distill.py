@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from speclab.lm import (
     apply_update,
     checkpoint_bytes,
 )
-from speclab.sampling import make_rng, softmax_with_temperature
+from speclab.sampling import make_rng, softmax_with_temperature, step_draws
 from speclab.specdec import GenerationConfig, RowTable, generate_autoregressive
 from oracles import (
     gradient_vector,
@@ -765,6 +766,10 @@ def test_neural_pair_step_nan_parameter_error_texts_match_the_loop(name):
 
 
 def _train(monkeypatch, oracle, mode, student, teacher, data, cfg):
+    if oracle and mode == "offline" and isinstance(student, NGramLogitLM):
+        # An offline n-gram student trains as a row wavefront, which calls
+        # neither _pair_step nor _sgd_update: its oracle is the per-step loop.
+        return reference_train_offline(student, data, cfg)
     if oracle:
         # The per-position loop on the teacher model behind the trainer's
         # rows, and its bundle applied one row or parameter at a time.
@@ -984,6 +989,136 @@ def test_train_online_rejects_a_teacher_window_too_wide_to_index():
         train_online(student, teacher, data, KDConfig(mode="online", steps=2))
     # Without an FKL term the teacher is not read.
     train_online(student, teacher, data, KDConfig(mode="online", steps=2, loss_ratio=0.0))
+
+
+# --- Offline n-gram training as a row wavefront ------------------------------
+
+
+def wave_pairs(count, seed):
+    """Ragged pairs: prompts of 0-3 tokens from 2-9, responses of 1-9 tokens
+    over four content tokens, every third one ending at eos, and one
+    response that visits one row at every position. No pair reads a
+    token from 10 to 19, so their rows are left for one pair to visit."""
+    rng = make_rng(seed)
+    pairs = [Pair(rng.integers(2, 10, size=k % 4).tolist(),
+                  rng.choice([2, 3, 4, 5], size=1 + k % 9).tolist(), "teacher", 1.0)
+             for k in range(count)]
+    for k in range(0, count, 3):
+        pairs[k].response[-1] = 1
+    pairs[-1] = Pair([3], [3, 3, 3, 3, 3], "teacher", 1.0)
+    return pairs
+
+
+def wave_outcome(train):
+    """``train()``'s training log rows, or its error's type and text; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = train_log_rows(train())
+        except (DomainError, TrainingError, NumericError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def wavefront_results(monkeypatch):
+    """What each ``_wavefront_block`` call returns: the block's losses or None."""
+    results = []
+    block = distill._wavefront_block
+    monkeypatch.setattr(distill, "_wavefront_block",
+                        lambda *args: results.append(block(*args)) or results[-1])
+    return results
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("steps", [1, 511, 512, 513, 1100])
+def test_offline_ngram_wavefront_bit_equals_the_reference_trainer(monkeypatch, order, steps):
+    data = wave_pairs(30, 60 + order)
+    cfg = KDConfig(mode="offline", learning_rate=0.4, steps=steps, seed=61)
+    got_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=62)
+    want_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=62)
+    blocks = wavefront_results(monkeypatch)
+    got = train_offline(got_student, data, cfg)
+    want = reference_train_offline(want_student, data, cfg)
+    assert len(blocks) == -(-steps // 512) and None not in blocks
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
+    assert train_log_rows(got) == train_log_rows(want)
+    assert ([(e.step, bits(e.lm_loss), e.fkl) for e in got]
+            == [(e.step, bits(e.lm_loss), e.fkl) for e in want])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_offline_ngram_wavefront_on_one_pair_bit_equals_the_reference_trainer(order):
+    # Every step visits the same rows, so each wave moves them by one step.
+    data = [Pair([4, 2], [2, 2, 5, 2, 1], "teacher", 1.0)]
+    cfg = KDConfig(mode="offline", learning_rate=0.4, steps=600, seed=63)
+    got_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=64)
+    want_student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=64)
+    got = train_offline(got_student, data, cfg)
+    want = reference_train_offline(want_student, data, cfg)
+    assert checkpoint_bytes(got_student) == checkpoint_bytes(want_student)
+    assert train_log_rows(got) == train_log_rows(want)
+
+
+def first_fresh_step(seed, steps, n, after):
+    """The first step past ``after`` whose pair no earlier step drew, and that pair."""
+    seen = set()
+    for step, (index, _, _) in enumerate(step_draws(seed, steps, n), start=1):
+        if step > after and index not in seen:
+            return step, index
+        seen.add(index)
+    raise AssertionError("no fresh pair")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("fault", ["nan_row", "bad_token", "overflow"])
+def test_offline_ngram_wavefront_errors_match_the_step_loop(monkeypatch, order, fault):
+    # A NaN row or a bad token meets its first step in the second block, so
+    # the first block trains as a wavefront and the second is replayed;
+    # an overflowing rate breaks the first block.
+    data = wave_pairs(400, 65)
+    cfg = KDConfig(mode="offline", learning_rate=1e308 if fault == "overflow" else 0.4,
+                   steps=700, seed=66)
+    step, index = first_fresh_step(cfg.seed, cfg.steps, len(data), after=512)
+    data[index] = Pair([12, 15], [2, 99, 3] if fault == "bad_token" else [2, 3], "teacher", 1.0)
+    student = NGramLogitLM.create(V20, order, init_scale=1.0, init_seed=67)
+    if fault == "nan_row":
+        student.table[student.context_index(data[index].prompt)] = np.nan
+    outcomes = []
+    for wavefront in (True, False):
+        model = NGramLogitLM(V20, order, student.table.copy())
+        blocks = wavefront_results(monkeypatch)
+        if not wavefront:
+            monkeypatch.setattr(distill, "_wavefront_block", lambda *args: None)
+        outcomes.append((wave_outcome(lambda: train_offline(model, data, cfg)),
+                         model.table.tobytes()))
+        if wavefront:
+            assert blocks[-1] is None and all(b is not None for b in blocks[:-1])
+            assert len(blocks) == (1 if fault == "overflow" else 2)
+        monkeypatch.undo()
+    assert outcomes[0] == outcomes[1]
+    (result, caught), _ = outcomes[0]
+    if fault == "bad_token":
+        assert result == (DomainError, "token id 99 outside vocab of size 20")
+    else:
+        assert result[0] is TrainingError
+        if fault == "nan_row":
+            assert result[1].startswith(f"non-finite loss at step {step} (lm_loss=nan")
+        else:
+            assert any(message.startswith("overflow encountered") for message in caught)
+
+
+def test_only_offline_ngram_training_takes_the_wavefront(monkeypatch):
+    teacher = NGramLogitLM.create(V20, 2, init_scale=2.0, init_seed=68)
+    data = wave_pairs(12, 69)
+    blocks = wavefront_results(monkeypatch)
+    cfg = KDConfig(mode="offline", steps=600, seed=70)
+    train_offline(NGramLogitLM.create(V20, 1, init_scale=1.0, init_seed=71), data, cfg)
+    assert len(blocks) == 2
+    train_offline(TinyNeuralLM.create(V20, context_size=2, d_emb=4, d_hid=8, seed=72), data,
+                  KDConfig(mode="offline", steps=20, seed=70))
+    train_online(NGramLogitLM.create(V20, 1, init_scale=1.0, init_seed=71), teacher, data,
+                 KDConfig(mode="online", on_policy_frac=0.0, loss_ratio=0.0, steps=20, seed=70))
+    assert len(blocks) == 2
 
 
 # --- One draft-training function --------------------------------------------

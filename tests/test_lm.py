@@ -12,6 +12,7 @@ from speclab.lm import (
     NGramLogitLM,
     TinyNeuralLM,
     Vocab,
+    _scatter_rows,
     _stable_log_softmax_rows,
     accumulate_gradients,
     apply_update,
@@ -229,6 +230,24 @@ def test_log_softmax_rows_match_scalar_max_reference_bit_for_bit():
         assert np.array_equal(lse[:, 0], np.array([r[1] for r in ref]))
         assert np.array_equal(log_p, np.array([a[0] for a in alone]))
         assert np.array_equal(lse, np.array([a[1] for a in alone]))
+
+
+@pytest.mark.parametrize("at_shape", [(40,), (8, 5)])
+def test_scatter_rows_bit_equals_a_two_dimensional_add_at(at_shape):
+    # Rows hit many times, by parts of mixed magnitude and signed zeros, so
+    # that any other order of addition, or a start other than the
+    # buffer's +0.0, would show in the bits.
+    rng = make_rng(13)
+    width = 7
+    at = rng.integers(0, 6, size=at_shape)
+    parts = rng.normal(size=at_shape + (width,)) * rng.choice([1e-12, 1.0, 1e12], size=at_shape
+                                                               + (1,))
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    want = np.zeros((9, width))
+    np.add.at(want, at, parts)
+    got = np.zeros((9, width))
+    _scatter_rows(got, at, parts)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", ["ngram", "neural"])

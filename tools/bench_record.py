@@ -32,7 +32,12 @@ runs paired by seed and how many of them the change won; both medians and quarti
 and their ratio; whether the gain rule holds (at least 9 in 10 pairs won,
 and a median gap wider than the parent's interquartile range); and
 whether the change's median stays within the metric's no-regression
-bound, which it reads from ``BENCHMARK.json``.
+bound, which it reads from ``BENCHMARK.json``. Beside ``wall_probes``
+it prints, for the runs whose files hold them, the raw timings behind
+it: the wall time of the timed phase (``wall_s``) and of the probe loop
+(``probe_s``), each with the number of pairs in which the change's was
+lower and the change-to-parent ratio of every pair. These lines apply
+no rule and no bound.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHARED = ("git_rev", "python", "numpy", "speclab", "cpu_model", "nproc")
+# The timings that wall_probes divides, printed beside it.
+RAW_TIMES = ("wall_s", "probe_s")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -129,6 +136,22 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> list[str]:
                 f"gain rule {'holds' if gain else 'fails'} (gap {gap:.6g}, "
                 f"parent IQR {a_q[1] - a_q[0]:.6g}); "
                 f"bound {metric['bound']} {'kept' if within else 'BROKEN'}")
+            if name == "wall_probes":
+                lines += raw_time_lines(old, new, seeds)
+    return lines
+
+
+def raw_time_lines(old: dict, new: dict, seeds: list[str]) -> list[str]:
+    """The :data:`RAW_TIMES` of each pair of runs: wins and per-seed ratios."""
+    lines = []
+    for name in RAW_TIMES:
+        if not all(name in side[s] for side in (old, new) for s in seeds):
+            continue
+        pairs = [(old[s][name], new[s][name]) for s in seeds]
+        wins = sum(y < x for x, y in pairs)
+        ratios = ", ".join(f"{s}: {y / x:.3f}" for s, (x, y) in zip(seeds, pairs))
+        lines.append(f"    {name} (printed only): change lower in {wins}/{len(seeds)}; "
+                     f"ratio by seed {ratios}")
     return lines
 
 
