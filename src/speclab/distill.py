@@ -381,7 +381,7 @@ def _wavefront_block(student: NGramLogitLM, dataset: Dataset, pair_events: list,
     positions' losses summed left to right, as :func:`_position_sum` sums.
 
     ``pair_events[i]`` caches pair i's events: the rows its windows visit,
-    in order of first visit, and the event of each position. Its tokens
+    each once, and the event of each position. Its tokens
     are validated on first use, as :func:`_pair_step` validates them. A
     bad token, a non-finite loss or gradient, or a floating-point
     overflow, invalid value or division by zero (which the step loop
@@ -394,9 +394,7 @@ def _wavefront_block(student: NGramLogitLM, dataset: Dataset, pair_events: list,
                 pair = dataset[i]
                 rows = _response_positions(student, list(pair.prompt) + list(pair.response),
                                            len(pair.prompt))[1]
-                first_visit: dict = {}
-                of = [first_visit.setdefault(row, len(first_visit)) for row in rows.tolist()]
-                pair_events[i] = np.array(list(first_visit)), np.array(of)
+                pair_events[i] = np.unique(rows, return_inverse=True)
     except DomainError:
         return None
     steps = len(indices)
